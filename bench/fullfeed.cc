@@ -21,13 +21,10 @@
  *    BgpSpeaker::ribMemoryBytes().
  *
  * Writes BENCH_fullfeed.json (field reference in README.md). The CI
- * regression gate runs --smoke twice — default vs
- * BGPBENCH_NO_PREFIX_TREE=1 — and asserts the tree at least halves
- * bytes/route.
+ * regression gate runs --smoke and bounds the structural bytes/route.
  *
  * Overrides: --smoke / BGPBENCH_FAST=1 shrink the run; --routes N,
- * --peers N, --out FILE; BGPBENCH_NO_PREFIX_TREE=1 selects the
- * hash-map RIB backend (see `bgpbench config`).
+ * --peers N, --out FILE.
  */
 
 #include <chrono>
@@ -38,7 +35,6 @@
 
 #include "bgp/message.hh"
 #include "bgp/speaker.hh"
-#include "core/runtime_config.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/process_memory.hh"
@@ -115,19 +111,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    core::RuntimeConfig runtime = core::RuntimeConfig::fromEnvironment();
-    runtime.apply();
-
     const size_t routes = routes_arg != 0 ? routes_arg
                           : smoke        ? 50'000
                                          : 1'000'000;
     const uint64_t seed = 42;
 
     std::cout << "full-feed ingestion: " << routes
-              << " prefixes from " << feeds << " peers ("
-              << (runtime.prefixTree() ? "prefix-tree"
-                                       : "hash-map")
-              << " RIBs, seed " << seed << ")\n";
+              << " prefixes from " << feeds << " peers (seed " << seed
+              << ")\n";
 
     Sink sink;
     bgp::SpeakerConfig config;
@@ -171,7 +162,7 @@ main(int argc, char **argv)
     }
 
     // A router provisioned for full feeds knows its table scale;
-    // pre-sizing removes geometric-growth slack from both backends.
+    // pre-sizing removes geometric-growth slack from every column.
     speaker.reserveRoutes(routes);
 
     // Round-robin chunk interleave: every peer advances one chunk per
@@ -269,7 +260,6 @@ main(int argc, char **argv)
     writer.beginObject();
     writer.field("benchmark", "fullfeed");
     writer.field("seed", seed);
-    writer.field("prefix_tree", runtime.prefixTree());
     writer.field("routes_per_peer", uint64_t(routes));
     writer.field("feed_peers", uint64_t(feeds));
     writer.field("announcements", announcements);

@@ -19,7 +19,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bgp/attr_intern.hh"
 #include "bgp/decision.hh"
 #include "bgp/message.hh"
 #include "bgp/policy.hh"
@@ -153,8 +152,8 @@ BENCHMARK(BM_FanoutSharedSegment)->Arg(2)->Arg(8)->Arg(16);
 void
 BM_FanoutCopyPerHop(benchmark::State &state)
 {
-    // The ablation counterpart: re-encode per peer and stage a copy
-    // in every decoder, the seed's copy-per-hop behaviour.
+    // The copy-per-hop baseline: re-encode per peer and stage a copy
+    // of the bytes in every decoder.
     size_t fanout = size_t(state.range(0));
     auto rs = routes(500);
     bgp::UpdateBuilder builder;
@@ -167,19 +166,16 @@ BM_FanoutCopyPerHop(benchmark::State &state)
     auto updates = builder.build();
     std::vector<bgp::StreamDecoder> decoders(fanout);
 
-    bool saved = net::segmentSharingEnabled();
-    net::setSegmentSharing(false);
     for (auto _ : state) {
         for (const auto &update : updates) {
             bgp::DecodeError error;
             for (auto &decoder : decoders) {
-                decoder.feed(bgp::encodeSegment(update));
+                decoder.feed(bgp::encodeMessage(update));
                 while (decoder.next(error)) {
                 }
             }
         }
     }
-    net::setSegmentSharing(saved);
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(fanout) * 500);
 }
@@ -211,7 +207,7 @@ BM_LpmLookup(benchmark::State &state)
     fib::ForwardingTable table;
     for (const auto &r : rs) {
         table.install(r.prefix,
-                      fib::FibEntry{net::Ipv4Address(10, 0, 0, 1), 1});
+                      fib::FibEntry{net::Ipv4Address(10, 0, 0, 1), 1, {}});
     }
     auto pool = workload::destinationPool(rs, 1024, 7);
 
@@ -225,12 +221,11 @@ BM_LpmLookup(benchmark::State &state)
 BENCHMARK(BM_LpmLookup)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /*
- * RIB storage head-to-head: net::PrefixTree vs the unordered_map it
- * replaced (still reachable via BGPBENCH_NO_PREFIX_TREE=1). Same
- * route sets, same operation mix, one BM pair per operation; the
- * Scan pair is the structural one — the tree walks in prefix order
- * natively, the hash map must collect and sort to produce the
- * deterministic report order the RIBs guarantee.
+ * RIB storage head-to-head: net::PrefixTree vs the per-RIB
+ * unordered_map it replaced. Same route sets, same operation mix, one
+ * BM pair per operation; the Scan pair is the structural one — the
+ * tree walks in prefix order natively, a hash map must collect and
+ * sort to produce the deterministic report order the RIBs guarantee.
  */
 
 void
@@ -369,7 +364,7 @@ BM_HashMapScan(benchmark::State &state)
         map.insert_or_assign(rs[i].prefix, i);
     for (auto _ : state) {
         // Deterministic in-order scan from a hash map needs the
-        // collect-and-sort detour (what RibStore does in hash mode).
+        // collect-and-sort detour.
         std::vector<const std::pair<const net::Prefix, uint32_t> *>
             rows;
         rows.reserve(map.size());
@@ -398,7 +393,7 @@ BM_FibInstallRemove(benchmark::State &state)
         for (const auto &r : rs) {
             table.install(r.prefix,
                           fib::FibEntry{net::Ipv4Address(1, 1, 1, 1),
-                                        1});
+                                        1, {}});
         }
         for (const auto &r : rs)
             table.remove(r.prefix);
@@ -416,7 +411,7 @@ BM_ForwardPacket(benchmark::State &state)
     fib::ForwardingTable table;
     for (const auto &r : rs) {
         table.install(r.prefix,
-                      fib::FibEntry{net::Ipv4Address(10, 0, 0, 1), 1});
+                      fib::FibEntry{net::Ipv4Address(10, 0, 0, 1), 1, {}});
     }
     fib::ForwardingEngine engine(&table);
     auto pool = workload::destinationPool(rs, 256, 3);
@@ -443,22 +438,31 @@ richAttributes()
     return attrs;
 }
 
-/** makeAttributes() with interning off (arg 0) versus on (arg 1). */
+/**
+ * An attribute set as the interning benchmarks build it: arg 0 makes
+ * a plain shared instance that never enters the interner (the
+ * uninterned baseline), arg 1 goes through makeAttributes().
+ */
+bgp::PathAttributesPtr
+attributesFor(const benchmark::State &state, bgp::PathAttributes attrs)
+{
+    if (state.range(0) == 0)
+        return std::make_shared<const bgp::PathAttributes>(
+            std::move(attrs));
+    return bgp::makeAttributes(std::move(attrs));
+}
+
+/** Building a set without interning (arg 0) versus with it (arg 1). */
 void
 BM_AttributeIntern(benchmark::State &state)
 {
-    auto &interner = bgp::AttributeInterner::global();
-    bool was_enabled = interner.enabled();
-    interner.setEnabled(state.range(0) != 0);
-    // Keep one canonical instance alive so the enabled path measures
-    // the steady-state hit, not repeated insert/expire churn.
+    // Keep one canonical instance alive so the interning path
+    // measures the steady-state hit, not repeated insert/expire churn.
     auto canonical = bgp::makeAttributes(richAttributes());
 
     for (auto _ : state)
-        benchmark::DoNotOptimize(bgp::makeAttributes(richAttributes()));
+        benchmark::DoNotOptimize(attributesFor(state, richAttributes()));
     state.SetItemsProcessed(int64_t(state.iterations()));
-
-    interner.setEnabled(was_enabled);
     benchmark::DoNotOptimize(canonical);
 }
 BENCHMARK(BM_AttributeIntern)->Arg(0)->Arg(1);
@@ -470,38 +474,30 @@ BENCHMARK(BM_AttributeIntern)->Arg(0)->Arg(1);
 void
 BM_AttributeEquality(benchmark::State &state)
 {
-    auto &interner = bgp::AttributeInterner::global();
-    bool was_enabled = interner.enabled();
-    interner.setEnabled(state.range(0) != 0);
-    auto a = bgp::makeAttributes(richAttributes());
-    auto b = bgp::makeAttributes(richAttributes());
+    auto a = attributesFor(state, richAttributes());
+    auto b = attributesFor(state, richAttributes());
 
     for (auto _ : state)
         benchmark::DoNotOptimize(bgp::sameAttributeValue(a, b));
     state.SetItemsProcessed(int64_t(state.iterations()));
-
-    interner.setEnabled(was_enabled);
 }
 BENCHMARK(BM_AttributeEquality)->Arg(0)->Arg(1);
 
 /**
  * UpdateBuilder grouping: announce 500 prefixes cycling through 8
- * attribute sets, then build. Interning off (arg 0) exercises the
- * hash-plus-deep-equality group lookup; on (arg 1) the pointer path.
+ * attribute sets, then build. Uninterned sets (arg 0) exercise the
+ * hash-plus-deep-equality group lookup; interned ones (arg 1) the
+ * pointer path.
  */
 void
 BM_UpdateBuilderGroup(benchmark::State &state)
 {
-    auto &interner = bgp::AttributeInterner::global();
-    bool was_enabled = interner.enabled();
-    interner.setEnabled(state.range(0) != 0);
-
     auto rs = routes(500);
     std::vector<bgp::PathAttributesPtr> sets;
     for (uint32_t i = 0; i < 8; ++i) {
         bgp::PathAttributes attrs = richAttributes();
         attrs.med = 100 + i;
-        sets.push_back(bgp::makeAttributes(std::move(attrs)));
+        sets.push_back(attributesFor(state, std::move(attrs)));
     }
 
     for (auto _ : state) {
@@ -511,8 +507,6 @@ BM_UpdateBuilderGroup(benchmark::State &state)
         benchmark::DoNotOptimize(builder.build());
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 500);
-
-    interner.setEnabled(was_enabled);
 }
 BENCHMARK(BM_UpdateBuilderGroup)->Arg(0)->Arg(1);
 
@@ -939,11 +933,11 @@ runObsMode(const std::vector<std::vector<uint8_t>> &wires_a,
     speaker.addPeer(up);
     bgp::PeerConfig down;
     down.id = 1;
-    down.asn = 66001;
+    down.asn = 65002;
     down.address = net::Ipv4Address(10, 1, 0, 2);
     speaker.addPeer(down);
     establishPeer(speaker, 0, 65000, 100);
-    establishPeer(speaker, 1, 66001, 200);
+    establishPeer(speaker, 1, 65002, 200);
 
     obs::MetricRegistry registry;
     obs::Tracer tracer; // deliberately never attached to a buffer

@@ -41,7 +41,6 @@
 #include "bgp/attr_intern.hh"
 #include "bgp/policy.hh"
 #include "core/benchmark_runner.hh"
-#include "core/runtime_config.hh"
 #include "core/scenario.hh"
 #include "stats/json.hh"
 #include "stats/report.hh"
@@ -264,10 +263,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    core::RuntimeConfig runtime =
-        core::RuntimeConfig::fromEnvironment();
-    runtime.apply();
 
     if (overhead_check)
         return runPolicyOverheadCheck(smoke ? 300 : 1000);

@@ -75,7 +75,6 @@ main(int argc, char **argv)
     }
 
     core::RuntimeConfig runtime = core::RuntimeConfig::fromEnvironment();
-    runtime.apply();
 
     const size_t nodes =
         benchutil::envSize("BGPBENCH_NODES", smoke ? 10 : 24);

@@ -24,15 +24,6 @@
  * (barrier-wait fraction, mean window length, steals per window)
  * read back from the observability registry, and asserting that
  * every report is byte-identical to the sequential one.
- * --no-adaptive-sync (or BGPBENCH_NO_ADAPTIVE_SYNC=1) pins the
- * fixed-window engine for the whole run, sweep included.
- *
- * --adaptive-overhead-check runs the CI gate instead of the bench:
- * the jobs = 1 mesh announce timed in adaptive and fixed mode
- * (warm-up pair, then alternating order, best-of-9); adaptive must
- * not be more than 5% slower — at one worker both modes run the
- * identical sequential path, so the gate catches construction-time
- * regressions without scheduler noise.
  */
 
 #include <algorithm>
@@ -128,15 +119,13 @@ skewedScaleFree(size_t n)
  * (that is half of what the identical column asserts).
  */
 std::vector<SweepPoint>
-runSweep(const topo::Topology &shape, const std::string &name,
-         bool adaptive)
+runSweep(const topo::Topology &shape, const std::string &name)
 {
     std::vector<SweepPoint> points;
     std::string baseline;
     for (size_t jobs : {size_t(1), size_t(2), size_t(4), size_t(8)}) {
         topo::TopologySimConfig sim_config;
         sim_config.jobs = jobs;
-        sim_config.adaptiveSync = adaptive;
         obs::RunObservability obs;
         sim_config.obs = &obs;
         auto begin = std::chrono::steady_clock::now();
@@ -175,65 +164,6 @@ runSweep(const topo::Topology &shape, const std::string &name,
     return points;
 }
 
-/**
- * CI gate: adaptive sync must cost nothing when it cannot help.
- * At jobs = 1 the engine is sequential in both modes, so any
- * systematic gap is pure construction/bookkeeping overhead.
- */
-int
-runAdaptiveOverheadCheck(size_t mesh_nodes)
-{
-    auto once = [&](bool adaptive) {
-        topo::TopologySimConfig sim_config;
-        sim_config.jobs = 1;
-        sim_config.adaptiveSync = adaptive;
-        auto begin = std::chrono::steady_clock::now();
-        runSpec(topo::Topology::fullMesh(mesh_nodes), "mesh",
-                "announce", {}, sim_config);
-        return wallMs(begin);
-    };
-
-    // One untimed warm-up pair so first-touch page faults and cache
-    // fills are not charged to whichever mode happens to run first.
-    once(true);
-    once(false);
-
-    const int reps = 9;
-    double best_adaptive = 0.0;
-    double best_fixed = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        // Alternate the order so cache warmth cannot bias one mode.
-        double adaptive_ms;
-        double fixed_ms;
-        if (rep % 2 == 0) {
-            adaptive_ms = once(true);
-            fixed_ms = once(false);
-        } else {
-            fixed_ms = once(false);
-            adaptive_ms = once(true);
-        }
-        if (rep == 0 || adaptive_ms < best_adaptive)
-            best_adaptive = adaptive_ms;
-        if (rep == 0 || fixed_ms < best_fixed)
-            best_fixed = fixed_ms;
-    }
-
-    double ratio = best_fixed > 0 ? best_adaptive / best_fixed : 1.0;
-    std::cout << "adaptive overhead check (jobs=1, "
-              << mesh_nodes << "-node mesh, best of " << reps
-              << "):\n"
-              << "  adaptive " << stats::formatDouble(best_adaptive, 2)
-              << " ms, fixed " << stats::formatDouble(best_fixed, 2)
-              << " ms, ratio " << stats::formatDouble(ratio, 3)
-              << " (limit 1.05)\n";
-    if (ratio > 1.05) {
-        std::cerr << "error: adaptive sync is more than 5% slower "
-                     "than fixed windows at jobs=1\n";
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -242,7 +172,6 @@ main(int argc, char **argv)
     size_t nodes = benchutil::envSize(
         "BGPBENCH_NODES", benchutil::fastMode() ? 10 : 24);
     core::RuntimeConfig runtime = core::RuntimeConfig::fromEnvironment();
-    bool overhead_check = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
@@ -250,36 +179,23 @@ main(int argc, char **argv)
                 size_t(std::strtoull(argv[++i], nullptr, 10)));
         } else if (arg == "--sweep") {
             runtime.overrideSweep(true);
-        } else if (arg == "--no-adaptive-sync") {
-            runtime.overrideAdaptiveSync(false);
-        } else if (arg == "--adaptive-overhead-check") {
-            overhead_check = true;
         } else {
             std::cerr << "usage: topo_convergence [--jobs N] "
-                         "[--sweep] [--no-adaptive-sync] "
-                         "[--adaptive-overhead-check]\n";
+                         "[--sweep]\n";
             return 2;
         }
     }
-    runtime.apply();
     size_t jobs = runtime.jobs();
     bool sweep = runtime.sweep();
-    bool adaptive = runtime.adaptiveSync();
-    if (overhead_check) {
-        return runAdaptiveOverheadCheck(benchutil::fastMode() ? 16
-                                                              : 32);
-    }
     const uint64_t seed = 42;
     const size_t attach = 2;
 
     std::cout << "Network-wide convergence (" << nodes
               << " routers per topology, seed " << seed << ", jobs "
-              << jobs << ", " << (adaptive ? "adaptive" : "fixed")
-              << " sync)\n";
+              << jobs << ")\n";
 
     topo::TopologySimConfig sim_config;
     sim_config.jobs = jobs;
-    sim_config.adaptiveSync = adaptive;
     std::vector<topo::ConvergenceReport> runs;
 
     runs.push_back(runSpec(topo::Topology::line(nodes), "line",
@@ -320,16 +236,13 @@ main(int argc, char **argv)
         size_t skew_nodes = benchutil::fastMode() ? 24 : 64;
         sweeps.push_back(
             {"mesh " + std::to_string(mesh_nodes),
-             runSweep(topo::Topology::fullMesh(mesh_nodes), "mesh",
-                      adaptive)});
+             runSweep(topo::Topology::fullMesh(mesh_nodes), "mesh")});
         sweeps.push_back(
             {"skewed " + std::to_string(skew_nodes),
-             runSweep(skewedScaleFree(skew_nodes), "skewed",
-                      adaptive)});
+             runSweep(skewedScaleFree(skew_nodes), "skewed")});
         for (const SweepRun &run : sweeps) {
             std::cout << "\nThread sweep: announce on " << run.scenario
-                      << " (" << (adaptive ? "adaptive" : "fixed")
-                      << " sync)\n";
+                      << "\n";
             std::cout << "jobs  wall ms   speedup  barrier%  "
                          "window ms  steals/win  report\n";
             for (const SweepPoint &point : run.points) {
@@ -359,14 +272,9 @@ main(int argc, char **argv)
         resolved =
             std::max<size_t>(1, std::thread::hardware_concurrency());
     }
-    // Mirror the engine's shard target (adaptive mode over-decomposes
-    // to 2x jobs for stealing headroom).
-    size_t shard_target = resolved;
-    if (resolved > 1 && adaptive)
-        shard_target = std::min(size_t(nodes), resolved * 2);
     topo::Partition partition = topo::partitionTopology(
         topo::Topology::barabasiAlbert(nodes, attach, seed),
-        shard_target);
+        topo::shardTarget(nodes, resolved));
 
     std::ofstream json("BENCH_topo_convergence.json");
     stats::JsonWriter writer(json);
@@ -397,7 +305,6 @@ main(int argc, char **argv)
                 // quantities (deterministic for a fixed config);
                 // barrier_wait_pct and steals_per_window are
                 // host-side diagnostics, like wall_ms.
-                writer.field("adaptive_sync", adaptive);
                 writer.field("windows", point.windows);
                 writer.field("mean_window_ns", point.meanWindowNs);
                 writer.field("barrier_wait_pct",

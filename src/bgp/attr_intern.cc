@@ -1,8 +1,6 @@
 #include "bgp/attr_intern.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -13,15 +11,6 @@ namespace bgpbench::bgp
 
 namespace
 {
-
-bool
-internDisabledByEnv()
-{
-    const char *value = std::getenv("BGPBENCH_NO_INTERN");
-    return value && std::strcmp(value, "1") == 0;
-}
-
-std::atomic<bool> internDefault{!internDisabledByEnv()};
 
 /** Never-zero owner ids; 0 means "not interned" on PathAttributes. */
 uint64_t
@@ -48,21 +37,7 @@ attributesHeapBytes(const PathAttributes &attrs)
     return bytes;
 }
 
-bool
-internDefaultEnabled()
-{
-    return internDefault.load(std::memory_order_relaxed);
-}
-
-void
-setInternDefault(bool enabled)
-{
-    internDefault.store(enabled, std::memory_order_relaxed);
-}
-
-AttributeInterner::AttributeInterner()
-    : id_(nextInternerId()), enabled_(internDefaultEnabled())
-{}
+AttributeInterner::AttributeInterner() : id_(nextInternerId()) {}
 
 AttributeInterner &
 AttributeInterner::global()
@@ -81,11 +56,6 @@ AttributeInterner::global()
 PathAttributesPtr
 AttributeInterner::intern(PathAttributes attrs)
 {
-    if (!enabled_) {
-        return std::make_shared<const PathAttributes>(
-            std::move(attrs));
-    }
-
     ++lookups_;
     uint64_t hash = attrs.hash();
     auto &bucket = table_[hash];

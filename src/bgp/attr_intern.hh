@@ -20,9 +20,6 @@
  * Canonicals carry their owner's id; comparisons across interners
  * (threads, or separate test instances) fall back to hash-guarded
  * deep comparison and remain correct.
- * The BGPBENCH_NO_INTERN=1 environment variable (or setEnabled(false))
- * disables canonicalisation for ablation runs; all consumers fall back
- * to hash-guarded deep comparison and remain correct.
  */
 
 #ifndef BGPBENCH_BGP_ATTR_INTERN_HH
@@ -57,7 +54,7 @@ class AttributeInterner
     /** Lifetime counters plus a table snapshot. */
     struct Stats
     {
-        /** intern() calls while enabled. */
+        /** intern() calls. */
         uint64_t lookups = 0;
         /** Lookups that returned an existing canonical instance. */
         uint64_t hits = 0;
@@ -86,19 +83,9 @@ class AttributeInterner
 
     /**
      * Canonicalise @p attrs: return the shared instance equal to it,
-     * creating one if none is alive. When disabled, simply wraps
-     * @p attrs in a fresh (non-canonical) shared instance.
+     * creating one if none is alive.
      */
     PathAttributesPtr intern(PathAttributes attrs);
-
-    bool enabled() const { return enabled_; }
-
-    /**
-     * Enable/disable canonicalisation. Existing canonical instances
-     * stay valid (and marked interned) either way; consumers only
-     * lose the guarantee that *new* equal sets share a pointer.
-     */
-    void setEnabled(bool enabled) { enabled_ = enabled; }
 
     /**
      * Drop expired table slots.
@@ -109,7 +96,7 @@ class AttributeInterner
     /**
      * Forget every tracked set. Surviving instances are unmarked as
      * interned first so stale pointer-identity shortcuts cannot
-     * misfire against sets interned later. Test/ablation use only.
+     * misfire against sets interned later. Test use only.
      */
     void clear();
 
@@ -151,7 +138,6 @@ class AttributeInterner
     uint64_t id_ = 0;
     /** Sweep when tracked_ reaches this; doubles with live size. */
     size_t sweepThreshold_ = 1024;
-    bool enabled_ = true;
 
     uint64_t lookups_ = 0;
     uint64_t hits_ = 0;
@@ -162,16 +148,6 @@ class AttributeInterner
 
 /** Approximate heap footprint of one attribute set (for dedup stats). */
 size_t attributesHeapBytes(const PathAttributes &attrs);
-
-/**
- * Process-wide default for newly constructed interners (including the
- * lazily created per-thread global() instances). Initialised from
- * BGPBENCH_NO_INTERN; core::RuntimeConfig::apply() overrides it before
- * worker threads spawn. Interners that already exist are unaffected —
- * flip those with setEnabled().
- */
-bool internDefaultEnabled();
-void setInternDefault(bool enabled);
 
 } // namespace bgpbench::bgp
 

@@ -543,12 +543,6 @@ StreamDecoder::feed(net::WireSegmentPtr segment)
     if (failed_ || !segment || segment->size() == 0)
         return;
     maybeCompact();
-    if (!net::segmentSharingEnabled()) {
-        // Ablation/compat mode: copy-per-hop, as the seed did.
-        auto bytes = segment->bytes();
-        buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-        return;
-    }
     segmentBytes_ += segment->size();
     segments_.push_back(std::move(segment));
 }

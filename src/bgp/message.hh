@@ -183,12 +183,11 @@ class StreamDecoder
     void feed(std::span<const uint8_t> bytes);
 
     /**
-     * Append a shared segment received from the peer. With segment
-     * sharing enabled the decoder borrows the segment — frames that
-     * fall entirely inside it decode straight from its span with no
-     * staging copy; only frames straddling a segment boundary are
-     * spilled into the staging buffer. With sharing disabled the
-     * bytes are copied immediately (the seed's behaviour).
+     * Append a shared segment received from the peer. The decoder
+     * borrows the segment: frames that fall entirely inside it decode
+     * straight from its span with no staging copy; only frames
+     * straddling a segment boundary are spilled into the staging
+     * buffer.
      */
     void feed(net::WireSegmentPtr segment);
 

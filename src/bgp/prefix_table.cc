@@ -1,37 +1,7 @@
 #include "bgp/prefix_table.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace bgpbench::bgp
 {
-
-namespace
-{
-
-bool
-prefixTreeDisabledByEnv()
-{
-    const char *value = std::getenv("BGPBENCH_NO_PREFIX_TREE");
-    return value && std::strcmp(value, "1") == 0;
-}
-
-std::atomic<bool> prefixTreeDefault{!prefixTreeDisabledByEnv()};
-
-} // namespace
-
-bool
-prefixTreeDefaultEnabled()
-{
-    return prefixTreeDefault.load(std::memory_order_relaxed);
-}
-
-void
-setPrefixTreeDefault(bool enabled)
-{
-    prefixTreeDefault.store(enabled, std::memory_order_relaxed);
-}
 
 SharedPrefixTable::Slot
 SharedPrefixTable::acquire(const net::Prefix &prefix)

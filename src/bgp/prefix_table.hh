@@ -33,17 +33,6 @@ namespace bgpbench::bgp
 {
 
 /**
- * Process-wide default for whether RIBs share a prefix tree (the
- * BGPBENCH_NO_PREFIX_TREE=1 ablation switch flips it off, falling
- * back to the per-RIB hash maps). Mirrors internDefaultEnabled():
- * the environment seeds the default so bare test binaries honour the
- * switch, and core::RuntimeConfig::apply() overrides it before any
- * speaker is constructed.
- */
-bool prefixTreeDefaultEnabled();
-void setPrefixTreeDefault(bool enabled);
-
-/**
  * The shared prefix -> slot table one speaker's RIBs sit on.
  *
  * A slot is live while any column references it (acquire/addRef/

@@ -73,40 +73,32 @@ LocRib::find(const net::Prefix &prefix) const
 }
 
 bool
-AdjRibOut::advertise(const net::Prefix &prefix, PathAttributesPtr attrs)
+AdjRibOut::assign(std::pair<PathAttributesPtr *, bool> entry,
+                  PathAttributesPtr attrs)
 {
-    auto [entry, inserted] = store_.obtain(prefix);
-    if (!inserted && sameAttributeValue(*entry, attrs))
+    auto [stored, inserted] = entry;
+    if (!inserted && sameAttributeValue(*stored, attrs))
         return false;
-    *entry = std::move(attrs);
+    *stored = std::move(attrs);
     return true;
 }
 
 bool
-AdjRibOut::advertiseAt(Slot slot, const net::Prefix &prefix,
-                       PathAttributesPtr attrs)
+AdjRibOut::advertise(const net::Prefix &prefix, PathAttributesPtr attrs)
 {
-    if (!store_.treeMode() || slot == SharedPrefixTable::npos)
-        return advertise(prefix, std::move(attrs));
-    auto [entry, inserted] = store_.obtainAt(slot);
-    if (!inserted && sameAttributeValue(*entry, attrs))
-        return false;
-    *entry = std::move(attrs);
-    return true;
+    return assign(store_.obtain(prefix), std::move(attrs));
+}
+
+bool
+AdjRibOut::advertiseAt(Slot slot, PathAttributesPtr attrs)
+{
+    return assign(store_.obtainAt(slot), std::move(attrs));
 }
 
 bool
 AdjRibOut::withdraw(const net::Prefix &prefix)
 {
     return store_.erase(prefix);
-}
-
-bool
-AdjRibOut::withdrawAt(Slot slot, const net::Prefix &prefix)
-{
-    if (!store_.treeMode())
-        return withdraw(prefix);
-    return store_.eraseAt(slot);
 }
 
 const PathAttributesPtr *

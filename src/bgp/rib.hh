@@ -3,25 +3,16 @@
  * The three Routing Information Bases of RFC 4271 section 3.2:
  * Adj-RIB-In (per peer), Loc-RIB, and Adj-RIB-Out (per peer).
  *
- * Storage has two backends behind one API:
+ * Storage: the speaker owns one bgp::SharedPrefixTable holding every
+ * live prefix exactly once; each RIB stores only a slot-indexed value
+ * column (dense vector + presence bitset). N peers cost N columns over
+ * one key set instead of 2N+1 copies of it, and the decision sweep
+ * reads each peer's entry by direct slot indexing. Standalone RIBs
+ * (tests, tools) own a private table.
  *
- *  - Shared-tree mode (the default): the speaker owns one
- *    bgp::SharedPrefixTable holding every live prefix exactly once;
- *    each RIB stores only a slot-indexed value column (dense vector +
- *    presence bitset). N peers cost N columns over one key set instead
- *    of 2N+1 hash maps, and the decision sweep reads each peer's entry
- *    by direct slot indexing. Standalone RIBs (tests, tools) own a
- *    private table.
- *
- *  - Hash-map mode (BGPBENCH_NO_PREFIX_TREE=1, and the ablation
- *    baseline of bench/fullfeed): the seed's per-RIB
- *    std::unordered_map.
- *
- * In *both* modes forEach visits entries in ascending
- * (address, length) prefix order — tree mode walks the radix tree
- * (naturally sorted), hash mode collects and sorts (the slow ablation
- * path). Consumers (snapshots, table dumps) rely on this and no
- * longer sort, and report bytes cannot depend on the backend.
+ * forEach visits entries in ascending (address, length) prefix order,
+ * the radix tree's natural walk order. Consumers (snapshots, table
+ * dumps) rely on this and do not sort.
  */
 
 #ifndef BGPBENCH_BGP_RIB_HH
@@ -30,8 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/path_attributes.hh"
@@ -47,7 +37,7 @@ namespace detail
 
 /**
  * The storage engine shared by the three RIB classes: a value column
- * over a SharedPrefixTable, or a plain hash map when @p table is null.
+ * over a SharedPrefixTable.
  *
  * Column entries hold one table reference per present slot
  * (acquire/addRef on set, release on erase/clear), so a prefix leaves
@@ -63,47 +53,25 @@ class RibStore
     using Slot = SharedPrefixTable::Slot;
     static constexpr Slot npos = SharedPrefixTable::npos;
 
-    /** Standalone store: private table when the tree is enabled. */
+    /** Standalone store over a private table. */
     RibStore()
-    {
-        if (prefixTreeDefaultEnabled()) {
-            owned_ = std::make_unique<SharedPrefixTable>();
-            table_ = owned_.get();
-        }
-    }
+        : owned_(std::make_unique<SharedPrefixTable>()),
+          table_(owned_.get())
+    {}
 
-    /** Column over @p table; hash mode when @p table is null. */
-    explicit RibStore(SharedPrefixTable *table) : table_(table) {}
+    /** Column over @p table, which must outlive the store. */
+    explicit RibStore(SharedPrefixTable &table) : table_(&table) {}
 
     RibStore(RibStore &&) = default;
     RibStore &operator=(RibStore &&) = default;
 
-    bool treeMode() const { return table_ != nullptr; }
-
-    SharedPrefixTable *table() const { return table_; }
-
-    size_t
-    size() const
-    {
-        return treeMode() ? count_ : routes_.size();
-    }
-
-    bool empty() const { return size() == 0; }
-
-    /** The slot of @p prefix in the shared table (npos in hash mode). */
-    Slot
-    slotOf(const net::Prefix &prefix) const
-    {
-        return treeMode() ? table_->find(prefix) : npos;
-    }
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
 
     const Entry *
     find(const net::Prefix &prefix) const
     {
-        if (treeMode())
-            return findAt(table_->find(prefix));
-        auto it = routes_.find(prefix);
-        return it == routes_.end() ? nullptr : &it->second;
+        return findAt(table_->find(prefix));
     }
 
     /** O(1) column read by pre-resolved slot; npos-safe. */
@@ -118,15 +86,11 @@ class RibStore
     /**
      * Mutable find-or-create.
      * @return {entry, inserted}; the pointer is valid until the next
-     *         mutation of this store or (tree mode) the shared table.
+     *         mutation of this store or the shared table.
      */
     std::pair<Entry *, bool>
     obtain(const net::Prefix &prefix)
     {
-        if (!treeMode()) {
-            auto [it, inserted] = routes_.try_emplace(prefix);
-            return {&it->second, inserted};
-        }
         Slot slot = table_->find(prefix);
         if (slot != npos && slot < present_.size() && present_[slot])
             return {&column_[slot], false};
@@ -135,8 +99,8 @@ class RibStore
     }
 
     /**
-     * Tree-mode find-or-create by pre-resolved live slot (takes a
-     * reference on miss without re-walking the tree).
+     * Find-or-create by pre-resolved live slot (takes a reference on
+     * miss without re-walking the tree).
      */
     std::pair<Entry *, bool>
     obtainAt(Slot slot)
@@ -150,12 +114,10 @@ class RibStore
     bool
     erase(const net::Prefix &prefix)
     {
-        if (treeMode())
-            return eraseAt(table_->find(prefix));
-        return routes_.erase(prefix) > 0;
+        return eraseAt(table_->find(prefix));
     }
 
-    /** Tree-mode erase by pre-resolved slot; npos-safe. */
+    /** Erase by pre-resolved slot; npos-safe. */
     bool
     eraseAt(Slot slot)
     {
@@ -171,10 +133,6 @@ class RibStore
     void
     clear()
     {
-        if (!treeMode()) {
-            routes_.clear();
-            return;
-        }
         for (Slot slot = 0; slot < present_.size(); ++slot) {
             if (!present_[slot])
                 continue;
@@ -185,82 +143,52 @@ class RibStore
         count_ = 0;
     }
 
-    /** Pre-size for @p n entries (tree arena, column, or hash map). */
+    /** Pre-size the table and the column for @p n entries. */
     void
     reserve(size_t n)
     {
-        if (treeMode()) {
-            table_->reserve(n);
-            column_.reserve(n);
-            present_.reserve(n);
-        } else {
-            routes_.reserve(n);
-        }
+        table_->reserve(n);
+        column_.reserve(n);
+        present_.reserve(n);
     }
 
     /**
      * Visit every entry as fn(prefix, entry) in ascending
-     * (address, length) order in both modes. Templated so full-table
-     * walks inline the visitor.
+     * (address, length) order. Templated so full-table walks inline
+     * the visitor.
      */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        if (treeMode()) {
-            table_->forEach(
-                [&](const net::Prefix &prefix, Slot slot) {
-                    if (slot < present_.size() && present_[slot])
-                        fn(prefix, column_[slot]);
-                });
-            return;
-        }
-        forEachSorted(fn);
+        forEachWithSlot([&](const net::Prefix &prefix, Slot,
+                            const Entry &entry) { fn(prefix, entry); });
     }
 
     /**
-     * Like forEach but also passes the shared-table slot (npos in
-     * hash mode): fn(prefix, slot, entry). The speaker's full-table
-     * walks use the slot for O(1) Adj-RIB-Out column writes.
+     * Like forEach but also passes the shared-table slot:
+     * fn(prefix, slot, entry). The speaker's full-table walks use the
+     * slot for O(1) Adj-RIB-Out column writes.
      */
     template <typename Fn>
     void
     forEachWithSlot(Fn &&fn) const
     {
-        if (treeMode()) {
-            table_->forEach(
-                [&](const net::Prefix &prefix, Slot slot) {
-                    if (slot < present_.size() && present_[slot])
-                        fn(prefix, slot, column_[slot]);
-                });
-            return;
-        }
-        forEachSorted([&](const net::Prefix &prefix,
-                          const Entry &entry) {
-            fn(prefix, npos, entry);
+        table_->forEach([&](const net::Prefix &prefix, Slot slot) {
+            if (slot < present_.size() && present_[slot])
+                fn(prefix, slot, column_[slot]);
         });
     }
 
     /**
      * Bytes of heap this store holds (excluding the shared table —
-     * count that once per speaker). Hash mode is an estimate: glibc
-     * rounds each unordered_map node (value + next pointer + cached
-     * hash) up to a 16-byte-aligned malloc chunk with a header, and
-     * the bucket array holds one pointer per bucket.
+     * count that once per speaker).
      */
     size_t
     memoryBytes() const
     {
-        if (treeMode())
-            return column_.capacity() * sizeof(Entry) +
-                   present_.capacity() / 8;
-        constexpr size_t nodeBytes =
-            (sizeof(std::pair<const net::Prefix, Entry>) +
-             2 * sizeof(void *) + 15) /
-                16 * 16 +
-            sizeof(void *);
-        return routes_.bucket_count() * sizeof(void *) +
-               routes_.size() * nodeBytes;
+        return column_.capacity() * sizeof(Entry) +
+               present_.capacity() / 8;
     }
 
   private:
@@ -282,33 +210,13 @@ class RibStore
         return &column_[slot];
     }
 
-    /** Hash-mode ordered walk: sort pointers, then visit. */
-    template <typename Fn>
-    void
-    forEachSorted(Fn &&fn) const
-    {
-        using Row = std::pair<const net::Prefix, Entry>;
-        std::vector<const Row *> rows;
-        rows.reserve(routes_.size());
-        for (const auto &row : routes_)
-            rows.push_back(&row);
-        std::sort(rows.begin(), rows.end(),
-                  [](const Row *a, const Row *b) {
-                      return a->first < b->first;
-                  });
-        for (const Row *row : rows)
-            fn(row->first, row->second);
-    }
-
     /** Non-null only for standalone default-constructed stores. */
     std::unique_ptr<SharedPrefixTable> owned_;
     SharedPrefixTable *table_ = nullptr;
-    /** Tree mode: slot-indexed values + presence bitset. */
+    /** Slot-indexed values + presence bitset. */
     std::vector<Entry> column_;
     std::vector<bool> present_;
     size_t count_ = 0;
-    /** Hash mode. */
-    std::unordered_map<net::Prefix, Entry> routes_;
 };
 
 } // namespace detail
@@ -334,8 +242,8 @@ class AdjRibIn
     };
 
     AdjRibIn() = default;
-    /** Column over the speaker's shared table (null: hash mode). */
-    explicit AdjRibIn(SharedPrefixTable *table) : store_(table) {}
+    /** Column over the speaker's shared table. */
+    explicit AdjRibIn(SharedPrefixTable &table) : store_(table) {}
 
     /**
      * Insert or replace the route for @p prefix.
@@ -354,15 +262,10 @@ class AdjRibIn
     const Entry *find(const net::Prefix &prefix) const;
 
     /**
-     * The entry by pre-resolved shared-table slot (tree mode's O(1)
-     * decision-sweep read; npos-safe). @p prefix is the hash-mode
-     * fallback key.
+     * The entry by pre-resolved shared-table slot (the O(1)
+     * decision-sweep read; npos-safe).
      */
-    const Entry *
-    findAt(Slot slot, const net::Prefix &prefix) const
-    {
-        return store_.treeMode() ? store_.findAt(slot) : find(prefix);
-    }
+    const Entry *findAt(Slot slot) const { return store_.findAt(slot); }
 
     size_t size() const { return store_.size(); }
     bool empty() const { return store_.empty(); }
@@ -372,7 +275,7 @@ class AdjRibIn
 
     /**
      * Visit every entry in ascending (address, length) prefix order
-     * (both backends; see file comment). Inlined visitor.
+     * (see file comment). Inlined visitor.
      */
     template <typename Fn>
     void
@@ -416,8 +319,8 @@ class LocRib
     };
 
     LocRib() = default;
-    /** Column over the speaker's shared table (null: hash mode). */
-    explicit LocRib(SharedPrefixTable *table) : store_(table) {}
+    /** Column over the speaker's shared table. */
+    explicit LocRib(SharedPrefixTable &table) : store_(table) {}
 
     /**
      * Install/replace the best route for @p prefix.
@@ -456,8 +359,8 @@ class LocRib
         store_.forEach(std::forward<Fn>(fn));
     }
 
-    /** Ordered walk carrying the shared-table slot (npos in hash
-     *  mode): fn(prefix, slot, entry). */
+    /** Ordered walk carrying the shared-table slot:
+     *  fn(prefix, slot, entry). */
     template <typename Fn>
     void
     forEachWithSlot(Fn &&fn) const
@@ -480,8 +383,8 @@ class AdjRibOut
     using Slot = SharedPrefixTable::Slot;
 
     AdjRibOut() = default;
-    /** Column over the speaker's shared table (null: hash mode). */
-    explicit AdjRibOut(SharedPrefixTable *table) : store_(table) {}
+    /** Column over the speaker's shared table. */
+    explicit AdjRibOut(SharedPrefixTable &table) : store_(table) {}
 
     /**
      * Record an advertisement.
@@ -491,11 +394,11 @@ class AdjRibOut
     bool advertise(const net::Prefix &prefix, PathAttributesPtr attrs);
 
     /**
-     * advertise() with a pre-resolved live shared-table slot (tree
-     * mode's O(1) fan-out write). @p prefix is the hash-mode fallback.
+     * advertise() with a pre-resolved shared-table slot (the O(1)
+     * fan-out write). @p slot must be live: some column of the table
+     * holds its prefix.
      */
-    bool advertiseAt(Slot slot, const net::Prefix &prefix,
-                     PathAttributesPtr attrs);
+    bool advertiseAt(Slot slot, PathAttributesPtr attrs);
 
     /**
      * Record a withdrawal.
@@ -504,8 +407,8 @@ class AdjRibOut
      */
     bool withdraw(const net::Prefix &prefix);
 
-    /** withdraw() by pre-resolved slot (npos-safe); see advertiseAt. */
-    bool withdrawAt(Slot slot, const net::Prefix &prefix);
+    /** withdraw() by pre-resolved slot (npos-safe). */
+    bool withdrawAt(Slot slot) { return store_.eraseAt(slot); }
 
     const PathAttributesPtr *find(const net::Prefix &prefix) const;
 
@@ -524,6 +427,10 @@ class AdjRibOut
     }
 
   private:
+    /** Store @p attrs in @p entry unless it already holds that value. */
+    static bool assign(std::pair<PathAttributesPtr *, bool> entry,
+                       PathAttributesPtr attrs);
+
     detail::RibStore<PathAttributesPtr> store_;
 };
 

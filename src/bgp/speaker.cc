@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bgp/attr_intern.hh"
 #include "net/logging.hh"
 #include "obs/views.hh"
 
@@ -57,11 +56,9 @@ BgpSpeaker::bindObservability(obs::MetricRegistry *registry,
 
 BgpSpeaker::BgpSpeaker(SpeakerConfig config, SpeakerEvents *events)
     : config_(std::move(config)), events_(events),
-      prefixTable_(prefixTreeDefaultEnabled()
-                       ? std::make_unique<SharedPrefixTable>()
-                       : nullptr),
-      localRoutes_(prefixTable_.get()), damper_(config_.damping),
-      locRib_(prefixTable_.get())
+      prefixTable_(std::make_unique<SharedPrefixTable>()),
+      localRoutes_(*prefixTable_), damper_(config_.damping),
+      locRib_(*prefixTable_)
 {
     panicIf(events_ == nullptr, "BgpSpeaker requires an event sink");
     if (config_.localAs == 0)
@@ -87,8 +84,7 @@ BgpSpeaker::addPeer(PeerConfig config)
     session.expectedPeerAs = config.asn;
 
     auto peer = std::make_unique<Peer>(std::move(config), session,
-                                       config_.packing,
-                                       prefixTable_.get());
+                                       config_.packing, *prefixTable_);
     peer->externalSession = peer->config.asn != config_.localAs;
     peers_.emplace(peer->config.id, std::move(peer));
 }
@@ -221,24 +217,18 @@ BgpSpeaker::transmitUpdates(Peer &peer,
         bump(obs_.prefixesAdvertised, transactions);
 
         net::WireSegmentPtr wire;
-        if (net::segmentSharingEnabled()) {
-            auto &bucket = encodeCache_[updateContentHash(update)];
-            for (const auto &cached : bucket) {
-                if (sameUpdateContent(cached.message, update)) {
-                    wire = cached.wire;
-                    break;
-                }
+        auto &bucket = encodeCache_[updateContentHash(update)];
+        for (const auto &cached : bucket) {
+            if (sameUpdateContent(cached.message, update)) {
+                wire = cached.wire;
+                break;
             }
-            if (wire) {
-                net::BufferPool::global().noteShared(wire->size());
-            } else {
-                wire = encodeSegment(update);
-                bucket.push_back(
-                    CachedWire{std::move(update), wire});
-            }
+        }
+        if (wire) {
+            net::BufferPool::global().noteShared(wire->size());
         } else {
-            // Ablation mode: encode per peer, as the seed did.
             wire = encodeSegment(update);
+            bucket.push_back(CachedWire{std::move(update), wire});
         }
         events_->onTransmit(peer.config.id, MessageType::Update,
                             std::move(wire), transactions);
@@ -571,11 +561,9 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
     // Resolve the prefix to its shared-table slot once; every RIB of
     // this speaker is a column over the same table, so the per-peer
     // reads and the Adj-RIB-Out fan-out below are O(1) column
-    // accesses instead of per-peer key walks. npos in hash mode (or
-    // when no RIB holds the prefix), where the per-RIB find() runs.
-    const SharedPrefixTable::Slot slot =
-        prefixTable_ ? prefixTable_->find(prefix)
-                     : SharedPrefixTable::npos;
+    // accesses instead of per-peer key walks. npos when no RIB holds
+    // the prefix: then there is no candidate and nothing to withdraw.
+    const SharedPrefixTable::Slot slot = prefixTable_->find(prefix);
 
     // Collect candidates: every established peer's import-accepted
     // route plus any locally originated route.
@@ -583,7 +571,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
     candidates.reserve(establishedPeers_.size() + 1);
 
     for (Peer *peer : establishedPeers_) {
-        const auto *entry = peer->ribIn.findAt(slot, prefix);
+        const auto *entry = peer->ribIn.findAt(slot);
         if (!entry || !entry->effective)
             continue;
         if (damper_.isSuppressed(peer->config.id, prefix, now))
@@ -593,7 +581,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
                                        peer->fsm.peerRouterId(),
                                        peer->externalSession});
     }
-    if (const auto *local = localRoutes_.findAt(slot, prefix);
+    if (const auto *local = localRoutes_.findAt(slot);
         local && local->effective) {
         candidates.push_back(Candidate{local->effective, localPeerId,
                                        config_.routerId, false,
@@ -615,7 +603,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
             bump(obs_.fibChanges);
             ++ribVersion_;
             ribDirty_ = true;
-            events_->onFibUpdate(FibUpdate{prefix, std::nullopt});
+            events_->onFibUpdate(FibUpdate{prefix, std::nullopt, {}});
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, nullptr, stats);
         }
@@ -646,7 +634,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
                 ++stats.fibChanges;
                 bump(obs_.fibChanges);
                 events_->onFibUpdate(
-                    FibUpdate{prefix, best.attributes->nextHop});
+                    FibUpdate{prefix, best.attributes->nextHop, {}});
             }
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, &best, stats);
@@ -701,8 +689,8 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
             ++counters_.fibChanges;
             ++stats.fibChanges;
             bump(obs_.fibChanges);
-            FibUpdate update{prefix, hops.front()};
-            update.extraHops.assign(hops.begin() + 1, hops.end());
+            FibUpdate update{prefix, hops.front(),
+                             {hops.begin() + 1, hops.end()}};
             events_->onFibUpdate(update);
         }
         if (outcome.bestChanged) {
@@ -723,7 +711,7 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
         return;
 
     auto send_withdraw_if_advertised = [&]() {
-        if (peer.ribOut.withdrawAt(slot, prefix)) {
+        if (peer.ribOut.withdrawAt(slot)) {
             peer.pending.withdraw(prefix);
             ++stats.advertisedPrefixes;
         }
@@ -763,10 +751,8 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
     // full-table advertisement performs one transform per distinct
     // attribute set instead of one per prefix. The memo is keyed on
     // pointer identity, which only stays hot across messages and
-    // decision runs when the interner canonicalises attributes, so it
-    // is part of the interning feature and disabled with it.
-    if (peer.externalSession && peer.config.exportPolicy.empty() &&
-        AttributeInterner::global().enabled()) {
+    // decision runs because the interner canonicalises attributes.
+    if (peer.externalSession && peer.config.exportPolicy.empty()) {
         if (peer.exportMemo.size() >= exportMemoCap)
             trimExportMemo(peer);
         auto [memo, missed] =
@@ -778,7 +764,7 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
             send_withdraw_if_advertised();
             return;
         }
-        if (peer.ribOut.advertiseAt(slot, prefix, memo->second)) {
+        if (peer.ribOut.advertiseAt(slot, memo->second)) {
             peer.pending.announce(prefix, memo->second);
             ++stats.advertisedPrefixes;
         }
@@ -815,7 +801,7 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
         exported = makeAttributes(std::move(out));
     }
 
-    if (peer.ribOut.advertiseAt(slot, prefix, exported)) {
+    if (peer.ribOut.advertiseAt(slot, exported)) {
         peer.pending.announce(prefix, exported);
         ++stats.advertisedPrefixes;
     }
@@ -824,8 +810,8 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
 size_t
 BgpSpeaker::ribMemoryBytes() const
 {
-    size_t bytes = prefixTable_ ? prefixTable_->memoryBytes() : 0;
-    bytes += locRib_.memoryBytes() + localRoutes_.memoryBytes();
+    size_t bytes = prefixTable_->memoryBytes() + locRib_.memoryBytes() +
+                   localRoutes_.memoryBytes();
     for (const auto &[id, peer] : peers_)
         bytes += peer->ribIn.memoryBytes() +
                  peer->ribOut.memoryBytes();
@@ -835,8 +821,7 @@ BgpSpeaker::ribMemoryBytes() const
 void
 BgpSpeaker::reserveRoutes(size_t prefixes)
 {
-    if (prefixTable_)
-        prefixTable_->reserve(prefixes);
+    prefixTable_->reserve(prefixes);
     // localRoutes_ is deliberately left alone: locally originated
     // routes number in the dozens, not at table scale.
     locRib_.reserve(prefixes);

@@ -340,23 +340,14 @@ class BgpSpeaker
     FlapDamper &damper() { return damper_; }
     std::vector<PeerId> peerIds() const;
     /**
-     * The shared prefix table all RIBs sit on, or null when the
-     * hash-map backend is active (BGPBENCH_NO_PREFIX_TREE=1).
-     */
-    const SharedPrefixTable *
-    prefixTable() const
-    {
-        return prefixTable_.get();
-    }
-    /**
      * Structural bytes held by RIB storage: the shared key table
-     * (once) plus every RIB's value column / hash map.
+     * (once) plus every RIB's value column.
      */
     size_t ribMemoryBytes() const;
     /**
      * Pre-size RIB storage for @p prefixes distinct routes: the
      * shared prefix table (arena and slot arrays) and every existing
-     * RIB's column or hash map. A router provisioned for a full feed
+     * RIB's column. A router provisioned for a full feed
      * knows its table scale up front; reserving exactly removes the
      * geometric-growth slack from every column. New peers added
      * later still size their columns to the table's capacity.
@@ -398,7 +389,7 @@ class BgpSpeaker
             exportMemo;
 
         Peer(PeerConfig cfg, SessionConfig session_cfg,
-             PackingOptions packing, SharedPrefixTable *table)
+             PackingOptions packing, SharedPrefixTable &table)
             : config(std::move(cfg)), fsm(session_cfg), ribIn(table),
               ribOut(table), pending(packing)
         {}
@@ -448,8 +439,8 @@ class BgpSpeaker
 
     /**
      * Update a single peer's Adj-RIB-Out for the new best route.
-     * @p slot is the prefix's pre-resolved shared-table slot (npos in
-     * hash mode), giving the fan-out O(1) column writes.
+     * @p slot is the prefix's pre-resolved shared-table slot, giving
+     * the fan-out O(1) column writes.
      */
     void updateAdjOut(Peer &peer, const net::Prefix &prefix,
                       SharedPrefixTable::Slot slot,
@@ -551,8 +542,10 @@ class BgpSpeaker
     bool ribDirty_ = false;
     /**
      * The one prefix -> slot key structure every RIB of this speaker
-     * shares (see prefix_table.hh); null in hash-map ablation mode.
-     * Declared before the RIBs so it outlives their destruction.
+     * shares (see prefix_table.hh). Heap-allocated because every
+     * column stores its address, which must survive moves of the
+     * speaker. Declared before the RIBs so it outlives their
+     * destruction.
      */
     std::unique_ptr<SharedPrefixTable> prefixTable_;
     std::map<PeerId, std::unique_ptr<Peer>> peers_;

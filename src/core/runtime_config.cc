@@ -5,9 +5,6 @@
 #include <ostream>
 #include <string>
 
-#include "bgp/attr_intern.hh"
-#include "bgp/prefix_table.hh"
-#include "net/wire_segment.hh"
 #include "stats/report.hh"
 #include "workload/query_stream.hh"
 
@@ -24,20 +21,12 @@ getEnv(const char *name)
     return value && *value ? value : nullptr;
 }
 
-/** BGPBENCH_NO_INTERN / BGPBENCH_SWEEP style: exactly "1" is set. */
+/** BGPBENCH_SWEEP / BGPBENCH_DAMPING style: exactly "1" is set. */
 bool
 envFlagIsOne(const char *name)
 {
     const char *value = getEnv(name);
     return value && std::strcmp(value, "1") == 0;
-}
-
-/** BGPBENCH_NO_SEGMENT_SHARING style: any value but "0…" is set. */
-bool
-envFlagIsNonZero(const char *name)
-{
-    const char *value = getEnv(name);
-    return value && value[0] != '0';
 }
 
 } // namespace
@@ -60,14 +49,6 @@ RuntimeConfig
 RuntimeConfig::fromEnvironment()
 {
     RuntimeConfig config;
-    if (envFlagIsOne("BGPBENCH_NO_INTERN"))
-        config.intern_ = {false, ConfigOrigin::Environment};
-    if (envFlagIsOne("BGPBENCH_NO_PREFIX_TREE"))
-        config.prefixTree_ = {false, ConfigOrigin::Environment};
-    if (envFlagIsNonZero("BGPBENCH_NO_SEGMENT_SHARING"))
-        config.segmentSharing_ = {false, ConfigOrigin::Environment};
-    if (envFlagIsOne("BGPBENCH_NO_ADAPTIVE_SYNC"))
-        config.adaptiveSync_ = {false, ConfigOrigin::Environment};
     if (envFlagIsOne("BGPBENCH_SWEEP"))
         config.sweep_ = {true, ConfigOrigin::Environment};
     if (const char *value = getEnv("BGPBENCH_JOBS")) {
@@ -109,24 +90,6 @@ RuntimeConfig::fromEnvironment()
 }
 
 void
-RuntimeConfig::overrideIntern(bool enabled)
-{
-    intern_ = {enabled, ConfigOrigin::CommandLine};
-}
-
-void
-RuntimeConfig::overridePrefixTree(bool enabled)
-{
-    prefixTree_ = {enabled, ConfigOrigin::CommandLine};
-}
-
-void
-RuntimeConfig::overrideSegmentSharing(bool enabled)
-{
-    segmentSharing_ = {enabled, ConfigOrigin::CommandLine};
-}
-
-void
 RuntimeConfig::overrideSweep(bool enabled)
 {
     sweep_ = {enabled, ConfigOrigin::CommandLine};
@@ -136,12 +99,6 @@ void
 RuntimeConfig::overrideJobs(size_t jobs)
 {
     jobs_ = {jobs, ConfigOrigin::CommandLine};
-}
-
-void
-RuntimeConfig::overrideAdaptiveSync(bool enabled)
-{
-    adaptiveSync_ = {enabled, ConfigOrigin::CommandLine};
 }
 
 void
@@ -181,37 +138,16 @@ RuntimeConfig::overrideDamping(bool enabled)
 }
 
 void
-RuntimeConfig::apply() const
-{
-    // The default steers interners built later (worker threads); the
-    // calling thread's interner may already exist, so flip it too.
-    bgp::setInternDefault(intern_.value);
-    bgp::AttributeInterner::global().setEnabled(intern_.value);
-    // Speakers latch the backend at construction; apply() runs before
-    // any speaker exists, mirroring the interner contract above.
-    bgp::setPrefixTreeDefault(prefixTree_.value);
-    net::setSegmentSharing(segmentSharing_.value);
-}
-
-void
 RuntimeConfig::dump(std::ostream &out) const
 {
     auto onOff = [](bool value) { return value ? "on" : "off"; };
     stats::TextTable table({"setting", "value", "source"});
-    table.addRow({"interning", onOff(intern_.value),
-                  configOriginName(intern_.origin)});
-    table.addRow({"prefix tree", onOff(prefixTree_.value),
-                  configOriginName(prefixTree_.origin)});
-    table.addRow({"segment sharing", onOff(segmentSharing_.value),
-                  configOriginName(segmentSharing_.origin)});
     table.addRow({"sweep", onOff(sweep_.value),
                   configOriginName(sweep_.origin)});
     table.addRow({"jobs",
                   jobs_.value == 0 ? std::string("auto")
                                    : std::to_string(jobs_.value),
                   configOriginName(jobs_.origin)});
-    table.addRow({"adaptive sync", onOff(adaptiveSync_.value),
-                  configOriginName(adaptiveSync_.origin)});
     table.addRow({"serve readers", std::to_string(serveReaders_.value),
                   configOriginName(serveReaders_.origin)});
     table.addRow({"snapshot every",

@@ -1,20 +1,16 @@
 /**
  * @file
- * The process-wide runtime switches, read once at startup.
+ * The process-wide runtime settings, read once at startup.
  *
- * Historically each switch lived in the subsystem it toggles:
- * BGPBENCH_NO_INTERN inside the attribute interner,
- * BGPBENCH_NO_SEGMENT_SHARING inside the wire buffer pool,
- * BGPBENCH_SWEEP / BGPBENCH_JOBS inside individual benchmark mains.
- * RuntimeConfig gathers them behind one struct with a documented
- * precedence — command line beats environment beats built-in default —
- * and remembers where each value came from so `bgpbench config` can
- * show the effective configuration.
+ * RuntimeConfig gathers the BGPBENCH_* environment knobs (the jobs
+ * sweep, worker threads, serve workload, ECMP width, MRAI, damping)
+ * behind one struct with a documented precedence — command line beats
+ * environment beats built-in default — and remembers where each value
+ * came from so `bgpbench config` can show the effective
+ * configuration.
  *
- * Intended use: fromEnvironment() early in main(), override*() while
- * parsing argv, then one apply() BEFORE any worker thread spawns (the
- * attribute interner is per-thread and latches the process default at
- * construction).
+ * Intended use: fromEnvironment() early in main(), then override*()
+ * while parsing argv.
  */
 
 #ifndef BGPBENCH_CORE_RUNTIME_CONFIG_HH
@@ -55,9 +51,7 @@ class RuntimeConfig
 
     /**
      * Defaults overlaid with the BGPBENCH_* environment variables
-     * (BGPBENCH_NO_INTERN=1, BGPBENCH_NO_SEGMENT_SHARING=<non-zero>,
-     * BGPBENCH_NO_PREFIX_TREE=1, BGPBENCH_NO_ADAPTIVE_SYNC=1,
-     * BGPBENCH_SWEEP=1, BGPBENCH_JOBS=<n>,
+     * (BGPBENCH_SWEEP=1, BGPBENCH_JOBS=<n>,
      * BGPBENCH_SERVE_READERS=<n>, BGPBENCH_SNAPSHOT_EVERY=<n>,
      * BGPBENCH_QUERY_MIX=<L:B:S:P>, BGPBENCH_MAX_PATHS=<n>,
      * BGPBENCH_MRAI_MS=<n>, BGPBENCH_DAMPING=1).
@@ -65,18 +59,10 @@ class RuntimeConfig
      */
     static RuntimeConfig fromEnvironment();
 
-    /** Attribute-set hash-consing (ablation switch). */
-    bool internEnabled() const { return intern_.value; }
-    /** Shared-prefix-tree RIB storage (ablation switch). */
-    bool prefixTree() const { return prefixTree_.value; }
-    /** Wire segment sharing across receivers (ablation switch). */
-    bool segmentSharing() const { return segmentSharing_.value; }
     /** Benchmarks: also run the jobs-sweep section. */
     bool sweep() const { return sweep_.value; }
     /** Topology worker threads; 1 = sequential, 0 = auto. */
     size_t jobs() const { return jobs_.value; }
-    /** Adaptive sync windows in the parallel engine (ablation). */
-    bool adaptiveSync() const { return adaptiveSync_.value; }
     /** Serve workload reader threads. */
     size_t serveReaders() const { return serveReaders_.value; }
     /** Snapshot granularity: 0 = per flush, N = per N decisions. */
@@ -90,21 +76,8 @@ class RuntimeConfig
     /** Route flap damping (RFC 2439) in topology scenarios. */
     bool damping() const { return damping_.value; }
 
-    ConfigOrigin internOrigin() const { return intern_.origin; }
-    ConfigOrigin prefixTreeOrigin() const
-    {
-        return prefixTree_.origin;
-    }
-    ConfigOrigin segmentSharingOrigin() const
-    {
-        return segmentSharing_.origin;
-    }
     ConfigOrigin sweepOrigin() const { return sweep_.origin; }
     ConfigOrigin jobsOrigin() const { return jobs_.origin; }
-    ConfigOrigin adaptiveSyncOrigin() const
-    {
-        return adaptiveSync_.origin;
-    }
     ConfigOrigin serveReadersOrigin() const
     {
         return serveReaders_.origin;
@@ -119,12 +92,8 @@ class RuntimeConfig
     ConfigOrigin dampingOrigin() const { return damping_.origin; }
 
     /** Command-line overrides (highest precedence). */
-    void overrideIntern(bool enabled);
-    void overridePrefixTree(bool enabled);
-    void overrideSegmentSharing(bool enabled);
     void overrideSweep(bool enabled);
     void overrideJobs(size_t jobs);
-    void overrideAdaptiveSync(bool enabled);
     void overrideServeReaders(size_t readers);
     void overrideSnapshotEvery(uint64_t every);
     void overrideQueryMix(std::string mix);
@@ -132,25 +101,39 @@ class RuntimeConfig
     void overrideMraiMs(uint64_t ms);
     void overrideDamping(bool enabled);
 
-    /**
-     * Push the switches into their subsystems: the process-wide
-     * intern default, the calling thread's already-built interner,
-     * and the wire pool's sharing flag. Call before spawning worker
-     * threads — interners built afterwards latch the new default,
-     * ones built before it keep their own setting.
-     */
-    void apply() const;
-
     /** Aligned name/value/source dump (the `config` subcommand). */
     void dump(std::ostream &out) const;
 
+    /**
+     * Attribute interning, the shared prefix tree, wire segment
+     * sharing and adaptive sync each have one implementation, always
+     * on, so these are constants. They remain only because
+     * hostbench/harness.cc still records them in its run manifest
+     * (and hostbench/main.cc still calls apply()); drop them together
+     * with those reads.
+     */
+    bool internEnabled() const { return true; }
+    bool prefixTree() const { return true; }
+    bool segmentSharing() const { return true; }
+    bool adaptiveSync() const { return true; }
+    ConfigOrigin internOrigin() const { return ConfigOrigin::Default; }
+    ConfigOrigin prefixTreeOrigin() const
+    {
+        return ConfigOrigin::Default;
+    }
+    ConfigOrigin segmentSharingOrigin() const
+    {
+        return ConfigOrigin::Default;
+    }
+    ConfigOrigin adaptiveSyncOrigin() const
+    {
+        return ConfigOrigin::Default;
+    }
+    void apply() const {}
+
   private:
-    Setting<bool> intern_{true, ConfigOrigin::Default};
-    Setting<bool> prefixTree_{true, ConfigOrigin::Default};
-    Setting<bool> segmentSharing_{true, ConfigOrigin::Default};
     Setting<bool> sweep_{false, ConfigOrigin::Default};
     Setting<size_t> jobs_{1, ConfigOrigin::Default};
-    Setting<bool> adaptiveSync_{true, ConfigOrigin::Default};
     Setting<size_t> serveReaders_{4, ConfigOrigin::Default};
     Setting<uint64_t> snapshotEvery_{0, ConfigOrigin::Default};
     Setting<std::string> queryMix_{"88:10:1.5:0.5",

@@ -13,8 +13,8 @@
 #include <optional>
 #include <vector>
 
-#include "fib/lpm_trie.hh"
 #include "net/ipv4_address.hh"
+#include "net/lpm_trie.hh"
 #include "net/prefix.hh"
 
 namespace bgpbench::fib
@@ -88,7 +88,7 @@ class ForwardingTable
     const FibCounters &counters() const { return counters_; }
 
   private:
-    LpmTrie<FibEntry> trie_;
+    net::LpmTrie<FibEntry> trie_;
     FibCounters counters_;
 };
 

@@ -1,7 +1,6 @@
 #include "net/wire_segment.hh"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "obs/metrics.hh"
 #include "obs/views.hh"
@@ -34,15 +33,6 @@ std::atomic<uint64_t> totalBytesDeduplicated{0};
 /** The releasing thread's pool; null before global() / after exit. */
 thread_local BufferPool *tlsPool = nullptr;
 
-bool
-sharingDefault()
-{
-    const char *env = std::getenv("BGPBENCH_NO_SEGMENT_SHARING");
-    return !(env && env[0] != '\0' && env[0] != '0');
-}
-
-std::atomic<bool> sharingEnabled{sharingDefault()};
-
 void
 noteSegmentBorn()
 {
@@ -56,18 +46,6 @@ noteSegmentBorn()
 }
 
 } // namespace
-
-bool
-segmentSharingEnabled()
-{
-    return sharingEnabled.load(std::memory_order_relaxed);
-}
-
-void
-setSegmentSharing(bool enabled)
-{
-    sharingEnabled.store(enabled, std::memory_order_relaxed);
-}
 
 WireSegment::~WireSegment()
 {
@@ -110,17 +88,15 @@ std::vector<uint8_t>
 BufferPool::acquire(size_t reserve)
 {
     totalAcquires.fetch_add(1, std::memory_order_relaxed);
-    if (segmentSharingEnabled()) {
-        // Any buffer parked in class i has capacity >= 64<<i, so the
-        // first non-empty class at or above the request fits it.
-        for (size_t i = classIndex(reserve); i < classCount; ++i) {
-            if (!free_[i].empty()) {
-                totalHits.fetch_add(1, std::memory_order_relaxed);
-                std::vector<uint8_t> buf = std::move(free_[i].back());
-                free_[i].pop_back();
-                buf.clear();
-                return buf;
-            }
+    // Any buffer parked in class i has capacity >= 64<<i, so the first
+    // non-empty class at or above the request fits it.
+    for (size_t i = classIndex(reserve); i < classCount; ++i) {
+        if (!free_[i].empty()) {
+            totalHits.fetch_add(1, std::memory_order_relaxed);
+            std::vector<uint8_t> buf = std::move(free_[i].back());
+            free_[i].pop_back();
+            buf.clear();
+            return buf;
         }
     }
     totalMisses.fetch_add(1, std::memory_order_relaxed);
@@ -137,8 +113,6 @@ BufferPool::acquire(size_t reserve)
 void
 BufferPool::recycle(std::vector<uint8_t> buf)
 {
-    if (!segmentSharingEnabled())
-        return;
     size_t capacity = buf.capacity();
     if (capacity < minClassBytes || capacity > maxClassBytes)
         return;

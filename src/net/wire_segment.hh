@@ -17,12 +17,6 @@
  * allocation fast path never locks; buffers migrate between threads
  * only by riding inside segments, which is exactly the cross-shard
  * mailbox case.
- *
- * BGPBENCH_NO_SEGMENT_SHARING=1 (or setSegmentSharing(false)) is the
- * ablation switch: consumers that would share a segment take a private
- * copy instead (the speaker re-encodes per peer, StreamDecoder stages
- * every byte), and the pool stops recycling, restoring the seed's
- * copy-per-hop behaviour for A/B measurement.
  */
 
 #ifndef BGPBENCH_NET_WIRE_SEGMENT_HH
@@ -85,16 +79,6 @@ class WireSegment
 };
 
 using WireSegmentPtr = std::shared_ptr<const WireSegment>;
-
-/**
- * True when zero-copy segment sharing is active (the default).
- * Initialised from BGPBENCH_NO_SEGMENT_SHARING; flipping it at
- * runtime only affects segments produced afterwards.
- */
-bool segmentSharingEnabled();
-
-/** Ablation override of segmentSharingEnabled(). */
-void setSegmentSharing(bool enabled);
 
 /**
  * Thread-local recycling allocator for wire segment buffers.
@@ -180,7 +164,7 @@ class BufferPool
     /** Zero the process-wide counters (free lists are kept). */
     void resetStats();
 
-    /** Drop every pooled buffer (test/ablation hygiene). */
+    /** Drop every pooled buffer (test hygiene). */
     void trim();
 
     /**

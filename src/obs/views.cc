@@ -7,76 +7,10 @@
 namespace bgpbench::obs
 {
 
-namespace
-{
-
-double
-ratioPercent(uint64_t part, uint64_t whole)
-{
-    return whole ? double(part) / double(whole) * 100.0 : 0.0;
-}
-
-} // namespace
-
 std::string
 shardMetricName(size_t shard, const char *field)
 {
     return "parallel.shard." + std::to_string(shard) + "." + field;
-}
-
-void
-printDedupView(std::ostream &os, const std::string &title,
-               const MetricRegistry &registry)
-{
-    uint64_t lookups = registry.counterValue(metric::internLookups);
-    uint64_t hits = registry.counterValue(metric::internHits);
-    stats::TextTable table({title, "value"});
-    table.addRow({"lookups", std::to_string(lookups)});
-    table.addRow({"hits", std::to_string(hits)});
-    table.addRow({"misses",
-                  std::to_string(
-                      registry.counterValue(metric::internMisses))});
-    table.addRow({"hit ratio",
-                  stats::formatDouble(ratioPercent(hits, lookups), 1) +
-                      "%"});
-    table.addRow({"live sets",
-                  std::to_string(uint64_t(registry.gaugeValue(
-                      metric::internLiveSets)))});
-    table.addRow({"bytes deduplicated",
-                  std::to_string(registry.counterValue(
-                      metric::internBytesDeduplicated))});
-    table.print(os);
-}
-
-void
-printWireView(std::ostream &os, const std::string &title,
-              const MetricRegistry &registry)
-{
-    uint64_t acquires = registry.counterValue(metric::wireAcquires);
-    uint64_t hits = registry.counterValue(metric::wirePoolHits);
-    stats::TextTable table({title, "value"});
-    table.addRow({"pool acquires", std::to_string(acquires)});
-    table.addRow({"pool hits", std::to_string(hits)});
-    table.addRow({"pool misses",
-                  std::to_string(registry.counterValue(
-                      metric::wirePoolMisses))});
-    table.addRow({"pool hit ratio",
-                  stats::formatDouble(ratioPercent(hits, acquires),
-                                      1) +
-                      "%"});
-    table.addRow({"shared encodes",
-                  std::to_string(registry.counterValue(
-                      metric::wireSharedEncodes))});
-    table.addRow({"bytes deduplicated",
-                  std::to_string(registry.counterValue(
-                      metric::wireBytesDeduplicated))});
-    table.addRow({"outstanding segments",
-                  std::to_string(uint64_t(registry.gaugeValue(
-                      metric::wireOutstandingSegments)))});
-    table.addRow({"peak outstanding segments",
-                  std::to_string(uint64_t(registry.gaugeValue(
-                      metric::wirePeakOutstandingSegments)))});
-    table.print(os);
 }
 
 double

@@ -1,10 +1,9 @@
 /**
  * @file
- * Views over the MetricRegistry that replace the former standalone
- * DedupReport / WireReport / ParallelReport structs: producers
- * publish plain named metrics, and these renderers read them back by
- * name, producing the same bytes the old printers did. One registry,
- * one code path, no parallel struct plumbing.
+ * Canonical metric names plus views over the MetricRegistry:
+ * producers publish plain named metrics, and these renderers read
+ * them back by name. One registry, one code path, no parallel struct
+ * plumbing.
  */
 
 #ifndef BGPBENCH_OBS_VIEWS_HH
@@ -90,20 +89,6 @@ inline constexpr const char *topoPathExploration =
 
 /** "parallel.shard.<index>.<field>" */
 std::string shardMetricName(size_t shard, const char *field);
-
-/**
- * Print the attribute-interner dedup metrics as an aligned table
- * titled @p title — same bytes as the former printDedupReport.
- */
-void printDedupView(std::ostream &os, const std::string &title,
-                    const MetricRegistry &registry);
-
-/**
- * Print the wire segment-pool metrics as an aligned table titled
- * @p title — same bytes as the former printWireReport.
- */
-void printWireView(std::ostream &os, const std::string &title,
-                   const MetricRegistry &registry);
 
 /**
  * Print the parallel-run summary line plus a per-shard utilization

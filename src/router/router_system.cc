@@ -253,7 +253,7 @@ RouterSystem::installStaticRoute(const net::Prefix &prefix,
                                  net::Ipv4Address next_hop,
                                  uint32_t interface)
 {
-    fib_.install(prefix, fib::FibEntry{next_hop, interface});
+    fib_.install(prefix, fib::FibEntry{next_hop, interface, {}});
 }
 
 bool
@@ -453,9 +453,8 @@ RouterSystem::postFibPipeline(std::vector<bgp::FibUpdate> batch,
                                     fib_.remove(update.prefix);
                                 } else {
                                     fib::FibEntry entry{
-                                        *update.nextHop, 1};
-                                    entry.extraHops =
-                                        update.extraHops;
+                                        *update.nextHop, 1,
+                                        update.extraHops};
                                     fib_.install(update.prefix,
                                                  std::move(entry));
                                 }

@@ -138,4 +138,10 @@ partitionTopology(const Topology &topo, size_t shards)
     return best;
 }
 
+size_t
+shardTarget(size_t nodes, size_t jobs)
+{
+    return jobs > 1 ? std::min(nodes, 2 * jobs) : 1;
+}
+
 } // namespace bgpbench::topo

@@ -106,6 +106,15 @@ Partition partitionTopologyWithStrategy(const Topology &topo,
  */
 Partition partitionTopology(const Topology &topo, size_t shards);
 
+/**
+ * The shard count the parallel engine asks partitionTopology() for
+ * when @p jobs worker threads run @p nodes routers: 1 for a
+ * sequential run, otherwise about two shards per worker (capped at
+ * one node per shard), so the work-stealing deques have shards to
+ * hand an idle worker.
+ */
+size_t shardTarget(size_t nodes, size_t jobs);
+
 } // namespace bgpbench::topo
 
 #endif // BGPBENCH_TOPO_PARTITION_HH

@@ -1,8 +1,6 @@
 #include "topo/sync_window.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace bgpbench::topo
 {
@@ -23,27 +21,17 @@ capFromFloor(sim::SimTime floor_ns)
 
 } // namespace
 
-bool
-adaptiveSyncDefault()
-{
-    const char *value = std::getenv("BGPBENCH_NO_ADAPTIVE_SYNC");
-    return !(value && std::strcmp(value, "1") == 0);
-}
-
 WindowController::WindowController(sim::SimTime floor_ns,
-                                   size_t cut_links, bool adaptive)
+                                   size_t cut_links)
     : floorNs_(floor_ns), capNs_(capFromFloor(floor_ns)),
-      targetNs_(adaptive ? capNs_ : floor_ns),
-      burstThreshold_(std::max<uint64_t>(64, 4 * uint64_t(cut_links))),
-      adaptive_(adaptive)
+      targetNs_(capNs_),
+      burstThreshold_(std::max<uint64_t>(64, 4 * uint64_t(cut_links)))
 {
 }
 
 void
 WindowController::observe(uint64_t cross_messages)
 {
-    if (!adaptive_)
-        return;
     if (cross_messages > burstThreshold_)
         targetNs_ = std::max(floorNs_, targetNs_ / 2);
     else if (cross_messages == 0)

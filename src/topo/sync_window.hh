@@ -19,8 +19,8 @@
  * The target is a *request*, not a guarantee: the engine still clamps
  * every window to the conservative causality bound derived from the
  * shards' earliest pending events (see topology_sim.cc), and the
- * target never drops below the floor L0, so adaptive windows are
- * always at least as long as the fixed-L windows they replace.
+ * target never drops below the floor L0, so no window is shorter than
+ * L0.
  */
 
 #ifndef BGPBENCH_TOPO_SYNC_WINDOW_HH
@@ -34,28 +34,16 @@
 namespace bgpbench::topo
 {
 
-/**
- * Process default of the adaptive-sync ablation switch: true unless
- * BGPBENCH_NO_ADAPTIVE_SYNC=1 (exactly "1", mirroring the other
- * BGPBENCH_NO_* flags). Read per call, so tests that toggle the
- * variable see the change; the CLI layers --no-adaptive-sync on top
- * via core::RuntimeConfig.
- */
-bool adaptiveSyncDefault();
-
 class WindowController
 {
   public:
     /**
      * @p floorNs is the conservative fixed window L0 (the smallest
      * cross-shard link latency); @p cutLinks sizes the traffic-burst
-     * threshold; @p adaptive false pins the target to the floor
-     * (the BGPBENCH_NO_ADAPTIVE_SYNC ablation — PR 3 behaviour).
+     * threshold. The target starts at the cap.
      */
-    WindowController(sim::SimTime floorNs, size_t cutLinks,
-                     bool adaptive);
+    WindowController(sim::SimTime floorNs, size_t cutLinks);
 
-    bool adaptive() const { return adaptive_; }
     sim::SimTime floorNs() const { return floorNs_; }
     sim::SimTime capNs() const { return capNs_; }
 
@@ -74,7 +62,7 @@ class WindowController
      * window barrier that just completed. A burst halves the target
      * (monotone shrink while bursts persist, never below the floor);
      * a silent window doubles it (never above the cap); anything in
-     * between holds. No-op when not adaptive.
+     * between holds.
      */
     void observe(uint64_t crossMessages);
 
@@ -83,7 +71,6 @@ class WindowController
     sim::SimTime capNs_;
     sim::SimTime targetNs_;
     uint64_t burstThreshold_;
-    bool adaptive_;
 };
 
 } // namespace bgpbench::topo

@@ -90,14 +90,11 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
     size_t jobs = config_.jobs;
     if (jobs == 0)
         jobs = std::max<size_t>(1, std::thread::hardware_concurrency());
-    // Adaptive sync over-decomposes: about two shards per worker
-    // feeds the work-stealing deques, so a shard hitting a quiet
-    // window doesn't idle its worker. Fixed mode keeps the PR 3
-    // one-shard-per-worker layout exactly.
-    size_t shard_target = jobs;
-    if (jobs > 1 && config_.adaptiveSync)
-        shard_target = std::min(topo_.nodeCount(), jobs * 2);
-    partition_ = partitionTopology(topo_, shard_target);
+    // Over-decomposition: about two shards per worker feeds the
+    // work-stealing deques, so a shard hitting a quiet window doesn't
+    // idle its worker.
+    partition_ =
+        partitionTopology(topo_, shardTarget(topo_.nodeCount(), jobs));
     if (partition_.shardCount > 1 && partition_.cutLinks > 0 &&
         partition_.minCutLatencyNs == 0) {
         // A zero-latency cut link leaves no conservative lookahead at
@@ -116,7 +113,7 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
     workers_ = std::min(jobs, partition_.shardCount);
     controller_ = WindowController(
         partition_.shardCount > 1 ? lookaheadNs_ : 0,
-        partition_.cutLinks, config_.adaptiveSync);
+        partition_.cutLinks);
 
     shards_.reserve(partition_.shardCount);
     for (size_t s = 0; s < partition_.shardCount; ++s) {
@@ -731,15 +728,13 @@ TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
     }
 
     // Open [next, end): no message transmitted inside the window can
-    // arrive before its end. In fixed mode the end is the classic
-    // next + min-cut-latency. In adaptive mode the controller's
-    // target stretches the window up to the causality bound: the
-    // earliest instant any busy shard could make a message arrive
-    // anywhere, i.e. its next event time plus the smallest cut-link
-    // latency it touches. Both bounds are >= next + the fixed
-    // lookahead, so adaptive windows never regress below fixed ones.
-    sim::SimTime target =
-        controller_.adaptive() ? controller_.targetNs() : lookaheadNs_;
+    // arrive before its end. The controller's target stretches the
+    // window up to the causality bound: the earliest instant any busy
+    // shard could make a message arrive anywhere, i.e. its next event
+    // time plus the smallest cut-link latency it touches. Both bounds
+    // are >= next + lookaheadNs_, so no window is shorter than the
+    // smallest cut latency.
+    sim::SimTime target = controller_.targetNs();
     sim::SimTime end;
     if (target == sim::simTimeNever ||
         next > sim::simTimeNever - target) {
@@ -747,21 +742,17 @@ TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
     } else {
         end = next + target;
     }
-    if (controller_.adaptive()) {
-        sim::SimTime bound = sim::simTimeNever;
-        for (const auto &shard : shards_) {
-            sim::SimTime shard_next = shard->sim.nextEventTime();
-            sim::SimTime cut =
-                partition_.shardMinCutLatencyNs[shard->index];
-            if (shard_next == sim::simTimeNever ||
-                cut == sim::simTimeNever)
-                continue;
-            if (shard_next > sim::simTimeNever - cut)
-                continue;
-            bound = std::min(bound, shard_next + cut);
-        }
-        end = std::min(end, bound);
+    sim::SimTime bound = sim::simTimeNever;
+    for (const auto &shard : shards_) {
+        sim::SimTime shard_next = shard->sim.nextEventTime();
+        sim::SimTime cut = partition_.shardMinCutLatencyNs[shard->index];
+        if (shard_next == sim::simTimeNever || cut == sim::simTimeNever)
+            continue;
+        if (shard_next > sim::simTimeNever - cut)
+            continue;
+        bound = std::min(bound, shard_next + cut);
     }
+    end = std::min(end, bound);
     if (limit != sim::simTimeNever)
         end = std::min(end, limit + 1);
     windowEnd_ = end;

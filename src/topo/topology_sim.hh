@@ -32,9 +32,7 @@
  * before it ends. At the window barrier the shards' outbound batch
  * buffers are exchanged and the next window is derived from the
  * globally earliest pending event. Three throughput mechanisms sit
- * on top of the PR 3 engine, all behind the adaptiveSync switch
- * (BGPBENCH_NO_ADAPTIVE_SYNC=1 / --no-adaptive-sync restores the
- * fixed-window engine exactly):
+ * on top of that conservative core:
  *
  *  - Adaptive lookahead. A WindowController grows the window toward
  *    a cap while cross-shard traffic is quiet and shrinks it back
@@ -121,16 +119,6 @@ struct TopologySimConfig
      */
     size_t jobs = 1;
     /**
-     * Adaptive synchronisation (adaptive lookahead windows plus
-     * shard over-decomposition for work-stealing). False restores
-     * the PR 3 fixed-window engine: window length pinned to the
-     * smallest cut-link latency and exactly one shard per worker.
-     * Defaults from BGPBENCH_NO_ADAPTIVE_SYNC (see
-     * adaptiveSyncDefault()); reports are byte-identical in both
-     * modes.
-     */
-    bool adaptiveSync = adaptiveSyncDefault();
-    /**
      * maximum-paths applied to every speaker's decision process
      * (DecisionConfig::maxPaths). 1 keeps the classic single best
      * path; reports stay byte-identical across jobs either way.
@@ -196,14 +184,14 @@ class TopologySim
     /** Events waiting across all shards. */
     size_t pendingEvents() const;
     /**
-     * Worker threads the engine resolved to. With adaptive sync the
-     * shard count may exceed this (over-decomposition feeds the
-     * work-stealing deques); partition().shardCount has the shards.
+     * Worker threads the engine resolved to. The shard count may
+     * exceed this (over-decomposition feeds the work-stealing
+     * deques); partition().shardCount has the shards.
      */
     size_t jobs() const { return workers_; }
     /** The node partition driving the sharded execution. */
     const Partition &partition() const { return partition_; }
-    /** The (possibly adaptive) lookahead window policy in effect. */
+    /** The adaptive lookahead window policy in effect. */
     const WindowController &windowController() const
     {
         return controller_;
@@ -455,7 +443,7 @@ class TopologySim
     sim::SimTime lookaheadNs_ = sim::simTimeNever;
     /** Worker threads of the parallel engine (1 = sequential). */
     size_t workers_ = 1;
-    WindowController controller_{0, 0, true};
+    WindowController controller_{0, 0};
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<NodeEvents>> events_;
     std::vector<std::unique_ptr<bgp::BgpSpeaker>> speakers_;

@@ -37,14 +37,12 @@ class GlobalInterner : public ::testing::Test
         auto &interner = AttributeInterner::global();
         interner.clear();
         interner.resetStats();
-        interner.setEnabled(true);
     }
 
     void
     TearDown() override
     {
         auto &interner = AttributeInterner::global();
-        interner.setEnabled(true);
         interner.clear();
         interner.resetStats();
     }
@@ -55,9 +53,6 @@ class GlobalInterner : public ::testing::Test
 TEST(AttrIntern, EqualValuesShareOneInstance)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     auto a = interner.intern(sample());
     auto b = interner.intern(sample());
     EXPECT_EQ(a.get(), b.get());
@@ -68,9 +63,6 @@ TEST(AttrIntern, EqualValuesShareOneInstance)
 TEST(AttrIntern, DistinctValuesGetDistinctInstances)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     auto a = interner.intern(sample(50));
     auto b = interner.intern(sample(51));
     EXPECT_NE(a.get(), b.get());
@@ -80,9 +72,6 @@ TEST(AttrIntern, DistinctValuesGetDistinctInstances)
 TEST(AttrIntern, HitMissStatsAccumulate)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     auto a = interner.intern(sample(1));
     auto b = interner.intern(sample(1));
     auto c = interner.intern(sample(2));
@@ -102,9 +91,6 @@ TEST(AttrIntern, HitMissStatsAccumulate)
 TEST(AttrIntern, DeadSetsAreEvicted)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     {
         auto a = interner.intern(sample(1));
         auto b = interner.intern(sample(2));
@@ -120,9 +106,6 @@ TEST(AttrIntern, DeadSetsAreEvicted)
 TEST(AttrIntern, ExpiredSlotIsReusedOnNextIntern)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     const PathAttributes *first = nullptr;
     {
         auto a = interner.intern(sample());
@@ -142,9 +125,6 @@ TEST(AttrIntern, ExpiredSlotIsReusedOnNextIntern)
 TEST(AttrIntern, TableStaysBoundedAcrossChurn)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     // Session-reset churn: waves of distinct sets that all die. The
     // amortised sweep keeps the tracked-slot count bounded instead of
     // growing by one slot per dead set forever.
@@ -160,29 +140,9 @@ TEST(AttrIntern, TableStaysBoundedAcrossChurn)
     EXPECT_GT(stats.sweeps, 0u);
 }
 
-TEST(AttrIntern, DisabledModeKeepsValueEquality)
-{
-    AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
-    interner.setEnabled(false);
-    auto a = interner.intern(sample());
-    auto b = interner.intern(sample());
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_FALSE(a->interned());
-    EXPECT_FALSE(b->interned());
-    // Equality falls back to the hash-guarded deep comparison.
-    EXPECT_TRUE(sameAttributeValue(a, b));
-    EXPECT_EQ(interner.stats().lookups, 0u);
-}
-
 TEST(AttrIntern, ClearUnmarksSurvivorsSoFastPathCannotMisfire)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     auto a = interner.intern(sample());
     ASSERT_TRUE(a->interned());
     interner.clear();
@@ -199,9 +159,6 @@ TEST(AttrIntern, ClearUnmarksSurvivorsSoFastPathCannotMisfire)
 TEST(AttrIntern, CopiesStartColdSoMutatedCopiesReinternCorrectly)
 {
     AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
     auto a = interner.intern(sample());
     ASSERT_NE(a->hash(), 0u);
 
@@ -241,10 +198,6 @@ TEST(AttrIntern, CrossInternerCanonicalsCompareByValue)
 {
     AttributeInterner one;
     AttributeInterner two;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    one.setEnabled(true);
-    two.setEnabled(true);
 
     // Equal values canonicalised by *different* interner instances
     // are distinct pointers, both marked interned — the same-owner
@@ -261,29 +214,6 @@ TEST(AttrIntern, CrossInternerCanonicalsCompareByValue)
     auto c = two.intern(sample(51));
     EXPECT_FALSE(sameAttributeValue(a, c));
     EXPECT_FALSE(sameAttributeValue(b, c));
-}
-
-TEST(AttrIntern, DisableToggleKeepsMarkedVsUnmarkedEquality)
-{
-    AttributeInterner interner;
-    // The BGPBENCH_NO_INTERN env var only sets the default; these
-    // tests pin the mode they exercise.
-    interner.setEnabled(true);
-    auto marked = interner.intern(sample());
-    ASSERT_TRUE(marked->interned());
-
-    // After disabling, new equal-valued sets come out unmarked; the
-    // marked-vs-unmarked comparison must fall through to the deep
-    // compare and report equality.
-    interner.setEnabled(false);
-    auto unmarked = interner.intern(sample());
-    ASSERT_FALSE(unmarked->interned());
-    EXPECT_NE(marked.get(), unmarked.get());
-    EXPECT_TRUE(sameAttributeValue(marked, unmarked));
-
-    // Re-enabling reuses the still-live canonical.
-    interner.setEnabled(true);
-    EXPECT_EQ(interner.intern(sample()).get(), marked.get());
 }
 
 TEST(AttrIntern, HashIsCachedAndNonZero)

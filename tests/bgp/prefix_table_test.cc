@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests of bgp::SharedPrefixTable and the tree-backed RIBs built on
- * it. The core guarantee under test: RIBs over a shared prefix table
- * behave exactly like the hash-map reference backend for every
- * operation (insert/replace/withdraw/iterate), while columns sharing
- * one table never interfere, and iteration order is deterministic and
- * identical across backends.
+ * Tests of bgp::SharedPrefixTable and the RIBs built on it. The core
+ * guarantee under test: RIBs over a shared prefix table behave exactly
+ * like plain std::map reference models for every operation
+ * (insert/replace/withdraw/iterate), while columns sharing one table
+ * never interfere, and iteration order is deterministic and ascending.
  */
 
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +65,74 @@ prefixPool(size_t count, uint64_t seed)
     return pool;
 }
 
+/*
+ * Reference models: one std::map per RIB kind with the RIB's
+ * return-value contract. update/advertise/select report a value change
+ * (sameAttributeValue), withdraw/remove report presence, and the map
+ * pins ascending prefix iteration order.
+ */
+
+struct AdjRibInModel
+{
+    std::map<net::Prefix, bgp::AdjRibIn::Entry> routes;
+
+    bool
+    update(const net::Prefix &p, bgp::PathAttributesPtr received,
+           bgp::PathAttributesPtr effective)
+    {
+        auto [it, inserted] = routes.try_emplace(p);
+        if (!inserted &&
+            bgp::sameAttributeValue(it->second.received, received) &&
+            bgp::sameAttributeValue(it->second.effective, effective))
+            return false;
+        it->second = {std::move(received), std::move(effective)};
+        return true;
+    }
+
+    bool withdraw(const net::Prefix &p) { return routes.erase(p) > 0; }
+};
+
+struct LocRibModel
+{
+    std::map<net::Prefix, bgp::Candidate> best;
+
+    bool
+    select(const net::Prefix &p, bgp::Candidate c)
+    {
+        auto [it, inserted] = best.try_emplace(p);
+        bool changed =
+            inserted ||
+            !bgp::sameAttributeValue(it->second.attributes,
+                                     c.attributes) ||
+            it->second.peer != c.peer;
+        it->second = std::move(c);
+        return changed;
+    }
+
+    bool remove(const net::Prefix &p) { return best.erase(p) > 0; }
+};
+
+struct AdjRibOutModel
+{
+    std::map<net::Prefix, bgp::PathAttributesPtr> advertised;
+
+    bool
+    advertise(const net::Prefix &p, bgp::PathAttributesPtr attrs)
+    {
+        auto [it, inserted] = advertised.try_emplace(p);
+        if (!inserted && bgp::sameAttributeValue(it->second, attrs))
+            return false;
+        it->second = std::move(attrs);
+        return true;
+    }
+
+    bool
+    withdraw(const net::Prefix &p)
+    {
+        return advertised.erase(p) > 0;
+    }
+};
+
 } // namespace
 
 TEST(SharedPrefixTable, AcquireRefcountsAndRecyclesSlots)
@@ -109,8 +177,8 @@ TEST(SharedPrefixTable, AcquireRefcountsAndRecyclesSlots)
 TEST(SharedPrefixTable, ColumnsShareStructureWithoutInterference)
 {
     bgp::SharedPrefixTable table;
-    bgp::AdjRibIn in_a(&table);
-    bgp::AdjRibIn in_b(&table);
+    bgp::AdjRibIn in_a(table);
+    bgp::AdjRibIn in_b(table);
 
     const auto p = pfx("10.0.0.0/8");
     in_a.update(p, attrs(1), attrs(1));
@@ -134,8 +202,8 @@ TEST(SharedPrefixTable, ColumnsShareStructureWithoutInterference)
 TEST(SharedPrefixTable, RecycledSlotDoesNotLeakStaleColumnEntries)
 {
     bgp::SharedPrefixTable table;
-    bgp::AdjRibIn in_a(&table);
-    bgp::AdjRibIn in_b(&table);
+    bgp::AdjRibIn in_a(table);
+    bgp::AdjRibIn in_b(table);
 
     const auto old_prefix = pfx("10.0.0.0/8");
     in_a.update(old_prefix, attrs(1), attrs(1));
@@ -156,16 +224,17 @@ TEST(SharedPrefixTable, RecycledSlotDoesNotLeakStaleColumnEntries)
 TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
 {
     // One shared table with the three RIB kinds as columns (the
-    // speaker's shape) against hash-map references, driven by one
-    // random op sequence. Every return value and every iteration
-    // must agree.
+    // speaker's shape) against std::map reference models (they stand
+    // in for the per-RIB hash maps the tree replaced), driven by one
+    // random op sequence. Every return value and every iteration must
+    // agree.
     bgp::SharedPrefixTable table;
-    bgp::AdjRibIn tree_in(&table);
-    bgp::LocRib tree_loc(&table);
-    bgp::AdjRibOut tree_out(&table);
-    bgp::AdjRibIn hash_in(nullptr);
-    bgp::LocRib hash_loc(nullptr);
-    bgp::AdjRibOut hash_out(nullptr);
+    bgp::AdjRibIn tree_in(table);
+    bgp::LocRib tree_loc(table);
+    bgp::AdjRibOut tree_out(table);
+    AdjRibInModel model_in;
+    LocRibModel model_loc;
+    AdjRibOutModel model_out;
 
     const auto pool = prefixPool(200, 9);
     workload::Rng rng(17);
@@ -177,19 +246,15 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
             [&](const net::Prefix &p, const bgp::AdjRibIn::Entry &e) {
                 a.emplace_back(p, e.received.get());
             });
-        hash_in.forEach(
-            [&](const net::Prefix &p, const bgp::AdjRibIn::Entry &e) {
-                b.emplace_back(p, e.received.get());
-            });
+        for (const auto &[p, e] : model_in.routes)
+            b.emplace_back(p, e.received.get());
         ASSERT_EQ(a, b);
         tree_loc.forEach(
             [&](const net::Prefix &p, const bgp::LocRib::Entry &) {
                 pa.push_back(p);
             });
-        hash_loc.forEach(
-            [&](const net::Prefix &p, const bgp::LocRib::Entry &) {
-                pb.push_back(p);
-            });
+        for (const auto &[p, c] : model_loc.best)
+            pb.push_back(p);
         ASSERT_EQ(pa, pb);
         pa.clear();
         pb.clear();
@@ -197,10 +262,8 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
             [&](const net::Prefix &p, const bgp::PathAttributesPtr &) {
                 pa.push_back(p);
             });
-        hash_out.forEach(
-            [&](const net::Prefix &p, const bgp::PathAttributesPtr &) {
-                pb.push_back(p);
-            });
+        for (const auto &[p, attrs] : model_out.advertised)
+            pb.push_back(p);
         ASSERT_EQ(pa, pb);
     };
 
@@ -210,29 +273,29 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
         switch (rng.below(6)) {
           case 0:
             EXPECT_EQ(tree_in.update(p, attrs(tag), attrs(tag)),
-                      hash_in.update(p, attrs(tag), attrs(tag)));
+                      model_in.update(p, attrs(tag), attrs(tag)));
             break;
           case 1:
-            EXPECT_EQ(tree_in.withdraw(p), hash_in.withdraw(p));
+            EXPECT_EQ(tree_in.withdraw(p), model_in.withdraw(p));
             break;
           case 2:
             EXPECT_EQ(tree_loc.select(p, candidate(tag)),
-                      hash_loc.select(p, candidate(tag)));
+                      model_loc.select(p, candidate(tag)));
             break;
           case 3:
-            EXPECT_EQ(tree_loc.remove(p), hash_loc.remove(p));
+            EXPECT_EQ(tree_loc.remove(p), model_loc.remove(p));
             break;
           case 4:
             EXPECT_EQ(tree_out.advertise(p, attrs(tag)),
-                      hash_out.advertise(p, attrs(tag)));
+                      model_out.advertise(p, attrs(tag)));
             break;
           case 5:
-            EXPECT_EQ(tree_out.withdraw(p), hash_out.withdraw(p));
+            EXPECT_EQ(tree_out.withdraw(p), model_out.withdraw(p));
             break;
         }
-        ASSERT_EQ(tree_in.size(), hash_in.size());
-        ASSERT_EQ(tree_loc.size(), hash_loc.size());
-        ASSERT_EQ(tree_out.size(), hash_out.size());
+        ASSERT_EQ(tree_in.size(), model_in.routes.size());
+        ASSERT_EQ(tree_loc.size(), model_loc.best.size());
+        ASSERT_EQ(tree_out.size(), model_out.advertised.size());
         if (op % 5000 == 4999)
             compareIteration();
     }
@@ -241,54 +304,53 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
     // Point lookups agree over the whole pool at the final state.
     for (const auto &p : pool) {
         const auto *ta = tree_in.find(p);
-        const auto *ha = hash_in.find(p);
-        ASSERT_EQ(ta != nullptr, ha != nullptr);
+        auto ha = model_in.routes.find(p);
+        ASSERT_EQ(ta != nullptr, ha != model_in.routes.end());
         if (ta) {
-            EXPECT_EQ(ta->received, ha->received);
+            EXPECT_EQ(ta->received, ha->second.received);
         }
     }
 }
 
 TEST(SharedPrefixTable, IterationOrderDeterministicAt100k)
 {
-    // 100k-prefix table: both backends must produce the identical,
-    // strictly ascending prefix sequence — the property the snapshot
-    // and dump layers rely on instead of sorting.
+    // 100k-prefix table: the tree must produce the same strictly
+    // ascending prefix sequence as an ordered map of the same routes —
+    // the property the snapshot and dump layers rely on instead of
+    // sorting.
     workload::RouteSetConfig config;
     config.count = 100000;
     config.seed = 23;
     const auto routes = workload::generateRouteSet(config);
 
     bgp::SharedPrefixTable table;
-    bgp::LocRib tree_loc(&table);
-    bgp::LocRib hash_loc(nullptr);
+    bgp::LocRib tree_loc(table);
+    LocRibModel model_loc;
     tree_loc.reserve(routes.size());
     for (uint32_t i = 0; i < routes.size(); ++i) {
         tree_loc.select(routes[i].prefix, candidate(i % 32));
-        hash_loc.select(routes[i].prefix, candidate(i % 32));
+        model_loc.select(routes[i].prefix, candidate(i % 32));
     }
-    ASSERT_EQ(tree_loc.size(), hash_loc.size());
+    ASSERT_EQ(tree_loc.size(), model_loc.best.size());
 
-    std::vector<net::Prefix> tree_order, hash_order;
+    std::vector<net::Prefix> tree_order, model_order;
     tree_order.reserve(tree_loc.size());
-    hash_order.reserve(hash_loc.size());
+    model_order.reserve(model_loc.best.size());
     tree_loc.forEach([&](const net::Prefix &p,
                          const bgp::LocRib::Entry &) {
         tree_order.push_back(p);
     });
-    hash_loc.forEach([&](const net::Prefix &p,
-                         const bgp::LocRib::Entry &) {
-        hash_order.push_back(p);
-    });
-    ASSERT_EQ(tree_order.size(), hash_order.size());
-    ASSERT_TRUE(tree_order == hash_order);
+    for (const auto &[p, c] : model_loc.best)
+        model_order.push_back(p);
+    ASSERT_EQ(tree_order.size(), model_order.size());
+    ASSERT_TRUE(tree_order == model_order);
     for (size_t i = 1; i < tree_order.size(); ++i)
         ASSERT_TRUE(tree_order[i - 1] < tree_order[i]);
 
     // And a second, independently built tree over the same routes in
     // a different insertion order lands on the same sequence.
     bgp::SharedPrefixTable table2;
-    bgp::LocRib tree2(&table2);
+    bgp::LocRib tree2(table2);
     for (size_t i = routes.size(); i-- > 0;)
         tree2.select(routes[i].prefix, candidate(uint32_t(i % 32)));
     std::vector<net::Prefix> tree2_order;

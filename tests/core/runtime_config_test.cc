@@ -1,18 +1,17 @@
 /**
  * @file
  * RuntimeConfig tests: the env < CLI precedence ladder, the exact
- * legacy parsing semantics of each BGPBENCH_* variable, provenance
- * reporting, and apply() steering the interner and wire pool.
+ * legacy parsing semantics of each BGPBENCH_* variable, and
+ * provenance reporting.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "bgp/attr_intern.hh"
 #include "core/runtime_config.hh"
-#include "net/wire_segment.hh"
 
 using namespace bgpbench;
 
@@ -38,42 +37,21 @@ class EnvVar
 
 TEST(RuntimeConfig, DefaultsIgnoreEnvironment)
 {
-    EnvVar no_intern("BGPBENCH_NO_INTERN", "1");
+    EnvVar sweep("BGPBENCH_SWEEP", "1");
     core::RuntimeConfig config;
-    EXPECT_TRUE(config.internEnabled());
-    EXPECT_TRUE(config.segmentSharing());
     EXPECT_FALSE(config.sweep());
     EXPECT_EQ(config.jobs(), 1u);
-    EXPECT_EQ(config.internOrigin(), core::ConfigOrigin::Default);
+    EXPECT_EQ(config.sweepOrigin(), core::ConfigOrigin::Default);
 }
 
 TEST(RuntimeConfig, ReadsEnvironmentWithLegacySemantics)
 {
-    // NO_INTERN and SWEEP require exactly "1"; NO_SEGMENT_SHARING
-    // accepts any non-empty value not starting with '0'; JOBS parses
-    // as an unsigned integer.
+    // SWEEP requires exactly "1"; JOBS parses as an unsigned integer.
     {
-        EnvVar v("BGPBENCH_NO_INTERN", "1");
+        EnvVar v("BGPBENCH_SWEEP", "yes");
         auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_FALSE(config.internEnabled());
-        EXPECT_EQ(config.internOrigin(),
-                  core::ConfigOrigin::Environment);
-    }
-    {
-        EnvVar v("BGPBENCH_NO_INTERN", "yes");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_TRUE(config.internEnabled());
-        EXPECT_EQ(config.internOrigin(), core::ConfigOrigin::Default);
-    }
-    {
-        EnvVar v("BGPBENCH_NO_SEGMENT_SHARING", "true");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_FALSE(config.segmentSharing());
-    }
-    {
-        EnvVar v("BGPBENCH_NO_SEGMENT_SHARING", "0");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_TRUE(config.segmentSharing());
+        EXPECT_FALSE(config.sweep());
+        EXPECT_EQ(config.sweepOrigin(), core::ConfigOrigin::Default);
     }
     {
         EnvVar v("BGPBENCH_SWEEP", "1");
@@ -94,62 +72,16 @@ TEST(RuntimeConfig, ReadsEnvironmentWithLegacySemantics)
 TEST(RuntimeConfig, CommandLineBeatsEnvironment)
 {
     EnvVar jobs("BGPBENCH_JOBS", "2");
-    EnvVar no_intern("BGPBENCH_NO_INTERN", "1");
+    EnvVar sweep("BGPBENCH_SWEEP", "1");
     auto config = core::RuntimeConfig::fromEnvironment();
     config.overrideJobs(4);
-    config.overrideIntern(true);
+    config.overrideSweep(false);
     EXPECT_EQ(config.jobs(), 4u);
     EXPECT_EQ(config.jobsOrigin(), core::ConfigOrigin::CommandLine);
-    EXPECT_TRUE(config.internEnabled());
-    EXPECT_EQ(config.internOrigin(),
-              core::ConfigOrigin::CommandLine);
+    EXPECT_FALSE(config.sweep());
+    EXPECT_EQ(config.sweepOrigin(), core::ConfigOrigin::CommandLine);
     // Untouched settings keep their provenance.
-    EXPECT_EQ(config.sweepOrigin(), core::ConfigOrigin::Default);
-}
-
-TEST(RuntimeConfig, AdaptiveSyncKnob)
-{
-    // Default on; BGPBENCH_NO_ADAPTIVE_SYNC=1 (exactly "1") turns it
-    // off; --no-adaptive-sync beats both.
-    {
-        core::RuntimeConfig config;
-        EXPECT_TRUE(config.adaptiveSync());
-        EXPECT_EQ(config.adaptiveSyncOrigin(),
-                  core::ConfigOrigin::Default);
-    }
-    {
-        EnvVar v("BGPBENCH_NO_ADAPTIVE_SYNC", "1");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_FALSE(config.adaptiveSync());
-        EXPECT_EQ(config.adaptiveSyncOrigin(),
-                  core::ConfigOrigin::Environment);
-    }
-    {
-        EnvVar v("BGPBENCH_NO_ADAPTIVE_SYNC", "yes");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        EXPECT_TRUE(config.adaptiveSync());
-        EXPECT_EQ(config.adaptiveSyncOrigin(),
-                  core::ConfigOrigin::Default);
-    }
-    {
-        EnvVar v("BGPBENCH_NO_ADAPTIVE_SYNC", "1");
-        auto config = core::RuntimeConfig::fromEnvironment();
-        config.overrideAdaptiveSync(true);
-        EXPECT_TRUE(config.adaptiveSync());
-        EXPECT_EQ(config.adaptiveSyncOrigin(),
-                  core::ConfigOrigin::CommandLine);
-    }
-}
-
-TEST(RuntimeConfig, DumpShowsAdaptiveSync)
-{
-    core::RuntimeConfig config;
-    config.overrideAdaptiveSync(false);
-    std::ostringstream os;
-    config.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("adaptive sync"), std::string::npos);
-    EXPECT_NE(out.find("off"), std::string::npos);
+    EXPECT_EQ(config.maxPathsOrigin(), core::ConfigOrigin::Default);
 }
 
 TEST(RuntimeConfig, ServeKnobDefaults)
@@ -245,33 +177,12 @@ TEST(RuntimeConfig, DumpShowsValueAndSource)
     std::ostringstream os;
     config.dump(os);
     std::string out = os.str();
-    EXPECT_NE(out.find("interning"), std::string::npos);
-    EXPECT_NE(out.find("segment sharing"), std::string::npos);
     EXPECT_NE(out.find("sweep"), std::string::npos);
     EXPECT_NE(out.find("auto"), std::string::npos); // jobs 0
     EXPECT_NE(out.find("command line"), std::string::npos);
     EXPECT_NE(out.find("default"), std::string::npos);
-}
-
-TEST(RuntimeConfig, ApplySteersInternerAndWirePool)
-{
-    bool intern_before = bgp::internDefaultEnabled();
-    bool sharing_before = net::segmentSharingEnabled();
-
-    core::RuntimeConfig config;
-    config.overrideIntern(false);
-    config.overrideSegmentSharing(false);
-    config.apply();
-    EXPECT_FALSE(bgp::internDefaultEnabled());
-    EXPECT_FALSE(bgp::AttributeInterner::global().enabled());
-    EXPECT_FALSE(net::segmentSharingEnabled());
-
-    core::RuntimeConfig restore;
-    restore.overrideIntern(intern_before);
-    restore.overrideSegmentSharing(sharing_before);
-    restore.apply();
-    EXPECT_EQ(bgp::internDefaultEnabled(), intern_before);
-    EXPECT_EQ(net::segmentSharingEnabled(), sharing_before);
+    // Header, rule, and one row per setting.
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2 + 8);
 }
 
 TEST(RuntimeConfig, MaxPathsKnob)

@@ -21,9 +21,9 @@ tableWithRoutes()
 {
     ForwardingTable table;
     table.install(Prefix::fromString("10.0.0.0/8"),
-                  FibEntry{Ipv4Address(10, 255, 0, 1), 1});
+                  FibEntry{Ipv4Address(10, 255, 0, 1), 1, {}});
     table.install(Prefix::fromString("10.1.0.0/16"),
-                  FibEntry{Ipv4Address(10, 255, 0, 2), 2});
+                  FibEntry{Ipv4Address(10, 255, 0, 2), 2, {}});
     return table;
 }
 
@@ -33,9 +33,9 @@ TEST(ForwardingTable, InstallReplaceRemoveCounters)
 {
     ForwardingTable table;
     EXPECT_TRUE(table.install(Prefix::fromString("10.0.0.0/8"),
-                              FibEntry{Ipv4Address(1, 1, 1, 1), 1}));
+                              FibEntry{Ipv4Address(1, 1, 1, 1), 1, {}}));
     EXPECT_FALSE(table.install(Prefix::fromString("10.0.0.0/8"),
-                               FibEntry{Ipv4Address(2, 2, 2, 2), 2}));
+                               FibEntry{Ipv4Address(2, 2, 2, 2), 2, {}}));
     EXPECT_TRUE(table.remove(Prefix::fromString("10.0.0.0/8")));
     EXPECT_FALSE(table.remove(Prefix::fromString("10.0.0.0/8")));
 
@@ -149,7 +149,7 @@ TEST(ForwardingEngine, RouteChangeTakesEffect)
 
     // Control plane replaces the /16's next hop.
     table.install(Prefix::fromString("10.1.0.0/16"),
-                  FibEntry{Ipv4Address(10, 255, 0, 9), 3});
+                  FibEntry{Ipv4Address(10, 255, 0, 9), 3, {}});
     auto pkt2 = net::makeDataPacket(Ipv4Address(192, 168, 0, 1),
                                     Ipv4Address(10, 1, 2, 3), 100);
     EXPECT_EQ(engine.process(pkt2).nextHop,

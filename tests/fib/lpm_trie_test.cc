@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "fib/lpm_trie.hh"
+#include "net/lpm_trie.hh"
 #include "workload/rng.hh"
 
 using namespace bgpbench;
-using fib::LinearLpm;
-using fib::LpmTrie;
+using net::LinearLpm;
+using net::LpmTrie;
 using net::Ipv4Address;
 using net::Prefix;
 

@@ -122,15 +122,3 @@ TEST(LpmTrieView, NonOwningPointerValues)
     auto entries = trie.entries();
     EXPECT_EQ(entries.size(), 3u);
 }
-
-TEST(LpmTrieView, FibShimStaysUsable)
-{
-    // The old fib spelling still compiles and behaves (the header is
-    // now an alias of the generic net trie).
-    net::LinearLpm<int> linear;
-    linear.insert(pfx("10.0.0.0/8"), 1);
-    linear.insert(pfx("10.0.0.0/24"), 2);
-    const int *hit = linear.lookup(addr("10.0.0.1"));
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 2);
-}

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the shared wire-segment abstraction and its buffer pool:
- * immutability-by-sharing semantics, size-classed recycling, the
- * process-wide liveness census, and the ablation switch.
+ * immutability-by-sharing semantics, size-classed recycling, and the
+ * process-wide liveness census.
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +17,6 @@ using namespace bgpbench::net;
 
 namespace
 {
-
-/** RAII guard: restore the sharing switch whatever the test does. */
-struct SharingGuard
-{
-    bool saved = segmentSharingEnabled();
-    ~SharingGuard() { setSegmentSharing(saved); }
-};
 
 WireSegmentPtr
 sealBytes(BufferPool &pool, std::vector<uint8_t> bytes)
@@ -78,8 +71,6 @@ TEST(WireSegment, SharedSegmentSurvivesManyReleases)
 
 TEST(BufferPool, RecyclesThroughGlobalPool)
 {
-    SharingGuard guard;
-    setSegmentSharing(true);
     auto &pool = BufferPool::global();
     pool.trim();
     pool.resetStats();
@@ -103,8 +94,6 @@ TEST(BufferPool, RecyclesThroughGlobalPool)
 
 TEST(BufferPool, OversizedBuffersAreNotPooled)
 {
-    SharingGuard guard;
-    setSegmentSharing(true);
     auto &pool = BufferPool::global();
     pool.trim();
 
@@ -114,22 +103,6 @@ TEST(BufferPool, OversizedBuffersAreNotPooled)
     }
     // 16 KiB exceeds the largest (4096-byte) size class.
     EXPECT_EQ(pool.stats().pooledBuffers, 0u);
-}
-
-TEST(BufferPool, AblationSwitchDisablesRecycling)
-{
-    SharingGuard guard;
-    setSegmentSharing(false);
-    auto &pool = BufferPool::global();
-    pool.trim();
-    pool.resetStats();
-
-    {
-        auto seg = sealBytes(pool, std::vector<uint8_t>(100, 0x22));
-    }
-    auto s = pool.stats();
-    EXPECT_EQ(s.pooledBuffers, 0u);
-    EXPECT_EQ(s.hits, 0u);
 }
 
 TEST(BufferPool, OutstandingCensusTracksLiveSegments)

@@ -14,7 +14,6 @@
 
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "obs/views.hh"
 
 using namespace bgpbench;
 
@@ -342,33 +341,4 @@ TEST(MetricExport, FormatsParseAndAgree)
     obs::writeMetricsJson(json, snapshot);
     EXPECT_EQ(json.str().front(), '{');
     EXPECT_NE(json.str().find("\"counters\""), std::string::npos);
-}
-
-TEST(MetricViews, DedupAndWireViewsReadRegistry)
-{
-    obs::MetricRegistry registry;
-    registry.counter(obs::metric::internLookups).add(100);
-    registry.counter(obs::metric::internHits).add(75);
-    registry.counter(obs::metric::internMisses).add(25);
-    registry.gauge(obs::metric::internLiveSets).noteMax(25.0);
-    registry.counter(obs::metric::internBytesDeduplicated).add(4096);
-
-    std::ostringstream dedup;
-    obs::printDedupView(dedup, "interner", registry);
-    EXPECT_NE(dedup.str().find("hit ratio"), std::string::npos);
-    EXPECT_NE(dedup.str().find("75.0%"), std::string::npos);
-
-    registry.counter(obs::metric::wireAcquires).add(10);
-    registry.counter(obs::metric::wirePoolHits).add(8);
-    registry.counter(obs::metric::wirePoolMisses).add(2);
-    registry.counter(obs::metric::wireSharedEncodes).add(5);
-    registry.counter(obs::metric::wireBytesDeduplicated).add(1234);
-    registry.gauge(obs::metric::wireOutstandingSegments).noteMax(3.0);
-    registry.gauge(obs::metric::wirePeakOutstandingSegments)
-        .noteMax(6.0);
-
-    std::ostringstream wire;
-    obs::printWireView(wire, "pool", registry);
-    EXPECT_NE(wire.str().find("pool acquires"), std::string::npos);
-    EXPECT_NE(wire.str().find("80.0%"), std::string::npos);
 }

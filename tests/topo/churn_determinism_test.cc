@@ -3,8 +3,7 @@
  * Determinism suite for the churn scenario family: declarative
  * ScenarioSpec runs with flap trains, beacon trains, and correlated
  * session resets across the shard cut must render byte-identically at
- * jobs = 1, 2, 4, 8 with adaptive sync on and off — including with
- * damping wakeups and MRAI batching active, the two features whose
+ * jobs = 1, 2, 4, 8 — including with damping wakeups and MRAI batching active, the two features whose
  * timer traffic is the newest way a parallel schedule could leak into
  * a report. Also pins the pure-function fault-schedule expansion and
  * the four-AS demo spec against its hand-rolled legacy equivalent.
@@ -43,32 +42,27 @@ allRenderings(const topo::ScenarioResult &result)
 }
 
 /**
- * Run the spec builder once per (jobs, adaptive) cell and expect
- * every rendering to match the sequential adaptive baseline byte for
- * byte.
+ * Run the spec builder once per jobs count and expect every rendering
+ * to match the sequential baseline byte for byte.
  */
 template <typename Fn>
 void
 expectIdenticalAcrossJobs(const char *label, Fn &&makeSpec)
 {
-    auto run = [&](size_t jobs, bool adaptive) {
+    auto run = [&](size_t jobs) {
         topo::ScenarioSpec spec = makeSpec();
         spec.simConfig.jobs = jobs;
-        spec.simConfig.adaptiveSync = adaptive;
         topo::ScenarioResult result =
             topo::ScenarioRunner(std::move(spec)).run();
         EXPECT_TRUE(result.convergence.converged) << label;
         return allRenderings(result);
     };
-    std::string baseline = run(1, true);
+    std::string baseline = run(1);
     EXPECT_FALSE(baseline.empty());
     for (size_t jobs : kJobCounts) {
-        for (bool adaptive : {true, false}) {
-            SCOPED_TRACE(std::string(label) + " jobs=" +
-                         std::to_string(jobs) + " adaptive=" +
-                         (adaptive ? "on" : "off"));
-            EXPECT_EQ(run(jobs, adaptive), baseline);
-        }
+        SCOPED_TRACE(std::string(label) + " jobs=" +
+                     std::to_string(jobs));
+        EXPECT_EQ(run(jobs), baseline);
     }
 }
 

@@ -158,15 +158,14 @@ TEST(ParallelDeterminism, AutoJobsMatchesSequential)
 
 TEST(ParallelDeterminism, EngineResolvesRequestedShards)
 {
-    // Adaptive sync over-decomposes: 4 workers get ~8 shards to
-    // steal among; the worker count is what jobs() reports.
+    // The engine over-decomposes: 4 workers get ~8 shards to steal
+    // among; the worker count is what jobs() reports.
     topo::TopologySimConfig config;
     config.jobs = 4;
-    config.adaptiveSync = true;
     topo::TopologySim sim(topo::Topology::ring(16), config);
     EXPECT_EQ(sim.jobs(), 4u);
     EXPECT_EQ(sim.partition().shardCount, 8u);
-    EXPECT_TRUE(sim.windowController().adaptive());
+    EXPECT_EQ(sim.partition().shardCount, topo::shardTarget(16, 4));
     EXPECT_GE(sim.windowController().capNs(),
               sim.windowController().floorNs());
 
@@ -193,48 +192,16 @@ TEST(ParallelDeterminism, EngineResolvesRequestedShards)
     EXPECT_GT(events, 0u);
 }
 
-TEST(ParallelDeterminism, FixedSyncKeepsOneShardPerWorker)
-{
-    // The BGPBENCH_NO_ADAPTIVE_SYNC ablation restores the PR 3
-    // layout exactly: one shard per worker, target pinned to the
-    // smallest cut-link latency.
-    topo::TopologySimConfig config;
-    config.jobs = 4;
-    config.adaptiveSync = false;
-    topo::TopologySim sim(topo::Topology::ring(16), config);
-    EXPECT_EQ(sim.jobs(), 4u);
-    EXPECT_EQ(sim.partition().shardCount, 4u);
-    EXPECT_FALSE(sim.windowController().adaptive());
-    EXPECT_EQ(sim.windowController().targetNs(),
-              sim.windowController().floorNs());
-
-    for (size_t node = 0; node < 16; ++node)
-        sim.originate(node, topo::scenarioPrefix(node, 0), 0);
-    ASSERT_TRUE(sim.runToConvergence(sim::nsFromSec(600.0)));
-
-    obs::MetricRegistry metrics;
-    sim.publishParallelMetrics(metrics);
-    EXPECT_EQ(metrics.gaugeValue(obs::metric::parallelJobs), 4.0);
-    EXPECT_EQ(metrics.gaugeValue(obs::metric::parallelShards), 4.0);
-    for (size_t shard = 0; shard < 4; ++shard) {
-        EXPECT_EQ(metrics.gaugeValue(
-                      obs::shardMetricName(shard, "nodes")),
-                  4.0);
-    }
-}
-
 TEST(ParallelDeterminism, AdaptiveSyncMatrixIsByteIdentical)
 {
-    // The full ablation matrix: jobs 1/2/4/8 x adaptive on/off, with
-    // faults landing mid-window, all byte-identical to the
-    // sequential adaptive baseline. This is the acceptance bar of
-    // the adaptive engine: the window policy, the batch merge, and
-    // the stealing may change the execution schedule, never a report
-    // byte.
-    auto run = [](size_t jobs, bool adaptive) {
+    // The full matrix: jobs 1/2/4/8 with faults landing mid-window,
+    // all byte-identical to the sequential baseline. This is the
+    // acceptance bar of the adaptive engine: the window policy, the
+    // batch merge, and the stealing may change the execution
+    // schedule, never a report byte.
+    auto run = [](size_t jobs) {
         topo::TopologySimConfig config;
         config.jobs = jobs;
-        config.adaptiveSync = adaptive;
         topo::TopologySim sim(
             topo::Topology::barabasiAlbert(20, 2, 5), config);
         for (size_t node = 0; node < 20; ++node)
@@ -251,14 +218,11 @@ TEST(ParallelDeterminism, AdaptiveSyncMatrixIsByteIdentical)
         report.converged = converged && sim.locRibsConsistent();
         return allRenderings(report);
     };
-    std::string baseline = run(1, true);
+    std::string baseline = run(1);
     EXPECT_FALSE(baseline.empty());
     for (size_t jobs : kJobCounts) {
-        for (bool adaptive : {true, false}) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                         " adaptive=" + (adaptive ? "on" : "off"));
-            EXPECT_EQ(run(jobs, adaptive), baseline);
-        }
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        EXPECT_EQ(run(jobs), baseline);
     }
 }
 

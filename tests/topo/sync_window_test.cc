@@ -7,7 +7,6 @@
  * here directly, including the exact replay of an L-sequence.
  */
 
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,66 +18,17 @@ using namespace bgpbench;
 using topo::StealDeque;
 using topo::WindowController;
 
-namespace
-{
-
-/** RAII environment override (mirrors runtime_config_test.cc). */
-class EnvVar
-{
-  public:
-    EnvVar(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvVar()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-} // namespace
-
 TEST(WindowController, StartsAtCapWhenAdaptive)
 {
-    WindowController ctl(1000, 4, true);
-    EXPECT_TRUE(ctl.adaptive());
+    WindowController ctl(1000, 4);
     EXPECT_EQ(ctl.floorNs(), 1000u);
     EXPECT_EQ(ctl.capNs(), 1000u << 10);
     EXPECT_EQ(ctl.targetNs(), ctl.capNs());
 }
 
-TEST(WindowController, FixedModePinsTargetToFloor)
-{
-    WindowController ctl(1000, 4, false);
-    EXPECT_FALSE(ctl.adaptive());
-    EXPECT_EQ(ctl.targetNs(), 1000u);
-    // Observations are ignored entirely in fixed mode.
-    ctl.observe(1u << 20);
-    EXPECT_EQ(ctl.targetNs(), 1000u);
-    ctl.observe(0);
-    EXPECT_EQ(ctl.targetNs(), 1000u);
-}
-
 TEST(WindowController, BurstsShrinkMonotonicallyToFloor)
 {
-    WindowController ctl(1000, 4, true);
+    WindowController ctl(1000, 4);
     uint64_t burst = ctl.burstThreshold() + 1;
     sim::SimTime previous = ctl.targetNs();
     // Sustained bursts halve the target every window until it sits
@@ -95,7 +45,7 @@ TEST(WindowController, BurstsShrinkMonotonicallyToFloor)
 
 TEST(WindowController, SilenceGrowsBackToCap)
 {
-    WindowController ctl(1000, 4, true);
+    WindowController ctl(1000, 4);
     while (ctl.targetNs() > ctl.floorNs())
         ctl.observe(ctl.burstThreshold() + 1);
     // Quiet windows double the target; the cap is a hard ceiling.
@@ -111,7 +61,7 @@ TEST(WindowController, SilenceGrowsBackToCap)
 
 TEST(WindowController, ModerateTrafficHoldsTarget)
 {
-    WindowController ctl(1000, 4, true);
+    WindowController ctl(1000, 4);
     ctl.observe(ctl.burstThreshold() + 1);
     sim::SimTime held = ctl.targetNs();
     // Between silence and burst the target holds steady.
@@ -122,9 +72,9 @@ TEST(WindowController, ModerateTrafficHoldsTarget)
 
 TEST(WindowController, BurstThresholdScalesWithCutWidth)
 {
-    EXPECT_EQ(WindowController(10, 0, true).burstThreshold(), 64u);
-    EXPECT_EQ(WindowController(10, 16, true).burstThreshold(), 64u);
-    EXPECT_EQ(WindowController(10, 100, true).burstThreshold(), 400u);
+    EXPECT_EQ(WindowController(10, 0).burstThreshold(), 64u);
+    EXPECT_EQ(WindowController(10, 16).burstThreshold(), 64u);
+    EXPECT_EQ(WindowController(10, 100).burstThreshold(), 400u);
 }
 
 TEST(WindowController, IdenticalObservationsReplayIdenticalTargets)
@@ -134,8 +84,8 @@ TEST(WindowController, IdenticalObservationsReplayIdenticalTargets)
     std::vector<uint64_t> observations = {0,   500, 0, 100000, 100000,
                                           0,   0,   3, 100000, 0,
                                           999, 0,   0, 100000, 64};
-    WindowController a(2000, 8, true);
-    WindowController b(2000, 8, true);
+    WindowController a(2000, 8);
+    WindowController b(2000, 8);
     for (uint64_t n : observations) {
         a.observe(n);
         b.observe(n);
@@ -147,7 +97,7 @@ TEST(WindowController, ZeroFloorStaysZero)
 {
     // A zero floor (no cut, or a degenerate zero-latency cut the
     // engine refuses anyway) must not blow up into a nonzero cap.
-    WindowController ctl(0, 0, true);
+    WindowController ctl(0, 0);
     EXPECT_EQ(ctl.capNs(), 0u);
     EXPECT_EQ(ctl.targetNs(), 0u);
     ctl.observe(0);
@@ -157,30 +107,13 @@ TEST(WindowController, ZeroFloorStaysZero)
 TEST(WindowController, HugeFloorSaturatesInsteadOfOverflowing)
 {
     sim::SimTime floor = sim::simTimeNever >> 2;
-    WindowController ctl(floor, 1, true);
+    WindowController ctl(floor, 1);
     EXPECT_GE(ctl.capNs(), floor);
     EXPECT_LT(ctl.capNs(), sim::simTimeNever);
     // Doubling from a near-saturated target must stay clamped.
     ctl.observe(0);
     ctl.observe(0);
     EXPECT_EQ(ctl.targetNs(), ctl.capNs());
-}
-
-TEST(WindowController, DefaultFollowsEnvironmentFlag)
-{
-    {
-        EnvVar unset("BGPBENCH_NO_ADAPTIVE_SYNC", nullptr);
-        EXPECT_TRUE(topo::adaptiveSyncDefault());
-    }
-    {
-        EnvVar set("BGPBENCH_NO_ADAPTIVE_SYNC", "1");
-        EXPECT_FALSE(topo::adaptiveSyncDefault());
-    }
-    {
-        // Exactly "1", like the other BGPBENCH_NO_* one-flags.
-        EnvVar other("BGPBENCH_NO_ADAPTIVE_SYNC", "yes");
-        EXPECT_TRUE(topo::adaptiveSyncDefault());
-    }
 }
 
 TEST(StealDeque, OwnerPopsFifoThiefPopsLifo)

@@ -43,13 +43,14 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "bgp/attr_intern.hh"
 #include "core/benchmark_runner.hh"
@@ -60,7 +61,6 @@
 #include "obs/export.hh"
 #include "obs/process_memory.hh"
 #include "obs/observability.hh"
-#include "obs/views.hh"
 #include "serve/serve_runner.hh"
 #include "stats/json.hh"
 #include "stats/report.hh"
@@ -86,9 +86,6 @@ struct CliOptions
     uint64_t mraiMs = 0;
     bool csv = false;
     bool json = false;
-    /** Deprecated aliases for --stats views of two subsystems. */
-    bool internStats = false;
-    bool wireStats = false;
     /** --stats: export the run's metric registry to stderr. */
     bool stats = false;
     obs::ExportFormat statsFormat = obs::ExportFormat::Text;
@@ -109,8 +106,6 @@ struct CliOptions
     size_t prefixesPerNode = 1;
     /** Worker threads for topo runs: 1 sequential, 0 = auto. */
     size_t jobs = 1;
-    /** Adaptive sync windows in the parallel engine. */
-    bool adaptiveSync = true;
     /** BGP maximum-paths (ECMP width) for topo/serve runs. */
     size_t maxPaths = 1;
     /** serve command (defaults resolved from RuntimeConfig). */
@@ -153,16 +148,6 @@ usage(int code)
         "(text | csv | json)\n"
         "  --trace FILE             write a Chrome trace_event JSON "
         "of the run\n"
-        "  --no-intern              disable attribute-set interning\n"
-        "  --no-prefix-tree         per-RIB hash maps instead of the\n"
-        "                           shared prefix tree\n"
-        "  --no-segment-sharing     disable wire segment sharing\n"
-        "  --no-adaptive-sync       fixed lookahead windows in the\n"
-        "                           parallel topology engine\n"
-        "  --intern-stats           deprecated: interner view of "
-        "--stats (removal planned; see README)\n"
-        "  --wire-stats             deprecated: segment-pool view of "
-        "--stats (removal planned; see README)\n"
         "\n"
         "topo options:\n"
         "  --shape NAME             line | ring | star | mesh | "
@@ -197,6 +182,31 @@ usage(int code)
     std::exit(code);
 }
 
+/**
+ * Parse all of @p text as a non-negative number of type T for
+ * @p option: no sign, no surrounding garbage, no overflow of T, and a
+ * finite value for floating-point options. Anything else is a usage
+ * error: one error line and exit status 2.
+ */
+template <typename T>
+T
+parseNumber(const std::string &option, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    bool ok = ec == std::errc() && stop == end && text[0] != '-';
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::cerr << "error: " << option
+                  << " expects a non-negative number, got '" << text
+                  << "'\n";
+        std::exit(2);
+    }
+    return value;
+}
+
 CliOptions
 parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
 {
@@ -219,36 +229,23 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
         if (arg == "--system") {
             options.system = value();
         } else if (arg == "--scenario") {
-            options.scenario = std::atoi(value().c_str());
+            options.scenario = parseNumber<int>(arg, value());
         } else if (arg == "--prefixes") {
-            options.prefixes =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.prefixes = parseNumber<size_t>(arg, value());
         } else if (arg == "--seed") {
-            options.seed =
-                std::strtoull(value().c_str(), nullptr, 10);
+            options.seed = parseNumber<uint64_t>(arg, value());
         } else if (arg == "--cross-mbps") {
-            options.crossMbps = std::atof(value().c_str());
+            options.crossMbps = parseNumber<double>(arg, value());
         } else if (arg == "--steps") {
-            options.steps = std::atoi(value().c_str());
+            options.steps = parseNumber<int>(arg, value());
         } else if (arg == "--damping") {
             runtime.overrideDamping(true);
         } else if (arg == "--mrai-ms") {
-            runtime.overrideMraiMs(
-                std::strtoull(value().c_str(), nullptr, 10));
+            runtime.overrideMraiMs(parseNumber<uint64_t>(arg, value()));
         } else if (arg == "--csv") {
             options.csv = true;
         } else if (arg == "--json") {
             options.json = true;
-        } else if (arg == "--intern-stats" || arg == "--wire-stats") {
-            if (!options.internStats && !options.wireStats) {
-                std::cerr << "note: --intern-stats and --wire-stats "
-                             "are deprecated aliases of --stats and "
-                             "will be removed (see README)\n";
-            }
-            if (arg == "--intern-stats")
-                options.internStats = true;
-            else
-                options.wireStats = true;
         } else if (arg == "--stats") {
             options.stats = true;
         } else if (arg.rfind("--stats=", 0) == 0) {
@@ -261,60 +258,41 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
             }
         } else if (arg == "--trace") {
             options.tracePath = value();
-        } else if (arg == "--no-intern") {
-            runtime.overrideIntern(false);
-        } else if (arg == "--no-prefix-tree") {
-            runtime.overridePrefixTree(false);
-        } else if (arg == "--no-segment-sharing") {
-            runtime.overrideSegmentSharing(false);
-        } else if (arg == "--no-adaptive-sync") {
-            runtime.overrideAdaptiveSync(false);
         } else if (arg == "--shape") {
             options.shape = value();
         } else if (arg == "--nodes") {
-            options.nodes =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.nodes = parseNumber<size_t>(arg, value());
         } else if (arg == "--fault") {
             options.fault = value();
         } else if (arg == "--link") {
-            options.faultLink =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.faultLink = parseNumber<size_t>(arg, value());
         } else if (arg == "--node") {
-            options.faultNode =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.faultNode = parseNumber<size_t>(arg, value());
         } else if (arg == "--downtime-ms") {
-            options.downtimeMs =
-                std::strtoull(value().c_str(), nullptr, 10);
+            options.downtimeMs = parseNumber<uint64_t>(arg, value());
         } else if (arg == "--flap-period-ms") {
-            options.flapPeriodMs =
-                std::strtoull(value().c_str(), nullptr, 10);
+            options.flapPeriodMs = parseNumber<uint64_t>(arg, value());
             if (options.flapPeriodMs == 0) {
                 std::cerr << "--flap-period-ms needs a value >= 1\n";
                 usage(2);
             }
         } else if (arg == "--flap-cycles") {
-            options.flapCycles =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.flapCycles = parseNumber<size_t>(arg, value());
         } else if (arg == "--prefixes-per-node") {
-            options.prefixesPerNode =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            options.prefixesPerNode = parseNumber<size_t>(arg, value());
         } else if (arg == "--jobs") {
-            runtime.overrideJobs(
-                size_t(std::strtoull(value().c_str(), nullptr, 10)));
+            runtime.overrideJobs(parseNumber<size_t>(arg, value()));
         } else if (arg == "--max-paths") {
-            size_t paths =
-                size_t(std::strtoull(value().c_str(), nullptr, 10));
+            size_t paths = parseNumber<size_t>(arg, value());
             if (paths == 0) {
                 std::cerr << "--max-paths needs a value >= 1\n";
                 usage(2);
             }
             runtime.overrideMaxPaths(paths);
         } else if (arg == "--readers") {
-            runtime.overrideServeReaders(
-                size_t(std::strtoull(value().c_str(), nullptr, 10)));
+            runtime.overrideServeReaders(parseNumber<size_t>(arg, value()));
         } else if (arg == "--queries") {
-            options.serveQueries =
-                std::strtoull(value().c_str(), nullptr, 10);
+            options.serveQueries = parseNumber<uint64_t>(arg, value());
         } else if (arg == "--query-mix") {
             std::string mix = value();
             workload::QueryMix parsed;
@@ -325,7 +303,7 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
             runtime.overrideQueryMix(mix);
         } else if (arg == "--snapshot-every") {
             runtime.overrideSnapshotEvery(
-                std::strtoull(value().c_str(), nullptr, 10));
+                parseNumber<uint64_t>(arg, value()));
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
@@ -336,7 +314,6 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
     // env < CLI: BGPBENCH_JOBS seeds the default, --jobs overrides
     // (likewise for the serve knobs).
     options.jobs = runtime.jobs();
-    options.adaptiveSync = runtime.adaptiveSync();
     options.maxPaths = runtime.maxPaths();
     options.damping = runtime.damping();
     options.mraiMs = runtime.mraiMs();
@@ -534,7 +511,6 @@ cmdTopo(const CliOptions &options)
     spec.topology = topoByShape(options);
     spec.prefixesPerNode = options.prefixesPerNode;
     spec.simConfig.jobs = options.jobs;
-    spec.simConfig.adaptiveSync = options.adaptiveSync;
     spec.simConfig.maxPaths = options.maxPaths;
     if (options.damping)
         spec.simConfig.damping = topo::churnDampingConfig();
@@ -588,15 +564,9 @@ cmdTopo(const CliOptions &options)
             jobs = std::max<size_t>(
                 1, std::thread::hardware_concurrency());
         }
-        // Mirror the engine's shard target: adaptive mode
-        // over-decomposes to 2x jobs so idle workers have shards to
-        // steal.
         topo::Topology shape = topoByShape(options);
-        size_t shard_target = jobs;
-        if (jobs > 1 && options.adaptiveSync)
-            shard_target = std::min(shape.nodeCount(), jobs * 2);
-        topo::Partition part =
-            topo::partitionTopology(shape, shard_target);
+        topo::Partition part = topo::partitionTopology(
+            shape, topo::shardTarget(shape.nodeCount(), jobs));
         std::cerr << "parallel: " << part.shardCount << " shard(s), "
                   << part.cutLinks << " cut link(s) ("
                   << stats::formatDouble(part.edgeCutRatio * 100.0, 1)
@@ -633,7 +603,6 @@ cmdServe(const CliOptions &options)
     serve::ServeRunConfig config;
     config.scenario.prefixesPerNode = options.prefixesPerNode;
     config.scenario.simConfig.jobs = options.jobs;
-    config.scenario.simConfig.adaptiveSync = options.adaptiveSync;
     config.scenario.simConfig.maxPaths = options.maxPaths;
     if (options.damping)
         config.scenario.simConfig.damping = topo::churnDampingConfig();
@@ -693,7 +662,7 @@ int
 emitObservability(const CliOptions &options,
                   obs::RunObservability &observability)
 {
-    if (options.stats || options.internStats || options.wireStats) {
+    if (options.stats) {
         // The main thread's interner and the process-wide pool; in
         // parallel topology runs worker-thread interners have their
         // own (inaccessible) instances, matching the old flags.
@@ -701,19 +670,9 @@ emitObservability(const CliOptions &options,
             observability.metrics);
         net::BufferPool::global().publishStats(observability.metrics);
         obs::publishProcessMemory(observability.metrics);
-    }
-    if (options.stats) {
         obs::exportMetrics(std::cerr,
                            observability.metrics.snapshot(),
                            options.statsFormat);
-    }
-    if (options.internStats) {
-        obs::printDedupView(std::cerr, "attribute interner",
-                            observability.metrics);
-    }
-    if (options.wireStats) {
-        obs::printWireView(std::cerr, "wire segment pool",
-                           observability.metrics);
     }
     if (!options.tracePath.empty()) {
         std::ofstream out(options.tracePath,
@@ -737,7 +696,6 @@ main(int argc, char **argv)
         core::RuntimeConfig runtime =
             core::RuntimeConfig::fromEnvironment();
         CliOptions options = parseArgs(argc, argv, runtime);
-        runtime.apply();
 
         if (options.command == "config") {
             runtime.dump(std::cout);
