@@ -75,22 +75,22 @@ namespace
 {
 
 /**
- * Append one attribute with header. Uses the extended-length flag
+ * Append one attribute header for a value of @p size bytes; the caller
+ * writes the value straight after it. Uses the extended-length flag
  * automatically when the value exceeds 255 bytes.
  */
 void
-writeAttribute(net::ByteWriter &writer, uint8_t flags, AttrType type,
-               const std::vector<uint8_t> &value)
+writeHeader(net::ByteWriter &writer, uint8_t flags, AttrType type,
+            size_t size)
 {
-    if (value.size() > 255)
+    if (size > 255)
         flags |= attr_flags::extendedLength;
     writer.writeU8(flags);
     writer.writeU8(uint8_t(type));
     if (flags & attr_flags::extendedLength)
-        writer.writeU16(uint16_t(value.size()));
+        writer.writeU16(uint16_t(size));
     else
-        writer.writeU8(uint8_t(value.size()));
-    writer.writeBytes(value);
+        writer.writeU8(uint8_t(size));
 }
 
 constexpr uint8_t wellKnown = attr_flags::transitive;
@@ -103,72 +103,55 @@ constexpr uint8_t optNonTransitive = attr_flags::optional;
 void
 PathAttributes::encode(net::ByteWriter &writer) const
 {
-    // ORIGIN
-    writeAttribute(writer, wellKnown, AttrType::Origin,
-                   {uint8_t(origin)});
+    // Every value size is known up front (the same figures
+    // encodedSize() adds up), so each header is written first and the
+    // value follows in place — no per-attribute staging buffer.
+    writeHeader(writer, wellKnown, AttrType::Origin, 1);
+    writer.writeU8(uint8_t(origin));
 
-    // AS_PATH
-    {
-        net::ByteWriter value(asPath.encodedValueSize());
-        asPath.encodeValue(value);
-        writeAttribute(writer, wellKnown, AttrType::AsPath,
-                       value.bytes());
-    }
+    writeHeader(writer, wellKnown, AttrType::AsPath,
+                asPath.encodedValueSize());
+    asPath.encodeValue(writer);
 
-    // NEXT_HOP
-    {
-        net::ByteWriter value(4);
-        value.writeAddress(nextHop);
-        writeAttribute(writer, wellKnown, AttrType::NextHop,
-                       value.bytes());
-    }
+    writeHeader(writer, wellKnown, AttrType::NextHop, 4);
+    writer.writeAddress(nextHop);
 
     if (med) {
-        net::ByteWriter value(4);
-        value.writeU32(*med);
-        writeAttribute(writer, optNonTransitive,
-                       AttrType::MultiExitDisc, value.bytes());
+        writeHeader(writer, optNonTransitive, AttrType::MultiExitDisc, 4);
+        writer.writeU32(*med);
     }
 
     if (localPref) {
-        net::ByteWriter value(4);
-        value.writeU32(*localPref);
-        writeAttribute(writer, wellKnown, AttrType::LocalPref,
-                       value.bytes());
+        writeHeader(writer, wellKnown, AttrType::LocalPref, 4);
+        writer.writeU32(*localPref);
     }
 
     if (atomicAggregate)
-        writeAttribute(writer, wellKnown, AttrType::AtomicAggregate, {});
+        writeHeader(writer, wellKnown, AttrType::AtomicAggregate, 0);
 
     if (aggregator) {
-        net::ByteWriter value(6);
-        value.writeU16(aggregator->asn);
-        value.writeAddress(aggregator->address);
-        writeAttribute(writer, optTransitive, AttrType::Aggregator,
-                       value.bytes());
+        writeHeader(writer, optTransitive, AttrType::Aggregator, 6);
+        writer.writeU16(aggregator->asn);
+        writer.writeAddress(aggregator->address);
     }
 
     if (!communities.empty()) {
-        net::ByteWriter value(4 * communities.size());
+        writeHeader(writer, optTransitive, AttrType::Community,
+                    4 * communities.size());
         for (uint32_t community : communities)
-            value.writeU32(community);
-        writeAttribute(writer, optTransitive, AttrType::Community,
-                       value.bytes());
+            writer.writeU32(community);
     }
 
     if (originatorId) {
-        net::ByteWriter value(4);
-        value.writeU32(*originatorId);
-        writeAttribute(writer, optNonTransitive,
-                       AttrType::OriginatorId, value.bytes());
+        writeHeader(writer, optNonTransitive, AttrType::OriginatorId, 4);
+        writer.writeU32(*originatorId);
     }
 
     if (!clusterList.empty()) {
-        net::ByteWriter value(4 * clusterList.size());
+        writeHeader(writer, optNonTransitive, AttrType::ClusterList,
+                    4 * clusterList.size());
         for (uint32_t cluster : clusterList)
-            value.writeU32(cluster);
-        writeAttribute(writer, optNonTransitive,
-                       AttrType::ClusterList, value.bytes());
+            writer.writeU32(cluster);
     }
 }
 

@@ -4,14 +4,12 @@ namespace bgpbench::bgp
 {
 
 SharedPrefixTable::Slot
-SharedPrefixTable::acquire(const net::Prefix &prefix)
+SharedPrefixTable::resolve(const net::Prefix &prefix)
 {
     bool inserted = false;
     Slot *entry = tree_.findOrInsert(prefix, &inserted);
-    if (!inserted) {
-        ++slotRefs_[*entry];
+    if (!inserted)
         return *entry;
-    }
     Slot slot;
     if (!freeSlots_.empty()) {
         slot = freeSlots_.back();
@@ -22,7 +20,7 @@ SharedPrefixTable::acquire(const net::Prefix &prefix)
         slotRefs_.push_back(0);
     }
     slotPrefix_[slot] = prefix;
-    slotRefs_[slot] = 1;
+    slotRefs_[slot] = 0;
     *entry = slot;
     return slot;
 }

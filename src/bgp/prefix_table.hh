@@ -35,7 +35,7 @@ namespace bgpbench::bgp
 /**
  * The shared prefix -> slot table one speaker's RIBs sit on.
  *
- * A slot is live while any column references it (acquire/addRef/
+ * A slot is live while any column references it (resolve/addRef/
  * release are the column-side protocol); releasing the last reference
  * erases the prefix from the tree and recycles the slot. slotSpan()
  * only grows, so a column sized to slotSpan() can always be indexed
@@ -56,12 +56,14 @@ class SharedPrefixTable
     }
 
     /**
-     * Find-or-create the slot for @p prefix and take one reference on
-     * it. Every acquire must be balanced by one release.
+     * Find-or-create the slot for @p prefix with one tree walk, without
+     * taking a reference. A created slot starts with none: the caller
+     * must addRef() it before the next release() or resolve() on this
+     * table. Every addRef must be balanced by one release.
      */
-    Slot acquire(const net::Prefix &prefix);
+    Slot resolve(const net::Prefix &prefix);
 
-    /** Take an additional reference on a live slot. */
+    /** Take a reference on a slot from resolve() or a live slot. */
     void
     addRef(Slot slot)
     {

@@ -3,25 +3,24 @@
 namespace bgpbench::bgp
 {
 
-bool
+AdjRibIn::Write
 AdjRibIn::update(const net::Prefix &prefix, PathAttributesPtr received,
                  PathAttributesPtr effective)
 {
-    auto [entry, inserted] = store_.obtain(prefix);
-    if (!inserted &&
-        sameAttributeValue(entry->received, received) &&
-        sameAttributeValue(entry->effective, effective)) {
-        return false;
+    auto [slot, entry, inserted] = store_.obtain(prefix);
+    Write write{slot, true, false};
+    if (!inserted) {
+        bool same_received = sameAttributeValue(entry->received, received);
+        write.attributeChange = entry->received && !same_received;
+        if (same_received &&
+            sameAttributeValue(entry->effective, effective)) {
+            write.changed = false;
+            return write;
+        }
     }
     entry->received = std::move(received);
     entry->effective = std::move(effective);
-    return true;
-}
-
-bool
-AdjRibIn::withdraw(const net::Prefix &prefix)
-{
-    return store_.erase(prefix);
+    return write;
 }
 
 const AdjRibIn::Entry *
@@ -30,20 +29,14 @@ AdjRibIn::find(const net::Prefix &prefix) const
     return store_.find(prefix);
 }
 
-bool
-LocRib::select(const net::Prefix &prefix, Candidate best)
-{
-    return select(prefix, std::move(best), {}).bestChanged;
-}
-
 LocRib::SelectOutcome
-LocRib::select(const net::Prefix &prefix, Candidate best,
+LocRib::assign(detail::RibStore<Entry>::Obtained obtained, Candidate best,
                std::vector<Candidate> multipath)
 {
-    auto [entry, inserted] = store_.obtain(prefix);
+    Entry *entry = obtained.entry;
     SelectOutcome outcome;
     outcome.bestChanged =
-        inserted ||
+        obtained.inserted ||
         !sameAttributeValue(entry->best.attributes,
                             best.attributes) ||
         entry->best.peer != best.peer;
@@ -61,9 +54,18 @@ LocRib::select(const net::Prefix &prefix, Candidate best,
 }
 
 bool
-LocRib::remove(const net::Prefix &prefix)
+LocRib::select(const net::Prefix &prefix, Candidate best)
 {
-    return store_.erase(prefix);
+    return assign(store_.obtain(prefix), std::move(best), {})
+        .bestChanged;
+}
+
+LocRib::SelectOutcome
+LocRib::selectAt(Slot slot, Candidate best,
+                 std::vector<Candidate> multipath)
+{
+    return assign(store_.obtainAt(slot), std::move(best),
+                  std::move(multipath));
 }
 
 const LocRib::Entry *
@@ -73,13 +75,12 @@ LocRib::find(const net::Prefix &prefix) const
 }
 
 bool
-AdjRibOut::assign(std::pair<PathAttributesPtr *, bool> entry,
+AdjRibOut::assign(detail::RibStore<PathAttributesPtr>::Obtained obtained,
                   PathAttributesPtr attrs)
 {
-    auto [stored, inserted] = entry;
-    if (!inserted && sameAttributeValue(*stored, attrs))
+    if (!obtained.inserted && sameAttributeValue(*obtained.entry, attrs))
         return false;
-    *stored = std::move(attrs);
+    *obtained.entry = std::move(attrs);
     return true;
 }
 
@@ -98,7 +99,7 @@ AdjRibOut::advertiseAt(Slot slot, PathAttributesPtr attrs)
 bool
 AdjRibOut::withdraw(const net::Prefix &prefix)
 {
-    return store_.erase(prefix);
+    return store_.erase(prefix) != SharedPrefixTable::npos;
 }
 
 const PathAttributesPtr *

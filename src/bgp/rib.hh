@@ -40,7 +40,7 @@ namespace detail
  * over a SharedPrefixTable.
  *
  * Column entries hold one table reference per present slot
- * (acquire/addRef on set, release on erase/clear), so a prefix leaves
+ * (resolve/addRef on set, release on erase/clear), so a prefix leaves
  * the shared tree exactly when the last RIB drops it. The destructor
  * deliberately does NOT release slots: RIBs and their table are torn
  * down together (speaker destruction), and member destruction order
@@ -83,38 +83,47 @@ class RibStore
         return &column_[slot];
     }
 
-    /**
-     * Mutable find-or-create.
-     * @return {entry, inserted}; the pointer is valid until the next
-     *         mutation of this store or the shared table.
-     */
-    std::pair<Entry *, bool>
+    /** Result of a find-or-create. */
+    struct Obtained
+    {
+        Slot slot;
+        /** Valid until the next mutation of this store or the table. */
+        Entry *entry;
+        bool inserted;
+    };
+
+    /** Mutable find-or-create with a single tree walk. */
+    Obtained
     obtain(const net::Prefix &prefix)
     {
-        Slot slot = table_->find(prefix);
-        if (slot != npos && slot < present_.size() && present_[slot])
-            return {&column_[slot], false};
-        slot = table_->acquire(prefix);
-        return {occupy(slot), true};
+        return obtainAt(table_->resolve(prefix));
     }
 
     /**
-     * Find-or-create by pre-resolved live slot (takes a reference on
-     * miss without re-walking the tree).
+     * Find-or-create by a slot from resolve() or a live slot (takes
+     * this column's reference on miss without walking the tree).
      */
-    std::pair<Entry *, bool>
+    Obtained
     obtainAt(Slot slot)
     {
         if (slot < present_.size() && present_[slot])
-            return {&column_[slot], false};
+            return {slot, &column_[slot], false};
         table_->addRef(slot);
-        return {occupy(slot), true};
+        return {slot, occupy(slot), true};
     }
 
-    bool
+    /**
+     * Erase by prefix.
+     * @return The slot the entry occupied, or npos if there was none.
+     *         When this dropped the slot's last reference the slot is
+     *         already free: every column reads it as absent until a
+     *         later resolve() reuses it.
+     */
+    Slot
     erase(const net::Prefix &prefix)
     {
-        return eraseAt(table_->find(prefix));
+        Slot slot = table_->find(prefix);
+        return eraseAt(slot) ? slot : npos;
     }
 
     /** Erase by pre-resolved slot; npos-safe. */
@@ -241,22 +250,40 @@ class AdjRibIn
         PathAttributesPtr effective;
     };
 
+    /** What update() did. */
+    struct Write
+    {
+        /**
+         * The prefix's shared-table slot, live while this RIB holds
+         * the route: the speaker threads it through the decision so
+         * the tree is walked once per NLRI.
+         */
+        Slot slot = SharedPrefixTable::npos;
+        /** The stored entry changed. */
+        bool changed = false;
+        /**
+         * An existing route's received attributes changed value (the
+         * "attribute change" flap of RFC 2439 damping).
+         */
+        bool attributeChange = false;
+    };
+
     AdjRibIn() = default;
     /** Column over the speaker's shared table. */
     explicit AdjRibIn(SharedPrefixTable &table) : store_(table) {}
 
-    /**
-     * Insert or replace the route for @p prefix.
-     * @return True if this changed the stored entry.
-     */
-    bool update(const net::Prefix &prefix, PathAttributesPtr received,
-                PathAttributesPtr effective);
+    /** Insert or replace the route for @p prefix. */
+    Write update(const net::Prefix &prefix, PathAttributesPtr received,
+                 PathAttributesPtr effective);
 
     /**
      * Remove the route for @p prefix.
-     * @return True if a route was present.
+     * @return The slot the route occupied, or npos if none was
+     *         present. The slot may already be free (see
+     *         detail::RibStore::erase): it is only good for reads and
+     *         removals until the next resolve on the table.
      */
-    bool withdraw(const net::Prefix &prefix);
+    Slot withdraw(const net::Prefix &prefix) { return store_.erase(prefix); }
 
     /** The entry for @p prefix, or nullptr. */
     const Entry *find(const net::Prefix &prefix) const;
@@ -329,21 +356,25 @@ class LocRib
     bool select(const net::Prefix &prefix, Candidate best);
 
     /**
-     * Install/replace the full ECMP group for @p prefix.
-     * @p multipath holds the group members beyond best, in decision
-     * group order. With an empty @p multipath this degenerates to the
-     * single-path select() (same change detection).
+     * Install/replace the route group of a live slot: best plus, with
+     * maximum-paths > 1, the ECMP members beyond it in decision group
+     * order. With an empty @p multipath this is select() by slot
+     * (same change detection).
      */
-    SelectOutcome select(const net::Prefix &prefix, Candidate best,
-                         std::vector<Candidate> multipath);
+    SelectOutcome selectAt(Slot slot, Candidate best,
+                           std::vector<Candidate> multipath = {});
 
     /**
-     * Remove @p prefix entirely (no candidate remains).
+     * Remove the entry at @p slot entirely (no candidate remains);
+     * npos-safe.
      * @return True if an entry was removed.
      */
-    bool remove(const net::Prefix &prefix);
+    bool removeAt(Slot slot) { return store_.eraseAt(slot); }
 
     const Entry *find(const net::Prefix &prefix) const;
+
+    /** The entry by pre-resolved slot (npos-safe). */
+    const Entry *findAt(Slot slot) const { return store_.findAt(slot); }
 
     size_t size() const { return store_.size(); }
     bool empty() const { return store_.empty(); }
@@ -369,6 +400,11 @@ class LocRib
     }
 
   private:
+    /** Store a selection in @p obtained's entry; report the change. */
+    static SelectOutcome
+    assign(detail::RibStore<Entry>::Obtained obtained, Candidate best,
+           std::vector<Candidate> multipath);
+
     detail::RibStore<Entry> store_;
 };
 
@@ -427,9 +463,11 @@ class AdjRibOut
     }
 
   private:
-    /** Store @p attrs in @p entry unless it already holds that value. */
-    static bool assign(std::pair<PathAttributesPtr *, bool> entry,
-                       PathAttributesPtr attrs);
+    /** Store @p attrs in @p obtained's entry unless it holds that
+     *  value already. */
+    static bool
+    assign(detail::RibStore<PathAttributesPtr>::Obtained obtained,
+           PathAttributesPtr attrs);
 
     detail::RibStore<PathAttributesPtr> store_;
 };

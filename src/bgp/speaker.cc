@@ -207,7 +207,7 @@ sameUpdateContent(const UpdateMessage &a, const UpdateMessage &b)
 
 void
 BgpSpeaker::transmitUpdates(Peer &peer,
-                            std::vector<UpdateMessage> &&updates)
+                            std::vector<UpdateMessage> &updates)
 {
     for (auto &update : updates) {
         size_t transactions = update.transactionCount();
@@ -217,22 +217,25 @@ BgpSpeaker::transmitUpdates(Peer &peer,
         bump(obs_.prefixesAdvertised, transactions);
 
         net::WireSegmentPtr wire;
-        auto &bucket = encodeCache_[updateContentHash(update)];
-        for (const auto &cached : bucket) {
-            if (sameUpdateContent(cached.message, update)) {
-                wire = cached.wire;
-                break;
-            }
-        }
-        if (wire) {
-            net::BufferPool::global().noteShared(wire->size());
-        } else {
+        bool inserted = false;
+        uint32_t &cached = encodeIndex_.findOrInsert(
+            updateContentHash(update),
+            [&](uint32_t i) {
+                return sameUpdateContent(encodeCache_[i].message, update);
+            },
+            inserted);
+        if (inserted) {
+            cached = uint32_t(encodeCache_.size());
             wire = encodeSegment(update);
-            bucket.push_back(CachedWire{std::move(update), wire});
+            encodeCache_.push_back(CachedWire{std::move(update), wire});
+        } else {
+            wire = encodeCache_[cached].wire;
+            net::BufferPool::global().noteShared(wire->size());
         }
         events_->onTransmit(peer.config.id, MessageType::Update,
                             std::move(wire), transactions);
     }
+    updates.clear();
 }
 
 void
@@ -408,9 +411,7 @@ BgpSpeaker::pollTimers(TimeNs now)
     // Routes whose damping penalty decayed below the reuse threshold
     // re-enter the decision process (RFC 2439 reuse lists).
     if (config_.damping.enabled) {
-        UpdateStats stats;
-        for (const auto &[peer, prefix] : damper_.takeReusable(now))
-            runDecision(prefix, stats, now);
+        readmitReusable(now);
         flushPending(now);
         syncDampingObs();
     }
@@ -420,11 +421,8 @@ void
 BgpSpeaker::serviceWakeup(TimeNs now)
 {
     wakeupArmedAt_ = 0;
-    if (config_.damping.enabled) {
-        UpdateStats stats;
-        for (const auto &[peer, prefix] : damper_.takeReusable(now))
-            runDecision(prefix, stats, now);
-    }
+    if (config_.damping.enabled)
+        readmitReusable(now);
     flushPending(now);
     if (config_.damping.enabled) {
         armDampingWakeup(now);
@@ -439,6 +437,14 @@ BgpSpeaker::requestWakeup(TimeNs at)
         return;
     wakeupArmedAt_ = at;
     events_->onWakeupRequested(at);
+}
+
+void
+BgpSpeaker::readmitReusable(TimeNs now)
+{
+    UpdateStats stats;
+    for (const auto &[peer, prefix] : damper_.takeReusable(now))
+        runDecision(prefix, prefixTable_->find(prefix), stats, now);
 }
 
 void
@@ -479,12 +485,15 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
              obs_.track, [now] { return now; });
     UpdateStats stats;
 
+    // Each prefix's slot in the shared table is resolved once, by its
+    // Adj-RIB-In write (or withdraw), and threaded through the decision
+    // to the Loc-RIB and every Adj-RIB-Out.
     for (const auto &prefix : msg.withdrawnRoutes) {
         ++counters_.withdrawalsProcessed;
         ++stats.withdrawnPrefixes;
         damper_.onWithdraw(from.config.id, prefix, now);
-        if (from.ribIn.withdraw(prefix))
-            runDecision(prefix, stats, now);
+        if (Slot slot = from.ribIn.withdraw(prefix); slot != noSlot)
+            runDecision(prefix, slot, stats, now);
     }
 
     if (!msg.nlri.empty()) {
@@ -509,21 +518,11 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
             ++stats.announcedPrefixes;
             if (looped) {
                 ++stats.rejectedByPolicy;
-                if (from.ribIn.withdraw(prefix))
-                    runDecision(prefix, stats, now);
+                if (Slot slot = from.ribIn.withdraw(prefix);
+                    slot != noSlot)
+                    runDecision(prefix, slot, stats, now);
                 continue;
             }
-            // Flap damping: a re-announcement or attribute change of
-            // a tracked flapper accrues penalty; suppressed routes
-            // are stored but kept out of the decision process.
-            const auto *previous = from.ribIn.find(prefix);
-            bool attribute_change =
-                previous && previous->received &&
-                !sameAttributeValue(previous->received, received);
-            bool suppressed = damper_.onAnnounce(
-                from.config.id, prefix, attribute_change, now);
-            if (suppressed)
-                ++counters_.announcementsSuppressed;
 
             if (!from.config.importPolicy.empty())
                 bump(obs_.policyEvals);
@@ -533,10 +532,21 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
                 ++stats.rejectedByPolicy;
                 bump(obs_.policyRejects);
             }
-            if (from.ribIn.update(prefix, received, effective) ||
-                suppressed) {
-                runDecision(prefix, stats, now);
-            }
+            AdjRibIn::Write write =
+                from.ribIn.update(prefix, received, std::move(effective));
+
+            // Flap damping: a re-announcement or attribute change of
+            // a tracked flapper accrues penalty; suppressed routes
+            // are stored but kept out of the decision process. The
+            // write above compared against the previous entry, so
+            // this needs no lookup of its own.
+            bool suppressed = damper_.onAnnounce(
+                from.config.id, prefix, write.attributeChange, now);
+            if (suppressed)
+                ++counters_.announcementsSuppressed;
+
+            if (write.changed || suppressed)
+                runDecision(prefix, write.slot, stats, now);
         }
     }
 
@@ -552,24 +562,22 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
 }
 
 void
-BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
-                        TimeNs now)
+BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
+                        UpdateStats &stats, TimeNs now)
 {
     ++counters_.decisionRuns;
     bump(obs_.decisionRuns);
 
-    // Resolve the prefix to its shared-table slot once; every RIB of
-    // this speaker is a column over the same table, so the per-peer
-    // reads and the Adj-RIB-Out fan-out below are O(1) column
-    // accesses instead of per-peer key walks. npos when no RIB holds
-    // the prefix: then there is no candidate and nothing to withdraw.
-    const SharedPrefixTable::Slot slot = prefixTable_->find(prefix);
+    // Every RIB of this speaker is a column over the shared table, so
+    // with the prefix's slot in hand the per-peer reads, the Loc-RIB
+    // update and the Adj-RIB-Out fan-out below are O(1) column
+    // accesses, not tree walks. noSlot, or a slot the caller's
+    // withdraw just freed, reads as absent in every column: then
+    // there is no candidate and nothing to withdraw.
 
     // Collect candidates: every established peer's import-accepted
     // route plus any locally originated route.
-    std::vector<Candidate> candidates;
-    candidates.reserve(establishedPeers_.size() + 1);
-
+    std::vector<Candidate> &candidates = candidates_;
     for (Peer *peer : establishedPeers_) {
         const auto *entry = peer->ribIn.findAt(slot);
         if (!entry || !entry->effective)
@@ -594,7 +602,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
     auto best_index = selectBest(candidates, config_.decision);
 
     if (!best_index) {
-        if (locRib_.remove(prefix)) {
+        if (locRib_.removeAt(slot)) {
             ++counters_.locRibChanges;
             ++counters_.fibChanges;
             ++stats.locRibChanges;
@@ -607,20 +615,15 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, nullptr, stats);
         }
-        ++decisionsSincePublish_;
-        maybePublishRib(now, false);
-        return;
-    }
-
-    if (config_.decision.maxPaths <= 1) {
+    } else if (config_.decision.maxPaths <= 1) {
         const Candidate &best = candidates[*best_index];
-        const auto *previous = locRib_.find(prefix);
+        const auto *previous = locRib_.findAt(slot);
         bool next_hop_changed =
             !previous || !previous->best.attributes ||
             previous->best.attributes->nextHop !=
                 best.attributes->nextHop;
 
-        if (locRib_.select(prefix, best)) {
+        if (locRib_.selectAt(slot, best).bestChanged) {
             ++counters_.locRibChanges;
             ++stats.locRibChanges;
             bump(obs_.locRibChanges);
@@ -639,20 +642,30 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, &best, stats);
         }
-        ++decisionsSincePublish_;
-        maybePublishRib(now, false);
-        return;
+    } else {
+        installMultipath(prefix, slot, stats);
     }
 
+    // Release the scratch's attribute references now, as a local
+    // vector going out of scope would; the capacity stays.
+    candidates.clear();
+    ++decisionsSincePublish_;
+    maybePublishRib(now, false);
+}
+
+void
+BgpSpeaker::installMultipath(const net::Prefix &prefix, Slot slot,
+                             UpdateStats &stats)
+{
     // maximum-paths > 1: install the full ECMP group. Only the best
     // path is advertised to peers (standard BGP semantics); the
     // multipath set feeds the Loc-RIB, the FIB, and snapshots.
-    auto group = selectMultipath(candidates, config_.decision);
-    const Candidate &best = candidates[group[0]];
+    auto group = selectMultipath(candidates_, config_.decision);
+    const Candidate &best = candidates_[group[0]];
     std::vector<Candidate> multipath;
     multipath.reserve(group.size() - 1);
     for (size_t k = 1; k < group.size(); ++k)
-        multipath.push_back(candidates[group[k]]);
+        multipath.push_back(candidates_[group[k]]);
 
     // Deterministic deduplicated hop list in group order; the FIB
     // sees a change exactly when this list changes.
@@ -667,12 +680,12 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
         return hops;
     };
 
-    const auto *previous = locRib_.find(prefix);
+    const auto *previous = locRib_.findAt(slot);
     std::vector<net::Ipv4Address> previous_hops;
     if (previous && previous->best.attributes)
         previous_hops = hops_of(previous->best, previous->multipath);
 
-    auto outcome = locRib_.select(prefix, best, std::move(multipath));
+    auto outcome = locRib_.selectAt(slot, best, std::move(multipath));
     if (outcome.groupChanged) {
         ++counters_.locRibChanges;
         ++stats.locRibChanges;
@@ -680,7 +693,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
         ++ribVersion_;
         ribDirty_ = true;
 
-        const auto *entry = locRib_.find(prefix);
+        const auto *entry = locRib_.findAt(slot);
         if (!entry->multipath.empty())
             bump(obs_.ecmpGroups);
         std::vector<net::Ipv4Address> hops =
@@ -698,14 +711,12 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, UpdateStats &stats,
                 updateAdjOut(*peer, prefix, slot, &best, stats);
         }
     }
-    ++decisionsSincePublish_;
-    maybePublishRib(now, false);
 }
 
 void
 BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
-                         SharedPrefixTable::Slot slot,
-                         const Candidate *best, UpdateStats &stats)
+                         Slot slot, const Candidate *best,
+                         UpdateStats &stats)
 {
     if (!peer.fsm.established())
         return;
@@ -895,14 +906,26 @@ BgpSpeaker::flushPending(TimeNs now)
             bump(obs_.mraiDeferrals);
             continue;
         }
-        transmitUpdates(*peer, peer->pending.build());
+        peer->pending.build(outbound_);
+        transmitUpdates(*peer, outbound_);
         if (config_.mraiNs != 0)
             peer->mraiReadyAt = now + config_.mraiNs;
     }
     // The cache only needs to live across the peer loop above — that
-    // is where the same UPDATE content fans out — and dropping it now
+    // is where the same UPDATE content fans out — and emptying it now
     // stops it pinning segments after they leave the transmit queues.
+    // Its storage and the outbound vector's stay for the next flush,
+    // under the per-peer builders' retention limit.
     encodeCache_.clear();
+    encodeIndex_.reset();
+    size_t scratch_bytes = outbound_.capacity() * sizeof(UpdateMessage) +
+                           encodeCache_.capacity() * sizeof(CachedWire) +
+                           encodeIndex_.memoryBytes();
+    if (scratch_bytes > UpdateBuilder::retainBytes) {
+        encodeCache_ = {};
+        encodeIndex_ = {};
+        outbound_ = {};
+    }
     maybePublishRib(now, true);
     if (next_deadline != 0)
         requestWakeup(next_deadline);
@@ -935,8 +958,7 @@ BgpSpeaker::advertiseFullTable(Peer &peer, TimeNs now)
     OBS_SPAN(obs_.tracer, "full_table_export", "bgp",
              obs::kTrackRouters, obs_.track, [now] { return now; });
     UpdateStats stats;
-    locRib_.forEachWithSlot([&](const net::Prefix &prefix,
-                                SharedPrefixTable::Slot slot,
+    locRib_.forEachWithSlot([&](const net::Prefix &prefix, Slot slot,
                                 const LocRib::Entry &entry) {
         updateAdjOut(peer, prefix, slot, &entry.best, stats);
     });
@@ -964,7 +986,7 @@ BgpSpeaker::invalidatePeerRoutes(Peer &peer, TimeNs now)
 
     UpdateStats stats;
     for (const auto &prefix : prefixes)
-        runDecision(prefix, stats, now);
+        runDecision(prefix, prefixTable_->find(prefix), stats, now);
     flushPending(now);
 }
 
@@ -975,8 +997,8 @@ BgpSpeaker::originate(const net::Prefix &prefix,
     if (!attrs)
         fatal("originate() requires attributes");
     UpdateStats stats;
-    localRoutes_.update(prefix, attrs, attrs);
-    runDecision(prefix, stats, now);
+    Slot slot = localRoutes_.update(prefix, attrs, attrs).slot;
+    runDecision(prefix, slot, stats, now);
     flushPending(now);
 }
 
@@ -984,8 +1006,8 @@ void
 BgpSpeaker::withdrawLocal(const net::Prefix &prefix, TimeNs now)
 {
     UpdateStats stats;
-    if (localRoutes_.withdraw(prefix))
-        runDecision(prefix, stats, now);
+    if (Slot slot = localRoutes_.withdraw(prefix); slot != noSlot)
+        runDecision(prefix, slot, stats, now);
     flushPending(now);
 }
 

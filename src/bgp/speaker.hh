@@ -35,6 +35,7 @@
 #include "bgp/update_builder.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "net/flat_index.hh"
 #include "net/ipv4_address.hh"
 #include "net/prefix.hh"
 
@@ -127,7 +128,9 @@ struct SpeakerCounters
 /**
  * Event sink for everything a speaker does that the outside world can
  * observe. All callbacks are invoked synchronously from within the
- * speaker call that triggered them.
+ * speaker call that triggered them, and must not call back into that
+ * speaker (queue the work instead): the speaker reuses its decision
+ * and flush scratch storage across calls.
  */
 class SpeakerEvents
 {
@@ -359,6 +362,9 @@ class BgpSpeaker
     static constexpr PeerId localPeerId = ~PeerId(0);
 
   private:
+    using Slot = SharedPrefixTable::Slot;
+    static constexpr Slot noSlot = SharedPrefixTable::npos;
+
     struct Peer
     {
         PeerConfig config;
@@ -418,10 +424,9 @@ class BgpSpeaker
      * once per flush: a message whose content matches one already
      * encoded for another peer in the same flushPending() round (the
      * common full-mesh fan-out case) reuses the cached shared segment
-     * instead of re-encoding.
+     * instead of re-encoding. Consumes and clears @p updates.
      */
-    void transmitUpdates(Peer &peer,
-                         std::vector<UpdateMessage> &&updates);
+    void transmitUpdates(Peer &peer, std::vector<UpdateMessage> &updates);
 
     /** Decode-and-handle loop shared by the receive entry points. */
     void drainDecoder(Peer &peer, TimeNs now);
@@ -432,18 +437,27 @@ class BgpSpeaker
 
     /**
      * Re-run the decision process for @p prefix and propagate the
-     * outcome (Loc-RIB, FIB, Adj-RIB-Out).
+     * outcome (Loc-RIB, FIB, Adj-RIB-Out). @p slot is the prefix's
+     * shared-table slot as its last RIB write or withdraw resolved it
+     * (noSlot, or a slot that withdraw freed, when no RIB holds the
+     * prefix), so the decision walks no tree.
      */
-    void runDecision(const net::Prefix &prefix, UpdateStats &stats,
-                     TimeNs now);
+    void runDecision(const net::Prefix &prefix, Slot slot,
+                     UpdateStats &stats, TimeNs now);
+
+    /**
+     * The maximum-paths > 1 tail of runDecision(): install the ECMP
+     * group selected from candidates_.
+     */
+    void installMultipath(const net::Prefix &prefix, Slot slot,
+                          UpdateStats &stats);
 
     /**
      * Update a single peer's Adj-RIB-Out for the new best route.
      * @p slot is the prefix's pre-resolved shared-table slot, giving
      * the fan-out O(1) column writes.
      */
-    void updateAdjOut(Peer &peer, const net::Prefix &prefix,
-                      SharedPrefixTable::Slot slot,
+    void updateAdjOut(Peer &peer, const net::Prefix &prefix, Slot slot,
                       const Candidate *best, UpdateStats &stats);
 
     /** Flush all pending per-peer builders into UPDATE messages. */
@@ -462,6 +476,9 @@ class BgpSpeaker
      * owner's scheduler.
      */
     void requestWakeup(TimeNs at);
+
+    /** Re-run the decision for damped routes whose suppression lapsed. */
+    void readmitReusable(TimeNs now);
 
     /** Arm the wakeup for the damper's next reuse boundary, if any. */
     void armDampingWakeup(TimeNs now);
@@ -550,12 +567,17 @@ class BgpSpeaker
     std::unique_ptr<SharedPrefixTable> prefixTable_;
     std::map<PeerId, std::unique_ptr<Peer>> peers_;
     /**
-     * Per-flush encode cache: content hash of an UPDATE -> encodings
-     * produced this flushPending() round. Lives across the peer loop
-     * of one flush (that is where fan-out duplication arises) and is
+     * Per-flush encode cache: the UPDATEs encoded this flushPending()
+     * round, indexed by content hash. Lives across the peer loop of
+     * one flush (that is where fan-out duplication arises) and is
      * emptied at the end so segments are not retained once queued.
      */
-    std::unordered_map<uint64_t, std::vector<CachedWire>> encodeCache_;
+    std::vector<CachedWire> encodeCache_;
+    net::FlatIndex<uint32_t> encodeIndex_;
+    /** One peer's built UPDATEs; reused by every flush. */
+    std::vector<UpdateMessage> outbound_;
+    /** runDecision()'s candidate list; reused by every decision. */
+    std::vector<Candidate> candidates_;
     /**
      * Peers currently in Established state, sorted by peer id (the
      * iteration order of peers_). The per-prefix decision sweep and

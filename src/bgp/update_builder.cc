@@ -5,74 +5,85 @@
 namespace bgpbench::bgp
 {
 
+namespace
+{
+
+/** A prefix as an exact 64-bit key: address bits, then length. */
+uint64_t
+prefixKey(const net::Prefix &prefix)
+{
+    return (uint64_t(prefix.address().toUint32()) << 8) |
+           uint64_t(prefix.length());
+}
+
+} // namespace
+
 void
 UpdateBuilder::announce(const net::Prefix &prefix,
                         PathAttributesPtr attrs)
 {
-    removePending(prefix);
-    size_t g = groupIndexFor(attrs);
+    bool inserted = false;
+    Location &location = pending_.findOrInsert(prefixKey(prefix), inserted);
+    if (!inserted)
+        tombstone(location);
+    uint32_t g = groupFor(attrs);
     Group &group = groups_[g];
     group.prefixes.push_back(prefix);
     group.alive.push_back(1);
-    pending_.emplace(
-        prefix,
-        Location{uint32_t(g), uint32_t(group.prefixes.size() - 1)});
+    location = Location{g, uint32_t(group.prefixes.size() - 1)};
 }
 
 void
 UpdateBuilder::withdraw(const net::Prefix &prefix)
 {
-    auto it = pending_.find(prefix);
-    if (it != pending_.end()) {
-        if (it->second.group == kWithdrawal)
+    bool inserted = false;
+    Location &location = pending_.findOrInsert(prefixKey(prefix), inserted);
+    if (!inserted) {
+        if (location.group == kWithdrawal)
             return; // already pending as a withdrawal
-        Group &group = groups_[it->second.group];
-        group.alive[it->second.slot] = 0;
-        ++group.deadCount;
-        it->second =
-            Location{kWithdrawal, uint32_t(withdrawals_.size())};
-    } else {
-        pending_.emplace(
-            prefix,
-            Location{kWithdrawal, uint32_t(withdrawals_.size())});
+        tombstone(location);
     }
+    location = Location{kWithdrawal, uint32_t(withdrawals_.size())};
     withdrawals_.push_back(prefix);
     withdrawalsAlive_.push_back(1);
 }
 
-size_t
-UpdateBuilder::groupIndexFor(const PathAttributesPtr &attrs)
+uint32_t
+UpdateBuilder::groupFor(const PathAttributesPtr &attrs)
 {
-    auto [it, inserted] = groupIndex_.try_emplace(attrs);
+    bool inserted = false;
+    uint32_t &index = groupIndex_.findOrInsert(
+        attrs ? attrs->hash() : 0,
+        [&](uint32_t g) {
+            return sameAttributeValue(groups_[g].attributes, attrs);
+        },
+        inserted);
     if (inserted) {
-        it->second = groups_.size();
-        groups_.push_back(Group{attrs, {}, {}, 0});
+        index = uint32_t(groupCount_);
+        if (groupCount_ == groups_.size())
+            groups_.emplace_back();
+        groups_[groupCount_++].attributes = attrs;
     }
-    return it->second;
+    return index;
 }
 
 void
-UpdateBuilder::removePending(const net::Prefix &prefix)
+UpdateBuilder::tombstone(const Location &location)
 {
-    auto it = pending_.find(prefix);
-    if (it == pending_.end())
-        return;
-    if (it->second.group == kWithdrawal) {
-        withdrawalsAlive_[it->second.slot] = 0;
+    if (location.group == kWithdrawal) {
+        withdrawalsAlive_[location.slot] = 0;
         ++deadWithdrawals_;
     } else {
-        Group &group = groups_[it->second.group];
-        group.alive[it->second.slot] = 0;
+        Group &group = groups_[location.group];
+        group.alive[location.slot] = 0;
         ++group.deadCount;
     }
-    pending_.erase(it);
 }
 
-std::vector<UpdateMessage>
-UpdateBuilder::build()
+void
+UpdateBuilder::build(std::vector<UpdateMessage> &out)
 {
-    std::vector<UpdateMessage> messages;
-    messages.reserve(groups_.size() + 1);
+    out.reserve(out.size() + groupCount_ + 1);
 
     // Fixed per-message overhead: header (19) + withdrawn-routes
     // length (2) + attribute-block length (2).
@@ -100,7 +111,7 @@ UpdateBuilder::build()
             if ((used + need > budget || at_cap) &&
                 !msg.withdrawnRoutes.empty()) {
                 live -= msg.withdrawnRoutes.size();
-                messages.push_back(std::move(msg));
+                out.push_back(std::move(msg));
                 msg = UpdateMessage{};
                 msg.withdrawnRoutes.reserve(chunk_reserve(live));
                 used = 0;
@@ -109,12 +120,13 @@ UpdateBuilder::build()
             used += need;
         }
         if (!msg.withdrawnRoutes.empty())
-            messages.push_back(std::move(msg));
+            out.push_back(std::move(msg));
     }
 
     // Announcement messages, one run per attribute group in creation
     // order.
-    for (Group &group : groups_) {
+    for (size_t g = 0; g < groupCount_; ++g) {
+        const Group &group = groups_[g];
         size_t live = group.prefixes.size() - group.deadCount;
         if (live == 0)
             continue;
@@ -136,7 +148,7 @@ UpdateBuilder::build()
             if ((used + need > budget || at_cap) &&
                 !msg.nlri.empty()) {
                 live -= msg.nlri.size();
-                messages.push_back(std::move(msg));
+                out.push_back(std::move(msg));
                 msg = UpdateMessage{};
                 msg.attributes = group.attributes;
                 msg.nlri.reserve(chunk_reserve(live));
@@ -146,16 +158,46 @@ UpdateBuilder::build()
             used += need;
         }
         if (!msg.nlri.empty())
-            messages.push_back(std::move(msg));
+            out.push_back(std::move(msg));
     }
 
-    groups_.clear();
-    groupIndex_.clear();
+    reset();
+}
+
+size_t
+UpdateBuilder::memoryBytes() const
+{
+    size_t bytes = groups_.capacity() * sizeof(Group) +
+                   groupIndex_.memoryBytes() + pending_.memoryBytes() +
+                   withdrawals_.capacity() * sizeof(net::Prefix) +
+                   withdrawalsAlive_.capacity();
+    for (const Group &group : groups_) {
+        bytes += group.prefixes.capacity() * sizeof(net::Prefix) +
+                 group.alive.capacity();
+    }
+    return bytes;
+}
+
+void
+UpdateBuilder::reset()
+{
+    for (size_t g = 0; g < groupCount_; ++g) {
+        Group &group = groups_[g];
+        // Drop the attribute reference so a queued-then-flushed set is
+        // not kept alive by an idle builder.
+        group.attributes.reset();
+        group.prefixes.clear();
+        group.alive.clear();
+        group.deadCount = 0;
+    }
+    groupCount_ = 0;
+    groupIndex_.reset();
     withdrawals_.clear();
     withdrawalsAlive_.clear();
     deadWithdrawals_ = 0;
-    pending_.clear();
-    return messages;
+    pending_.reset();
+    if (memoryBytes() > retainBytes)
+        *this = UpdateBuilder(options_);
 }
 
 } // namespace bgpbench::bgp

@@ -10,11 +10,20 @@
  * "small" (1 prefix) versus "large" (500 prefixes) packets (Table I).
  *
  * Grouping is indexed: attribute sets resolve to their group through a
- * hash map (pointer identity for interned sets, content hash plus deep
- * equality otherwise), and every pending prefix records its location
- * so superseding a pending change is O(1). The full-table
- * advertisement path of the paper's scenarios used to scan
- * O(groups × prefixes); both scans are gone.
+ * hash index (content hash, then value equality with the pointer fast
+ * path), and every pending prefix records its location so superseding
+ * a pending change is O(1). The full-table advertisement path of the
+ * paper's scenarios used to scan O(groups × prefixes); both scans are
+ * gone.
+ *
+ * A speaker keeps one builder per peer and flushes it after every
+ * inbound UPDATE, so build() resets the builder's storage instead of
+ * freeing it: the group slots, their prefix vectors and both indexes
+ * (net::FlatIndex) are reused by the next flush, and queueing a change
+ * allocates nothing once they have grown to the working-set size. A
+ * flush that leaves more than retainBytes of storage behind (a
+ * full-table advertisement) sheds it, so what a builder keeps between
+ * flushes stays bounded.
  */
 
 #ifndef BGPBENCH_BGP_UPDATE_BUILDER_HH
@@ -22,11 +31,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/message.hh"
 #include "bgp/path_attributes.hh"
+#include "net/flat_index.hh"
 #include "net/prefix.hh"
 
 namespace bgpbench::bgp
@@ -64,19 +73,42 @@ class UpdateBuilder
     void withdraw(const net::Prefix &prefix);
 
     /** True if nothing is queued. */
-    bool empty() const { return pending_.empty(); }
+    bool empty() const { return pending_.size() == 0; }
 
     /** Number of queued transactions. */
     size_t pendingTransactions() const { return pending_.size(); }
 
     /**
-     * Emit the queued changes as packed UPDATEs and reset the
-     * builder. Withdrawals are emitted first (they free table space
-     * on the receiver), then one run of messages per attribute group
-     * in group-creation order; within a group, prefixes keep
-     * announcement order.
+     * Append the queued changes to @p out as packed UPDATEs and reset
+     * the builder. Withdrawals are emitted first (they free table
+     * space on the receiver), then one run of messages per attribute
+     * group in group-creation order; within a group, prefixes keep
+     * announcement order. A caller that flushes repeatedly passes the
+     * same vector each time, so its capacity is reused too.
      */
-    std::vector<UpdateMessage> build();
+    void build(std::vector<UpdateMessage> &out);
+
+    /** build() into a fresh vector, for one-shot builders. */
+    std::vector<UpdateMessage>
+    build()
+    {
+        std::vector<UpdateMessage> out;
+        build(out);
+        return out;
+    }
+
+    /**
+     * Storage a flush may leave behind for reuse; a flush that would
+     * keep more (a full-table advertisement) frees it instead. The
+     * speaker holds its own flush scratch to the same limit. The
+     * largest flush of the host-time benchmark's workloads leaves
+     * ~42 KiB (EXPERIMENTS.md), so only tables of thousands of
+     * prefixes shed.
+     */
+    static constexpr size_t retainBytes = 256 * 1024;
+
+    /** Heap bytes currently held for reuse by later flushes. */
+    size_t memoryBytes() const;
 
   private:
     /**
@@ -104,45 +136,31 @@ class UpdateBuilder
 
     static constexpr uint32_t kWithdrawal = ~uint32_t(0);
 
-    /** Group lookup: content hash (cached per attribute set). */
-    struct AttrsHash
-    {
-        size_t
-        operator()(const PathAttributesPtr &attrs) const
-        {
-            return attrs ? size_t(attrs->hash()) : 0;
-        }
-    };
-
-    /** Group lookup: value equality with the pointer fast path. */
-    struct AttrsEqual
-    {
-        bool
-        operator()(const PathAttributesPtr &a,
-                   const PathAttributesPtr &b) const
-        {
-            return sameAttributeValue(a, b);
-        }
-    };
-
     /** Find or create the group for @p attrs; returns its index. */
-    size_t groupIndexFor(const PathAttributesPtr &attrs);
+    uint32_t groupFor(const PathAttributesPtr &attrs);
 
-    /** Tombstone @p prefix's pending slot, if any, and forget it. */
-    void removePending(const net::Prefix &prefix);
+    /** Clear the alive flag of the change queued at @p location. */
+    void tombstone(const Location &location);
+
+    /** Empty the builder, keeping (or, over retainBytes, freeing) its
+     *  storage. */
+    void reset();
 
     PackingOptions options_;
+    /**
+     * Groups in creation order. Only the first groupCount_ are in
+     * use; the rest are cleared slots kept for their capacity.
+     */
     std::vector<Group> groups_;
-    /** Attribute set -> index into groups_. */
-    std::unordered_map<PathAttributesPtr, size_t, AttrsHash,
-                       AttrsEqual>
-        groupIndex_;
+    size_t groupCount_ = 0;
+    /** Attribute content hash -> index into groups_. */
+    net::FlatIndex<uint32_t> groupIndex_;
     std::vector<net::Prefix> withdrawals_;
     /** Parallel to withdrawals_; 0 = superseded. */
     std::vector<uint8_t> withdrawalsAlive_;
     size_t deadWithdrawals_ = 0;
-    /** Every live pending prefix and where it sits. */
-    std::unordered_map<net::Prefix, Location> pending_;
+    /** Every pending prefix (exact key) and where it sits. */
+    net::FlatIndex<Location> pending_;
 };
 
 } // namespace bgpbench::bgp

@@ -130,9 +130,10 @@ TestPeer::receive(net::WireSegmentPtr segment)
             break;
         }
     }
-    panicIf(bool(error),
-            "router sent a malformed message to a test peer: " +
-                error.detail);
+    if (error) {
+        panic("router sent a malformed message to a test peer: " +
+              error.detail);
+    }
 }
 
 } // namespace bgpbench::core

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bgpbench
 {
@@ -55,12 +56,16 @@ panic(const std::string &msg)
     throw PanicError("bgpbench internal error: " + msg);
 }
 
-/** Assert a library invariant; panics with the message on failure. */
+/**
+ * Assert a library invariant; panics with the message on failure.
+ * Takes a view so hot-path checks with literal messages cost one
+ * branch: the message becomes a std::string only when the check fails.
+ */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, std::string_view msg)
 {
-    if (condition)
-        panic(msg);
+    if (condition) [[unlikely]]
+        panic(std::string(msg));
 }
 
 } // namespace bgpbench

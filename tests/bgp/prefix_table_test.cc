@@ -143,18 +143,26 @@ TEST(SharedPrefixTable, AcquireRefcountsAndRecyclesSlots)
 
     EXPECT_EQ(table.find(p1), bgp::SharedPrefixTable::npos);
 
-    const auto s1 = table.acquire(p1);
+    // Acquiring a reference is resolve() plus addRef(), the protocol a
+    // column follows on its first write of a prefix.
+    auto acquire = [&table](const net::Prefix &p) {
+        const auto slot = table.resolve(p);
+        table.addRef(slot);
+        return slot;
+    };
+
+    const auto s1 = acquire(p1);
     ASSERT_NE(s1, bgp::SharedPrefixTable::npos);
     EXPECT_EQ(table.find(p1), s1);
     EXPECT_EQ(table.prefixOf(s1), p1);
     EXPECT_EQ(table.prefixCount(), 1u);
 
     // A second acquire of the same prefix shares the slot.
-    EXPECT_EQ(table.acquire(p1), s1);
+    EXPECT_EQ(acquire(p1), s1);
     table.addRef(s1);
     EXPECT_EQ(table.prefixCount(), 1u);
 
-    const auto s2 = table.acquire(p2);
+    const auto s2 = acquire(p2);
     EXPECT_NE(s2, s1);
 
     // Three refs on s1: drop them one by one; the prefix must stay
@@ -168,7 +176,7 @@ TEST(SharedPrefixTable, AcquireRefcountsAndRecyclesSlots)
 
     // The freed slot is recycled before the span grows.
     const size_t span = table.slotSpan();
-    const auto s3 = table.acquire(pfx("192.168.0.0/24"));
+    const auto s3 = acquire(pfx("192.168.0.0/24"));
     EXPECT_EQ(s3, s1);
     EXPECT_EQ(table.slotSpan(), span);
     EXPECT_EQ(table.prefixOf(s3), pfx("192.168.0.0/24"));
@@ -190,12 +198,12 @@ TEST(SharedPrefixTable, ColumnsShareStructureWithoutInterference)
     EXPECT_EQ(table.prefixCount(), 1u); // structure stored once
 
     // Withdrawing from one column must not disturb the other.
-    EXPECT_TRUE(in_a.withdraw(p));
+    EXPECT_NE(in_a.withdraw(p), bgp::SharedPrefixTable::npos);
     EXPECT_EQ(in_a.find(p), nullptr);
     ASSERT_NE(in_b.find(p), nullptr);
     EXPECT_EQ(in_b.find(p)->received, attrs(2));
 
-    EXPECT_TRUE(in_b.withdraw(p));
+    EXPECT_NE(in_b.withdraw(p), bgp::SharedPrefixTable::npos);
     EXPECT_EQ(table.prefixCount(), 0u); // last ref frees the prefix
 }
 
@@ -272,18 +280,20 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
         const uint32_t tag = uint32_t(rng.below(8));
         switch (rng.below(6)) {
           case 0:
-            EXPECT_EQ(tree_in.update(p, attrs(tag), attrs(tag)),
+            EXPECT_EQ(tree_in.update(p, attrs(tag), attrs(tag)).changed,
                       model_in.update(p, attrs(tag), attrs(tag)));
             break;
           case 1:
-            EXPECT_EQ(tree_in.withdraw(p), model_in.withdraw(p));
+            EXPECT_EQ(tree_in.withdraw(p) != bgp::SharedPrefixTable::npos,
+                      model_in.withdraw(p));
             break;
           case 2:
             EXPECT_EQ(tree_loc.select(p, candidate(tag)),
                       model_loc.select(p, candidate(tag)));
             break;
           case 3:
-            EXPECT_EQ(tree_loc.remove(p), model_loc.remove(p));
+            EXPECT_EQ(tree_loc.removeAt(table.find(p)),
+                      model_loc.remove(p));
             break;
           case 4:
             EXPECT_EQ(tree_out.advertise(p, attrs(tag)),

@@ -34,15 +34,24 @@ TEST(AdjRibIn, UpdateInsertsAndReplaces)
     EXPECT_TRUE(rib.empty());
 
     auto a = attrs(100);
-    EXPECT_TRUE(rib.update(p1, a, a));
+    auto first = rib.update(p1, a, a);
+    EXPECT_TRUE(first.changed);
+    EXPECT_FALSE(first.attributeChange); // a new route, not a flap
+    EXPECT_EQ(rib.findAt(first.slot), rib.find(p1));
     EXPECT_EQ(rib.size(), 1u);
 
     // Same content: no change reported.
-    EXPECT_FALSE(rib.update(p1, a, a));
+    auto same = rib.update(p1, a, a);
+    EXPECT_FALSE(same.changed);
+    EXPECT_FALSE(same.attributeChange);
+    EXPECT_EQ(same.slot, first.slot);
 
     // Different content: change reported.
     auto b = attrs(200);
-    EXPECT_TRUE(rib.update(p1, b, b));
+    auto replaced = rib.update(p1, b, b);
+    EXPECT_TRUE(replaced.changed);
+    EXPECT_TRUE(replaced.attributeChange);
+    EXPECT_EQ(replaced.slot, first.slot);
     EXPECT_EQ(rib.size(), 1u);
     EXPECT_EQ(*rib.find(p1)->received, *b);
 }
@@ -52,29 +61,33 @@ TEST(AdjRibIn, ValueEqualAttributesAreNoChange)
     AdjRibIn rib;
     rib.update(p1, attrs(100), attrs(100));
     // Different pointers, same value.
-    EXPECT_FALSE(rib.update(p1, attrs(100), attrs(100)));
+    EXPECT_FALSE(rib.update(p1, attrs(100), attrs(100)).changed);
 }
 
 TEST(AdjRibIn, PolicyRejectionStoredAsNullEffective)
 {
     AdjRibIn rib;
-    EXPECT_TRUE(rib.update(p1, attrs(100), nullptr));
+    EXPECT_TRUE(rib.update(p1, attrs(100), nullptr).changed);
     const auto *entry = rib.find(p1);
     ASSERT_NE(entry, nullptr);
     EXPECT_TRUE(entry->received);
     EXPECT_FALSE(entry->effective);
 
-    // Accepting the same route later is a change.
-    EXPECT_TRUE(rib.update(p1, attrs(100), attrs(100)));
+    // Accepting the same route later is a change, but the received
+    // attributes did not change.
+    auto accepted = rib.update(p1, attrs(100), attrs(100));
+    EXPECT_TRUE(accepted.changed);
+    EXPECT_FALSE(accepted.attributeChange);
 }
 
 TEST(AdjRibIn, WithdrawRemoves)
 {
     AdjRibIn rib;
-    rib.update(p1, attrs(100), attrs(100));
-    EXPECT_TRUE(rib.withdraw(p1));
-    EXPECT_FALSE(rib.withdraw(p1));
+    auto slot = rib.update(p1, attrs(100), attrs(100)).slot;
+    EXPECT_EQ(rib.withdraw(p1), slot);
+    EXPECT_EQ(rib.withdraw(p1), SharedPrefixTable::npos);
     EXPECT_EQ(rib.find(p1), nullptr);
+    EXPECT_EQ(rib.findAt(slot), nullptr);
 }
 
 TEST(AdjRibIn, ForEachVisitsAll)
@@ -106,13 +119,43 @@ TEST(LocRib, SelectReportsChanges)
 
 TEST(LocRib, RemoveLifecycle)
 {
-    LocRib rib;
-    EXPECT_FALSE(rib.remove(p1));
+    SharedPrefixTable table;
+    LocRib rib(table);
+    EXPECT_FALSE(rib.removeAt(table.find(p1)));
     rib.select(p1, Candidate{attrs(100), 1, 10, true});
     EXPECT_EQ(rib.size(), 1u);
-    EXPECT_TRUE(rib.remove(p1));
+    EXPECT_TRUE(rib.removeAt(table.find(p1)));
     EXPECT_TRUE(rib.empty());
     EXPECT_EQ(rib.find(p1), nullptr);
+}
+
+TEST(LocRib, SlotAccessOverSharedTable)
+{
+    // The speaker's shape: the Adj-RIB-In write resolves the slot and
+    // the Loc-RIB is then read and written by that slot alone.
+    SharedPrefixTable table;
+    AdjRibIn in(table);
+    LocRib loc(table);
+    auto slot = in.update(p1, attrs(100), attrs(100)).slot;
+
+    EXPECT_EQ(loc.findAt(slot), nullptr);
+    Candidate c1{attrs(100), 1, 10, true};
+    auto first = loc.selectAt(slot, c1);
+    EXPECT_TRUE(first.bestChanged);
+    EXPECT_TRUE(first.groupChanged);
+    EXPECT_EQ(loc.findAt(slot), loc.find(p1));
+    EXPECT_FALSE(loc.selectAt(slot, c1).bestChanged);
+    EXPECT_TRUE(loc.selectAt(slot, Candidate{attrs(300), 1, 10, true})
+                    .bestChanged);
+
+    // The slot outlives the Adj-RIB-In entry while the Loc-RIB holds
+    // it; the Loc-RIB's removal then frees the prefix.
+    EXPECT_EQ(in.withdraw(p1), slot);
+    EXPECT_EQ(table.find(p1), slot);
+    EXPECT_TRUE(loc.removeAt(slot));
+    EXPECT_FALSE(loc.removeAt(slot));
+    EXPECT_EQ(loc.findAt(slot), nullptr);
+    EXPECT_EQ(table.find(p1), SharedPrefixTable::npos);
 }
 
 TEST(AdjRibOut, AdvertiseSuppressesNoOps)

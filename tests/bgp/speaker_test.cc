@@ -457,3 +457,220 @@ TEST(Speaker, RejectsBadConfig)
     config.routerId = 0;
     EXPECT_THROW(BgpSpeaker(config, &events), FatalError);
 }
+
+// ---------------------------------------------------------------------
+// Slot lifetime: each NLRI's shared-table slot is resolved once, by its
+// Adj-RIB-In write or withdraw, and threaded through the decision to
+// the Loc-RIB and every Adj-RIB-Out. These cases pin the edges of that
+// lifetime through the speaker's observable outputs.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * One speaker (AS 65000) with feeds A (peer 0, AS 64601) and B (peer
+ * 1, AS 64602) and a downstream D (peer 2, AS 65100), driven by
+ * pre-decoded messages. Records FIB events.
+ */
+class SlotHarness : public SpeakerEvents
+{
+  public:
+    static constexpr PeerId feedA = 0;
+    static constexpr PeerId feedB = 1;
+    static constexpr PeerId downstream = 2;
+
+    explicit SlotHarness(DampingConfig damping = {},
+                         Policy importA = {})
+    {
+        SpeakerConfig config;
+        config.localAs = 65000;
+        config.routerId = 1;
+        config.localAddress = net::Ipv4Address(10, 255, 0, 1);
+        config.holdTimeSec = 0;
+        config.damping = damping;
+        speaker = std::make_unique<BgpSpeaker>(config, this);
+        const AsNumber asns[] = {64601, 64602, 65100};
+        for (PeerId id = 0; id < 3; ++id) {
+            PeerConfig peer;
+            peer.id = id;
+            peer.asn = asns[id];
+            if (id == feedA)
+                peer.importPolicy = importA;
+            speaker->addPeer(peer);
+            speaker->startPeer(id, 0);
+            speaker->tcpEstablished(id, 0);
+            OpenMessage open;
+            open.myAs = uint16_t(asns[id]);
+            open.holdTimeSec = 0;
+            open.bgpIdentifier = 100 + id;
+            speaker->handleMessage(id, open, 0);
+            speaker->handleMessage(id, KeepaliveMessage{}, 0);
+        }
+    }
+
+    void
+    onTransmit(PeerId, MessageType, net::WireSegmentPtr, size_t) override
+    {}
+
+    void
+    onFibUpdate(const FibUpdate &update) override
+    {
+        fibLog.push_back(update);
+    }
+
+    /** One UPDATE from @p peer. */
+    void
+    send(PeerId peer, std::vector<net::Prefix> withdrawn,
+         std::vector<net::Prefix> nlri, PathAttributesPtr attributes,
+         uint64_t now = 0)
+    {
+        UpdateMessage update;
+        update.withdrawnRoutes = std::move(withdrawn);
+        update.nlri = std::move(nlri);
+        update.attributes = std::move(attributes);
+        speaker->handleMessage(peer, update, now);
+    }
+
+    bool
+    advertisedTo(PeerId peer, const net::Prefix &p) const
+    {
+        return speaker->adjRibOut(peer).find(p) != nullptr;
+    }
+
+    std::unique_ptr<BgpSpeaker> speaker;
+    std::vector<FibUpdate> fibLog;
+};
+
+const net::Prefix slotP = net::Prefix::fromString("10.1.0.0/24");
+const net::Prefix slotQ = net::Prefix::fromString("10.2.0.0/24");
+const net::Prefix slotS = net::Prefix::fromString("10.3.0.0/24");
+const net::Prefix slotR = net::Prefix::fromString("172.16.0.0/24");
+
+} // namespace
+
+TEST(SpeakerSlots, WithdrawFreesSlotThatSameUpdateReuses)
+{
+    // A's import policy rejects R, so only A's Adj-RIB-In holds it:
+    // withdrawing R frees its slot at once, and the decision then reads
+    // a freed slot. P is best and advertised, so its slot is freed by
+    // the last Adj-RIB-Out withdraw inside the decision. Q and S, in
+    // the same UPDATE's NLRI, take both slots back off the free list.
+    SlotHarness h({}, makeRejectPrefixPolicy(
+                          net::Prefix::fromString("172.16.0.0/16")));
+    auto via_a = attrs({64601});
+    h.send(SlotHarness::feedA, {}, {slotP, slotR}, via_a);
+    ASSERT_NE(h.speaker->locRib().find(slotP), nullptr);
+    ASSERT_EQ(h.speaker->locRib().find(slotR), nullptr);
+    ASSERT_NE(h.speaker->adjRibIn(SlotHarness::feedA).find(slotR),
+              nullptr);
+    ASSERT_TRUE(h.advertisedTo(SlotHarness::downstream, slotP));
+
+    h.send(SlotHarness::feedA, {slotR, slotP}, {slotQ, slotS}, via_a);
+
+    const LocRib &loc = h.speaker->locRib();
+    EXPECT_EQ(loc.size(), 2u);
+    EXPECT_EQ(loc.find(slotP), nullptr);
+    ASSERT_NE(loc.find(slotQ), nullptr);
+    ASSERT_NE(loc.find(slotS), nullptr);
+    EXPECT_EQ(loc.find(slotQ)->best.peer, SlotHarness::feedA);
+
+    // FIB: P installed, then withdrawn, then Q and S installed; the
+    // rejected R never reached it.
+    ASSERT_EQ(h.fibLog.size(), 4u);
+    EXPECT_EQ(h.fibLog[0].prefix, slotP);
+    EXPECT_FALSE(h.fibLog[0].isWithdraw());
+    EXPECT_EQ(h.fibLog[1].prefix, slotP);
+    EXPECT_TRUE(h.fibLog[1].isWithdraw());
+    EXPECT_EQ(h.fibLog[2].prefix, slotQ);
+    EXPECT_FALSE(h.fibLog[2].isWithdraw());
+    EXPECT_EQ(h.fibLog[3].prefix, slotS);
+    EXPECT_FALSE(h.fibLog[3].isWithdraw());
+
+    for (PeerId peer : {SlotHarness::feedB, SlotHarness::downstream}) {
+        EXPECT_EQ(h.speaker->adjRibOut(peer).size(), 2u);
+        EXPECT_FALSE(h.advertisedTo(peer, slotP));
+        EXPECT_FALSE(h.advertisedTo(peer, slotR));
+        EXPECT_TRUE(h.advertisedTo(peer, slotQ));
+        EXPECT_TRUE(h.advertisedTo(peer, slotS));
+    }
+    EXPECT_EQ(h.speaker->adjRibOut(SlotHarness::feedA).size(), 0u);
+    const AdjRibIn &in = h.speaker->adjRibIn(SlotHarness::feedA);
+    EXPECT_EQ(in.size(), 2u);
+    EXPECT_EQ(in.find(slotP), nullptr);
+    EXPECT_EQ(in.find(slotR), nullptr);
+}
+
+TEST(SpeakerSlots, LoopedAnnouncementWithdrawsOnlyCopy)
+{
+    SlotHarness h;
+    h.send(SlotHarness::feedA, {}, {slotP}, attrs({64601}));
+    ASSERT_NE(h.speaker->locRib().find(slotP), nullptr);
+    ASSERT_TRUE(h.advertisedTo(SlotHarness::downstream, slotP));
+
+    // The same peer re-announces P through our own AS: the path would
+    // loop, so the announcement acts as a withdrawal of the only copy.
+    h.send(SlotHarness::feedA, {}, {slotP}, attrs({64601, 65000, 7}));
+
+    EXPECT_TRUE(h.speaker->locRib().empty());
+    ASSERT_EQ(h.fibLog.size(), 2u);
+    EXPECT_EQ(h.fibLog[1].prefix, slotP);
+    EXPECT_TRUE(h.fibLog[1].isWithdraw());
+    EXPECT_FALSE(h.advertisedTo(SlotHarness::downstream, slotP));
+    EXPECT_FALSE(h.advertisedTo(SlotHarness::feedB, slotP));
+    EXPECT_TRUE(h.speaker->adjRibIn(SlotHarness::feedA).empty());
+}
+
+TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
+{
+    // An attribute change costs more than a plain re-announcement
+    // here, so the penalty shows that the change was detected.
+    DampingConfig damping;
+    damping.enabled = true;
+    damping.withdrawPenalty = 1000;
+    damping.reAnnouncePenalty = 500;
+    damping.attributeChangePenalty = 800;
+    damping.suppressThreshold = 2000;
+    SlotHarness h(damping);
+    const uint64_t t = 1'000'000'000;
+    const net::Ipv4Address hop_a(10, 0, 1, 1);
+    const net::Ipv4Address hop_b(10, 0, 2, 2);
+    auto via_b = attrs({64602, 100, 200}, hop_b);
+    auto via_a = attrs({64601}, hop_a);
+    auto via_a_changed = attrs({64601, 64601}, hop_a);
+
+    h.send(SlotHarness::feedB, {}, {slotP}, via_b, t);
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a, t); // fresh: free
+    h.send(SlotHarness::feedA, {slotP}, {}, nullptr, t);  // +1000
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a, t);   // +500
+    ASSERT_EQ(h.speaker->locRib().find(slotP)->best.peer,
+              SlotHarness::feedA);
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a_changed, t); // +800
+
+    EXPECT_DOUBLE_EQ(
+        h.speaker->damper().penalty(SlotHarness::feedA, slotP, t), 2300);
+    EXPECT_EQ(h.speaker->counters().announcementsSuppressed, 1u);
+    // The suppressed route is stored but kept out of the decision, so
+    // B's longer path wins.
+    ASSERT_NE(h.speaker->adjRibIn(SlotHarness::feedA).find(slotP),
+              nullptr);
+    EXPECT_EQ(h.speaker->adjRibIn(SlotHarness::feedA)
+                  .find(slotP)
+                  ->received,
+              via_a_changed);
+    const auto *best = h.speaker->locRib().find(slotP);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->best.peer, SlotHarness::feedB);
+
+    std::vector<net::Ipv4Address> hops;
+    for (const auto &update : h.fibLog) {
+        ASSERT_FALSE(update.isWithdraw());
+        hops.push_back(*update.nextHop);
+    }
+    EXPECT_EQ(hops, (std::vector<net::Ipv4Address>{hop_b, hop_a, hop_b,
+                                                   hop_a, hop_b}));
+    const auto *out = h.speaker->adjRibOut(SlotHarness::downstream)
+                          .find(slotP);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ((*out)->asPath.toString(), "65000 64602 100 200");
+}

@@ -312,3 +312,60 @@ TEST(UpdateBuilderProperty, BuildConservesChanges)
         EXPECT_EQ(got, expected) << "trial " << trial;
     }
 }
+
+/**
+ * build() resets the builder's storage rather than freeing it, appends
+ * to the caller's vector, and sheds what a full-table flush inflated.
+ */
+TEST(UpdateBuilder, StorageIsReusedAcrossFlushesAndBounded)
+{
+    // Supersessions and two groups exercise every kind of reset state.
+    auto fill = [](UpdateBuilder &builder, uint32_t count) {
+        for (uint32_t i = 0; i < count; ++i)
+            builder.announce(prefix(i), attrs(uint16_t(100 + i % 2)));
+        for (uint32_t i = 0; i < count; i += 7)
+            builder.withdraw(prefix(i));
+        builder.withdraw(prefix(count + 1));
+    };
+    auto same = [](const UpdateMessage &x, const UpdateMessage &y) {
+        return x.attributes == y.attributes &&
+               x.withdrawnRoutes == y.withdrawnRoutes &&
+               x.nlri == y.nlri;
+    };
+
+    UpdateBuilder fresh;
+    fill(fresh, 300);
+    const auto expected = fresh.build();
+
+    UpdateBuilder reused;
+    std::vector<UpdateMessage> out;
+    fill(reused, 300);
+    reused.build(out);
+    const size_t kept = reused.memoryBytes();
+    EXPECT_GT(kept, 0u);
+    EXPECT_LE(kept, UpdateBuilder::retainBytes);
+    ASSERT_EQ(out.size(), expected.size());
+
+    // A second identical flush packs exactly like a fresh builder,
+    // appends after the first flush's messages and needs no more
+    // storage than the first one kept.
+    fill(reused, 300);
+    reused.build(out);
+    EXPECT_EQ(reused.memoryBytes(), kept);
+    ASSERT_EQ(out.size(), 2 * expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_TRUE(same(out[expected.size() + i], expected[i])) << i;
+
+    // A full-table flush sheds its storage instead of keeping it.
+    out.clear();
+    for (uint32_t i = 0; i < 60000; ++i)
+        reused.announce(prefix(i), attrs(100));
+    EXPECT_GT(reused.memoryBytes(), UpdateBuilder::retainBytes);
+    reused.build(out);
+    EXPECT_TRUE(reused.empty());
+    EXPECT_LE(reused.memoryBytes(), UpdateBuilder::retainBytes);
+    size_t total = 0;
+    for (const auto &update : out)
+        total += update.nlri.size();
+    EXPECT_EQ(total, 60000u);
+}

@@ -104,11 +104,12 @@ TEST(SnapshotStress, ReadersNeverSeeTornState)
 
     // Writer: churn the table (install, replace, withdraw) and
     // publish an epoch per step, like a decision process flushing.
-    bgp::LocRib rib;
+    bgp::SharedPrefixTable table;
+    bgp::LocRib rib(table);
     for (uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
         size_t slot = size_t(epoch) % kRoutes;
         if (epoch % 3 == 0) {
-            rib.remove(routePrefix(slot));
+            rib.removeAt(table.find(routePrefix(slot)));
         } else {
             bgp::Candidate candidate;
             candidate.attributes = attrs(uint16_t(epoch % 13 + 1));

@@ -207,14 +207,15 @@ TEST(RibSnapshot, ChecksumCoversContentAndEpoch)
 
 TEST(RibSnapshot, OldEpochSurvivesNewerBuilds)
 {
-    bgp::LocRib rib;
+    bgp::SharedPrefixTable table;
+    bgp::LocRib rib(table);
     install(rib, "10.1.0.0/16", 1, 100);
     RibSnapshotPtr old_snapshot = RibSnapshot::build(rib, 1, 0);
 
     // Mutate the writer's table and build newer epochs; the old
     // snapshot must stay intact and verifiable (RCU grace by
     // refcount).
-    rib.remove(pfx("10.1.0.0/16"));
+    rib.removeAt(table.find(pfx("10.1.0.0/16")));
     install(rib, "10.9.0.0/16", 9, 900);
     RibSnapshotPtr newer = RibSnapshot::build(rib, 2, 0);
 
