@@ -7,6 +7,9 @@
  *   BGPBENCH_PREFIXES  table size per run (default per bench)
  *   BGPBENCH_SYSTEMS   comma list of systems (default: all four)
  *   BGPBENCH_FAST      1 = shrink workloads for a fast smoke run
+ *
+ * Numbers parse strictly (core::parseNumber): a malformed variable
+ * keeps the bench's default.
  */
 
 #ifndef BGPBENCH_BENCH_UTIL_HH
@@ -16,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/runtime_config.hh"
 #include "router/system_profiles.hh"
 
 namespace bgpbench::benchutil
@@ -25,9 +29,9 @@ inline size_t
 envSize(const char *name, size_t fallback)
 {
     const char *value = std::getenv(name);
-    if (!value || !*value)
+    if (!value)
         return fallback;
-    return size_t(std::strtoull(value, nullptr, 10));
+    return core::parseNumber<size_t>(value).value_or(fallback);
 }
 
 inline bool

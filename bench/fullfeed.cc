@@ -35,6 +35,7 @@
 
 #include "bgp/message.hh"
 #include "bgp/speaker.hh"
+#include "core/runtime_config.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/process_memory.hh"
@@ -95,9 +96,9 @@ main(int argc, char **argv)
         if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--routes" && i + 1 < argc) {
-            routes_arg = size_t(std::strtoull(argv[++i], nullptr, 10));
+            routes_arg = core::parseNumberArg<size_t>(arg, argv[++i]);
         } else if (arg == "--peers" && i + 1 < argc) {
-            feeds = size_t(std::strtoull(argv[++i], nullptr, 10));
+            feeds = core::parseNumberArg<size_t>(arg, argv[++i]);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else {

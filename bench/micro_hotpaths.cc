@@ -777,7 +777,7 @@ void
 BM_RouteMapEval(benchmark::State &state)
 {
     size_t entries = size_t(state.range(0));
-    bgp::RouteMap map("bench", bgp::RouteMap::NoMatch::Deny);
+    bgp::RouteMap map("bench");
     for (size_t i = 0; i + 1 < entries; ++i) {
         bgp::RouteMapEntry entry;
         entry.seq = uint32_t(10 * (i + 1));
@@ -809,7 +809,7 @@ BENCHMARK(BM_RouteMapEval)->Arg(16)->Arg(256);
 void
 BM_PolicyCowHit(benchmark::State &state)
 {
-    bgp::RouteMap map("cow-hit", bgp::RouteMap::NoMatch::Deny);
+    bgp::RouteMap map("cow-hit");
     bgp::RouteMapEntry entry;
     entry.set.localPref = 100; // every bundle already has 100
     map.add(std::move(entry));
@@ -834,7 +834,7 @@ BENCHMARK(BM_PolicyCowHit);
 void
 BM_PolicyCowCopy(benchmark::State &state)
 {
-    bgp::RouteMap map("cow-copy", bgp::RouteMap::NoMatch::Deny);
+    bgp::RouteMap map("cow-copy");
     bgp::RouteMapEntry entry;
     entry.set.localPref = 250;
     map.add(std::move(entry));

@@ -71,8 +71,7 @@ wallMs(std::chrono::steady_clock::time_point begin)
 bgp::Policy
 heavyScanPolicy(size_t entries)
 {
-    auto map = std::make_shared<bgp::RouteMap>(
-        "heavy-scan", bgp::RouteMap::NoMatch::Deny);
+    auto map = std::make_shared<bgp::RouteMap>("heavy-scan");
     for (size_t i = 0; i + 1 < entries; ++i) {
         bgp::RouteMapEntry entry;
         entry.seq = uint32_t(10 * (i + 1));
@@ -105,8 +104,7 @@ heavyScanPolicy(size_t entries)
 bgp::Policy
 passThroughPolicy()
 {
-    auto map = std::make_shared<bgp::RouteMap>(
-        "pass-through", bgp::RouteMap::NoMatch::Deny);
+    auto map = std::make_shared<bgp::RouteMap>("pass-through");
     map->add(bgp::RouteMapEntry{});
     return bgp::Policy(std::move(map));
 }
@@ -135,8 +133,7 @@ measureCow(size_t route_count)
     // The scan map plus one set-action entry in the middle: routes
     // whose path contains AS 64999 get LOCAL_PREF 200 (a genuine
     // attribute change, so they cost a copy + re-intern).
-    auto map = std::make_shared<bgp::RouteMap>(
-        "heavy-cow", bgp::RouteMap::NoMatch::Deny);
+    auto map = std::make_shared<bgp::RouteMap>("heavy-cow");
     const bgp::Policy scan = heavyScanPolicy(256);
     for (const bgp::RouteMapEntry &entry :
          scan.routeMap()->entries())

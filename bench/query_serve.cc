@@ -84,6 +84,8 @@ main(int argc, char **argv)
     const uint64_t seed = 42;
 
     serve::ServeRunConfig config;
+    config.scenario.shape = "ring";
+    config.scenario.topology = topo::Topology::ring(nodes);
     config.scenario.prefixesPerNode = prefixes_per_node;
     config.snapshotEvery = runtime.snapshotEvery();
     // Provision readers to the hardware unless explicitly told
@@ -102,8 +104,6 @@ main(int argc, char **argv)
     workload::QueryMix::parse(runtime.queryMix(),
                               config.engine.stream.mix);
 
-    auto topology = [&] { return topo::Topology::ring(nodes); };
-
     std::cout << "RIB query serving (" << nodes << "-node ring, "
               << prefixes_per_node << " prefixes/node, "
               << config.engine.readers << " readers, mix "
@@ -119,35 +119,34 @@ main(int argc, char **argv)
     std::string baseline_json;
     serve::ServeRunResult concurrent_result;
     for (int rep = 0; rep < repetitions; ++rep) {
+        // Every variant times ScenarioRunner::run alone: set-up,
+        // reader startup/join and reporting stay outside the measured
+        // window.
+        topo::ScenarioRunner plain(config.scenario);
         auto begin = std::chrono::steady_clock::now();
-        topo::ConvergenceReport baseline = topo::runAnnounceScenario(
-            topology(), "ring", config.scenario);
+        topo::ConvergenceReport baseline = plain.run().convergence;
         plain_ms = std::min(plain_ms, wallMs(begin));
         if (baseline_json.empty())
             baseline_json = baseline.toJson();
         identical = identical && baseline.toJson() == baseline_json;
 
-        // The serve runner times the write-side phase itself
-        // (convergenceHostNs), so reader startup/join and reporting
-        // stay outside the measured window — exactly as they are for
-        // the plain baseline above.
         serve::ServeRunConfig publish_only = config;
         publish_only.concurrentReaders = false;
         publish_only.throughputPhase = false;
-        serve::ServeRunResult publish_run = serve::runServeScenario(
-            topology(), "ring", publish_only);
+        serve::ServeRunResult publish_run =
+            serve::runServeScenario(publish_only);
         publish_ms = std::min(
             publish_ms, double(publish_run.convergenceHostNs) / 1e6);
-        identical = identical &&
-                    publish_run.convergence.toJson() == baseline_json;
+        identical =
+            identical &&
+            publish_run.scenario.convergence.toJson() == baseline_json;
 
         serve::ServeRunConfig paced = config;
         paced.throughputPhase = false;
-        serve::ServeRunResult run =
-            serve::runServeScenario(topology(), "ring", paced);
+        serve::ServeRunResult run = serve::runServeScenario(paced);
         on_ms = std::min(on_ms, double(run.convergenceHostNs) / 1e6);
-        identical =
-            identical && run.convergence.toJson() == baseline_json;
+        identical = identical &&
+                    run.scenario.convergence.toJson() == baseline_json;
         concurrent_result = std::move(run);
     }
     double publish_overhead =
@@ -173,8 +172,7 @@ main(int argc, char **argv)
     // Capacity: flat-out fixed-count phase against the settled table.
     serve::ServeRunConfig flat = config;
     flat.concurrentReaders = false;
-    serve::ServeRunResult capacity =
-        serve::runServeScenario(topology(), "ring", flat);
+    serve::ServeRunResult capacity = serve::runServeScenario(flat);
     const serve::ServeReport &throughput = capacity.throughput;
 
     std::cout << "throughput: " << throughput.queries

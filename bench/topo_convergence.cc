@@ -58,12 +58,14 @@ wallMs(std::chrono::steady_clock::time_point begin)
 /**
  * The declarative form of every run in this bench: a named spec on a
  * shape, optionally with a fault schedule, executed by the one
- * ScenarioRunner.
+ * ScenarioRunner. @p layout, when given, receives the engine's shard
+ * partition.
  */
 topo::ConvergenceReport
 runSpec(topo::Topology topology, const std::string &shape,
         const std::string &name, topo::FaultSchedule faults,
-        const topo::TopologySimConfig &sim_config)
+        const topo::TopologySimConfig &sim_config,
+        topo::Partition *layout = nullptr)
 {
     topo::ScenarioSpec spec;
     spec.name = name;
@@ -71,7 +73,11 @@ runSpec(topo::Topology topology, const std::string &shape,
     spec.topology = std::move(topology);
     spec.simConfig = sim_config;
     spec.faults = std::move(faults);
-    return topo::ScenarioRunner(std::move(spec)).run().convergence;
+    topo::ScenarioRunner runner(std::move(spec));
+    topo::ConvergenceReport report = runner.run().convergence;
+    if (layout)
+        *layout = runner.sim().partition();
+    return report;
 }
 
 struct SweepPoint
@@ -176,7 +182,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
             runtime.overrideJobs(
-                size_t(std::strtoull(argv[++i], nullptr, 10)));
+                core::parseNumberArg<size_t>(arg, argv[++i]));
         } else if (arg == "--sweep") {
             runtime.overrideSweep(true);
         } else {
@@ -197,6 +203,10 @@ main(int argc, char **argv)
     topo::TopologySimConfig sim_config;
     sim_config.jobs = jobs;
     std::vector<topo::ConvergenceReport> runs;
+    // The engine's layout of the random shape at the selected worker
+    // count, recorded so a trajectory point documents its own
+    // execution layout.
+    topo::Partition partition;
 
     runs.push_back(runSpec(topo::Topology::line(nodes), "line",
                            "announce", {}, sim_config));
@@ -206,7 +216,7 @@ main(int argc, char **argv)
                            "announce", {}, sim_config));
     runs.push_back(runSpec(
         topo::Topology::barabasiAlbert(nodes, attach, seed), "random",
-        "announce", {}, sim_config));
+        "announce", {}, sim_config, &partition));
 
     // Fault scenarios on the shapes where they are most interesting:
     // a ring re-routes around a failed link; the random graph loses
@@ -264,17 +274,11 @@ main(int argc, char **argv)
         }
     }
 
-    // The partition the parallel engine would use for the random
-    // shape at the selected worker count — recorded so a trajectory
-    // point documents its own execution layout.
     size_t resolved = jobs;
     if (resolved == 0) {
         resolved =
             std::max<size_t>(1, std::thread::hardware_concurrency());
     }
-    topo::Partition partition = topo::partitionTopology(
-        topo::Topology::barabasiAlbert(nodes, attach, seed),
-        topo::shardTarget(nodes, resolved));
 
     std::ofstream json("BENCH_topo_convergence.json");
     stats::JsonWriter writer(json);

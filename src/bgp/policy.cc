@@ -351,8 +351,7 @@ RouteMap::apply(const net::Prefix &prefix,
             }
         });
 
-    if (outcome == ListMatch::Deny ||
-        (outcome == ListMatch::NoMatch && noMatch_ == NoMatch::Deny)) {
+    if (outcome != ListMatch::Permit) {
         if (stats)
             ++stats->rejects;
         return nullptr;
@@ -377,72 +376,38 @@ RouteMap::apply(const net::Prefix &prefix,
     return makeAttributes(std::move(out));
 }
 
-// --- Policy (legacy flat-rule compatibility) --------------------------
+// --- Policy helpers ---------------------------------------------------
 
 namespace
 {
 
-/** Compile the legacy flat rule list onto an accept-by-default map. */
-std::shared_ptr<const RouteMap>
-compileLegacyRules(const std::vector<PolicyRule> &rules)
+/** The last entry of a helper map: accept the rest unmodified. */
+RouteMapEntry
+catchAllPermit()
 {
-    auto map = std::make_shared<RouteMap>("legacy",
-                                          RouteMap::NoMatch::Permit);
-    uint32_t seq = 10;
-    for (const PolicyRule &rule : rules) {
-        RouteMapEntry entry;
-        entry.seq = seq;
-        seq += 10;
-        entry.match = rule.match;
-        const PolicyAction &action = rule.action;
-        entry.permit = !action.reject;
-        if (!action.reject) {
-            entry.set.localPref = action.setLocalPref;
-            entry.set.med = action.setMed;
-            entry.set.prependCount = action.prependCount;
-            if (action.addCommunity)
-                entry.set.addCommunities = {*action.addCommunity};
-            if (action.removeCommunity)
-                entry.set.deleteCommunities = {*action.removeCommunity};
-        }
-        map->add(std::move(entry));
-    }
-    return map;
+    RouteMapEntry entry;
+    entry.seq = 20;
+    return entry;
 }
 
 } // namespace
 
-Policy::Policy(std::vector<PolicyRule> rules)
-    : legacyRules_(std::move(rules))
-{
-    if (!legacyRules_.empty())
-        map_ = compileLegacyRules(legacyRules_);
-}
-
-void
-Policy::addRule(PolicyRule rule)
-{
-    legacyRules_.push_back(std::move(rule));
-    map_ = compileLegacyRules(legacyRules_);
-}
-
 Policy
 makeRejectPrefixPolicy(const net::Prefix &prefix)
 {
-    // Natively on the route-map engine: a deny entry matching a
-    // single-entry prefix-list covering the prefix and all its
-    // more-specifics, accepting everything else unmodified (the
-    // historical helper semantics).
+    // A deny entry matching a single-entry prefix-list that covers
+    // the prefix and all its more-specifics.
     auto list = std::make_shared<PrefixList>("reject-" +
                                              prefix.toString());
     list->add(5, true, prefix, std::nullopt, 32);
-    auto map = std::make_shared<RouteMap>("reject " + prefix.toString(),
-                                          RouteMap::NoMatch::Permit);
+    auto map =
+        std::make_shared<RouteMap>("reject " + prefix.toString());
     RouteMapEntry entry;
     entry.seq = 10;
     entry.permit = false;
     entry.prefixList = std::move(list);
     map->add(std::move(entry));
+    map->add(catchAllPermit());
     return Policy(std::move(map));
 }
 
@@ -457,13 +422,13 @@ makeLocalPrefForAsPolicy(AsNumber asn, uint32_t local_pref)
     set->add(match);
     auto map = std::make_shared<RouteMap>(
         "local-pref " + std::to_string(local_pref) + " for AS" +
-            std::to_string(asn),
-        RouteMap::NoMatch::Permit);
+        std::to_string(asn));
     RouteMapEntry entry;
     entry.seq = 10;
     entry.asPathSet = std::move(set);
     entry.set.localPref = local_pref;
     map->add(std::move(entry));
+    map->add(catchAllPermit());
     return Policy(std::move(map));
 }
 

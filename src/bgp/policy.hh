@@ -36,16 +36,14 @@
  *    after at least one permit matched accepts with the accumulated
  *    set-actions (the last matched disposition applies).
  *
- *  - A route matching no entry is handled by the map's no-match
- *    action: Deny for natively built route-maps (the Quagga implicit
- *    deny), Permit-unmodified for maps built from the legacy flat
- *    PolicyRule list (preserving the historical accept-by-default).
+ *  - A route matching no entry is rejected: every route-map ends in
+ *    the Quagga implicit deny. A map that should pass the rest
+ *    through ends with a catch-all permit entry (no match clauses,
+ *    no set-actions), which accepts them unmodified.
  *
- * The legacy flat-rule surface (PolicyMatch / PolicyAction /
- * PolicyRule and the Policy(std::vector<PolicyRule>) constructor) is
- * kept as a thin description layer: it compiles onto a RouteMap with
- * identical observable behaviour, so existing call sites and tests
- * did not have to move.
+ * RouteMap is the only way to describe a policy; Policy is the
+ * handle a peer holds, and the empty Policy (no map) is the paper's
+ * policy-free configuration.
  */
 
 #ifndef BGPBENCH_BGP_POLICY_HH
@@ -270,29 +268,6 @@ struct SetActions
     void applyTo(PathAttributes &attrs, AsNumber prepend_as) const;
 };
 
-/** Modifications applied by an accepting legacy rule. */
-struct PolicyAction
-{
-    /** Reject the route outright. */
-    bool reject = false;
-    std::optional<uint32_t> setLocalPref;
-    std::optional<uint32_t> setMed;
-    /** Prepend our own AS this many extra times (export side). */
-    int prependCount = 0;
-    /** Community to add. */
-    std::optional<uint32_t> addCommunity;
-    /** Community to strip. */
-    std::optional<uint32_t> removeCommunity;
-};
-
-/** One ordered legacy rule. */
-struct PolicyRule
-{
-    std::string name;
-    PolicyMatch match;
-    PolicyAction action;
-};
-
 /** Copy-on-write / disposition tallies of route-map evaluation. */
 struct PolicyEvalStats
 {
@@ -324,7 +299,7 @@ struct RouteMapEntry
     std::shared_ptr<const PrefixList> prefixList;
     std::shared_ptr<const AsPathSet> asPathSet;
     std::shared_ptr<const CommunityList> communityList;
-    /** Inline conditions (legacy-style); all unset matches anything. */
+    /** Inline conditions; all unset matches anything. */
     PolicyMatch match;
     SetActions set;
     /**
@@ -346,25 +321,12 @@ struct RouteMapEntry
 class RouteMap
 {
   public:
-    /** Disposition for routes matching no entry. */
-    enum class NoMatch
-    {
-        /** Quagga implicit deny (native route-maps). */
-        Deny,
-        /** Accept unmodified (legacy flat-rule compatibility). */
-        Permit,
-    };
-
-    explicit RouteMap(std::string name = "",
-                      NoMatch no_match = NoMatch::Deny)
-        : name_(std::move(name)), noMatch_(no_match)
-    {}
+    explicit RouteMap(std::string name = "") : name_(std::move(name)) {}
 
     /** Insert an entry, kept sorted by seq (stable for equal seq). */
     RouteMap &add(RouteMapEntry entry);
 
     const std::string &name() const { return name_; }
-    NoMatch noMatchAction() const { return noMatch_; }
     size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
     const std::vector<RouteMapEntry> &entries() const
@@ -400,7 +362,6 @@ class RouteMap
                    const PathAttributes &attrs, Fn &&fn) const;
 
     std::string name_;
-    NoMatch noMatch_;
     /** Sorted by seq. */
     std::vector<RouteMapEntry> entries_;
 };
@@ -421,24 +382,11 @@ class Policy
         : map_(std::move(map))
     {}
 
-    /** Legacy: compile a flat first-match rule list (see file doc). */
-    explicit Policy(std::vector<PolicyRule> rules);
-
-    /** Append a legacy rule at lowest priority (recompiles). */
-    void addRule(PolicyRule rule);
-
     /**
-     * True when the policy cannot affect any route: no map, or a map
-     * with no entries that accepts on no-match. The speaker's export
-     * memo fast path keys off this.
+     * True when the policy cannot affect any route: no map attached.
+     * The speaker's export memo fast path keys off this.
      */
-    bool
-    empty() const
-    {
-        return !map_ ||
-               (map_->empty() &&
-                map_->noMatchAction() == RouteMap::NoMatch::Permit);
-    }
+    bool empty() const { return !map_; }
 
     /** Number of route-map entries. */
     size_t size() const { return map_ ? map_->size() : 0; }
@@ -472,15 +420,19 @@ class Policy
     }
 
   private:
-    /** Legacy rules retained so addRule() can recompile. */
-    std::vector<PolicyRule> legacyRules_;
     std::shared_ptr<const RouteMap> map_;
 };
 
-/** Convenience: a policy that rejects routes covered by @p prefix. */
+/**
+ * Convenience: a policy that rejects routes covered by @p prefix and
+ * passes every other route through unmodified.
+ */
 Policy makeRejectPrefixPolicy(const net::Prefix &prefix);
 
-/** Convenience: a policy setting LOCAL_PREF for routes from one AS. */
+/**
+ * Convenience: a policy setting LOCAL_PREF for routes whose AS_PATH
+ * contains @p asn, passing every other route through unmodified.
+ */
 Policy makeLocalPrefForAsPolicy(AsNumber asn, uint32_t local_pref);
 
 } // namespace bgpbench::bgp

@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <ostream>
+#include <iostream>
 #include <string>
 
 #include "stats/report.hh"
@@ -29,7 +29,25 @@ envFlagIsOne(const char *name)
     return value && std::strcmp(value, "1") == 0;
 }
 
+/** A numeric variable; nullopt when unset or malformed. */
+template <typename T>
+std::optional<T>
+envNumber(const char *name)
+{
+    const char *value = getEnv(name);
+    return value ? parseNumber<T>(value) : std::nullopt;
+}
+
 } // namespace
+
+void
+rejectNumberArg(std::string_view option, std::string_view text)
+{
+    std::cerr << "error: " << option
+              << " expects a non-negative number, got '" << text
+              << "'\n";
+    std::exit(2);
+}
 
 const char *
 configOriginName(ConfigOrigin origin)
@@ -51,39 +69,23 @@ RuntimeConfig::fromEnvironment()
     RuntimeConfig config;
     if (envFlagIsOne("BGPBENCH_SWEEP"))
         config.sweep_ = {true, ConfigOrigin::Environment};
-    if (const char *value = getEnv("BGPBENCH_JOBS")) {
-        config.jobs_ = {
-            size_t(std::strtoull(value, nullptr, 10)),
-            ConfigOrigin::Environment,
-        };
-    }
-    if (const char *value = getEnv("BGPBENCH_SERVE_READERS")) {
-        size_t readers = size_t(std::strtoull(value, nullptr, 10));
-        if (readers > 0)
-            config.serveReaders_ = {readers, ConfigOrigin::Environment};
-    }
-    if (const char *value = getEnv("BGPBENCH_SNAPSHOT_EVERY")) {
-        config.snapshotEvery_ = {
-            std::strtoull(value, nullptr, 10),
-            ConfigOrigin::Environment,
-        };
-    }
+    if (auto jobs = envNumber<size_t>("BGPBENCH_JOBS"))
+        config.jobs_ = {*jobs, ConfigOrigin::Environment};
+    if (auto readers = envNumber<size_t>("BGPBENCH_SERVE_READERS");
+        readers && *readers > 0)
+        config.serveReaders_ = {*readers, ConfigOrigin::Environment};
+    if (auto every = envNumber<uint64_t>("BGPBENCH_SNAPSHOT_EVERY"))
+        config.snapshotEvery_ = {*every, ConfigOrigin::Environment};
     if (const char *value = getEnv("BGPBENCH_QUERY_MIX")) {
         workload::QueryMix mix;
         if (workload::QueryMix::parse(value, mix))
             config.queryMix_ = {value, ConfigOrigin::Environment};
     }
-    if (const char *value = getEnv("BGPBENCH_MAX_PATHS")) {
-        size_t paths = size_t(std::strtoull(value, nullptr, 10));
-        if (paths > 0)
-            config.maxPaths_ = {paths, ConfigOrigin::Environment};
-    }
-    if (const char *value = getEnv("BGPBENCH_MRAI_MS")) {
-        config.mraiMs_ = {
-            std::strtoull(value, nullptr, 10),
-            ConfigOrigin::Environment,
-        };
-    }
+    if (auto paths = envNumber<size_t>("BGPBENCH_MAX_PATHS");
+        paths && *paths > 0)
+        config.maxPaths_ = {*paths, ConfigOrigin::Environment};
+    if (auto ms = envNumber<uint64_t>("BGPBENCH_MRAI_MS"))
+        config.mraiMs_ = {*ms, ConfigOrigin::Environment};
     if (envFlagIsOne("BGPBENCH_DAMPING"))
         config.damping_ = {true, ConfigOrigin::Environment};
     return config;

@@ -10,16 +10,23 @@
  * configuration.
  *
  * Intended use: fromEnvironment() early in main(), then override*()
- * while parsing argv.
+ * while parsing argv. Numbers in both places go through one strict
+ * parser, parseNumber(): a malformed environment value keeps the
+ * default, a malformed argument is a usage error (parseNumberArg()).
  */
 
 #ifndef BGPBENCH_CORE_RUNTIME_CONFIG_HH
 #define BGPBENCH_CORE_RUNTIME_CONFIG_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace bgpbench::core
 {
@@ -34,6 +41,42 @@ enum class ConfigOrigin
 
 /** "default" | "environment" | "command line". */
 const char *configOriginName(ConfigOrigin origin);
+
+/**
+ * Parse all of @p text as a non-negative number of type T: no sign,
+ * no surrounding garbage, no overflow of T, and a finite value for
+ * floating-point T.
+ * @return The value, or nullopt when @p text is anything else.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    bool ok = ec == std::errc() && stop == end && text.front() != '-';
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    return ok ? std::optional<T>(value) : std::nullopt;
+}
+
+/** Print "error: OPTION expects a non-negative number" and exit 2. */
+[[noreturn]] void rejectNumberArg(std::string_view option,
+                                  std::string_view text);
+
+/**
+ * parseNumber() for the command line: the value of @p option, or a
+ * usage error (one error line on stderr, exit status 2).
+ */
+template <typename T>
+T
+parseNumberArg(std::string_view option, std::string_view text)
+{
+    if (std::optional<T> value = parseNumber<T>(text))
+        return *value;
+    rejectNumberArg(option, text);
+}
 
 class RuntimeConfig
 {
@@ -54,8 +97,9 @@ class RuntimeConfig
      * (BGPBENCH_SWEEP=1, BGPBENCH_JOBS=<n>,
      * BGPBENCH_SERVE_READERS=<n>, BGPBENCH_SNAPSHOT_EVERY=<n>,
      * BGPBENCH_QUERY_MIX=<L:B:S:P>, BGPBENCH_MAX_PATHS=<n>,
-     * BGPBENCH_MRAI_MS=<n>, BGPBENCH_DAMPING=1).
-     * Unset or unparsable variables leave the default in place.
+     * BGPBENCH_MRAI_MS=<n>, BGPBENCH_DAMPING=1). Unset or
+     * unparsable variables (see parseNumber()) leave the default in
+     * place, with origin Default.
      */
     static RuntimeConfig fromEnvironment();
 

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "serve/publisher.hh"
+#include "topo/scenarios.hh"
 
 namespace bgpbench::serve
 {
@@ -18,29 +19,10 @@ hostNowNs()
                         .count());
 }
 
-/** Mirrors the phase recording of the scenario runners. */
-class PhaseRecorder
-{
-  public:
-    explicit PhaseRecorder(const topo::ScenarioOptions &opts)
-    {
-        if (opts.simConfig.obs)
-            tracer_.attach(&opts.simConfig.obs->trace);
-    }
-
-    void
-    phase(const char *name, sim::SimTime begin, sim::SimTime end)
-    {
-        tracer_.complete(name, "phase", obs::kTrackPhases, 0, begin,
-                         end);
-    }
-
-  private:
-    obs::Tracer tracer_;
-};
-
-} // namespace
-
+/**
+ * The query-target population: the scenario's prefix grid
+ * (topo::scenarioPrefix), hottest-first in origination order.
+ */
 std::vector<net::Prefix>
 serveTargets(size_t nodes, size_t prefixesPerNode)
 {
@@ -52,67 +34,47 @@ serveTargets(size_t nodes, size_t prefixesPerNode)
     return targets;
 }
 
+} // namespace
+
 ServeRunResult
-runServeScenario(topo::Topology topology, const std::string &shape,
-                 const ServeRunConfig &config)
+runServeScenario(const ServeRunConfig &config)
 {
     ServeRunResult result;
-    const topo::ScenarioOptions &opts = config.scenario;
-    const size_t nodes = topology.nodeCount();
-
-    topo::TopologySim sim(std::move(topology), opts.simConfig);
+    obs::RunObservability *obs = config.scenario.simConfig.obs;
+    topo::ScenarioRunner runner(config.scenario);
 
     SnapshotPublisher publisher;
-    sim.speaker(config.publisherNode)
+    runner.sim()
+        .speaker(config.publisherNode)
         .bindRibListener(&publisher, config.snapshotEvery);
 
     std::vector<net::Prefix> targets =
-        serveTargets(nodes, opts.prefixesPerNode);
+        serveTargets(runner.sim().topology().nodeCount(),
+                     config.scenario.prefixesPerNode);
 
     // Two engines so the two phases report independently: the paced
-    // one rides the convergence run, the fixed one measures capacity
+    // one rides the scenario run, the fixed one measures capacity
     // against the settled table afterwards.
     QueryEngine paced(publisher, targets, config.engine);
     if (config.concurrentReaders)
         paced.startPaced();
 
-    // From here the write side is a faithful copy of
-    // runAnnounceScenario: same calls, same virtual-time schedule,
-    // hence the same report bytes whether readers are attached or
-    // not.
     const uint64_t hostStart = hostNowNs();
-    PhaseRecorder phases(opts);
-    sim::SimTime mark = sim.now();
-    bool converged = sim.runToConvergence(opts.limitNs);
-    sim.tracker().markPhaseStart(sim.now());
-    phases.phase("establish", mark, sim.now());
-    mark = sim.now();
-    {
-        sim::SimTime now = sim.now();
-        for (size_t node = 0; node < sim.topology().nodeCount(); ++node)
-            for (size_t j = 0; j < opts.prefixesPerNode; ++j)
-                sim.originate(node, topo::scenarioPrefix(node, j), now);
-    }
-    converged = converged && sim.runToConvergence(opts.limitNs);
-    phases.phase("announce", mark, sim.now());
-    result.convergence = sim.report("announce", shape);
-    result.convergence.converged = converged && sim.locRibsConsistent();
-    if (opts.simConfig.obs)
-        sim.publishParallelMetrics(opts.simConfig.obs->metrics);
+    result.scenario = runner.run();
     result.convergenceHostNs = hostNowNs() - hostStart;
 
     if (config.concurrentReaders) {
         paced.stop();
         result.concurrent = paced.report();
-        if (opts.simConfig.obs)
-            paced.absorbInto(opts.simConfig.obs->metrics);
+        if (obs)
+            paced.absorbInto(obs->metrics);
     }
 
     if (config.throughputPhase) {
         QueryEngine fixed(publisher, targets, config.engine);
         result.throughput = fixed.runFixed();
-        if (opts.simConfig.obs)
-            fixed.absorbInto(opts.simConfig.obs->metrics);
+        if (obs)
+            fixed.absorbInto(obs->metrics);
     }
 
     RibSnapshotPtr final_snapshot = publisher.current();

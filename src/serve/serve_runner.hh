@@ -1,25 +1,26 @@
 /**
  * @file
- * The serve scenario: a convergence run with the read side attached.
+ * The serve scenario: a ScenarioRunner run with the read side
+ * attached.
  *
- * runServeScenario() executes exactly the announce scenario of
- * topo::runAnnounceScenario — same phases, same virtual-time
- * schedule, same ConvergenceReport bytes — while one node's speaker
- * publishes epoch snapshots of its Loc-RIB and a query engine serves
- * a synthetic client population against them. The run has two
- * measured read-side phases:
+ * runServeScenario() runs any topo::ScenarioSpec through the one
+ * topo::ScenarioRunner — same phases, same virtual-time schedule,
+ * same report bytes — while one node's speaker publishes epoch
+ * snapshots of its Loc-RIB and a query engine serves a synthetic
+ * client population against them. The run has two measured read-side
+ * phases:
  *
- *  1. concurrent: paced readers issue queries while the network
- *     converges (the interference measurement — does serving reads
- *     slow the decision process, and what staleness do readers see?);
- *  2. throughput: after convergence the readers run a fixed query
+ *  1. concurrent: paced readers issue queries while the scenario runs
+ *     (the interference measurement — does serving reads slow the
+ *     decision process, and what staleness do readers see?);
+ *  2. throughput: after the run the readers issue a fixed query
  *     count flat out against the final table (the capacity
  *     measurement).
  *
  * Attaching the read side must not change the simulation: snapshots
  * are published at virtual-time boundaries the speaker reached
  * anyway, and readers only ever touch immutable snapshots, so the
- * convergence report is byte-identical with readers on or off — the
+ * scenario result is byte-identical with readers on or off — the
  * determinism suite asserts this at several shard counts.
  */
 
@@ -27,10 +28,9 @@
 #define BGPBENCH_SERVE_SERVE_RUNNER_HH
 
 #include <cstdint>
-#include <string>
 
 #include "serve/query_engine.hh"
-#include "topo/scenarios.hh"
+#include "topo/scenario_spec.hh"
 
 namespace bgpbench::serve
 {
@@ -38,7 +38,11 @@ namespace bgpbench::serve
 /** Knobs of one serve scenario run. */
 struct ServeRunConfig
 {
-    topo::ScenarioOptions scenario;
+    /**
+     * The scenario the read side rides. Readers query the prefix
+     * grid it originates (prefixesPerNode per node).
+     */
+    topo::ScenarioSpec scenario;
     QueryEngineConfig engine;
     /** Node whose Loc-RIB is published (see BgpSpeaker). */
     size_t publisherNode = 0;
@@ -47,18 +51,18 @@ struct ServeRunConfig
      * after every N decision-process runs that changed the RIB.
      */
     uint64_t snapshotEvery = 0;
-    /** Run paced readers during the convergence phase. */
+    /** Run paced readers while the scenario runs. */
     bool concurrentReaders = true;
-    /** Run the flat-out throughput phase after convergence. */
+    /** Run the flat-out throughput phase after the scenario. */
     bool throughputPhase = true;
 };
 
 /** Everything one serve scenario run produced. */
 struct ServeRunResult
 {
-    /** Byte-identical to runAnnounceScenario on the same inputs. */
-    topo::ConvergenceReport convergence;
-    /** Host wall time of the convergence (write-side) phase. */
+    /** Byte-identical to topo::ScenarioRunner on the same spec. */
+    topo::ScenarioResult scenario;
+    /** Host wall time of ScenarioRunner::run (the write side). */
     uint64_t convergenceHostNs = 0;
     /** Read-side results while converging (empty when disabled). */
     ServeReport concurrent;
@@ -71,21 +75,8 @@ struct ServeRunResult
     uint64_t tableSize = 0;
 };
 
-/**
- * Run the announce scenario on @p topology with the read side
- * attached. @p shape labels the report like the plain runners do.
- */
-ServeRunResult runServeScenario(topo::Topology topology,
-                                const std::string &shape,
-                                const ServeRunConfig &config);
-
-/**
- * The query-target population of a serve run: every prefix the
- * announce scenario will originate, hottest-first in origination
- * order. Exposed so tests and benchmarks can build matching streams.
- */
-std::vector<net::Prefix> serveTargets(size_t nodes,
-                                      size_t prefixesPerNode);
+/** Run config.scenario with the read side attached. */
+ServeRunResult runServeScenario(const ServeRunConfig &config);
 
 } // namespace bgpbench::serve
 

@@ -249,7 +249,7 @@ churnDampingConfig()
 ScenarioResult
 ScenarioRunner::run()
 {
-    TopologySim sim(std::move(spec_.topology), spec_.simConfig);
+    TopologySim &sim = sim_;
     PhaseRecorder phases(spec_.simConfig);
     bool faulted = !spec_.faults.empty();
 

@@ -5,18 +5,17 @@
  * A ScenarioSpec names a topology, a route-origination workload, and
  * a timed FaultSchedule of typed events (beacon prefix up/down
  * trains, link-flap trains with period/duty/jitter, correlated
- * session resets across a shard cut, router restarts). A single
- * ScenarioRunner executes every spec with the same three-phase
- * discipline the legacy free functions used — establish, announce,
- * reconverge — so the old runners are now thin wrappers producing
- * byte-identical reports, and every new scenario family (the churn
- * and stability axis in particular) is a schedule, not a new runner.
+ * session resets across a shard cut, router restarts). ScenarioRunner
+ * is the only code that runs the three phases — establish, announce,
+ * reconverge — for every caller: the `topo` and `serve` commands, the
+ * benches, the read-side serve runner and the tests. A new scenario
+ * family (the churn and stability axis in particular) is a schedule,
+ * not a new runner.
  *
  * Fault times are offsets from the start of the measured phase: 0 is
- * the instant the pre-fault network went quiet, exactly where the
- * legacy runners injected their single fault. All schedule expansion
- * (trains, jitter) is a pure function of the spec, so a spec replayed
- * at any jobs count yields byte-identical reports.
+ * the instant the pre-fault network went quiet. All schedule
+ * expansion (trains, jitter) is a pure function of the spec, so a
+ * spec replayed at any jobs count yields byte-identical reports.
  */
 
 #ifndef BGPBENCH_TOPO_SCENARIO_SPEC_HH
@@ -178,29 +177,40 @@ struct ScenarioResult
  *
  * The measured phase (the convergence stopwatch and the stability
  * counters) starts after establish for fault-free specs and after
- * announce otherwise — the exact discipline of the legacy runners,
- * which is what keeps their wrapped reports byte-identical.
+ * announce otherwise.
+ *
+ * The simulation is built at construction and reachable through
+ * sim() before and after run(): a caller binds listeners to a
+ * speaker first (the serve runner's snapshot publisher) or reads the
+ * engine's shard layout afterwards, without a second set-up.
  */
 class ScenarioRunner
 {
   public:
     explicit ScenarioRunner(ScenarioSpec spec)
-        : spec_(std::move(spec))
+        : spec_(std::move(spec)),
+          sim_(std::move(spec_.topology), spec_.simConfig)
     {}
 
-    /** Run the scenario (single-shot: consumes the spec). */
+    /** Run the scenario. Single-shot: call it once per runner. */
     ScenarioResult run();
 
+    /** The simulation the spec runs on. */
+    TopologySim &sim() { return sim_; }
+    const TopologySim &sim() const { return sim_; }
+
   private:
+    /** The spec; its topology has moved into sim_. */
     ScenarioSpec spec_;
+    TopologySim sim_;
 };
 
 namespace demo
 {
 /**
- * The four-AS policy demonstration (see scenarios.hh) expressed as a
- * ScenarioSpec: same topology, the demo's explicit originations as
- * the workload, no faults.
+ * The four-AS policy demonstration (see scenarios.hh) as a
+ * ScenarioSpec: the demo's topology, its explicit originations as the
+ * workload, no faults.
  */
 ScenarioSpec fourAsScenario();
 } // namespace demo

@@ -1,7 +1,6 @@
 #include "topo/scenarios.hh"
 
 #include "net/logging.hh"
-#include "topo/scenario_spec.hh"
 
 namespace bgpbench::topo
 {
@@ -15,55 +14,6 @@ scenarioPrefix(size_t node, size_t index)
                                         uint8_t(node >> 8),
                                         uint8_t(node & 0xff), 0),
                        24);
-}
-
-namespace
-{
-
-/** Shared spec fields of the legacy wrappers. */
-ScenarioSpec
-baseSpec(Topology &&topology, const std::string &shape,
-         const ScenarioOptions &opts)
-{
-    ScenarioSpec spec;
-    spec.shape = shape;
-    spec.topology = std::move(topology);
-    spec.prefixesPerNode = opts.prefixesPerNode;
-    spec.limitNs = opts.limitNs;
-    spec.simConfig = opts.simConfig;
-    return spec;
-}
-
-} // namespace
-
-ConvergenceReport
-runAnnounceScenario(Topology topology, const std::string &shape,
-                    const ScenarioOptions &opts)
-{
-    ScenarioSpec spec = baseSpec(std::move(topology), shape, opts);
-    spec.name = "announce";
-    return ScenarioRunner(std::move(spec)).run().convergence;
-}
-
-ConvergenceReport
-runLinkFailureScenario(Topology topology, const std::string &shape,
-                       size_t link, const ScenarioOptions &opts)
-{
-    ScenarioSpec spec = baseSpec(std::move(topology), shape, opts);
-    spec.name = "link-failure";
-    spec.faults.linkDown(link, 0);
-    return ScenarioRunner(std::move(spec)).run().convergence;
-}
-
-ConvergenceReport
-runRouterRebootScenario(Topology topology, const std::string &shape,
-                        size_t node, sim::SimTime downtime,
-                        const ScenarioOptions &opts)
-{
-    ScenarioSpec spec = baseSpec(std::move(topology), shape, opts);
-    spec.name = "router-reboot";
-    spec.faults.routerRestart(node, 0, downtime);
-    return ScenarioRunner(std::move(spec)).run().convergence;
 }
 
 namespace demo
@@ -126,10 +76,12 @@ fourAsPolicyTopology()
     {
         Link link;
         link.a.node = net.ispB;
-        bgp::PolicyRule prepend;
-        prepend.name = "depref-toward-backbone";
-        prepend.action.prependCount = 2;
-        link.a.exportPolicy = bgp::Policy({prepend});
+        auto prepend =
+            std::make_shared<bgp::RouteMap>("depref-toward-backbone");
+        bgp::RouteMapEntry entry;
+        entry.set.prependCount = 2;
+        prepend->add(std::move(entry));
+        link.a.exportPolicy = bgp::Policy(std::move(prepend));
         link.b.node = net.backbone;
         link.b.importPolicy = martian_filter;
         topo.addLink(std::move(link));

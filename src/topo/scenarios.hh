@@ -1,38 +1,18 @@
 /**
  * @file
- * Canned topology scenarios shared by the convergence benchmark, the
- * CLI's topo subcommand, the network example, and the tests.
- *
- * The three legacy runners are thin wrappers over the declarative
- * ScenarioSpec / ScenarioRunner API (scenario_spec.hh): each builds
- * the equivalent spec (single fault at offset 0) and returns the
- * runner's ConvergenceReport, byte-identical to the pre-redesign
- * output. The measured phase always starts *after* an initial
- * convergence (sessions up, steady state), so announce scenarios
- * report pure route-propagation time and fault scenarios report pure
- * re-convergence time. New scenario families should use ScenarioSpec
- * directly.
+ * Scenario building blocks shared by ScenarioRunner
+ * (scenario_spec.hh), the benches, the network example and the
+ * tests: the deterministic per-node prefix grid every scenario
+ * originates, and the four-AS policy demonstration network.
  */
 
 #ifndef BGPBENCH_TOPO_SCENARIOS_HH
 #define BGPBENCH_TOPO_SCENARIOS_HH
 
-#include <string>
-
 #include "topo/topology_sim.hh"
 
 namespace bgpbench::topo
 {
-
-/** Shared knobs of the scenario runners. */
-struct ScenarioOptions
-{
-    /** Prefixes originated by every node. */
-    size_t prefixesPerNode = 1;
-    /** Virtual-time budget; a run past this reports non-convergence. */
-    sim::SimTime limitNs = sim::nsFromSec(600.0);
-    TopologySimConfig simConfig;
-};
 
 /**
  * The deterministic prefix originated by @p node as its @p index-th
@@ -40,35 +20,6 @@ struct ScenarioOptions
  * index < 156 and node < 65536.
  */
 net::Prefix scenarioPrefix(size_t node, size_t index);
-
-/**
- * Bring all sessions up, then originate every node's prefixes and
- * measure the time until the network is quiet.
- */
-ConvergenceReport runAnnounceScenario(Topology topology,
-                                      const std::string &shape,
-                                      const ScenarioOptions &opts = {});
-
-/**
- * Converge fully, then fail @p link and measure re-convergence
- * (withdrawals, path exploration, new best paths).
- */
-ConvergenceReport runLinkFailureScenario(Topology topology,
-                                         const std::string &shape,
-                                         size_t link,
-                                         const ScenarioOptions &opts =
-                                             {});
-
-/**
- * Converge fully, then restart @p node: its sessions drop, stay down
- * for @p downtime, and re-establish with full-table exchanges.
- */
-ConvergenceReport runRouterRebootScenario(Topology topology,
-                                          const std::string &shape,
-                                          size_t node,
-                                          sim::SimTime downtime,
-                                          const ScenarioOptions &opts =
-                                              {});
 
 namespace demo
 {

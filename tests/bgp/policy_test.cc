@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the route-map-style policy engine.
+ * Tests for the Policy handle, its helpers, and every inline
+ * PolicyMatch condition and basic set-action, written as route-maps.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,40 @@ attrs(std::vector<AsNumber> path, std::vector<uint32_t> communities = {})
 const net::Prefix p24 = net::Prefix::fromString("10.1.2.0/24");
 const net::Prefix p16 = net::Prefix::fromString("10.1.0.0/16");
 
+/** A permit entry with no clauses: matches every route. */
+RouteMapEntry
+permitAll(uint32_t seq)
+{
+    RouteMapEntry entry;
+    entry.seq = seq;
+    return entry;
+}
+
+/** A deny entry with the given inline conditions. */
+RouteMapEntry
+denyIf(uint32_t seq, PolicyMatch match)
+{
+    RouteMapEntry entry;
+    entry.seq = seq;
+    entry.permit = false;
+    entry.match = std::move(match);
+    return entry;
+}
+
+/**
+ * @p entries, then a catch-all permit entry that passes every other
+ * route through unmodified.
+ */
+Policy
+policyOf(std::vector<RouteMapEntry> entries)
+{
+    auto map = std::make_shared<RouteMap>("test");
+    for (RouteMapEntry &entry : entries)
+        map->add(std::move(entry));
+    map->add(permitAll(1000));
+    return Policy(std::move(map));
+}
+
 } // namespace
 
 TEST(Policy, EmptyPolicyAcceptsUnmodified)
@@ -41,22 +76,22 @@ TEST(Policy, RejectRule)
 {
     Policy policy = makeRejectPrefixPolicy(p16);
     EXPECT_EQ(policy.apply(p24, attrs({100})), nullptr);
-    EXPECT_NE(policy.apply(net::Prefix::fromString("11.0.0.0/16"),
-                           attrs({100})),
-              nullptr);
+    // Routes outside the rejected block pass through untouched.
+    auto in = attrs({100});
+    EXPECT_EQ(policy.apply(net::Prefix::fromString("11.0.0.0/16"), in),
+              in);
 }
 
 TEST(Policy, FirstMatchWins)
 {
-    PolicyRule accept;
+    RouteMapEntry accept;
+    accept.seq = 10;
     accept.match.prefixCoveredBy = p16;
-    accept.action.setLocalPref = 300;
+    accept.set.localPref = 300;
 
-    PolicyRule reject;
-    reject.match.prefixCoveredBy = p16;
-    reject.action.reject = true;
-
-    Policy policy({accept, reject});
+    PolicyMatch covered;
+    covered.prefixCoveredBy = p16;
+    Policy policy = policyOf({accept, denyIf(20, covered)});
     auto out = policy.apply(p24, attrs({100}));
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->localPref, 300u);
@@ -64,22 +99,20 @@ TEST(Policy, FirstMatchWins)
 
 TEST(Policy, NoMatchFallsThroughToAccept)
 {
-    PolicyRule reject;
-    reject.match.prefixCoveredBy =
-        net::Prefix::fromString("192.168.0.0/16");
-    reject.action.reject = true;
-
-    Policy policy({reject});
+    // A route no deny entry matches reaches the catch-all permit and
+    // keeps its interned attributes.
+    PolicyMatch martians;
+    martians.prefixCoveredBy = net::Prefix::fromString("192.168.0.0/16");
+    Policy policy = policyOf({denyIf(10, martians)});
     auto in = attrs({100});
     EXPECT_EQ(policy.apply(p24, in), in);
 }
 
 TEST(Policy, MatchAsPathContains)
 {
-    PolicyRule rule;
-    rule.match.asPathContains = 666;
-    rule.action.reject = true;
-    Policy policy({rule});
+    PolicyMatch match;
+    match.asPathContains = 666;
+    Policy policy = policyOf({denyIf(10, match)});
 
     EXPECT_EQ(policy.apply(p24, attrs({100, 666, 200})), nullptr);
     EXPECT_NE(policy.apply(p24, attrs({100, 200})), nullptr);
@@ -87,10 +120,10 @@ TEST(Policy, MatchAsPathContains)
 
 TEST(Policy, MatchOriginAs)
 {
-    PolicyRule rule;
-    rule.match.originAs = 300;
-    rule.action.setMed = 99;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.match.originAs = 300;
+    entry.set.med = 99;
+    Policy policy = policyOf({entry});
 
     auto hit = policy.apply(p24, attrs({100, 300}));
     ASSERT_NE(hit, nullptr);
@@ -102,23 +135,28 @@ TEST(Policy, MatchOriginAs)
 
 TEST(Policy, MatchPrefixLengthBounds)
 {
-    PolicyRule rule;
-    rule.match.minPrefixLength = 25; // reject long prefixes
-    rule.action.reject = true;
-    Policy policy({rule});
+    PolicyMatch too_long;
+    too_long.minPrefixLength = 25; // reject long prefixes
+    Policy policy = policyOf({denyIf(10, too_long)});
 
     EXPECT_EQ(policy.apply(net::Prefix::fromString("10.0.0.0/28"),
                            attrs({1})),
               nullptr);
     EXPECT_NE(policy.apply(p24, attrs({1})), nullptr);
+
+    PolicyMatch too_short;
+    too_short.maxPrefixLength = 16; // reject short prefixes
+    Policy upper = policyOf({denyIf(10, too_short)});
+    EXPECT_EQ(upper.apply(p16, attrs({1})), nullptr);
+    EXPECT_NE(upper.apply(p24, attrs({1})), nullptr);
 }
 
 TEST(Policy, MatchCommunity)
 {
-    PolicyRule rule;
-    rule.match.hasCommunity = 0x00010002;
-    rule.action.setLocalPref = 50;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.match.hasCommunity = 0x00010002;
+    entry.set.localPref = 50;
+    Policy policy = policyOf({entry});
 
     auto hit = policy.apply(p24, attrs({1}, {0x00010002}));
     ASSERT_NE(hit, nullptr);
@@ -130,10 +168,9 @@ TEST(Policy, MatchCommunity)
 
 TEST(Policy, MatchMinAsPathLength)
 {
-    PolicyRule rule;
-    rule.match.minAsPathLength = 3;
-    rule.action.reject = true;
-    Policy policy({rule});
+    PolicyMatch match;
+    match.minAsPathLength = 3;
+    Policy policy = policyOf({denyIf(10, match)});
 
     EXPECT_EQ(policy.apply(p24, attrs({1, 2, 3})), nullptr);
     EXPECT_NE(policy.apply(p24, attrs({1, 2})), nullptr);
@@ -141,11 +178,11 @@ TEST(Policy, MatchMinAsPathLength)
 
 TEST(Policy, SetActionsProduceNewAttributes)
 {
-    PolicyRule rule;
-    rule.action.setLocalPref = 250;
-    rule.action.setMed = 7;
-    rule.action.addCommunity = 0xdead;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.set.localPref = 250;
+    entry.set.med = 7;
+    entry.set.addCommunities = {0xdead};
+    Policy policy = policyOf({entry});
 
     auto in = attrs({100});
     auto out = policy.apply(p24, in);
@@ -160,19 +197,21 @@ TEST(Policy, SetActionsProduceNewAttributes)
 
 TEST(Policy, AddCommunityIsIdempotent)
 {
-    PolicyRule rule;
-    rule.action.addCommunity = 5;
-    Policy policy({rule});
-    auto out = policy.apply(p24, attrs({1}, {5, 9}));
+    RouteMapEntry entry;
+    entry.set.addCommunities = {5};
+    Policy policy = policyOf({entry});
+    auto in = attrs({1}, {5, 9});
+    auto out = policy.apply(p24, in);
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->communities, (std::vector<uint32_t>{5, 9}));
+    EXPECT_EQ(out, in); // nothing to add: no copy taken
 }
 
 TEST(Policy, RemoveCommunity)
 {
-    PolicyRule rule;
-    rule.action.removeCommunity = 5;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.set.deleteCommunities = {5};
+    Policy policy = policyOf({entry});
     auto out = policy.apply(p24, attrs({1}, {3, 5, 9}));
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->communities, (std::vector<uint32_t>{3, 9}));
@@ -180,9 +219,9 @@ TEST(Policy, RemoveCommunity)
 
 TEST(Policy, PrependOnExport)
 {
-    PolicyRule rule;
-    rule.action.prependCount = 3;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.set.prependCount = 3;
+    Policy policy = policyOf({entry});
 
     auto out = policy.apply(p24, attrs({100}), 65000);
     ASSERT_NE(out, nullptr);
@@ -192,9 +231,9 @@ TEST(Policy, PrependOnExport)
 
 TEST(Policy, PrependIgnoredOnImport)
 {
-    PolicyRule rule;
-    rule.action.prependCount = 3;
-    Policy policy({rule});
+    RouteMapEntry entry;
+    entry.set.prependCount = 3;
+    Policy policy = policyOf({entry});
 
     // prepend_as 0 = import side: prepending is meaningless and the
     // attributes pass through unmodified (same pointer).
@@ -208,6 +247,9 @@ TEST(Policy, LocalPrefForAsHelper)
     auto hit = policy.apply(p24, attrs({100, 300}));
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->localPref, 500u);
+    // Routes that never crossed AS 300 pass through untouched.
+    auto in = attrs({100, 200});
+    EXPECT_EQ(policy.apply(p24, in), in);
 }
 
 TEST(Policy, NullAttributesPassThrough)

@@ -228,7 +228,7 @@ TEST(RouteMap, MatchingDenyRejectsImmediately)
 
 TEST(RouteMap, NativeMapHasImplicitDeny)
 {
-    RouteMap map("rm"); // NoMatch::Deny by default
+    RouteMap map("rm");
     RouteMapEntry entry;
     entry.match.prefixCoveredBy = pfx("192.168.0.0/16");
     map.add(entry);
@@ -240,17 +240,22 @@ TEST(RouteMap, NativeMapHasImplicitDeny)
               nullptr);
 }
 
-TEST(RouteMap, PermitNoMatchActionAcceptsUnmodified)
+TEST(RouteMap, CatchAllEntryAcceptsUnmodified)
 {
-    RouteMap map("legacy", RouteMap::NoMatch::Permit);
+    // A trailing entry with no clauses and no set-actions turns the
+    // implicit deny into accept-the-rest, pointer-identical.
+    RouteMap map("filter");
     RouteMapEntry entry;
     entry.permit = false;
     entry.match.prefixCoveredBy = pfx("192.168.0.0/16");
-    map.add(entry);
+    RouteMapEntry rest;
+    rest.seq = 20;
+    map.add(entry).add(rest);
     Policy policy = mapPolicy(std::move(map));
 
     auto in = attrs({100});
     EXPECT_EQ(policy.apply(pfx("10.0.0.0/24"), in), in);
+    EXPECT_EQ(policy.apply(pfx("192.168.1.0/24"), in), nullptr);
 }
 
 TEST(RouteMap, NamedListMustPermitForEntryToMatch)
@@ -547,10 +552,14 @@ TEST(PolicyHandle, EmptinessReflectsMapSemantics)
     Policy native = mapPolicy(RouteMap("rm"));
     EXPECT_FALSE(native.empty());
     EXPECT_EQ(native.apply(pfx("10.0.0.0/24"), attrs({1})), nullptr);
-    // A legacy-style empty map accepts unmodified: empty.
-    Policy legacy =
-        mapPolicy(RouteMap("rm", RouteMap::NoMatch::Permit));
-    EXPECT_TRUE(legacy.empty());
+    // A lone catch-all entry accepts everything unmodified, but any
+    // attached map counts as a policy.
+    RouteMap pass("rm");
+    pass.add(RouteMapEntry{});
+    Policy catch_all = mapPolicy(std::move(pass));
+    EXPECT_FALSE(catch_all.empty());
+    auto in = attrs({1});
+    EXPECT_EQ(catch_all.apply(pfx("10.0.0.0/24"), in), in);
     EXPECT_EQ(Policy().size(), 0u);
 
     RouteMap sized("rm");

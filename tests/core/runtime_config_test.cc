@@ -1,8 +1,8 @@
 /**
  * @file
- * RuntimeConfig tests: the env < CLI precedence ladder, the exact
- * legacy parsing semantics of each BGPBENCH_* variable, and
- * provenance reporting.
+ * RuntimeConfig tests: the env < CLI precedence ladder, the parsing
+ * of each BGPBENCH_* variable (numbers through the strict
+ * core::parseNumber), and provenance reporting.
  */
 
 #include <algorithm>
@@ -285,4 +285,45 @@ TEST(RuntimeConfig, DumpShowsChurnKnobs)
     std::ostringstream os2;
     config.dump(os2);
     EXPECT_NE(os2.str().find("250"), std::string::npos);
+}
+
+TEST(RuntimeConfig, MalformedNumbersKeepDefaults)
+{
+    // Garbage, trailing junk, scientific notation, a sign or an
+    // overflow is not a number: the default stays, with its origin.
+    EnvVar jobs("BGPBENCH_JOBS", "abc");
+    EnvVar readers("BGPBENCH_SERVE_READERS", "4x");
+    EnvVar every("BGPBENCH_SNAPSHOT_EVERY", "-1");
+    EnvVar paths("BGPBENCH_MAX_PATHS", "18446744073709551616");
+    EnvVar mrai("BGPBENCH_MRAI_MS", "1e3");
+    auto config = core::RuntimeConfig::fromEnvironment();
+    EXPECT_EQ(config.jobs(), 1u);
+    EXPECT_EQ(config.jobsOrigin(), core::ConfigOrigin::Default);
+    EXPECT_EQ(config.serveReaders(), 4u);
+    EXPECT_EQ(config.serveReadersOrigin(), core::ConfigOrigin::Default);
+    EXPECT_EQ(config.snapshotEvery(), 0u);
+    EXPECT_EQ(config.snapshotEveryOrigin(),
+              core::ConfigOrigin::Default);
+    EXPECT_EQ(config.maxPaths(), 1u);
+    EXPECT_EQ(config.maxPathsOrigin(), core::ConfigOrigin::Default);
+    EXPECT_EQ(config.mraiMs(), 0u);
+    EXPECT_EQ(config.mraiMsOrigin(), core::ConfigOrigin::Default);
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeNonNegativeNumbers)
+{
+    EXPECT_EQ(core::parseNumber<size_t>("42"), 42u);
+    EXPECT_EQ(core::parseNumber<size_t>("0"), 0u);
+    EXPECT_EQ(core::parseNumber<uint64_t>("18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(core::parseNumber<double>("2.5"), 2.5);
+    for (const char *bad : {"", "abc", "50k", "4x", " 4", "+4", "-1",
+                            "1e3", "18446744073709551616"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(core::parseNumber<size_t>(bad).has_value());
+    }
+    EXPECT_FALSE(core::parseNumber<int>("-1").has_value());
+    EXPECT_FALSE(core::parseNumber<double>("-0.5").has_value());
+    EXPECT_FALSE(core::parseNumber<double>("inf").has_value());
+    EXPECT_FALSE(core::parseNumber<double>("nan").has_value());
 }

@@ -15,6 +15,7 @@
 
 #include "obs/observability.hh"
 #include "obs/views.hh"
+#include "topo/scenario_spec.hh"
 #include "topo/scenarios.hh"
 #include "topo/topology.hh"
 #include "topo/topology_sim.hh"
@@ -37,12 +38,25 @@ allRenderings(const topo::ConvergenceReport &report)
     return os.str();
 }
 
-topo::ScenarioOptions
-optionsWithJobs(size_t jobs)
+/** A named scenario on @p topology, fault-free until faults are added. */
+topo::ScenarioSpec
+specOf(const char *name, const char *shape, topo::Topology topology)
 {
-    topo::ScenarioOptions opts;
-    opts.simConfig.jobs = jobs;
-    return opts;
+    topo::ScenarioSpec spec;
+    spec.name = name;
+    spec.shape = shape;
+    spec.topology = std::move(topology);
+    return spec;
+}
+
+/** Run @p spec at @p jobs worker threads. */
+topo::ConvergenceReport
+runAtJobs(topo::ScenarioSpec spec, size_t jobs,
+          obs::RunObservability *obs = nullptr)
+{
+    spec.simConfig.jobs = jobs;
+    spec.simConfig.obs = obs;
+    return topo::ScenarioRunner(std::move(spec)).run().convergence;
 }
 
 /**
@@ -67,35 +81,39 @@ expectIdenticalAcrossJobs(const char *label, Fn &&scenario)
 TEST(ParallelDeterminism, AnnounceOnMesh)
 {
     expectIdenticalAcrossJobs("mesh announce", [](size_t jobs) {
-        return topo::runAnnounceScenario(topo::Topology::fullMesh(12),
-                                         "mesh", optionsWithJobs(jobs));
+        return runAtJobs(
+            specOf("announce", "mesh", topo::Topology::fullMesh(12)),
+            jobs);
     });
 }
 
 TEST(ParallelDeterminism, AnnounceOnRandomGraph)
 {
     expectIdenticalAcrossJobs("ba announce", [](size_t jobs) {
-        return topo::runAnnounceScenario(
-            topo::Topology::barabasiAlbert(24, 2, 42), "random",
-            optionsWithJobs(jobs));
+        return runAtJobs(specOf("announce", "random",
+                                topo::Topology::barabasiAlbert(24, 2, 42)),
+                         jobs);
     });
 }
 
 TEST(ParallelDeterminism, LinkFailureOnRing)
 {
     expectIdenticalAcrossJobs("ring link failure", [](size_t jobs) {
-        return topo::runLinkFailureScenario(topo::Topology::ring(16),
-                                            "ring", 3,
-                                            optionsWithJobs(jobs));
+        topo::ScenarioSpec spec =
+            specOf("link-failure", "ring", topo::Topology::ring(16));
+        spec.faults.linkDown(3, 0);
+        return runAtJobs(std::move(spec), jobs);
     });
 }
 
 TEST(ParallelDeterminism, RouterRebootOnRandomGraph)
 {
     expectIdenticalAcrossJobs("ba reboot", [](size_t jobs) {
-        return topo::runRouterRebootScenario(
-            topo::Topology::barabasiAlbert(24, 2, 7), "random", 0,
-            sim::nsFromMs(50), optionsWithJobs(jobs));
+        topo::ScenarioSpec spec =
+            specOf("router-reboot", "random",
+                   topo::Topology::barabasiAlbert(24, 2, 7));
+        spec.faults.routerRestart(0, 0, sim::nsFromMs(50));
+        return runAtJobs(std::move(spec), jobs);
     });
 }
 
@@ -147,8 +165,9 @@ TEST(ParallelDeterminism, WithdrawMidConvergence)
 TEST(ParallelDeterminism, AutoJobsMatchesSequential)
 {
     auto run = [](size_t jobs) {
-        return topo::runAnnounceScenario(topo::Topology::ring(12),
-                                         "ring", optionsWithJobs(jobs))
+        return runAtJobs(
+                   specOf("announce", "ring", topo::Topology::ring(12)),
+                   jobs)
             .toJson();
     };
     // jobs = 0 resolves to the hardware concurrency, whatever that
@@ -233,11 +252,10 @@ TEST(ParallelDeterminism, TracingDoesNotPerturbReports)
     // them) cannot change a single report byte relative to the
     // detached sequential baseline.
     auto run = [](size_t jobs, obs::RunObservability *obs) {
-        topo::ScenarioOptions opts;
-        opts.simConfig.jobs = jobs;
-        opts.simConfig.obs = obs;
-        return allRenderings(topo::runLinkFailureScenario(
-            topo::Topology::ring(12), "ring", 0, opts));
+        topo::ScenarioSpec spec =
+            specOf("link-failure", "ring", topo::Topology::ring(12));
+        spec.faults.linkDown(0, 0);
+        return allRenderings(runAtJobs(std::move(spec), jobs, obs));
     };
     std::string baseline = run(1, nullptr);
     EXPECT_FALSE(baseline.empty());

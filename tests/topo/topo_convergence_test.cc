@@ -1,22 +1,42 @@
 /**
  * @file
- * Tests for the convergence tracker, the scenario runners, and the
+ * Tests for the convergence tracker, the scenario runner, and the
  * determinism of the JSON reports.
  */
 
 #include <gtest/gtest.h>
 
-#include "topo/scenarios.hh"
+#include "topo/scenario_spec.hh"
 
 using namespace bgpbench;
+
+namespace
+{
+
+/** Run @p topology as the scenario @p name, with optional faults. */
+topo::ConvergenceReport
+runScenario(topo::Topology topology, const char *shape,
+            const char *name = "announce", topo::FaultSchedule faults = {},
+            size_t prefixes_per_node = 1)
+{
+    topo::ScenarioSpec spec;
+    spec.name = name;
+    spec.shape = shape;
+    spec.topology = std::move(topology);
+    spec.prefixesPerNode = prefixes_per_node;
+    spec.faults = std::move(faults);
+    return topo::ScenarioRunner(std::move(spec)).run().convergence;
+}
+
+} // namespace
 
 TEST(Scenarios, RandomTopologyConverges)
 {
     // The benchmark's headline configuration: >= 20 routers of
     // preferential-attachment topology, every node originating one
     // prefix, run to full network-wide convergence.
-    topo::ConvergenceReport report = topo::runAnnounceScenario(
-        topo::Topology::barabasiAlbert(20, 2, 7), "random");
+    topo::ConvergenceReport report =
+        runScenario(topo::Topology::barabasiAlbert(20, 2, 7), "random");
     EXPECT_TRUE(report.converged);
     EXPECT_EQ(report.nodes, 20u);
     EXPECT_GT(report.convergenceTimeSec, 0.0);
@@ -35,8 +55,8 @@ TEST(Scenarios, RandomTopologyConverges)
 TEST(Scenarios, SameSeedSameReport)
 {
     auto run = []() {
-        return topo::runAnnounceScenario(
-                   topo::Topology::barabasiAlbert(20, 2, 42), "random")
+        return runScenario(topo::Topology::barabasiAlbert(20, 2, 42),
+                           "random")
             .toJson();
     };
     std::string first = run();
@@ -45,8 +65,7 @@ TEST(Scenarios, SameSeedSameReport)
     EXPECT_EQ(first, second);
 
     std::string other =
-        topo::runAnnounceScenario(
-            topo::Topology::barabasiAlbert(20, 2, 43), "random")
+        runScenario(topo::Topology::barabasiAlbert(20, 2, 43), "random")
             .toJson();
     EXPECT_NE(first, other);
 }
@@ -55,8 +74,9 @@ TEST(Scenarios, RingLinkFailureReconverges)
 {
     // A ring survives any single link failure; the report covers only
     // the re-convergence phase after the cut.
-    topo::ConvergenceReport report = topo::runLinkFailureScenario(
-        topo::Topology::ring(8), "ring", 0);
+    topo::ConvergenceReport report =
+        runScenario(topo::Topology::ring(8), "ring", "link-failure",
+                    topo::FaultSchedule().linkDown(0, 0));
     EXPECT_TRUE(report.converged);
     EXPECT_EQ(report.scenario, "link-failure");
     EXPECT_GT(report.convergenceTimeSec, 0.0);
@@ -65,8 +85,9 @@ TEST(Scenarios, RingLinkFailureReconverges)
 
 TEST(Scenarios, RouterRebootReconverges)
 {
-    topo::ConvergenceReport report = topo::runRouterRebootScenario(
-        topo::Topology::ring(6), "ring", 0, sim::nsFromMs(50));
+    topo::ConvergenceReport report = runScenario(
+        topo::Topology::ring(6), "ring", "router-reboot",
+        topo::FaultSchedule().routerRestart(0, 0, sim::nsFromMs(50)));
     EXPECT_TRUE(report.converged);
     EXPECT_EQ(report.scenario, "router-reboot");
     EXPECT_GT(report.totalUpdates, 0u);
@@ -74,13 +95,9 @@ TEST(Scenarios, RouterRebootReconverges)
 
 TEST(Scenarios, PrefixesPerNodeScalesWork)
 {
-    topo::ScenarioOptions one;
-    topo::ScenarioOptions three;
-    three.prefixesPerNode = 3;
-    auto small = topo::runAnnounceScenario(topo::Topology::line(4),
-                                           "line", one);
-    auto large = topo::runAnnounceScenario(topo::Topology::line(4),
-                                           "line", three);
+    auto small = runScenario(topo::Topology::line(4), "line");
+    auto large =
+        runScenario(topo::Topology::line(4), "line", "announce", {}, 3);
     EXPECT_TRUE(small.converged);
     EXPECT_TRUE(large.converged);
     EXPECT_EQ(large.totalTransactions, 3u * small.totalTransactions);
@@ -88,8 +105,8 @@ TEST(Scenarios, PrefixesPerNodeScalesWork)
 
 TEST(ConvergenceReport, JsonShape)
 {
-    topo::ConvergenceReport report = topo::runAnnounceScenario(
-        topo::Topology::line(3), "line");
+    topo::ConvergenceReport report =
+        runScenario(topo::Topology::line(3), "line");
     std::string json = report.toJson();
     EXPECT_NE(json.find("\"benchmark\": \"topo_convergence\""),
               std::string::npos);

@@ -21,10 +21,11 @@
  *       report).
  *
  *   bgpbench serve --shape ring --nodes 12 [options]
- *       The topo announce scenario with the read side attached: one
- *       node publishes epoch snapshots of its Loc-RIB and reader
- *       threads serve a synthetic query stream against them, both
- *       while the network converges and flat out afterwards.
+ *       The topo scenario (every topo option, --fault included) with
+ *       the read side attached: one node publishes epoch snapshots of
+ *       its Loc-RIB and reader threads serve a synthetic query stream
+ *       against them, both while the network converges and flat out
+ *       afterwards.
  *
  *   bgpbench config
  *       Show the effective runtime configuration and where each
@@ -43,14 +44,10 @@
  */
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <type_traits>
 
 #include "bgp/attr_intern.hh"
 #include "core/benchmark_runner.hh"
@@ -65,7 +62,6 @@
 #include "stats/json.hh"
 #include "stats/report.hh"
 #include "topo/scenario_spec.hh"
-#include "topo/scenarios.hh"
 
 using namespace bgpbench;
 
@@ -171,7 +167,7 @@ usage(int code)
         "default 1)\n"
         "  --json                   JSON report output\n"
         "\n"
-        "serve options (plus the topo topology options):\n"
+        "serve options (plus every topo option):\n"
         "  --readers N              reader threads (default 4)\n"
         "  --queries N              throughput-phase queries per "
         "reader (default 200000)\n"
@@ -180,31 +176,6 @@ usage(int code)
         "  --snapshot-every N       publish after N decisions "
         "(default: every flush)\n";
     std::exit(code);
-}
-
-/**
- * Parse all of @p text as a non-negative number of type T for
- * @p option: no sign, no surrounding garbage, no overflow of T, and a
- * finite value for floating-point options. Anything else is a usage
- * error: one error line and exit status 2.
- */
-template <typename T>
-T
-parseNumber(const std::string &option, const std::string &text)
-{
-    T value{};
-    const char *end = text.data() + text.size();
-    auto [stop, ec] = std::from_chars(text.data(), end, value);
-    bool ok = ec == std::errc() && stop == end && text[0] != '-';
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value);
-    if (!ok) {
-        std::cerr << "error: " << option
-                  << " expects a non-negative number, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return value;
 }
 
 CliOptions
@@ -229,19 +200,19 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
         if (arg == "--system") {
             options.system = value();
         } else if (arg == "--scenario") {
-            options.scenario = parseNumber<int>(arg, value());
+            options.scenario = core::parseNumberArg<int>(arg, value());
         } else if (arg == "--prefixes") {
-            options.prefixes = parseNumber<size_t>(arg, value());
+            options.prefixes = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--seed") {
-            options.seed = parseNumber<uint64_t>(arg, value());
+            options.seed = core::parseNumberArg<uint64_t>(arg, value());
         } else if (arg == "--cross-mbps") {
-            options.crossMbps = parseNumber<double>(arg, value());
+            options.crossMbps = core::parseNumberArg<double>(arg, value());
         } else if (arg == "--steps") {
-            options.steps = parseNumber<int>(arg, value());
+            options.steps = core::parseNumberArg<int>(arg, value());
         } else if (arg == "--damping") {
             runtime.overrideDamping(true);
         } else if (arg == "--mrai-ms") {
-            runtime.overrideMraiMs(parseNumber<uint64_t>(arg, value()));
+            runtime.overrideMraiMs(core::parseNumberArg<uint64_t>(arg, value()));
         } else if (arg == "--csv") {
             options.csv = true;
         } else if (arg == "--json") {
@@ -261,38 +232,38 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
         } else if (arg == "--shape") {
             options.shape = value();
         } else if (arg == "--nodes") {
-            options.nodes = parseNumber<size_t>(arg, value());
+            options.nodes = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--fault") {
             options.fault = value();
         } else if (arg == "--link") {
-            options.faultLink = parseNumber<size_t>(arg, value());
+            options.faultLink = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--node") {
-            options.faultNode = parseNumber<size_t>(arg, value());
+            options.faultNode = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--downtime-ms") {
-            options.downtimeMs = parseNumber<uint64_t>(arg, value());
+            options.downtimeMs = core::parseNumberArg<uint64_t>(arg, value());
         } else if (arg == "--flap-period-ms") {
-            options.flapPeriodMs = parseNumber<uint64_t>(arg, value());
+            options.flapPeriodMs = core::parseNumberArg<uint64_t>(arg, value());
             if (options.flapPeriodMs == 0) {
                 std::cerr << "--flap-period-ms needs a value >= 1\n";
                 usage(2);
             }
         } else if (arg == "--flap-cycles") {
-            options.flapCycles = parseNumber<size_t>(arg, value());
+            options.flapCycles = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--prefixes-per-node") {
-            options.prefixesPerNode = parseNumber<size_t>(arg, value());
+            options.prefixesPerNode = core::parseNumberArg<size_t>(arg, value());
         } else if (arg == "--jobs") {
-            runtime.overrideJobs(parseNumber<size_t>(arg, value()));
+            runtime.overrideJobs(core::parseNumberArg<size_t>(arg, value()));
         } else if (arg == "--max-paths") {
-            size_t paths = parseNumber<size_t>(arg, value());
+            size_t paths = core::parseNumberArg<size_t>(arg, value());
             if (paths == 0) {
                 std::cerr << "--max-paths needs a value >= 1\n";
                 usage(2);
             }
             runtime.overrideMaxPaths(paths);
         } else if (arg == "--readers") {
-            runtime.overrideServeReaders(parseNumber<size_t>(arg, value()));
+            runtime.overrideServeReaders(core::parseNumberArg<size_t>(arg, value()));
         } else if (arg == "--queries") {
-            options.serveQueries = parseNumber<uint64_t>(arg, value());
+            options.serveQueries = core::parseNumberArg<uint64_t>(arg, value());
         } else if (arg == "--query-mix") {
             std::string mix = value();
             workload::QueryMix parsed;
@@ -303,7 +274,7 @@ parseArgs(int argc, char **argv, core::RuntimeConfig &runtime)
             runtime.overrideQueryMix(mix);
         } else if (arg == "--snapshot-every") {
             runtime.overrideSnapshotEvery(
-                parseNumber<uint64_t>(arg, value()));
+                core::parseNumberArg<uint64_t>(arg, value()));
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
@@ -503,8 +474,12 @@ topoByShape(const CliOptions &options)
     usage(2);
 }
 
-int
-cmdTopo(const CliOptions &options)
+/**
+ * The scenario `topo` and `serve` run: the shape, the workload, the
+ * fault and the engine knobs, all from the command line.
+ */
+topo::ScenarioSpec
+scenarioSpec(const CliOptions &options)
 {
     topo::ScenarioSpec spec;
     spec.shape = options.shape;
@@ -536,9 +511,14 @@ cmdTopo(const CliOptions &options)
         std::cerr << "unknown fault: " << options.fault << "\n";
         usage(2);
     }
+    return spec;
+}
 
-    topo::ScenarioResult result =
-        topo::ScenarioRunner(std::move(spec)).run();
+int
+cmdTopo(const CliOptions &options)
+{
+    topo::ScenarioRunner runner(scenarioSpec(options));
+    topo::ScenarioResult result = runner.run();
     const topo::ConvergenceReport &report = result.convergence;
 
     // Churn scenarios come with the stability report; the legacy
@@ -559,14 +539,7 @@ cmdTopo(const CliOptions &options)
     }
 
     if (options.jobs != 1 && !options.csv && !options.json) {
-        size_t jobs = options.jobs;
-        if (jobs == 0) {
-            jobs = std::max<size_t>(
-                1, std::thread::hardware_concurrency());
-        }
-        topo::Topology shape = topoByShape(options);
-        topo::Partition part = topo::partitionTopology(
-            shape, topo::shardTarget(shape.nodeCount(), jobs));
+        const topo::Partition &part = runner.sim().partition();
         std::cerr << "parallel: " << part.shardCount << " shard(s), "
                   << part.cutLinks << " cut link(s) ("
                   << stats::formatDouble(part.edgeCutRatio * 100.0, 1)
@@ -601,13 +574,7 @@ int
 cmdServe(const CliOptions &options)
 {
     serve::ServeRunConfig config;
-    config.scenario.prefixesPerNode = options.prefixesPerNode;
-    config.scenario.simConfig.jobs = options.jobs;
-    config.scenario.simConfig.maxPaths = options.maxPaths;
-    if (options.damping)
-        config.scenario.simConfig.damping = topo::churnDampingConfig();
-    config.scenario.simConfig.mraiNs = sim::nsFromMs(options.mraiMs);
-    config.scenario.simConfig.obs = options.obs;
+    config.scenario = scenarioSpec(options);
     config.snapshotEvery = options.snapshotEvery;
     config.engine.readers = int(options.serveReaders);
     config.engine.queriesPerReader = options.serveQueries;
@@ -619,9 +586,8 @@ cmdServe(const CliOptions &options)
         usage(2);
     }
 
-    serve::ServeRunResult result =
-        serve::runServeScenario(topoByShape(options), options.shape,
-                                config);
+    serve::ServeRunResult result = serve::runServeScenario(config);
+    const topo::ConvergenceReport &report = result.scenario.convergence;
 
     if (options.json) {
         stats::JsonWriter json(std::cout);
@@ -632,7 +598,7 @@ cmdServe(const CliOptions &options)
         json.field("snapshots_published", result.snapshotsPublished);
         json.field("final_epoch", result.finalEpoch);
         json.field("table_size", result.tableSize);
-        json.field("converged", result.convergence.converged);
+        json.field("converged", report.converged);
         json.key("concurrent");
         serve::writeServeReportJson(json, result.concurrent);
         json.key("throughput");
@@ -640,7 +606,7 @@ cmdServe(const CliOptions &options)
         json.endObject();
         std::cout << "\n";
     } else {
-        result.convergence.printText(std::cout);
+        report.printText(std::cout);
         std::cout << "\nsnapshots: " << result.snapshotsPublished
                   << " published, final epoch " << result.finalEpoch
                   << ", " << result.tableSize << " routes\n\n";
@@ -650,7 +616,7 @@ cmdServe(const CliOptions &options)
         printServeReportText(std::cout, "throughput",
                              result.throughput);
     }
-    return result.convergence.converged ? 0 : 1;
+    return report.converged ? 0 : 1;
 }
 
 /**
