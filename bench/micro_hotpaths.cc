@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -150,38 +149,6 @@ BM_FanoutSharedSegment(benchmark::State &state)
 BENCHMARK(BM_FanoutSharedSegment)->Arg(2)->Arg(8)->Arg(16);
 
 void
-BM_FanoutCopyPerHop(benchmark::State &state)
-{
-    // The copy-per-hop baseline: re-encode per peer and stage a copy
-    // of the bytes in every decoder.
-    size_t fanout = size_t(state.range(0));
-    auto rs = routes(500);
-    bgp::UpdateBuilder builder;
-    bgp::PathAttributes attrs;
-    attrs.asPath = bgp::AsPath::sequence({65001, 100});
-    attrs.nextHop = net::Ipv4Address(10, 0, 1, 2);
-    auto shared = bgp::makeAttributes(std::move(attrs));
-    for (const auto &r : rs)
-        builder.announce(r.prefix, shared);
-    auto updates = builder.build();
-    std::vector<bgp::StreamDecoder> decoders(fanout);
-
-    for (auto _ : state) {
-        for (const auto &update : updates) {
-            bgp::DecodeError error;
-            for (auto &decoder : decoders) {
-                decoder.feed(bgp::encodeMessage(update));
-                while (decoder.next(error)) {
-                }
-            }
-        }
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(fanout) * 500);
-}
-BENCHMARK(BM_FanoutCopyPerHop)->Arg(2)->Arg(8)->Arg(16);
-
-void
 BM_DecisionProcess(benchmark::State &state)
 {
     std::vector<bgp::Candidate> candidates;
@@ -221,11 +188,9 @@ BM_LpmLookup(benchmark::State &state)
 BENCHMARK(BM_LpmLookup)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /*
- * RIB storage head-to-head: net::PrefixTree vs the per-RIB
- * unordered_map it replaced. Same route sets, same operation mix, one
- * BM pair per operation; the Scan pair is the structural one — the
- * tree walks in prefix order natively, a hash map must collect and
- * sort to produce the deterministic report order the RIBs guarantee.
+ * RIB storage: net::PrefixTree insert, exact find, erase and the
+ * in-prefix-order scan the RIBs' deterministic reports rely on, over
+ * the same route sets as the FIB benches.
  */
 
 void
@@ -245,22 +210,6 @@ BM_PrefixTreeInsert(benchmark::State &state)
 BENCHMARK(BM_PrefixTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void
-BM_HashMapInsert(benchmark::State &state)
-{
-    auto rs = routes(size_t(state.range(0)));
-    for (auto _ : state) {
-        std::unordered_map<net::Prefix, uint32_t> map;
-        map.reserve(rs.size());
-        for (uint32_t i = 0; i < rs.size(); ++i)
-            map.insert_or_assign(rs[i].prefix, i);
-        benchmark::DoNotOptimize(map.size());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_HashMapInsert)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void
 BM_PrefixTreeLookup(benchmark::State &state)
 {
     auto rs = routes(size_t(state.range(0)));
@@ -276,23 +225,6 @@ BM_PrefixTreeLookup(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_PrefixTreeLookup)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void
-BM_HashMapLookup(benchmark::State &state)
-{
-    auto rs = routes(size_t(state.range(0)));
-    std::unordered_map<net::Prefix, uint32_t> map;
-    map.reserve(rs.size());
-    for (uint32_t i = 0; i < rs.size(); ++i)
-        map.insert_or_assign(rs[i].prefix, i);
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            map.find(rs[i++ % rs.size()].prefix));
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_HashMapLookup)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void
 BM_PrefixTreeErase(benchmark::State &state)
@@ -315,26 +247,6 @@ BM_PrefixTreeErase(benchmark::State &state)
 BENCHMARK(BM_PrefixTreeErase)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void
-BM_HashMapErase(benchmark::State &state)
-{
-    auto rs = routes(size_t(state.range(0)));
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::unordered_map<net::Prefix, uint32_t> map;
-        map.reserve(rs.size());
-        for (uint32_t i = 0; i < rs.size(); ++i)
-            map.insert_or_assign(rs[i].prefix, i);
-        state.ResumeTiming();
-        for (const auto &r : rs)
-            map.erase(r.prefix);
-        benchmark::DoNotOptimize(map.size());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_HashMapErase)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void
 BM_PrefixTreeScan(benchmark::State &state)
 {
     auto rs = routes(size_t(state.range(0)));
@@ -355,36 +267,6 @@ BM_PrefixTreeScan(benchmark::State &state)
 BENCHMARK(BM_PrefixTreeScan)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void
-BM_HashMapScan(benchmark::State &state)
-{
-    auto rs = routes(size_t(state.range(0)));
-    std::unordered_map<net::Prefix, uint32_t> map;
-    map.reserve(rs.size());
-    for (uint32_t i = 0; i < rs.size(); ++i)
-        map.insert_or_assign(rs[i].prefix, i);
-    for (auto _ : state) {
-        // Deterministic in-order scan from a hash map needs the
-        // collect-and-sort detour.
-        std::vector<const std::pair<const net::Prefix, uint32_t> *>
-            rows;
-        rows.reserve(map.size());
-        for (const auto &entry : map)
-            rows.push_back(&entry);
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto *a, const auto *b) {
-                      return a->first < b->first;
-                  });
-        uint64_t sum = 0;
-        for (const auto *row : rows)
-            sum += row->second;
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_HashMapScan)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void
 BM_FibInstallRemove(benchmark::State &state)
 {
     auto rs = routes(size_t(state.range(0)));
@@ -402,7 +284,7 @@ BM_FibInstallRemove(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             state.range(0) * 2);
 }
-BENCHMARK(BM_FibInstallRemove)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_FibInstallRemove)->Arg(1000)->Arg(10000)->Arg(200000);
 
 void
 BM_ForwardPacket(benchmark::State &state)
@@ -438,21 +320,7 @@ richAttributes()
     return attrs;
 }
 
-/**
- * An attribute set as the interning benchmarks build it: arg 0 makes
- * a plain shared instance that never enters the interner (the
- * uninterned baseline), arg 1 goes through makeAttributes().
- */
-bgp::PathAttributesPtr
-attributesFor(const benchmark::State &state, bgp::PathAttributes attrs)
-{
-    if (state.range(0) == 0)
-        return std::make_shared<const bgp::PathAttributes>(
-            std::move(attrs));
-    return bgp::makeAttributes(std::move(attrs));
-}
-
-/** Building a set without interning (arg 0) versus with it (arg 1). */
+/** Building an attribute set through the interner (a steady-state hit). */
 void
 BM_AttributeIntern(benchmark::State &state)
 {
@@ -461,33 +329,28 @@ BM_AttributeIntern(benchmark::State &state)
     auto canonical = bgp::makeAttributes(richAttributes());
 
     for (auto _ : state)
-        benchmark::DoNotOptimize(attributesFor(state, richAttributes()));
+        benchmark::DoNotOptimize(bgp::makeAttributes(richAttributes()));
     state.SetItemsProcessed(int64_t(state.iterations()));
     benchmark::DoNotOptimize(canonical);
 }
-BENCHMARK(BM_AttributeIntern)->Arg(0)->Arg(1);
+BENCHMARK(BM_AttributeIntern);
 
-/**
- * sameAttributeValue() on two equal sets: deep comparison of distinct
- * instances (arg 0) versus the interned pointer fast path (arg 1).
- */
+/** sameAttributeValue() on two equal interned sets: a pointer compare. */
 void
 BM_AttributeEquality(benchmark::State &state)
 {
-    auto a = attributesFor(state, richAttributes());
-    auto b = attributesFor(state, richAttributes());
+    auto a = bgp::makeAttributes(richAttributes());
+    auto b = bgp::makeAttributes(richAttributes());
 
     for (auto _ : state)
         benchmark::DoNotOptimize(bgp::sameAttributeValue(a, b));
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
-BENCHMARK(BM_AttributeEquality)->Arg(0)->Arg(1);
+BENCHMARK(BM_AttributeEquality);
 
 /**
  * UpdateBuilder grouping: announce 500 prefixes cycling through 8
- * attribute sets, then build. Uninterned sets (arg 0) exercise the
- * hash-plus-deep-equality group lookup; interned ones (arg 1) the
- * pointer path.
+ * interned attribute sets, then build.
  */
 void
 BM_UpdateBuilderGroup(benchmark::State &state)
@@ -497,7 +360,7 @@ BM_UpdateBuilderGroup(benchmark::State &state)
     for (uint32_t i = 0; i < 8; ++i) {
         bgp::PathAttributes attrs = richAttributes();
         attrs.med = 100 + i;
-        sets.push_back(attributesFor(state, std::move(attrs)));
+        sets.push_back(bgp::makeAttributes(std::move(attrs)));
     }
 
     for (auto _ : state) {
@@ -508,7 +371,7 @@ BM_UpdateBuilderGroup(benchmark::State &state)
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 500);
 }
-BENCHMARK(BM_UpdateBuilderGroup)->Arg(0)->Arg(1);
+BENCHMARK(BM_UpdateBuilderGroup);
 
 /**
  * Event-queue schedule + pop round trip: N one-shot events pushed
@@ -565,8 +428,7 @@ BENCHMARK(BM_InternetChecksum)->Arg(20)->Arg(1500);
 
 /**
  * A stand-in for the engine's CrossMessage with just the ordering
- * fields; the payload pointer is irrelevant to the sort/merge cost
- * being compared.
+ * fields; the payload pointer is irrelevant to the merge cost.
  */
 struct FakeCross
 {
@@ -592,32 +454,6 @@ crossBatches(size_t links, size_t per_link)
     }
     return batches;
 }
-
-/**
- * PR 3's barrier: concatenate every source's outbox, then one full
- * sort of the union — O(M log M) with M the total message count.
- */
-void
-BM_CrossDeliverConcatSort(benchmark::State &state)
-{
-    auto batches = crossBatches(size_t(state.range(0)), 256);
-    std::vector<FakeCross> merged;
-    for (auto _ : state) {
-        merged.clear();
-        for (const auto &batch : batches)
-            merged.insert(merged.end(), batch.begin(), batch.end());
-        std::sort(merged.begin(), merged.end(),
-                  [](const FakeCross &a, const FakeCross &b) {
-                      if (a.time != b.time)
-                          return a.time < b.time;
-                      return a.key < b.key;
-                  });
-        benchmark::DoNotOptimize(merged.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            state.range(0) * 256);
-}
-BENCHMARK(BM_CrossDeliverConcatSort)->Arg(2)->Arg(8)->Arg(32);
 
 /**
  * The batched barrier: per-link batches verified sorted (O(M) probe)
@@ -851,28 +687,6 @@ BM_PolicyCowCopy(benchmark::State &state)
                             int64_t(rs.size()));
 }
 BENCHMARK(BM_PolicyCowCopy);
-
-/**
- * What every accepted route would cost without the wouldChange()
- * check: unconditional deep copy + re-intern, even when nothing
- * changed. The gap to BM_PolicyCowHit is the COW win.
- */
-void
-BM_PolicyDeepCopyBaseline(benchmark::State &state)
-{
-    auto rs = routes(1024);
-    auto table = internedTable(rs);
-    for (auto _ : state) {
-        for (size_t i = 0; i < rs.size(); ++i) {
-            bgp::PathAttributes copy = *table[i];
-            benchmark::DoNotOptimize(
-                bgp::makeAttributes(std::move(copy)));
-        }
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(rs.size()));
-}
-BENCHMARK(BM_PolicyDeepCopyBaseline);
 
 } // namespace
 

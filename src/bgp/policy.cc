@@ -36,17 +36,9 @@ PrefixList::add(uint32_t seq, bool permit, const net::Prefix &prefix,
 
     // Rebuild the trie's index vectors: insertion shifted the indexes
     // of every later entry. Build is config-time; keep it simple.
-    trie_ = net::LpmTrie<std::vector<uint32_t>>();
-    for (uint32_t i = 0; i < entries_.size(); ++i) {
-        const net::Prefix &key = entries_[i].prefix;
-        if (const auto *bucket = trie_.exact(key)) {
-            std::vector<uint32_t> grown = *bucket;
-            grown.push_back(i);
-            trie_.insert(key, std::move(grown));
-        } else {
-            trie_.insert(key, {i});
-        }
-    }
+    trie_.clear();
+    for (uint32_t i = 0; i < entries_.size(); ++i)
+        trie_.findOrInsert(entries_[i].prefix)->push_back(i);
     return *this;
 }
 

@@ -6,7 +6,7 @@
  * This module provides the policy machinery at production richness:
  *
  *  - Named, reusable match objects: PrefixList (seq-numbered entries
- *    with le/ge length bounds, compiled onto a net::LpmTrie so a
+ *    with le/ge length bounds, compiled onto a net::PrefixTree so a
  *    lookup costs O(32) node visits instead of O(entries)), AsPathSet,
  *    and CommunityList.
  *
@@ -57,8 +57,8 @@
 
 #include "bgp/path_attributes.hh"
 #include "net/ipv4_address.hh"
-#include "net/lpm_trie.hh"
 #include "net/prefix.hh"
+#include "net/prefix_tree.hh"
 
 namespace bgpbench::bgp
 {
@@ -76,11 +76,11 @@ enum class ListMatch
  * length bounds, first (lowest-seq) matching entry decides, implicit
  * no-match when nothing matches.
  *
- * Entries are compiled onto a net::LpmTrie keyed by entry prefix, so
- * evaluating a route walks at most prefix.length()+1 trie nodes and
- * inspects only the entries whose prefix actually covers the route —
- * the classic Quagga trick that makes 1000-entry filters affordable
- * on full-table churn.
+ * Entries are compiled onto a net::PrefixTree keyed by entry prefix,
+ * so evaluating a route walks at most 33 tree nodes and inspects only
+ * the entries whose prefix actually covers the route — the classic
+ * Quagga trick that makes 1000-entry filters affordable on full-table
+ * churn.
  */
 class PrefixList
 {
@@ -131,7 +131,7 @@ class PrefixList
     /** Sorted by seq. */
     std::vector<Entry> entries_;
     /** entry prefix -> indexes into entries_ with that prefix. */
-    net::LpmTrie<std::vector<uint32_t>> trie_;
+    net::PrefixTree<std::vector<uint32_t>> trie_;
 };
 
 /**

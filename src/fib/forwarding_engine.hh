@@ -6,7 +6,10 @@
  * IP header checksum verification, TTL decrement (discarding expired
  * packets), incremental checksum update, and FIB longest-prefix-match
  * lookup. The simulated routers charge cycles per step; this class
- * does the actual work and reports how much of it there was.
+ * does the actual work and reports how much of it there was. The
+ * lookup's share is the node count of a unibit trie over the FIB's
+ * routes, which the compressed tree the FIB is stored in computes
+ * without building one.
  */
 
 #ifndef BGPBENCH_FIB_FORWARDING_ENGINE_HH
@@ -40,7 +43,10 @@ struct ForwardResult
     DropReason dropReason = DropReason::None;
     net::Ipv4Address nextHop;
     uint32_t egressInterface = 0;
-    /** LPM trie nodes visited (work metric for the simulator). */
+    /**
+     * Unibit-trie nodes the FIB lookup visited (work metric for the
+     * simulator; see ForwardingTable::lookup()).
+     */
     int lookupNodesVisited = 0;
 };
 

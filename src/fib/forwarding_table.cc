@@ -1,12 +1,15 @@
 #include "fib/forwarding_table.hh"
 
+#include <utility>
+
 namespace bgpbench::fib
 {
 
 bool
 ForwardingTable::install(const net::Prefix &prefix, FibEntry entry)
 {
-    bool inserted = trie_.insert(prefix, entry);
+    bool inserted = false;
+    tree_.insert(prefix, std::move(entry), &inserted);
     if (inserted)
         ++counters_.installs;
     else
@@ -17,7 +20,7 @@ ForwardingTable::install(const net::Prefix &prefix, FibEntry entry)
 bool
 ForwardingTable::remove(const net::Prefix &prefix)
 {
-    bool removed = trie_.remove(prefix);
+    bool removed = tree_.erase(prefix);
     if (removed)
         ++counters_.removes;
     return removed;
@@ -27,7 +30,7 @@ const FibEntry *
 ForwardingTable::lookup(net::Ipv4Address addr, int *visited)
 {
     ++counters_.lookups;
-    const FibEntry *entry = trie_.lookup(addr, visited);
+    const FibEntry *entry = tree_.matchLongest(addr, visited);
     if (!entry)
         ++counters_.lookupMisses;
     return entry;
@@ -36,7 +39,7 @@ ForwardingTable::lookup(net::Ipv4Address addr, int *visited)
 const FibEntry *
 ForwardingTable::exact(const net::Prefix &prefix) const
 {
-    return trie_.exact(prefix);
+    return tree_.find(prefix);
 }
 
 } // namespace bgpbench::fib

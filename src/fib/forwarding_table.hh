@@ -4,6 +4,11 @@
  * consults, as distinct from the BGP Loc-RIB (paper section III.A:
  * "Loc-RIB is different from the forwarding table used by the
  * router's forwarding engine").
+ *
+ * Entries live in a net::PrefixTree, the arena tree the RIBs use, so
+ * an install allocates nothing per prefix beyond the arena's amortised
+ * growth. Lookups report the node count a unibit trie over the same
+ * routes would visit, which the simulated routers charge per packet.
  */
 
 #ifndef BGPBENCH_FIB_FORWARDING_TABLE_HH
@@ -14,8 +19,8 @@
 #include <vector>
 
 #include "net/ipv4_address.hh"
-#include "net/lpm_trie.hh"
 #include "net/prefix.hh"
+#include "net/prefix_tree.hh"
 
 namespace bgpbench::fib
 {
@@ -46,8 +51,8 @@ struct FibCounters
 };
 
 /**
- * The forwarding table: an LPM trie plus the write-side bookkeeping
- * the control plane performs.
+ * The forwarding table: a longest-prefix-match tree plus the
+ * write-side bookkeeping the control plane performs.
  *
  * Real kernels serialise route updates against lookups with a lock or
  * RCU-style generation counters; the simulated router charges a lock
@@ -75,7 +80,9 @@ class ForwardingTable
      * Longest-prefix-match lookup.
      *
      * @param addr Destination address.
-     * @param visited Optional out-parameter: trie nodes visited.
+     * @param visited Optional out-parameter: the nodes a unibit trie
+     *        over the installed routes would visit
+     *        (net::PrefixTree::matchLongest()).
      * @return The entry, or nullptr if the destination is unroutable.
      */
     const FibEntry *lookup(net::Ipv4Address addr,
@@ -84,11 +91,11 @@ class ForwardingTable
     /** Exact-match query (management plane / tests). */
     const FibEntry *exact(const net::Prefix &prefix) const;
 
-    size_t size() const { return trie_.size(); }
+    size_t size() const { return tree_.size(); }
     const FibCounters &counters() const { return counters_; }
 
   private:
-    net::LpmTrie<FibEntry> trie_;
+    net::PrefixTree<FibEntry> tree_;
     FibCounters counters_;
 };
 

@@ -1,15 +1,18 @@
 /**
  * @file
  * Compressed keyed prefix tree: a path-compressed binary radix trie
- * over (address, length) with slab/arena node storage.
+ * over (address, length) with slab/arena node storage. It is the
+ * only prefix structure in the code base: the shared RIB prefix
+ * table, the FIB (fib::ForwardingTable), the serve snapshot index
+ * (serve::RibSnapshot) and compiled prefix-lists (bgp::PrefixList)
+ * all sit on it.
  *
- * Where LpmTrie expands one heap-allocated node per bit of every
- * inserted prefix (fine for small FIBs, hostile at internet scale),
- * PrefixTree keeps exactly one node per stored prefix plus at most one
- * branching node per pair of diverging sub-tries — the classic
- * Patricia shape — and places all nodes in one contiguous arena
- * addressed by 32-bit indices. That brings three properties the RIBs
- * need at 1M+ prefixes:
+ * A unibit trie expands one node per bit of every inserted prefix
+ * (fine for small tables, hostile at internet scale). PrefixTree
+ * keeps exactly one node per stored prefix plus at most one branching
+ * node per pair of diverging sub-tries — the classic Patricia shape —
+ * and places all nodes in one contiguous arena addressed by 32-bit
+ * indices. That brings three properties tables of 1M+ prefixes need:
  *
  *  - O(length) insert/lookup/erase with at most 33 node visits, no
  *    per-bit allocation, and no rehash spikes;
@@ -20,9 +23,13 @@
  *    Prefix::operator<=> defines — so snapshot/dump consumers no
  *    longer sort.
  *
+ * Longest-prefix match still reports the work a unibit trie would do
+ * (see matchLongest()), because the simulated forwarding engine
+ * charges its lookup cost per unibit node.
+ *
  * Erase returns nodes to an intrusive free list threaded through the
  * arena; the arena itself only grows (capacity is the high-water mark
- * of live + free nodes), which is the right trade for RIBs whose
+ * of live + free nodes), which is the right trade for tables whose
  * size is workload-bounded.
  */
 
@@ -206,31 +213,81 @@ class PrefixTree
     }
 
     /**
-     * Longest-prefix match for @p addr (same contract as
-     * LpmTrie::matchLongest), or nullptr when no stored prefix covers
-     * the address.
+     * Longest-prefix match for @p addr: the value of the most specific
+     * stored prefix that contains the address, or nullptr when none
+     * does.
+     *
+     * @param visited Optional out-parameter receiving 1 plus the depth
+     *        a unibit trie over the same live keys would reach for
+     *        @p addr, i.e. 1 + max over stored prefixes k of
+     *        min(k.length, common leading bits of k and addr). The
+     *        walk reads it off where it stops: the node's length when
+     *        there is no child that way, the common prefix with the
+     *        next child's label when that label diverges, or 32 at a
+     *        host route. The simulated forwarding engine charges its
+     *        per-node lookup cost on this count.
      */
     const V *
-    matchLongest(Ipv4Address addr) const
+    matchLongest(Ipv4Address addr, int *visited = nullptr) const
     {
         const uint32_t bits = addr.toUint32();
         const V *best = nullptr;
         uint32_t cur = 0;
+        int depth = 0;
         for (;;) {
             const Node &node = arena_[cur];
             if (node.hasValue)
                 best = &node.value;
+            depth = node.len;
             if (node.len == 32)
                 break;
             const uint32_t childIdx = node.child[bitAt(bits, node.len)];
             if (childIdx == npos)
                 break;
             const Node &child = arena_[childIdx];
-            if (((child.bits ^ bits) & maskForLength(child.len)) != 0)
+            const uint32_t diff = child.bits ^ bits;
+            if ((diff & maskForLength(child.len)) != 0) {
+                // Every key below child shares exactly the label's
+                // first countl_zero(diff) < child.len bits with addr.
+                depth = std::countl_zero(diff);
                 break;
+            }
             cur = childIdx;
         }
+        if (visited)
+            *visited = depth + 1;
         return best;
+    }
+
+    /**
+     * Call fn(length, value) for every stored prefix that covers
+     * @p prefix (equal or shorter, matching leading bits), root first.
+     * Only the nodes on the walk towards @p prefix are touched, which
+     * makes a compiled prefix-list lookup O(32) instead of
+     * O(entries).
+     */
+    template <typename Fn>
+    void
+    forEachCovering(const Prefix &prefix, Fn &&fn) const
+    {
+        const uint32_t bits = prefix.address().toUint32();
+        const int len = prefix.length();
+        uint32_t cur = 0;
+        for (;;) {
+            const Node &node = arena_[cur];
+            if (node.hasValue)
+                fn(int(node.len), node.value);
+            if (node.len == len)
+                return;
+            const uint32_t childIdx = node.child[bitAt(bits, node.len)];
+            if (childIdx == npos)
+                return;
+            const Node &child = arena_[childIdx];
+            if (child.len > len ||
+                ((child.bits ^ bits) & maskForLength(child.len)) != 0)
+                return;
+            cur = childIdx;
+        }
     }
 
     /**

@@ -35,13 +35,14 @@ RibSnapshot::build(const bgp::LocRib &rib, uint64_t epoch,
         snapshot->routes_.push_back(std::move(route));
         ++per_peer[entry.best.peer];
     });
-    // LocRib::forEach guarantees ascending (address, length) order in
-    // both storage backends, so the route array arrives sorted and
-    // every field of the snapshot (route array, scan output,
-    // checksum) is a pure function of the table content.
+    // LocRib::forEach guarantees ascending (address, length) order,
+    // so the route array arrives sorted and every field of the
+    // snapshot (route array, scan output, checksum) is a pure
+    // function of the table content.
 
+    snapshot->index_.reserve(snapshot->routes_.size());
     for (size_t i = 0; i < snapshot->routes_.size(); ++i)
-        snapshot->trie_.insert(snapshot->routes_[i].prefix, uint32_t(i));
+        snapshot->index_.insert(snapshot->routes_[i].prefix, uint32_t(i));
 
     snapshot->peers_.reserve(per_peer.size());
     for (const auto &[peer, count] : per_peer)

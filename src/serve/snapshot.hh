@@ -4,11 +4,11 @@
  * speaker.
  *
  * A RibSnapshot is a self-contained copy of one speaker's Loc-RIB at
- * a publication point: the routes in ascending prefix order, an LPM
- * trie indexing them (the generic net::LpmTrie over *indexes* into
- * the route array, so the trie stores 4-byte values, not routes),
- * and per-peer summary counts. Attribute sets are shared with the
- * writer via PathAttributesPtr — interning (PR 2) makes them
+ * a publication point: the routes in ascending prefix order, a
+ * net::PrefixTree indexing them (over *indexes* into the route array,
+ * so the tree stores 4-byte values, not routes, in one arena reserved
+ * up front), and per-peer summary counts. Attribute sets are shared
+ * with the writer via PathAttributesPtr — interning (PR 2) makes them
  * immutable and refcounted, so a snapshot costs one pointer per
  * route, not a deep copy of paths.
  *
@@ -31,8 +31,8 @@
 
 #include "bgp/rib.hh"
 #include "bgp/route.hh"
-#include "net/lpm_trie.hh"
 #include "net/prefix.hh"
+#include "net/prefix_tree.hh"
 
 namespace bgpbench::serve
 {
@@ -92,18 +92,19 @@ class RibSnapshot
     const SnapshotRoute *
     bestPath(const net::Prefix &prefix) const
     {
-        const uint32_t *index = trie_.exact(prefix);
+        const uint32_t *index = index_.find(prefix);
         return index ? &routes_[*index] : nullptr;
     }
 
     /**
      * Longest-prefix-match of @p addr, or null when no route covers
-     * it. @p visited optionally receives the trie nodes walked.
+     * it. @p visited optionally receives the nodes a unibit trie over
+     * the routes would walk (net::PrefixTree::matchLongest()).
      */
     const SnapshotRoute *
     lookup(net::Ipv4Address addr, int *visited = nullptr) const
     {
-        const uint32_t *index = trie_.lookup(addr, visited);
+        const uint32_t *index = index_.matchLongest(addr, visited);
         return index ? &routes_[*index] : nullptr;
     }
 
@@ -169,7 +170,8 @@ class RibSnapshot
     uint64_t publishedAtNs_ = 0;
     uint64_t checksum_ = 0;
     std::vector<SnapshotRoute> routes_;
-    net::LpmTrie<uint32_t> trie_;
+    /** Prefix -> position in routes_. */
+    net::PrefixTree<uint32_t> index_;
     std::vector<PeerTableSummary> peers_;
 };
 

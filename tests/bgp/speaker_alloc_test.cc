@@ -10,7 +10,9 @@
  * decision, Loc-RIB install, FIB event, four Adj-RIB-Out writes and the
  * per-peer UPDATE packing, encoding and fan-out. The heap work per
  * UPDATE (one NLRI vector per outbound message, one shared segment)
- * must not grow with the number of NLRI it carries.
+ * must not grow with the number of NLRI it carries. The forwarding
+ * table those FIB events land in holds its own budget: an install
+ * costs no allocation beyond its tree's amortised arena growth.
  */
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/speaker.hh"
+#include "fib/forwarding_table.hh"
 
 namespace
 {
@@ -184,4 +187,29 @@ TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
     // the four receiving peers plus one segment they all share (one
     // allocation of slack).
     EXPECT_LE(for_one, feedPeers + 2) << for_one;
+}
+
+TEST(SpeakerAlloc, FibInstallsAllocateOnlyArenaGrowth)
+{
+    fib::ForwardingTable table;
+    // Distinct /24s scattered over the address space: an odd
+    // multiplier is a bijection on the 24 network bits.
+    auto slash24 = [](uint32_t n) {
+        return net::Prefix(
+            net::Ipv4Address(((n * 0x9e3779b1u) & 0xffffffu) << 8), 24);
+    };
+    const fib::FibEntry entry{net::Ipv4Address(192, 0, 2, 1), 1, {}};
+    uint32_t next = 0;
+    for (; next < 4096; ++next)
+        table.install(slash24(next), entry);
+
+    uint64_t before = allocationCount.load();
+    for (uint32_t end = next + 256; next < end; ++next)
+        table.install(slash24(next), entry);
+    uint64_t allocations = allocationCount.load() - before;
+
+    EXPECT_EQ(table.size(), 4096u + 256u);
+    // 256 fresh prefixes: at most a couple of arena reallocations,
+    // never one per prefix.
+    EXPECT_LE(allocations, 2u) << allocations;
 }

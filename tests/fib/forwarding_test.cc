@@ -16,6 +16,21 @@ using net::Prefix;
 namespace
 {
 
+/** An entry tagged by its interface, for telling matches apart. */
+FibEntry
+tagged(uint32_t tag)
+{
+    return FibEntry{Ipv4Address(10, 255, 0, 1), tag, {}};
+}
+
+/** The interface tag of the longest match for @p addr, or -1. */
+int
+matchTag(ForwardingTable &table, Ipv4Address addr)
+{
+    const FibEntry *entry = table.lookup(addr);
+    return entry ? int(entry->interface) : -1;
+}
+
 ForwardingTable
 tableWithRoutes()
 {
@@ -51,6 +66,109 @@ TEST(ForwardingTable, LookupCountsMisses)
     EXPECT_EQ(table.lookup(Ipv4Address(99, 0, 0, 1)), nullptr);
     EXPECT_EQ(table.counters().lookups, 2u);
     EXPECT_EQ(table.counters().lookupMisses, 1u);
+}
+
+TEST(ForwardingTable, EmptyLookupMisses)
+{
+    ForwardingTable table;
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.lookup(Ipv4Address(1, 2, 3, 4)), nullptr);
+}
+
+TEST(ForwardingTable, InstallAndExact)
+{
+    ForwardingTable table;
+    EXPECT_TRUE(table.install(Prefix::fromString("10.0.0.0/8"), tagged(1)));
+    EXPECT_FALSE(table.install(Prefix::fromString("10.0.0.0/8"), tagged(2)));
+    EXPECT_EQ(table.size(), 1u);
+    ASSERT_NE(table.exact(Prefix::fromString("10.0.0.0/8")), nullptr);
+    EXPECT_EQ(table.exact(Prefix::fromString("10.0.0.0/8"))->interface, 2u);
+    EXPECT_EQ(table.exact(Prefix::fromString("10.0.0.0/16")), nullptr);
+}
+
+TEST(ForwardingTable, LongestMatchWins)
+{
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.0.0.0/8"), tagged(8));
+    table.install(Prefix::fromString("10.1.0.0/16"), tagged(16));
+    table.install(Prefix::fromString("10.1.2.0/24"), tagged(24));
+
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 1, 2, 3)), 24);
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 1, 9, 9)), 16);
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 9, 9, 9)), 8);
+    EXPECT_EQ(matchTag(table, Ipv4Address(11, 0, 0, 1)), -1);
+}
+
+TEST(ForwardingTable, DefaultRouteCatchesEverything)
+{
+    ForwardingTable table;
+    table.install(Prefix(), tagged(0));
+    EXPECT_EQ(matchTag(table, Ipv4Address(1, 2, 3, 4)), 0);
+    EXPECT_EQ(matchTag(table, Ipv4Address(255, 255, 255, 255)), 0);
+}
+
+TEST(ForwardingTable, HostRoute)
+{
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.0.0.5/32"), tagged(5));
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 0, 0, 5)), 5);
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 0, 0, 6)), -1);
+}
+
+TEST(ForwardingTable, RemoveExposesShorterPrefix)
+{
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.0.0.0/8"), tagged(8));
+    table.install(Prefix::fromString("10.1.0.0/16"), tagged(16));
+
+    EXPECT_TRUE(table.remove(Prefix::fromString("10.1.0.0/16")));
+    EXPECT_FALSE(table.remove(Prefix::fromString("10.1.0.0/16")));
+    EXPECT_EQ(matchTag(table, Ipv4Address(10, 1, 2, 3)), 8);
+    EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(ForwardingTable, RemoveMissingReturnsFalse)
+{
+    ForwardingTable table;
+    EXPECT_FALSE(table.remove(Prefix::fromString("10.0.0.0/8")));
+}
+
+TEST(ForwardingTable, VisitedNodeCountBounded)
+{
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.1.2.3/32"), tagged(1));
+    int visited = 0;
+    table.lookup(Ipv4Address(10, 1, 2, 3), &visited);
+    EXPECT_GE(visited, 32);
+    EXPECT_LE(visited, 33);
+
+    // A miss on a different top octet stops early.
+    table.lookup(Ipv4Address(192, 0, 0, 1), &visited);
+    EXPECT_LE(visited, 8);
+}
+
+TEST(ForwardingTable, VisitedCountsLiveRoutesOnly)
+{
+    // The lookup work is that of a unibit trie holding the installed
+    // routes, so a removed route stops lengthening the walk: removal
+    // prunes, it does not leave the removed route's path behind.
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.0.0.0/8"), tagged(8));
+    table.install(Prefix::fromString("10.1.2.0/24"), tagged(24));
+    int visited = 0;
+    EXPECT_EQ(table.lookup(Ipv4Address(10, 1, 2, 9), &visited)->interface,
+              24u);
+    EXPECT_EQ(visited, 25);
+
+    EXPECT_TRUE(table.remove(Prefix::fromString("10.1.2.0/24")));
+    EXPECT_EQ(table.lookup(Ipv4Address(10, 1, 2, 9), &visited)->interface,
+              8u);
+    EXPECT_EQ(visited, 9);
+
+    // Reinstalling restores the deeper walk.
+    table.install(Prefix::fromString("10.1.2.0/24"), tagged(24));
+    table.lookup(Ipv4Address(10, 1, 2, 9), &visited);
+    EXPECT_EQ(visited, 25);
 }
 
 TEST(ForwardingEngine, ForwardsValidPacket)

@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests of net::PrefixTree: the path-compressed radix trie backing
- * the shared RIB prefix table. Unit cases pin the structural
- * invariants (compression, splice-on-erase, free-list reuse, ordered
- * iteration); the randomized cases lockstep the tree against
- * std::map and a linear-scan LPM reference.
+ * Tests of net::PrefixTree: the path-compressed radix trie behind the
+ * shared RIB prefix table, the FIB, snapshot indexes and prefix-lists.
+ * Unit cases pin the structural invariants (compression,
+ * splice-on-erase, free-list reuse, ordered iteration) and the
+ * unibit-depth count of matchLongest(); the randomized cases lockstep
+ * the tree against std::map and a linear-scan LPM oracle.
  */
 
 #include <algorithm>
+#include <bit>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,21 +47,6 @@ collect(const net::PrefixTree<int> &tree)
     return out;
 }
 
-/** Linear-scan longest-prefix match over a reference map. */
-std::optional<int>
-linearLpm(const std::map<net::Prefix, int> &routes, net::Ipv4Address a)
-{
-    std::optional<int> best;
-    int bestLen = -1;
-    for (const auto &[prefix, value] : routes) {
-        if (prefix.contains(a) && prefix.length() > bestLen) {
-            bestLen = prefix.length();
-            best = value;
-        }
-    }
-    return best;
-}
-
 /** A deterministic pseudo-random prefix, /0../32 with mixed lengths. */
 net::Prefix
 randomPrefix(workload::Rng &rng)
@@ -68,6 +54,99 @@ randomPrefix(workload::Rng &rng)
     int length = int(rng.below(33));
     return net::Prefix(net::Ipv4Address(uint32_t(rng.next())), length);
 }
+
+/**
+ * Trivially correct linear-scan LPM: the oracle the tree's lookups,
+ * covering walks and unibit-depth counts are checked against.
+ */
+template <typename Value>
+class LinearLpm
+{
+  public:
+    bool
+    insert(const net::Prefix &prefix, Value value)
+    {
+        for (auto &[p, v] : entries_) {
+            if (p == prefix) {
+                v = std::move(value);
+                return false;
+            }
+        }
+        entries_.emplace_back(prefix, std::move(value));
+        return true;
+    }
+
+    bool
+    remove(const net::Prefix &prefix)
+    {
+        for (size_t i = 0; i < entries_.size(); ++i) {
+            if (entries_[i].first == prefix) {
+                entries_.erase(entries_.begin() + ptrdiff_t(i));
+                return true;
+            }
+        }
+        return false;
+    }
+
+    const Value *
+    lookup(net::Ipv4Address a) const
+    {
+        const Value *best = nullptr;
+        int best_len = -1;
+        for (const auto &[p, v] : entries_) {
+            if (p.contains(a) && p.length() > best_len) {
+                best = &v;
+                best_len = p.length();
+            }
+        }
+        return best;
+    }
+
+    /**
+     * Nodes a unibit trie over the stored keys visits for @p a: the
+     * root plus one per bit while some key still continues that way,
+     * i.e. 1 + max over keys of min(length, common prefix with a).
+     */
+    int
+    unibitVisited(net::Ipv4Address a) const
+    {
+        int depth = 0;
+        for (const auto &[p, v] : entries_) {
+            const uint32_t diff = p.address().toUint32() ^ a.toUint32();
+            const int common = diff == 0 ? 32 : std::countl_zero(diff);
+            depth = std::max(depth, std::min(p.length(), common));
+        }
+        return depth + 1;
+    }
+
+    /** (length, value) of every key covering @p prefix, shortest first. */
+    std::vector<std::pair<int, Value>>
+    covering(const net::Prefix &prefix) const
+    {
+        std::vector<std::pair<int, Value>> out;
+        for (const auto &[p, v] : entries_) {
+            if (p.covers(prefix))
+                out.emplace_back(p.length(), v);
+        }
+        std::sort(out.begin(), out.end(),
+                  [](const auto &x, const auto &y) {
+                      return x.first < y.first;
+                  });
+        return out;
+    }
+
+    size_t size() const { return entries_.size(); }
+
+  private:
+    std::vector<std::pair<net::Prefix, Value>> entries_;
+};
+
+/** A route record the tree points into but does not own. */
+struct RouteView
+{
+    net::Prefix prefix;
+    int tag = 0;
+};
 
 } // namespace
 
@@ -236,7 +315,7 @@ TEST(PrefixTree, RandomizedLockstepAgainstMap)
 TEST(PrefixTree, MatchLongestAgainstLinearReference)
 {
     net::PrefixTree<int> tree;
-    std::map<net::Prefix, int> reference;
+    LinearLpm<int> reference;
     workload::Rng rng(3);
     for (int i = 0; i < 2000; ++i) {
         // Short-biased lengths so addresses actually match something.
@@ -244,14 +323,14 @@ TEST(PrefixTree, MatchLongestAgainstLinearReference)
         net::Prefix prefix(net::Ipv4Address(uint32_t(rng.next())),
                            length);
         tree.insert(prefix, i);
-        reference[prefix] = i;
+        reference.insert(prefix, i);
     }
 
     for (int i = 0; i < 5000; ++i) {
         net::Ipv4Address a(uint32_t(rng.next()));
         const int *got = tree.matchLongest(a);
-        std::optional<int> expect = linearLpm(reference, a);
-        ASSERT_EQ(got != nullptr, expect.has_value());
+        const int *expect = reference.lookup(a);
+        ASSERT_EQ(got != nullptr, expect != nullptr);
         if (got) {
             EXPECT_EQ(*got, *expect);
         }
@@ -286,3 +365,187 @@ TEST(PrefixTree, ClearKeepsCapacityAndResets)
     tree.insert(pfx("10.0.0.0/8"), 1);
     EXPECT_EQ(tree.size(), 1u);
 }
+
+TEST(PrefixTree, ForEachRoundTrip)
+{
+    net::PrefixTree<int> tree;
+    std::vector<std::pair<net::Prefix, int>> inserted = {
+        {pfx("10.0.0.0/8"), 1},
+        {pfx("10.128.0.0/9"), 2},
+        {pfx("192.168.1.0/24"), 3},
+        {net::Prefix(), 4},
+    };
+    for (const auto &[p, v] : inserted)
+        tree.insert(p, v);
+
+    auto entries = collect(tree);
+    ASSERT_EQ(entries.size(), inserted.size());
+    for (const auto &[p, v] : inserted) {
+        bool found = false;
+        for (const auto &[ep, ev] : entries)
+            found = found || (ep == p && ev == v);
+        EXPECT_TRUE(found) << p.toString();
+    }
+}
+
+TEST(PrefixTree, NonOwningPointerValues)
+{
+    // The index pattern: an immutable route array plus a tree of
+    // pointers into it. The tree never copies or frees the records.
+    const RouteView routes[] = {
+        {pfx("0.0.0.0/0"), 100},
+        {pfx("172.16.0.0/12"), 200},
+        {pfx("172.16.5.0/24"), 300},
+    };
+    net::PrefixTree<const RouteView *> tree;
+    for (const RouteView &route : routes)
+        tree.insert(route.prefix, &route);
+    EXPECT_EQ(tree.size(), 3u);
+
+    const RouteView *const *hit = tree.matchLongest(addr("172.16.5.9"));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, &routes[2]);
+    EXPECT_EQ((*hit)->tag, 300);
+
+    hit = tree.matchLongest(addr("172.17.0.1"));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ((*hit)->tag, 200);
+
+    hit = tree.matchLongest(addr("8.8.8.8"));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ((*hit)->tag, 100);
+
+    // forEach walks every stored (prefix, value) pair.
+    size_t entries = 0;
+    tree.forEach([&](const net::Prefix &, const RouteView *) {
+        ++entries;
+    });
+    EXPECT_EQ(entries, 3u);
+}
+
+TEST(PrefixTree, MatchLongestReportsUnibitDepth)
+{
+    net::PrefixTree<int> tree;
+    int visited = 0;
+    // An empty tree still visits the root.
+    EXPECT_EQ(tree.matchLongest(addr("10.1.2.3"), &visited), nullptr);
+    EXPECT_EQ(visited, 1);
+
+    tree.insert(pfx("10.0.0.0/8"), 8);
+    tree.insert(pfx("10.1.2.0/24"), 24);
+    tree.insert(pfx("10.1.2.3/32"), 32);
+
+    // Stops at a host route: 32 bits deep.
+    EXPECT_EQ(*tree.matchLongest(addr("10.1.2.3"), &visited), 32);
+    EXPECT_EQ(visited, 33);
+    // No child that way below the /24: the /24's own length.
+    EXPECT_EQ(*tree.matchLongest(addr("10.1.2.200"), &visited), 24);
+    EXPECT_EQ(visited, 25);
+    // 10.1.3.x leaves 10.1.2.0/24's label at bit 23.
+    EXPECT_EQ(*tree.matchLongest(addr("10.1.3.1"), &visited), 8);
+    EXPECT_EQ(visited, 24);
+    // 11.x leaves 10/8's label at bit 7 and matches nothing.
+    EXPECT_EQ(tree.matchLongest(addr("11.0.0.1"), &visited), nullptr);
+    EXPECT_EQ(visited, 8);
+}
+
+TEST(PrefixTree, ForEachCoveringWalksRootFirst)
+{
+    net::PrefixTree<int> tree;
+    tree.insert(pfx("0.0.0.0/0"), 0);
+    tree.insert(pfx("10.0.0.0/8"), 8);
+    tree.insert(pfx("10.1.0.0/16"), 16);
+    tree.insert(pfx("10.1.2.0/24"), 24);
+    tree.insert(pfx("10.2.0.0/16"), 99); // a sibling, never covering
+
+    auto covering = [&](const std::string &text) {
+        std::vector<std::pair<int, int>> out;
+        tree.forEachCovering(pfx(text), [&](int length, int value) {
+            out.emplace_back(length, value);
+        });
+        return out;
+    };
+    using Chain = std::vector<std::pair<int, int>>;
+    EXPECT_EQ(covering("10.1.2.0/24"),
+              (Chain{{0, 0}, {8, 8}, {16, 16}, {24, 24}}));
+    // Equal length counts as covering; longer stored keys do not.
+    EXPECT_EQ(covering("10.1.0.0/16"), (Chain{{0, 0}, {8, 8}, {16, 16}}));
+    EXPECT_EQ(covering("10.1.128.0/17"),
+              (Chain{{0, 0}, {8, 8}, {16, 16}}));
+    EXPECT_EQ(covering("10.0.0.0/7"), (Chain{{0, 0}}));
+    EXPECT_EQ(covering("192.168.0.0/16"), (Chain{{0, 0}}));
+
+    tree.erase(pfx("0.0.0.0/0"));
+    EXPECT_EQ(covering("11.0.0.0/8"), Chain{});
+}
+
+/**
+ * Property suite: random insert/erase/lookup traces agree with the
+ * linear-scan oracle at every step, on the matched value, on the
+ * unibit-depth count, and on the covering chain.
+ */
+class PrefixTreeOracleTest : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(PrefixTreeOracleTest, MatchesLinearOracle)
+{
+    workload::Rng rng(GetParam());
+    net::PrefixTree<uint32_t> tree;
+    LinearLpm<uint32_t> oracle;
+    std::vector<net::Prefix> pool;
+
+    // A probe near an existing prefix, to hit interesting boundaries,
+    // or anywhere.
+    auto probeAddress = [&]() {
+        if (!pool.empty() && rng.below(2)) {
+            const net::Prefix &p = pool[rng.below(pool.size())];
+            return net::Ipv4Address(p.address().toUint32() |
+                                    uint32_t(rng.next() & 0xff));
+        }
+        return net::Ipv4Address(uint32_t(rng.next()));
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+        int action = int(rng.below(10));
+        if (action < 5 || pool.empty()) {
+            // Insert: cluster prefixes to force shared paths.
+            uint32_t base = uint32_t(rng.below(4)) << 30;
+            net::Prefix p(net::Ipv4Address(base | uint32_t(rng.next() &
+                                                           0x3fffffff)),
+                          int(rng.range(4, 32)));
+            uint32_t value = uint32_t(rng.next());
+            bool inserted = false;
+            tree.insert(p, value, &inserted);
+            EXPECT_EQ(inserted, oracle.insert(p, value));
+            pool.push_back(p);
+        } else if (action < 7) {
+            net::Prefix p = pool[rng.below(pool.size())];
+            EXPECT_EQ(tree.erase(p), oracle.remove(p));
+        }
+        ASSERT_EQ(tree.size(), oracle.size());
+
+        const net::Ipv4Address probe = probeAddress();
+        int visited = 0;
+        const uint32_t *got = tree.matchLongest(probe, &visited);
+        const uint32_t *want = oracle.lookup(probe);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "step " << step << " probe " << probe.toString();
+        if (got) {
+            EXPECT_EQ(*got, *want);
+        }
+        EXPECT_EQ(visited, oracle.unibitVisited(probe))
+            << "step " << step << " probe " << probe.toString();
+
+        const net::Prefix range(probeAddress(), int(rng.below(33)));
+        std::vector<std::pair<int, uint32_t>> chain;
+        tree.forEachCovering(range, [&](int length, uint32_t value) {
+            chain.emplace_back(length, value);
+        });
+        EXPECT_EQ(chain, oracle.covering(range))
+            << "step " << step << " range " << range.toString();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTreeOracleTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));

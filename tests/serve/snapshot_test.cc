@@ -100,6 +100,71 @@ TEST(RibSnapshot, LookupFindsLongestMatch)
               pfx("0.0.0.0/0"));
 }
 
+TEST(RibSnapshot, DefaultRouteCatchesEverything)
+{
+    bgp::SharedPrefixTable table;
+    bgp::LocRib rib(table);
+    install(rib, "0.0.0.0/0", 1, 100);
+    install(rib, "10.0.0.0/8", 2, 200);
+
+    RibSnapshotPtr snapshot = RibSnapshot::build(rib, 1, 0);
+    const SnapshotRoute *hit =
+        snapshot->lookup(net::Ipv4Address(192, 168, 1, 1));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->peer, bgp::PeerId(1));
+    hit = snapshot->lookup(net::Ipv4Address(10, 1, 2, 3));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->peer, bgp::PeerId(2));
+
+    // Withdrawing the default exposes true misses again.
+    rib.removeAt(table.find(pfx("0.0.0.0/0")));
+    snapshot = RibSnapshot::build(rib, 2, 0);
+    EXPECT_EQ(snapshot->lookup(net::Ipv4Address(192, 168, 1, 1)), nullptr);
+}
+
+TEST(RibSnapshot, BestPathDistinguishesLengths)
+{
+    bgp::LocRib rib;
+    install(rib, "10.0.0.0/8", 8, 100);
+    install(rib, "10.0.0.0/16", 16, 100);
+    install(rib, "10.0.0.0/24", 24, 100);
+
+    RibSnapshotPtr snapshot = RibSnapshot::build(rib, 1, 0);
+    const SnapshotRoute *exact = snapshot->bestPath(pfx("10.0.0.0/16"));
+    ASSERT_NE(exact, nullptr);
+    EXPECT_EQ(exact->peer, bgp::PeerId(16));
+
+    // Same address, unregistered length: bestPath() must miss even
+    // though lookup() would match a shorter covering prefix.
+    EXPECT_EQ(snapshot->bestPath(pfx("10.0.0.0/20")), nullptr);
+    EXPECT_EQ(snapshot->bestPath(pfx("11.0.0.0/8")), nullptr);
+}
+
+TEST(RibSnapshot, NestedPrefixShadowing)
+{
+    bgp::SharedPrefixTable table;
+    bgp::LocRib rib(table);
+    install(rib, "10.0.0.0/8", 8, 100);
+    install(rib, "10.1.0.0/16", 16, 100);
+    install(rib, "10.1.1.0/24", 24, 100);
+
+    // The most specific covering prefix wins at each depth.
+    auto peerFor = [](const RibSnapshot &snapshot, const char *addr) {
+        return snapshot.lookup(net::Ipv4Address::fromString(addr))->peer;
+    };
+    RibSnapshotPtr snapshot = RibSnapshot::build(rib, 1, 0);
+    EXPECT_EQ(peerFor(*snapshot, "10.1.1.7"), bgp::PeerId(24));
+    EXPECT_EQ(peerFor(*snapshot, "10.1.2.7"), bgp::PeerId(16));
+    EXPECT_EQ(peerFor(*snapshot, "10.2.0.1"), bgp::PeerId(8));
+
+    // Withdrawing the middle prefix re-exposes the /8 for its range
+    // without touching the deeper /24.
+    rib.removeAt(table.find(pfx("10.1.0.0/16")));
+    snapshot = RibSnapshot::build(rib, 2, 0);
+    EXPECT_EQ(peerFor(*snapshot, "10.1.2.7"), bgp::PeerId(8));
+    EXPECT_EQ(peerFor(*snapshot, "10.1.1.7"), bgp::PeerId(24));
+}
+
 TEST(RibSnapshot, ScanVisitsOnlyCoveredRoutes)
 {
     bgp::LocRib rib;
