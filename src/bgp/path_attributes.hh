@@ -176,9 +176,9 @@ struct PathAttributes
 using PathAttributesPtr = std::shared_ptr<const PathAttributes>;
 
 /**
- * Build a shared attribute block. Routed through the global
- * AttributeInterner so equal-valued sets share one canonical
- * instance (unless interning is disabled for ablation).
+ * Build a shared attribute block. Routed through the calling thread's
+ * AttributeInterner (AttributeInterner::global()) so equal-valued
+ * sets share one canonical instance.
  */
 PathAttributesPtr makeAttributes(PathAttributes attrs);
 

@@ -368,8 +368,7 @@ class RouteMap
 
 /**
  * The policy attachment point: a cheap copyable handle over an
- * immutable RouteMap. The empty policy accepts everything unmodified
- * (and is recognised by the speaker's fast paths).
+ * immutable RouteMap. The empty policy accepts everything unmodified.
  */
 class Policy
 {
@@ -384,7 +383,8 @@ class Policy
 
     /**
      * True when the policy cannot affect any route: no map attached.
-     * The speaker's export memo fast path keys off this.
+     * The speaker skips an empty export policy and counts only
+     * non-empty policies in bgp.policy_evals.
      */
     bool empty() const { return !map_; }
 

@@ -142,19 +142,9 @@ BgpSpeaker::transmit(Peer &peer, const std::vector<Message> &msgs)
 {
     for (const auto &msg : msgs) {
         MessageType type = messageType(msg);
-        size_t transactions = 0;
-        if (type == MessageType::Update) {
-            transactions =
-                std::get<UpdateMessage>(msg).transactionCount();
-            ++counters_.updatesSent;
-            counters_.prefixesAdvertised += transactions;
-            bump(obs_.updatesSent);
-            bump(obs_.prefixesAdvertised, transactions);
-        } else if (type == MessageType::Notification) {
+        if (type == MessageType::Notification)
             ++counters_.notificationsSent;
-        }
-        events_->onTransmit(peer.config.id, type, encodeSegment(msg),
-                            transactions);
+        events_->onTransmit(peer.config.id, type, encodeSegment(msg), 0);
     }
 }
 
@@ -756,65 +746,48 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
         reflecting = true;
     }
 
-    // eBGP with an empty export policy is the hot path of every
-    // benchmark scenario, and the export transform is a pure function
-    // of the (interned) input attributes: memoise it per peer so a
-    // full-table advertisement performs one transform per distinct
-    // attribute set instead of one per prefix. The memo is keyed on
-    // pointer identity, which only stays hot across messages and
-    // decision runs because the interner canonicalises attributes.
-    if (peer.externalSession && peer.config.exportPolicy.empty()) {
-        if (peer.exportMemo.size() >= exportMemoCap)
-            trimExportMemo(peer);
-        auto [memo, missed] =
-            peer.exportMemo.try_emplace(best->attributes);
-        if (missed)
-            memo->second = ebgpExport(peer, best->attributes);
-        if (!memo->second) {
-            // Sender-side loop avoidance suppressed the route.
+    // The export route-map, if one is attached, runs first. What
+    // follows is the same whether or not a map ran.
+    PathAttributesPtr mapped;
+    if (!peer.config.exportPolicy.empty()) {
+        bump(obs_.policyEvals);
+        mapped = peer.config.exportPolicy.apply(
+            prefix, best->attributes, config_.localAs);
+        if (!mapped) {
+            bump(obs_.policyRejects);
             send_withdraw_if_advertised();
             return;
         }
-        if (peer.ribOut.advertiseAt(slot, memo->second)) {
-            peer.pending.announce(prefix, memo->second);
+    }
+    const PathAttributesPtr &attrs = mapped ? mapped : best->attributes;
+
+    auto advertise = [&](const PathAttributesPtr &exported) {
+        if (peer.ribOut.advertiseAt(slot, exported)) {
+            peer.pending.announce(prefix, exported);
             ++stats.advertisedPrefixes;
         }
-        return;
-    }
-
-    if (!peer.config.exportPolicy.empty())
-        bump(obs_.policyEvals);
-    PathAttributesPtr exported = peer.config.exportPolicy.apply(
-        prefix, best->attributes, config_.localAs);
-    if (!exported) {
-        bump(obs_.policyRejects);
-        send_withdraw_if_advertised();
-        return;
-    }
+    };
 
     if (peer.externalSession) {
-        exported = ebgpExport(peer, exported);
-        if (!exported) {
-            // Sender-side loop avoidance: the peer would discard a
-            // path containing its own AS, so don't send one.
+        // Sender-side loop avoidance: the peer would discard a path
+        // containing its own AS (RFC 4271 9.1.2), so don't send one.
+        if (attrs->asPath.contains(peer.config.asn)) {
             send_withdraw_if_advertised();
             return;
         }
+        advertise(ebgpExport(attrs));
     } else if (reflecting) {
         // RFC 4456 section 8: stamp the originator and prepend our
         // cluster id; everything else is reflected unchanged.
-        PathAttributes out = *exported;
+        PathAttributes out = *attrs;
         if (!out.originatorId)
             out.originatorId = best->peerRouterId;
         out.clusterList.insert(
             out.clusterList.begin(),
             config_.clusterId ? config_.clusterId : config_.routerId);
-        exported = makeAttributes(std::move(out));
-    }
-
-    if (peer.ribOut.advertiseAt(slot, exported)) {
-        peer.pending.announce(prefix, exported);
-        ++stats.advertisedPrefixes;
+        advertise(makeAttributes(std::move(out)));
+    } else {
+        advertise(attrs);
     }
 }
 
@@ -842,46 +815,28 @@ BgpSpeaker::reserveRoutes(size_t prefixes)
     }
 }
 
-void
-BgpSpeaker::trimExportMemo(Peer &peer)
+const PathAttributesPtr &
+BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs)
 {
-    // First reclaim entries whose input attribute set died everywhere
-    // else — the memo's own key holds the sole remaining strong
-    // reference. After table churn (withdraw waves, session resets)
-    // this frees the garbage while every hot entry survives.
-    for (auto it = peer.exportMemo.begin();
-         it != peer.exportMemo.end();) {
-        if (it->first.use_count() == 1)
-            it = peer.exportMemo.erase(it);
-        else
-            ++it;
+    // The memo is keyed on pointer identity, which stays hot across
+    // messages, decision runs and peers because the interner
+    // canonicalises attributes: a full-table load runs one transform
+    // per distinct attribute set, not one per prefix and peer.
+    if (exportMemo_.size() >= exportMemoCap)
+        exportMemo_.clear();
+    auto [memo, missed] = exportMemo_.try_emplace(attrs);
+    if (missed) {
+        PathAttributes out = *attrs;
+        out.asPath.prepend(config_.localAs);
+        out.nextHop = config_.localAddress;
+        // LOCAL_PREF is never sent on eBGP sessions (RFC 4271 5.1.5),
+        // and the reflection attributes are non-transitive.
+        out.localPref.reset();
+        out.originatorId.reset();
+        out.clusterList.clear();
+        memo->second = makeAttributes(std::move(out));
     }
-    // Then shed arbitrary entries down to half the cap. Unlike the
-    // wholesale flush this replaces, a workload with more distinct
-    // attribute sets than the cap keeps half the memo hot instead of
-    // rebuilding from empty, and the next trim is at least cap/2
-    // insertions away, keeping the per-announce cost amortised O(1).
-    while (peer.exportMemo.size() > exportMemoCap / 2)
-        peer.exportMemo.erase(peer.exportMemo.begin());
-}
-
-PathAttributesPtr
-BgpSpeaker::ebgpExport(const Peer &peer,
-                       const PathAttributesPtr &attrs) const
-{
-    // Sender-side loop avoidance: the peer would discard a path
-    // containing its own AS (RFC 4271 9.1.2).
-    if (attrs->asPath.contains(peer.config.asn))
-        return nullptr;
-    PathAttributes out = *attrs;
-    out.asPath.prepend(config_.localAs);
-    out.nextHop = config_.localAddress;
-    // LOCAL_PREF is never sent on eBGP sessions (RFC 4271 5.1.5),
-    // and the reflection attributes are non-transitive.
-    out.localPref.reset();
-    out.originatorId.reset();
-    out.clusterList.clear();
-    return makeAttributes(std::move(out));
+    return memo->second;
 }
 
 void
@@ -977,7 +932,6 @@ BgpSpeaker::invalidatePeerRoutes(Peer &peer, TimeNs now)
     });
     peer.ribIn.clear();
     peer.ribOut.clear();
-    peer.exportMemo.clear();
     // MRAI may have left changes queued for this peer; they must not
     // leak into the next session (a fresh Established re-advertises
     // the full table from scratch, with the interval idle again).

@@ -381,18 +381,6 @@ class BgpSpeaker
          */
         TimeNs mraiReadyAt = 0;
         bool externalSession = true;
-        /**
-         * eBGP export transform memo, used when the export policy is
-         * empty: interned best-path attributes -> the transformed
-         * (prepended, next-hop-rewritten) attributes, or null when
-         * sender-side loop avoidance suppresses the route. Keyed by
-         * the owning shared pointer, so a dead attribute set can
-         * never alias a recycled address. The transform is a pure
-         * function of the input attributes, so memoisation cannot
-         * change behaviour. Cleared on session loss.
-         */
-        std::unordered_map<PathAttributesPtr, PathAttributesPtr>
-            exportMemo;
 
         Peer(PeerConfig cfg, SessionConfig session_cfg,
              PackingOptions packing, SharedPrefixTable &table)
@@ -401,22 +389,14 @@ class BgpSpeaker
         {}
     };
 
-    /** exportMemo is trimmed (see trimExportMemo) at this size. */
-    static constexpr size_t exportMemoCap = 8192;
-
-    /**
-     * Bounded eviction for Peer::exportMemo once it reaches
-     * exportMemoCap: drop entries whose input attribute set is dead
-     * everywhere else first, then shed arbitrary entries down to half
-     * the cap so hot entries are not flushed wholesale and at least
-     * cap/2 insertions pass before the next trim (amortised O(1)).
-     */
-    static void trimExportMemo(Peer &peer);
-
     Peer &peerRef(PeerId peer);
     const Peer &peerRef(PeerId peer) const;
 
-    /** Send @p msgs to @p peer through the event sink. */
+    /**
+     * Send session messages (OPEN, KEEPALIVE, NOTIFICATION) to
+     * @p peer through the event sink. UPDATEs never come here: they
+     * all leave through transmitUpdates(), which counts them.
+     */
     void transmit(Peer &peer, const std::vector<Message> &msgs);
 
     /**
@@ -493,9 +473,14 @@ class BgpSpeaker
     void markEstablished(Peer &peer);
     void unmarkEstablished(Peer &peer);
 
-    /** Compute the eBGP export of @p attrs for @p peer (memo miss). */
-    PathAttributesPtr ebgpExport(const Peer &peer,
-                                 const PathAttributesPtr &attrs) const;
+    /**
+     * The eBGP export of @p attrs: the local AS prepended, next-hop
+     * self, LOCAL_PREF and the reflection attributes stripped. The
+     * result depends on nothing of the peer's, so it is memoised
+     * speaker-wide in exportMemo_. The reference stays valid until
+     * the next call.
+     */
+    const PathAttributesPtr &ebgpExport(const PathAttributesPtr &attrs);
 
     /**
      * One encode-once cache entry: the UPDATE exactly as encoded plus
@@ -578,6 +563,16 @@ class BgpSpeaker
     std::vector<UpdateMessage> outbound_;
     /** runDecision()'s candidate list; reused by every decision. */
     std::vector<Candidate> candidates_;
+    /**
+     * ebgpExport()'s memo: interned input attributes -> their eBGP
+     * export. Keyed by the owning shared pointer, so a dead attribute
+     * set can never alias a recycled address. Emptied wholesale at
+     * exportMemoCap entries, which bounds how many dead attribute
+     * sets long churn can keep alive; a full-feed load stays far
+     * below it.
+     */
+    std::unordered_map<PathAttributesPtr, PathAttributesPtr> exportMemo_;
+    static constexpr size_t exportMemoCap = 65536;
     /**
      * Peers currently in Established state, sorted by peer id (the
      * iteration order of peers_). The per-prefix decision sweep and

@@ -10,9 +10,11 @@
  * decision, Loc-RIB install, FIB event, four Adj-RIB-Out writes and the
  * per-peer UPDATE packing, encoding and fan-out. The heap work per
  * UPDATE (one NLRI vector per outbound message, one shared segment)
- * must not grow with the number of NLRI it carries. The forwarding
- * table those FIB events land in holds its own budget: an install
- * costs no allocation beyond its tree's amortised arena growth.
+ * must not grow with the number of NLRI it carries, and neither may
+ * its interner lookups: the eBGP export transform runs once per
+ * attribute set, not once per prefix or peer. The forwarding table
+ * those FIB events land in holds its own budget: an install costs no
+ * allocation beyond its tree's amortised arena growth.
  */
 
 #include <atomic>
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/attr_intern.hh"
 #include "bgp/speaker.hh"
 #include "fib/forwarding_table.hh"
 
@@ -91,7 +94,8 @@ struct NullSink : public SpeakerEvents
 class AllocFixture
 {
   public:
-    AllocFixture()
+    /** @p exportPolicy is attached to every peer's export. */
+    explicit AllocFixture(Policy exportPolicy = {})
     {
         SpeakerConfig config;
         config.localAs = 65000;
@@ -103,6 +107,7 @@ class AllocFixture
             PeerConfig peer;
             peer.id = id;
             peer.asn = id == downstreamPeer ? 65100 : AsNumber(64601 + id);
+            peer.exportPolicy = exportPolicy;
             speaker->addPeer(peer);
         }
         speaker->reserveRoutes(4096);
@@ -159,7 +164,7 @@ TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
 {
     AllocFixture f;
     // Warm-up: grow the reusable storage (decision scratch, per-peer
-    // builders, flush scratch) and fill the eBGP export memos.
+    // builders, flush scratch) and fill the eBGP export memo.
     for (int round = 0; round < 2; ++round)
         f.speaker->handleMessage(0, f.freshUpdate(256), 0);
 
@@ -187,6 +192,36 @@ TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
     // the four receiving peers plus one segment they all share (one
     // allocation of slack).
     EXPECT_LE(for_one, feedPeers + 2) << for_one;
+}
+
+TEST(SpeakerAlloc, OneExportTransformPerAttributeSet)
+{
+    // The eBGP export transform depends only on the speaker, so a
+    // fresh attribute set is transformed, and interned, once for all
+    // 256 NLRI and all four receiving peers, with or without a
+    // route-map in front of it.
+    auto pass = std::make_shared<RouteMap>("pass");
+    pass->add(RouteMapEntry{});
+    for (const Policy &policy : {Policy(), Policy(pass)}) {
+        AllocFixture f(policy);
+        f.speaker->handleMessage(0, f.freshUpdate(256), 0);
+
+        PathAttributes fresh;
+        fresh.asPath = AsPath::sequence({64601, 174, 2914});
+        fresh.nextHop = net::Ipv4Address(192, 0, 2, 1);
+        f.attrs = makeAttributes(std::move(fresh));
+        Message update = f.freshUpdate(256);
+        uint64_t before = AttributeInterner::global().stats().lookups;
+        f.speaker->handleMessage(0, update, 0);
+        uint64_t lookups =
+            AttributeInterner::global().stats().lookups - before;
+
+        const char *label =
+            policy.empty() ? "no export policy" : "pass-through route-map";
+        EXPECT_EQ(lookups, 1u) << label;
+        EXPECT_EQ(f.speaker->adjRibOut(downstreamPeer).size(), 512u)
+            << label;
+    }
 }
 
 TEST(SpeakerAlloc, FibInstallsAllocateOnlyArenaGrowth)

@@ -469,8 +469,9 @@ namespace
 {
 
 /**
- * One speaker (AS 65000) with feeds A (peer 0, AS 64601) and B (peer
- * 1, AS 64602) and a downstream D (peer 2, AS 65100), driven by
+ * One speaker (AS 65000) with one eBGP peer per entry of @p asns, peer
+ * ids in order: by default feeds A (peer 0, AS 64601) and B (peer 1,
+ * AS 64602) and a downstream D (peer 2, AS 65100). Driven by
  * pre-decoded messages. Records FIB events.
  */
 class SlotHarness : public SpeakerEvents
@@ -481,7 +482,9 @@ class SlotHarness : public SpeakerEvents
     static constexpr PeerId downstream = 2;
 
     explicit SlotHarness(DampingConfig damping = {},
-                         Policy importA = {})
+                         Policy importA = {},
+                         std::vector<AsNumber> asns = {64601, 64602,
+                                                       65100})
     {
         SpeakerConfig config;
         config.localAs = 65000;
@@ -490,8 +493,7 @@ class SlotHarness : public SpeakerEvents
         config.holdTimeSec = 0;
         config.damping = damping;
         speaker = std::make_unique<BgpSpeaker>(config, this);
-        const AsNumber asns[] = {64601, 64602, 65100};
-        for (PeerId id = 0; id < 3; ++id) {
+        for (PeerId id = 0; id < asns.size(); ++id) {
             PeerConfig peer;
             peer.id = id;
             peer.asn = asns[id];
@@ -673,4 +675,50 @@ TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
                           .find(slotP);
     ASSERT_NE(out, nullptr);
     EXPECT_EQ((*out)->asPath.toString(), "65000 64602 100 200");
+}
+
+// ---------------------------------------------------------------------
+// eBGP export: the transform is memoised once per speaker, and the
+// loop check in front of it stays per peer.
+// ---------------------------------------------------------------------
+
+TEST(SpeakerExport, LoopCheckIsPerPeerOverSharedMemo)
+{
+    // Feed 64601 announces two attribute sets of three /24s. Peers are
+    // visited in id order, 64602 first and 64604 last. So the first
+    // peer to see the path through 64602 suppresses it, while the path
+    // through 64604 is transformed and memoised by the peers that
+    // accept it before 64604, which must still not get it.
+    SlotHarness h({}, {}, {64601, 64602, 64603, 64604});
+    const PeerId to64602 = 1, to64603 = 2, to64604 = 3;
+    std::vector<net::Prefix> via64602, via64604;
+    for (uint32_t i = 0; i < 3; ++i) {
+        via64602.push_back(prefix(i));
+        via64604.push_back(prefix(16 + i));
+    }
+    h.send(0, {}, via64602, attrs({64601, 64602, 1299}));
+    h.send(0, {}, via64604, attrs({64601, 64604, 1299}));
+
+    const AdjRibOut &out = h.speaker->adjRibOut(to64603);
+    EXPECT_EQ(out.size(), 6u);
+    for (const auto &[set, path] :
+         {std::pair{via64602, "65000 64601 64602 1299"},
+          std::pair{via64604, "65000 64601 64604 1299"}}) {
+        for (const auto &p : set) {
+            const PathAttributesPtr *exported = out.find(p);
+            ASSERT_NE(exported, nullptr) << p.toString();
+            EXPECT_EQ((*exported)->asPath.toString(), path);
+            EXPECT_EQ((*exported)->nextHop,
+                      h.speaker->config().localAddress);
+        }
+    }
+    // Each of 64602 and 64604 gets only the set whose path avoids it.
+    EXPECT_EQ(h.speaker->adjRibOut(to64602).size(), 3u);
+    EXPECT_EQ(h.speaker->adjRibOut(to64604).size(), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+        EXPECT_FALSE(h.advertisedTo(to64602, via64602[i]));
+        EXPECT_TRUE(h.advertisedTo(to64602, via64604[i]));
+        EXPECT_TRUE(h.advertisedTo(to64604, via64602[i]));
+        EXPECT_FALSE(h.advertisedTo(to64604, via64604[i]));
+    }
 }
