@@ -367,14 +367,17 @@ BgpSpeaker::handleMessage(PeerId peer, const Message &msg, TimeNs now)
 {
     Peer &p = peerRef(peer);
     SessionState before = p.fsm.state();
+    const UpdateMessage *update = std::get_if<UpdateMessage>(&msg);
+    if (update)
+        events_->onUpdateReceived(peer, *update);
 
     std::vector<Message> tx;
     bool alive = p.fsm.handleMessage(msg, now, tx);
     transmit(p, tx);
 
     if (alive && p.fsm.established()) {
-        if (messageType(msg) == MessageType::Update) {
-            processUpdate(p, std::get<UpdateMessage>(msg), now);
+        if (update) {
+            processUpdate(p, *update, now);
         } else if (messageType(msg) == MessageType::RouteRefresh) {
             // RFC 2918: re-send our entire Adj-RIB-Out to the peer.
             // Forgetting what was advertised makes every route

@@ -166,6 +166,19 @@ class SpeakerEvents
         (void)current;
     }
 
+    /**
+     * An UPDATE from @p from was decoded, before the session FSM sees
+     * it: fires for every inbound UPDATE, whether or not the session
+     * is Established and the UPDATE then reaches the RIBs. @p msg
+     * carries the interned attributes, so sinks may keep them.
+     */
+    virtual void
+    onUpdateReceived(PeerId from, const UpdateMessage &msg)
+    {
+        (void)from;
+        (void)msg;
+    }
+
     /** An inbound UPDATE finished processing. */
     virtual void
     onUpdateProcessed(PeerId from, const UpdateStats &stats)

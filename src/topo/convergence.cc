@@ -3,11 +3,109 @@
 #include <algorithm>
 #include <sstream>
 
+#include "net/logging.hh"
 #include "stats/json.hh"
 #include "stats/report.hh"
 
 namespace bgpbench::topo
 {
+
+namespace
+{
+
+/**
+ * An AS path as the tokens AsPath::toString() joins with spaces: one
+ * per AS of a sequence and one per set, holding its members in order.
+ * A sequence split over two segments thus reads as the unsplit one,
+ * and a set never as a sequence. (An empty sequence segment, which
+ * the decoder rejects, yields no token.)
+ */
+class PathTokens
+{
+  public:
+    explicit PathTokens(const bgp::AsPath &path)
+        : segments_(path.segments())
+    {
+        skipEmptySequences();
+    }
+
+    bool done() const { return segment_ == segments_.size(); }
+    /** True if the current token is a whole AS_SET. */
+    bool
+    isSet() const
+    {
+        return segments_[segment_].type ==
+               bgp::AsPath::SegmentType::AsSet;
+    }
+    /** The current set's members (isSet() only). */
+    const std::vector<bgp::AsNumber> &
+    members() const
+    {
+        return segments_[segment_].asns;
+    }
+    /** The current sequence AS (!isSet() only). */
+    bgp::AsNumber as() const { return segments_[segment_].asns[as_]; }
+
+    void
+    next()
+    {
+        if (isSet() || ++as_ == segments_[segment_].asns.size()) {
+            ++segment_;
+            as_ = 0;
+            skipEmptySequences();
+        }
+    }
+
+  private:
+    void
+    skipEmptySequences()
+    {
+        while (!done() && !isSet() && segments_[segment_].asns.empty())
+            ++segment_;
+    }
+
+    const std::vector<bgp::AsPath::Segment> &segments_;
+    size_t segment_ = 0;
+    size_t as_ = 0;
+};
+
+/** FNV-1a over the path's tokens, tagged so a set differs from a run. */
+uint64_t
+pathHash(const bgp::AsPath &path)
+{
+    uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    for (PathTokens token(path); !token.done(); token.next()) {
+        if (token.isSet()) {
+            mix(uint64_t(1) << 32 | token.members().size());
+            for (bgp::AsNumber asn : token.members())
+                mix(asn);
+        } else {
+            mix(token.as());
+        }
+    }
+    return h;
+}
+
+/** True if @p a and @p b have the same tokens. */
+bool
+samePath(const bgp::AsPath &a, const bgp::AsPath &b)
+{
+    PathTokens x(a);
+    PathTokens y(b);
+    for (; !x.done() && !y.done(); x.next(), y.next()) {
+        if (x.isSet() != y.isSet())
+            return false;
+        if (x.isSet() ? x.members() != y.members() : x.as() != y.as())
+            return false;
+    }
+    return x.done() && y.done();
+}
+
+} // namespace
 
 void
 ConvergenceTracker::markPhaseStart(sim::SimTime now)
@@ -28,9 +126,36 @@ ConvergenceTracker::onUpdateDelivered(size_t node,
     lastActivity_ = std::max(lastActivity_, now);
     if (!msg.attributes)
         return;
-    std::string path = msg.attributes->asPath.toString();
+    Offer offer{pathHash(msg.attributes->asPath), msg.attributes};
     for (const net::Prefix &prefix : msg.nlri)
-        explored_[{node, prefix}].insert(path);
+        addOffer(explored_[exploredKey(node, prefix)], offer);
+}
+
+uint64_t
+ConvergenceTracker::exploredKey(size_t node, const net::Prefix &prefix)
+{
+    panicIf(node >= size_t(1) << 24,
+            "convergence tracker: node index exceeds 24 bits");
+    return uint64_t(node) << 40 |
+           uint64_t(prefix.address().toUint32()) << 8 |
+           uint64_t(prefix.length());
+}
+
+void
+ConvergenceTracker::addOffer(std::vector<Offer> &offers,
+                             const Offer &offer)
+{
+    // Equal pointers prove a match; unequal ones prove nothing, since
+    // every worker thread interns into its own table.
+    for (const Offer &kept : offers) {
+        if (kept.hash == offer.hash &&
+            (kept.attributes == offer.attributes ||
+             samePath(kept.attributes->asPath,
+                      offer.attributes->asPath))) {
+            return;
+        }
+    }
+    offers.push_back(offer);
 }
 
 void
@@ -59,8 +184,13 @@ ConvergenceTracker::absorb(ConvergenceTracker &shard)
     locRibChanges_ += shard.locRibChanges_;
     droppedSegments_ += shard.droppedSegments_;
     lastActivity_ = std::max(lastActivity_, shard.lastActivity_);
-    for (auto &[key, paths] : shard.explored_) {
-        explored_[key].merge(paths);
+    // merge() moves every entry whose key is new here; the ones left
+    // behind are keys both trackers hold.
+    explored_.merge(shard.explored_);
+    for (const auto &[key, offers] : shard.explored_) {
+        std::vector<Offer> &into = explored_.find(key)->second;
+        for (const Offer &offer : offers)
+            addOffer(into, offer);
     }
     shard = ConvergenceTracker();
 }
@@ -77,7 +207,7 @@ size_t
 ConvergenceTracker::distinctPathsExplored(
     size_t node, const net::Prefix &prefix) const
 {
-    auto it = explored_.find({node, prefix});
+    auto it = explored_.find(exploredKey(node, prefix));
     return it == explored_.end() ? 0 : it->second.size();
 }
 
@@ -85,8 +215,8 @@ size_t
 ConvergenceTracker::maxPathsExplored() const
 {
     size_t max = 0;
-    for (const auto &[key, paths] : explored_)
-        max = std::max(max, paths.size());
+    for (const auto &[key, offers] : explored_)
+        max = std::max(max, offers.size());
     return max;
 }
 
@@ -96,8 +226,8 @@ ConvergenceTracker::meanPathsExplored() const
     if (explored_.empty())
         return 0.0;
     size_t total = 0;
-    for (const auto &[key, paths] : explored_)
-        total += paths.size();
+    for (const auto &[key, offers] : explored_)
+        total += offers.size();
     return double(total) / double(explored_.size());
 }
 

@@ -24,11 +24,9 @@
 #define BGPBENCH_TOPO_CONVERGENCE_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/message.hh"
@@ -58,7 +56,11 @@ class ConvergenceTracker
     /** Restart the convergence stopwatch (e.g. at fault injection). */
     void markPhaseStart(sim::SimTime now);
 
-    /** An UPDATE finished its simulated delivery to @p node. */
+    /**
+     * An UPDATE finished its simulated delivery to @p node. Keeps a
+     * reference to the message's attribute set for every (node,
+     * prefix) that had not been offered its AS path before.
+     */
     void onUpdateDelivered(size_t node, const bgp::UpdateMessage &msg,
                            sim::SimTime now);
 
@@ -75,10 +77,11 @@ class ConvergenceTracker
     /**
      * Fold @p shard's accumulated metrics into this tracker and
      * reset @p shard to empty. Every merged quantity is
-     * order-independent (sums, maxima, set unions), so absorbing the
-     * per-shard trackers of a parallel run in any shard order yields
-     * the same totals as sequential accumulation — the property the
-     * byte-identical-reports guarantee rests on.
+     * order-independent (sums, maxima, unions of distinct paths), so
+     * absorbing the per-shard trackers of a parallel run in any shard
+     * order yields the same totals as sequential accumulation — the
+     * property the byte-identical-reports guarantee rests on. A
+     * (node, prefix) new here is moved over, not copied.
      */
     void absorb(ConvergenceTracker &shard);
 
@@ -97,7 +100,11 @@ class ConvergenceTracker
     }
     uint64_t locRibChanges() const { return locRibChanges_; }
     uint64_t droppedSegments() const { return droppedSegments_; }
-    /** Distinct AS paths announced to @p node for @p prefix. */
+    /**
+     * Distinct AS paths announced to @p node for @p prefix. Two paths
+     * are one exactly when AsPath::toString() renders them equally,
+     * whatever the rest of their attribute sets holds.
+     */
     size_t distinctPathsExplored(size_t node,
                                  const net::Prefix &prefix) const;
     /** Largest exploration count over all (node, prefix) pairs. */
@@ -118,17 +125,45 @@ class ConvergenceTracker
     {
         return transactionsDelivered_ - phaseTransactionsBase_;
     }
-    /** Visit every (node, prefix, distinct-paths-offered) triple. */
+    /**
+     * Visit every (node, prefix, distinct-paths-offered) triple, in
+     * no particular order.
+     */
     template <typename Fn>
     void
     forEachExplored(Fn &&fn) const
     {
-        for (const auto &[key, paths] : explored_)
-            fn(key.first, key.second, paths.size());
+        for (const auto &[key, offers] : explored_)
+            fn(keyNode(key), keyPrefix(key), offers.size());
     }
     /** @} */
 
   private:
+    /** One distinct AS path offered for a (node, prefix). */
+    struct Offer
+    {
+        /** pathHash() of attributes->asPath. */
+        uint64_t hash = 0;
+        bgp::PathAttributesPtr attributes;
+    };
+
+    /**
+     * (node, prefix) as one integer: the node above bit 40, then the
+     * 32-bit address and the 8-bit length. Panics if @p node does not
+     * fit in the 24 bits left.
+     */
+    static uint64_t exploredKey(size_t node, const net::Prefix &prefix);
+    static size_t keyNode(uint64_t key) { return size_t(key >> 40); }
+    static net::Prefix
+    keyPrefix(uint64_t key)
+    {
+        return net::Prefix(net::Ipv4Address(uint32_t(key >> 8)),
+                           int(key & 0xff));
+    }
+
+    /** Append @p offer to @p offers unless it renders as a kept path. */
+    static void addOffer(std::vector<Offer> &offers, const Offer &offer);
+
     sim::SimTime phaseStart_ = 0;
     sim::SimTime lastActivity_ = 0;
     uint64_t updatesDelivered_ = 0;
@@ -138,9 +173,8 @@ class ConvergenceTracker
     /** Lifetime totals at the last markPhaseStart(). */
     uint64_t phaseUpdatesBase_ = 0;
     uint64_t phaseTransactionsBase_ = 0;
-    /** (node, prefix) -> distinct AS-path renderings offered. */
-    std::map<std::pair<size_t, net::Prefix>, std::set<std::string>>
-        explored_;
+    /** exploredKey(node, prefix) -> the distinct paths offered. */
+    std::unordered_map<uint64_t, std::vector<Offer>> explored_;
 };
 
 /** Per-router slice of a convergence report. */

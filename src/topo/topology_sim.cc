@@ -56,6 +56,14 @@ struct TopologySim::NodeEvents : public bgp::SpeakerEvents
     }
 
     void
+    onUpdateReceived(bgp::PeerId from,
+                     const bgp::UpdateMessage &msg) override
+    {
+        (void)from;
+        shard->tracker.onUpdateDelivered(node, msg, shard->sim.now());
+    }
+
+    void
     onUpdateProcessed(bgp::PeerId from,
                       const bgp::UpdateStats &stats) override
     {
@@ -87,9 +95,9 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
     if (topo_.nodeCount() == 0)
         fatal("topology simulation needs at least one node");
 
-    size_t jobs = config_.jobs;
-    if (jobs == 0)
-        jobs = std::max<size_t>(1, std::thread::hardware_concurrency());
+    size_t hardware =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
+    size_t jobs = config_.jobs == 0 ? hardware : config_.jobs;
     // Over-decomposition: about two shards per worker feeds the
     // work-stealing deques, so a shard hitting a quiet window doesn't
     // idle its worker.
@@ -110,7 +118,10 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
                                      partition_.nodeSkew);
     }
     lookaheadNs_ = partition_.minCutLatencyNs;
-    workers_ = std::min(jobs, partition_.shardCount);
+    // The shard count follows jobs alone, so a run partitions the
+    // same way on every host; workers beyond the hardware threads
+    // would only wait on the barrier.
+    workers_ = std::min({jobs, partition_.shardCount, hardware});
     controller_ = WindowController(
         partition_.shardCount > 1 ? lookaheadNs_ : 0,
         partition_.cutLinks);
@@ -452,16 +463,14 @@ TopologySim::arrive(size_t l, uint64_t epoch, uint64_t key, size_t dst,
     // collapsing onto the same CPU-done instant still run in source
     // order on every shard layout.
     shard.sim.schedule(done, key,
-                       [this, l, epoch, dst, wire = std::move(wire),
-                        type]() {
-                           deliver(l, epoch, dst, wire, type);
+                       [this, l, epoch, dst, wire = std::move(wire)]() {
+                           deliver(l, epoch, dst, wire);
                        });
 }
 
 void
 TopologySim::deliver(size_t l, uint64_t epoch, size_t dst,
-                     const net::WireSegmentPtr &wire,
-                     bgp::MessageType type)
+                     const net::WireSegmentPtr &wire)
 {
     Shard &shard = shardFor(dst);
     LinkState &state = shard.links[l];
@@ -470,18 +479,8 @@ TopologySim::deliver(size_t l, uint64_t epoch, size_t dst,
         return;
     }
 
-    if (type == bgp::MessageType::Update) {
-        // Decode once more for the tracker's path-exploration
-        // accounting; this is host work, not simulated cycles.
-        bgp::DecodeError error;
-        auto msg = bgp::decodeMessage(wire->bytes(), error);
-        if (msg && messageType(*msg) == bgp::MessageType::Update) {
-            shard.tracker.onUpdateDelivered(
-                dst, std::get<bgp::UpdateMessage>(*msg),
-                shard.sim.now());
-        }
-    }
-
+    // The speaker's onUpdateReceived() feeds the tracker from this
+    // call's decode.
     speakers_[dst]->receiveSegment(bgp::PeerId(l), wire,
                                    shard.sim.now());
 }

@@ -114,8 +114,9 @@ struct TopologySimConfig
     /**
      * Worker threads: 1 (default) runs the sequential engine, N > 1
      * runs a worker pool over the sharded engine, 0 resolves to the
-     * hardware concurrency. Reports are byte-identical for every
-     * value.
+     * hardware concurrency. N sets the shard count; the pool never
+     * starts more threads than the hardware has. Reports are
+     * byte-identical for every value.
      */
     size_t jobs = 1;
     /**
@@ -184,7 +185,8 @@ class TopologySim
     /** Events waiting across all shards. */
     size_t pendingEvents() const;
     /**
-     * Worker threads the engine resolved to. The shard count may
+     * Worker threads the engine resolved to: jobs, capped at the
+     * shard count and the hardware concurrency. The shard count may
      * exceed this (over-decomposition feeds the work-stealing
      * deques); partition().shardCount has the shards.
      */
@@ -410,8 +412,7 @@ class TopologySim
                 size_t transactions);
     /** CPU processing done; deliver to the speaker. */
     void deliver(size_t link, uint64_t epoch, size_t dst,
-                 const net::WireSegmentPtr &wire,
-                 bgp::MessageType type);
+                 const net::WireSegmentPtr &wire);
 
     /** Sequential engine: drain shard 0 up to @p limit. */
     bool runSequential(sim::SimTime limit);

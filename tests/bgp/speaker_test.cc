@@ -722,3 +722,105 @@ TEST(SpeakerExport, LoopCheckIsPerPeerOverSharedMemo)
         EXPECT_FALSE(h.advertisedTo(to64604, via64604[i]));
     }
 }
+
+// ---------------------------------------------------------------------
+// onUpdateReceived: one event per decoded UPDATE, ahead of the FSM.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Records every onUpdateReceived() call. */
+class UpdateRecorder : public SpeakerEvents
+{
+  public:
+    struct Received
+    {
+        PeerId from;
+        std::vector<net::Prefix> nlri;
+        PathAttributesPtr attributes;
+    };
+
+    void
+    onTransmit(PeerId, MessageType, net::WireSegmentPtr, size_t) override
+    {}
+
+    void
+    onUpdateReceived(PeerId from, const UpdateMessage &msg) override
+    {
+        received.push_back({from, msg.nlri, msg.attributes});
+    }
+
+    std::vector<Received> received;
+};
+
+std::vector<uint8_t>
+updateBytes(std::vector<net::Prefix> nlri, PathAttributesPtr attributes)
+{
+    UpdateMessage update;
+    update.nlri = std::move(nlri);
+    update.attributes = std::move(attributes);
+    return encodeMessage(update);
+}
+
+} // namespace
+
+TEST(SpeakerEvents, UpdateReceivedOncePerDecodedUpdate)
+{
+    UpdateRecorder events;
+    SpeakerConfig config;
+    config.localAs = 65000;
+    config.routerId = 1;
+    config.localAddress = net::Ipv4Address(10, 255, 0, 1);
+    config.holdTimeSec = 0;
+    BgpSpeaker speaker(config, &events);
+    for (PeerId id : {PeerId(0), PeerId(1)}) {
+        PeerConfig peer;
+        peer.id = id;
+        peer.asn = AsNumber(64601 + id);
+        speaker.addPeer(peer);
+        speaker.startPeer(id, 0);
+        speaker.tcpEstablished(id, 0);
+    }
+
+    // Peer 0 sends an UPDATE before its OPEN: the event still fires,
+    // then the FSM rejects the message and drops the session.
+    PathAttributesPtr early = attrs({64601});
+    speaker.receiveBytes(0, updateBytes({prefix(1)}, early), 0);
+    ASSERT_EQ(events.received.size(), 1u);
+    EXPECT_EQ(events.received[0].from, 0u);
+    EXPECT_EQ(events.received[0].nlri, std::vector{prefix(1)});
+    EXPECT_EQ(events.received[0].attributes, early);
+    EXPECT_EQ(speaker.sessionState(0), SessionState::Idle);
+
+    // Peer 1's OPEN and KEEPALIVE fire nothing.
+    OpenMessage open;
+    open.myAs = 64602;
+    open.holdTimeSec = 0;
+    open.bgpIdentifier = 102;
+    speaker.receiveBytes(1, encodeMessage(open), 0);
+    speaker.receiveBytes(1, encodeMessage(KeepaliveMessage{}), 0);
+    ASSERT_EQ(speaker.sessionState(1), SessionState::Established);
+    EXPECT_EQ(events.received.size(), 1u);
+
+    // Two UPDATEs and a KEEPALIVE in one segment: two events, each
+    // with its NLRI and the interned attribute set.
+    PathAttributesPtr first = attrs({64602, 100});
+    PathAttributesPtr second = attrs({64602, 200});
+    std::vector<uint8_t> bytes =
+        updateBytes({prefix(2), prefix(3)}, first);
+    for (const auto &more : {updateBytes({prefix(4)}, second),
+                             encodeMessage(KeepaliveMessage{})}) {
+        bytes.insert(bytes.end(), more.begin(), more.end());
+    }
+    speaker.receiveBytes(1, bytes, 0);
+    ASSERT_EQ(events.received.size(), 3u);
+    EXPECT_EQ(events.received[1].from, 1u);
+    EXPECT_EQ(events.received[1].nlri,
+              (std::vector{prefix(2), prefix(3)}));
+    EXPECT_EQ(events.received[1].attributes, first);
+    EXPECT_EQ(events.received[2].nlri, std::vector{prefix(4)});
+    EXPECT_EQ(events.received[2].attributes, second);
+    EXPECT_TRUE(events.received[2].attributes->interned());
+    EXPECT_EQ(speaker.counters().updatesReceived, 2u);
+}

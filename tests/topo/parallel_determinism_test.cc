@@ -7,8 +7,10 @@
  * flight, which in a parallel run lands mid-lookahead-window.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,38 @@ specOf(const char *name, const char *shape, topo::Topology topology)
     spec.shape = shape;
     spec.topology = std::move(topology);
     return spec;
+}
+
+/** Worker threads TopologySim may start on this host. */
+size_t
+hardwareThreads()
+{
+    return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
+/**
+ * Faults landing mid-window at @p jobs, reported as @p scenario: a
+ * 20-node random graph with a link flap, a session reset and a router
+ * restart scheduled while announcements are still in flight.
+ */
+topo::ConvergenceReport
+midFlightFaultsReport(size_t jobs, const char *scenario)
+{
+    topo::TopologySimConfig config;
+    config.jobs = jobs;
+    topo::TopologySim sim(topo::Topology::barabasiAlbert(20, 2, 5),
+                          config);
+    for (size_t node = 0; node < 20; ++node)
+        sim.originate(node, topo::scenarioPrefix(node, 0), 0);
+    sim.scheduleLinkDown(2, sim::nsFromUs(300));
+    sim.scheduleSessionReset(5, sim::nsFromUs(450));
+    sim.scheduleLinkUp(2, sim::nsFromMs(2));
+    sim.scheduleRouterRestart(1, sim::nsFromMs(3), sim::nsFromMs(10));
+    bool converged = sim.runToConvergence(sim::nsFromSec(600.0));
+    EXPECT_TRUE(converged);
+    topo::ConvergenceReport report = sim.report(scenario, "random");
+    report.converged = converged && sim.locRibsConsistent();
+    return report;
 }
 
 /** Run @p spec at @p jobs worker threads. */
@@ -124,23 +158,7 @@ TEST(ParallelDeterminism, FaultsInjectedMidConvergence)
     // microseconds into convergence, far below the time the network
     // needs to settle, so parallel runs hit them mid-window.
     expectIdenticalAcrossJobs("mid-flight faults", [](size_t jobs) {
-        topo::TopologySimConfig config;
-        config.jobs = jobs;
-        topo::TopologySim sim(topo::Topology::barabasiAlbert(20, 2, 5),
-                              config);
-        for (size_t node = 0; node < 20; ++node)
-            sim.originate(node, topo::scenarioPrefix(node, 0), 0);
-        sim.scheduleLinkDown(2, sim::nsFromUs(300));
-        sim.scheduleSessionReset(5, sim::nsFromUs(450));
-        sim.scheduleLinkUp(2, sim::nsFromMs(2));
-        sim.scheduleRouterRestart(1, sim::nsFromMs(3),
-                                  sim::nsFromMs(10));
-        bool converged = sim.runToConvergence(sim::nsFromSec(600.0));
-        EXPECT_TRUE(converged);
-        topo::ConvergenceReport report =
-            sim.report("mid-flight", "random");
-        report.converged = converged && sim.locRibsConsistent();
-        return report;
+        return midFlightFaultsReport(jobs, "mid-flight");
     });
 }
 
@@ -178,11 +196,13 @@ TEST(ParallelDeterminism, AutoJobsMatchesSequential)
 TEST(ParallelDeterminism, EngineResolvesRequestedShards)
 {
     // The engine over-decomposes: 4 workers get ~8 shards to steal
-    // among; the worker count is what jobs() reports.
+    // among; the worker count, capped at the hardware threads, is
+    // what jobs() reports.
+    const size_t workers = std::min<size_t>(4, hardwareThreads());
     topo::TopologySimConfig config;
     config.jobs = 4;
     topo::TopologySim sim(topo::Topology::ring(16), config);
-    EXPECT_EQ(sim.jobs(), 4u);
+    EXPECT_EQ(sim.jobs(), workers);
     EXPECT_EQ(sim.partition().shardCount, 8u);
     EXPECT_EQ(sim.partition().shardCount, topo::shardTarget(16, 4));
     EXPECT_GE(sim.windowController().capNs(),
@@ -194,7 +214,8 @@ TEST(ParallelDeterminism, EngineResolvesRequestedShards)
 
     obs::MetricRegistry metrics;
     sim.publishParallelMetrics(metrics);
-    EXPECT_EQ(metrics.gaugeValue(obs::metric::parallelJobs), 4.0);
+    EXPECT_EQ(metrics.gaugeValue(obs::metric::parallelJobs),
+              double(workers));
     EXPECT_EQ(metrics.gaugeValue(obs::metric::parallelShards), 8.0);
     EXPECT_GT(metrics.counterValue(obs::metric::parallelWindows), 0u);
     EXPECT_GT(metrics.counterValue(obs::metric::topoWindowLenNs), 0u);
@@ -219,29 +240,35 @@ TEST(ParallelDeterminism, AdaptiveSyncMatrixIsByteIdentical)
     // batch merge, and the stealing may change the execution
     // schedule, never a report byte.
     auto run = [](size_t jobs) {
-        topo::TopologySimConfig config;
-        config.jobs = jobs;
-        topo::TopologySim sim(
-            topo::Topology::barabasiAlbert(20, 2, 5), config);
-        for (size_t node = 0; node < 20; ++node)
-            sim.originate(node, topo::scenarioPrefix(node, 0), 0);
-        sim.scheduleLinkDown(2, sim::nsFromUs(300));
-        sim.scheduleSessionReset(5, sim::nsFromUs(450));
-        sim.scheduleLinkUp(2, sim::nsFromMs(2));
-        sim.scheduleRouterRestart(1, sim::nsFromMs(3),
-                                  sim::nsFromMs(10));
-        bool converged = sim.runToConvergence(sim::nsFromSec(600.0));
-        EXPECT_TRUE(converged);
-        topo::ConvergenceReport report =
-            sim.report("adaptive-matrix", "random");
-        report.converged = converged && sim.locRibsConsistent();
-        return allRenderings(report);
+        return allRenderings(midFlightFaultsReport(jobs, "adaptive-matrix"));
     };
     std::string baseline = run(1);
     EXPECT_FALSE(baseline.empty());
     for (size_t jobs : kJobCounts) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         EXPECT_EQ(run(jobs), baseline);
+    }
+}
+
+TEST(ParallelDeterminism, DeliveredUpdatesEqualProcessed)
+{
+    // The tracker counts the UPDATEs the speakers decode; with every
+    // session Established when its UPDATEs land, that is what the
+    // routers processed, even with segments lost to the faults.
+    for (size_t jobs : kJobCounts) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        topo::ConvergenceReport report =
+            midFlightFaultsReport(jobs, "adaptive-matrix");
+        uint64_t received = 0;
+        uint64_t transactions = 0;
+        for (const topo::RouterReport &router : report.routers) {
+            received += router.updatesReceived;
+            transactions += router.transactions;
+        }
+        EXPECT_GT(report.droppedSegments, 0u);
+        EXPECT_GT(report.totalUpdates, 0u);
+        EXPECT_EQ(report.totalUpdates, received);
+        EXPECT_EQ(report.totalTransactions, transactions);
     }
 }
 
@@ -274,11 +301,27 @@ TEST(ParallelDeterminism, ShardCountClampsToNodes)
     topo::TopologySimConfig config;
     config.jobs = 64;
     topo::TopologySim sim(topo::Topology::line(3), config);
-    EXPECT_EQ(sim.jobs(), 3u);
+    EXPECT_EQ(sim.jobs(), std::min<size_t>(3, hardwareThreads()));
     for (size_t node = 0; node < 3; ++node)
         sim.originate(node, topo::scenarioPrefix(node, 0), 0);
     EXPECT_TRUE(sim.runToConvergence(sim::nsFromSec(600.0)));
     EXPECT_TRUE(sim.locRibsConsistent());
+}
+
+TEST(ParallelDeterminism, WorkersCappedAtHardwareThreads)
+{
+    // jobs 16 still shards ring(64) for 16 workers, but starts no
+    // more threads than the host has; the report stays that of jobs 1.
+    auto spec = [] {
+        return specOf("announce", "ring", topo::Topology::ring(64));
+    };
+    topo::TopologySimConfig config;
+    config.jobs = 16;
+    topo::TopologySim sim(topo::Topology::ring(64), config);
+    EXPECT_LE(sim.jobs(), hardwareThreads());
+    EXPECT_EQ(sim.partition().shardCount, 32u);
+    EXPECT_EQ(allRenderings(runAtJobs(spec(), 16)),
+              allRenderings(runAtJobs(spec(), 1)));
 }
 
 TEST(ParallelDeterminism, ZeroLatencyCutFallsBackToSequential)

@@ -4,8 +4,13 @@
  * determinism of the JSON reports.
  */
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "bgp/attr_intern.hh"
 #include "topo/scenario_spec.hh"
 
 using namespace bgpbench;
@@ -160,4 +165,177 @@ TEST(ConvergenceTracker, PathExplorationCounts)
     EXPECT_EQ(tracker.maxPathsExplored(), 2u);
     EXPECT_DOUBLE_EQ(tracker.meanPathsExplored(), 2.0);
     EXPECT_EQ(tracker.updatesDelivered(), 3u);
+}
+
+namespace
+{
+
+const net::Prefix kExplored = net::Prefix::fromString("192.0.2.0/24");
+
+/** An UPDATE announcing @p prefix with @p attributes. */
+bgp::UpdateMessage
+announce(bgp::PathAttributesPtr attributes,
+         net::Prefix prefix = kExplored)
+{
+    bgp::UpdateMessage msg;
+    msg.nlri.push_back(prefix);
+    msg.attributes = std::move(attributes);
+    return msg;
+}
+
+/** Attributes holding only @p path. */
+bgp::PathAttributes
+withPath(bgp::AsPath path)
+{
+    bgp::PathAttributes attrs;
+    attrs.asPath = std::move(path);
+    return attrs;
+}
+
+bgp::AsPath::Segment
+segment(bgp::AsPath::SegmentType type, std::vector<bgp::AsNumber> asns)
+{
+    return bgp::AsPath::Segment{type, std::move(asns)};
+}
+
+/** Every (node, prefix, paths) triple, sorted. */
+std::vector<std::tuple<size_t, net::Prefix, size_t>>
+exploredTriples(const topo::ConvergenceTracker &tracker)
+{
+    std::vector<std::tuple<size_t, net::Prefix, size_t>> out;
+    tracker.forEachExplored(
+        [&](size_t node, const net::Prefix &prefix, size_t paths) {
+            out.emplace_back(node, prefix, paths);
+        });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
+
+TEST(ConvergenceTracker, PathIgnoresTheOtherAttributes)
+{
+    topo::ConvergenceTracker tracker;
+    bgp::PathAttributes attrs = withPath(bgp::AsPath::sequence({100}));
+    attrs.med = 10;
+    tracker.onUpdateDelivered(0, announce(bgp::makeAttributes(attrs)), 0);
+    attrs.med = 20;
+    tracker.onUpdateDelivered(0, announce(bgp::makeAttributes(attrs)), 0);
+    EXPECT_EQ(tracker.distinctPathsExplored(0, kExplored), 1u);
+}
+
+TEST(ConvergenceTracker, PathEqualAcrossInterners)
+{
+    // Two interners stand in for two worker threads: the same value
+    // comes back as two distinct canonical pointers.
+    bgp::AttributeInterner one;
+    bgp::AttributeInterner two;
+    bgp::PathAttributes attrs =
+        withPath(bgp::AsPath::sequence({64601, 64602}));
+    bgp::PathAttributesPtr a = one.intern(attrs);
+    bgp::PathAttributesPtr b = two.intern(attrs);
+    ASSERT_NE(a, b);
+
+    topo::ConvergenceTracker tracker;
+    tracker.onUpdateDelivered(0, announce(a), 0);
+    tracker.onUpdateDelivered(0, announce(b), 0);
+    EXPECT_EQ(tracker.distinctPathsExplored(0, kExplored), 1u);
+}
+
+TEST(ConvergenceTracker, SplitSequenceIsTheUnsplitPath)
+{
+    // "64601 64602" either way, as AsPath::toString() renders both.
+    bgp::AsPath split;
+    split.addSegment(segment(bgp::AsPath::SegmentType::AsSequence,
+                             {64601}));
+    split.addSegment(segment(bgp::AsPath::SegmentType::AsSequence,
+                             {64602}));
+    bgp::AsPath whole = bgp::AsPath::sequence({64601, 64602});
+    ASSERT_EQ(split.toString(), whole.toString());
+
+    topo::ConvergenceTracker tracker;
+    tracker.onUpdateDelivered(
+        0, announce(bgp::makeAttributes(withPath(split))), 0);
+    tracker.onUpdateDelivered(
+        0, announce(bgp::makeAttributes(withPath(whole))), 0);
+    EXPECT_EQ(tracker.distinctPathsExplored(0, kExplored), 1u);
+}
+
+TEST(ConvergenceTracker, SetIsNotASequence)
+{
+    bgp::AsPath set;
+    set.addSegment(
+        segment(bgp::AsPath::SegmentType::AsSet, {64601, 64602}));
+
+    topo::ConvergenceTracker tracker;
+    tracker.onUpdateDelivered(
+        0, announce(bgp::makeAttributes(withPath(set))), 0);
+    tracker.onUpdateDelivered(
+        0,
+        announce(bgp::makeAttributes(
+            withPath(bgp::AsPath::sequence({64601, 64602})))),
+        0);
+    EXPECT_EQ(tracker.distinctPathsExplored(0, kExplored), 2u);
+}
+
+TEST(ConvergenceTracker, AbsorbOrderDoesNotMatter)
+{
+    // Two shard trackers that overlap on (0, kExplored): one path in
+    // both (interned apart, as two workers would), one path each.
+    net::Prefix other = net::Prefix::fromString("198.51.100.0/24");
+    auto shards = [&]() {
+        bgp::AttributeInterner one;
+        bgp::AttributeInterner two;
+        bgp::PathAttributes shared =
+            withPath(bgp::AsPath::sequence({100, 200}));
+        std::vector<topo::ConvergenceTracker> out(2);
+        out[0].onUpdateDelivered(0, announce(one.intern(shared)), 5);
+        out[0].onUpdateDelivered(
+            0,
+            announce(one.intern(withPath(bgp::AsPath::sequence({300})))),
+            6);
+        out[0].onUpdateDelivered(2, announce(one.intern(shared), other),
+                                 7);
+        out[1].onUpdateDelivered(0, announce(two.intern(shared)), 8);
+        out[1].onUpdateDelivered(
+            0,
+            announce(two.intern(withPath(bgp::AsPath::sequence({400})))),
+            9);
+        return out;
+    };
+
+    topo::ConvergenceTracker forward;
+    std::vector<topo::ConvergenceTracker> a = shards();
+    forward.absorb(a[0]);
+    forward.absorb(a[1]);
+    topo::ConvergenceTracker backward;
+    std::vector<topo::ConvergenceTracker> b = shards();
+    backward.absorb(b[1]);
+    backward.absorb(b[0]);
+
+    using Triple = std::tuple<size_t, net::Prefix, size_t>;
+    std::vector<Triple> expected = {Triple{0, kExplored, 3},
+                                    Triple{2, other, 1}};
+    EXPECT_EQ(exploredTriples(forward), expected);
+    EXPECT_EQ(exploredTriples(backward), expected);
+    EXPECT_EQ(forward.maxPathsExplored(), 3u);
+    EXPECT_EQ(backward.maxPathsExplored(), 3u);
+    EXPECT_DOUBLE_EQ(forward.meanPathsExplored(), 2.0);
+    EXPECT_DOUBLE_EQ(backward.meanPathsExplored(), 2.0);
+    EXPECT_EQ(forward.updatesDelivered(), 5u);
+    EXPECT_EQ(backward.updatesDelivered(), 5u);
+}
+
+TEST(ConvergenceTracker, WithdrawOnlyUpdateAddsNoKey)
+{
+    topo::ConvergenceTracker tracker;
+    bgp::UpdateMessage withdraw;
+    withdraw.withdrawnRoutes = {kExplored,
+                                net::Prefix::fromString("10.0.0.0/8")};
+    tracker.onUpdateDelivered(0, withdraw, 10);
+    EXPECT_EQ(tracker.updatesDelivered(), 1u);
+    EXPECT_EQ(tracker.transactionsDelivered(), 2u);
+    EXPECT_EQ(tracker.distinctPathsExplored(0, kExplored), 0u);
+    EXPECT_EQ(tracker.maxPathsExplored(), 0u);
+    EXPECT_TRUE(exploredTriples(tracker).empty());
 }
