@@ -14,14 +14,19 @@
  * stored once, every RIB is a value column on it.
  *
  * Reported (each also published through the obs metric registry):
- *  - sustained transactions/second across the whole ingest,
+ *  - sustained transactions/second across the whole ingest, timed
+ *    over the speaker's receiveSegment() calls only; generating the
+ *    feed streams in between and is reported apart as gen_s,
  *  - peak RSS (VmHWM) and the ingest RSS delta,
  *  - bytes per installed route, both as observed process memory
  *    (rss delta / RIB entries) and as structural RIB bytes from
- *    BgpSpeaker::ribMemoryBytes().
+ *    BgpSpeaker::ribMemoryBytes(),
+ *  - the tree nodes a lookup of each prefix in the shared prefix
+ *    table visits (BgpSpeaker::prefixTableDescentNodes()).
  *
  * Writes BENCH_fullfeed.json (field reference in README.md). The CI
- * regression gate runs --smoke and bounds the structural bytes/route.
+ * regression gate runs --smoke, bounds the structural bytes/route and
+ * pins the export and descent counts.
  *
  * Overrides: --smoke / BGPBENCH_FAST=1 shrink the run; --routes N,
  * --peers N, --out FILE.
@@ -168,11 +173,15 @@ main(int argc, char **argv)
 
     // Round-robin chunk interleave: every peer advances one chunk per
     // turn, so ingestion, decision, and export flushing overlap the
-    // way concurrent sessions do — the feed is never staged whole.
+    // way concurrent sessions do — the feed is never staged whole,
+    // which keeps peak RSS the speaker's. The clock splits each turn
+    // into generating the chunk and the speaker ingesting it.
+    using Clock = std::chrono::steady_clock;
     const obs::ProcessMemory before = obs::readProcessMemory();
     std::vector<workload::StreamPacket> packets;
     bgp::BgpSpeaker::TimeNs now = 0;
-    auto t0 = std::chrono::steady_clock::now();
+    Clock::duration generating{};
+    Clock::duration ingesting{};
     bool any = true;
     while (any) {
         any = false;
@@ -180,17 +189,20 @@ main(int argc, char **argv)
             if (generators[i].done())
                 continue;
             packets.clear();
+            const Clock::time_point t0 = Clock::now();
             generators[i].nextChunk(packets);
+            const Clock::time_point t1 = Clock::now();
             for (const auto &pkt : packets)
                 speaker.receiveSegment(bgp::PeerId(i), pkt.wire, now);
+            const Clock::time_point t2 = Clock::now();
+            generating += t1 - t0;
+            ingesting += t2 - t1;
             now += 1'000'000; // 1 ms of virtual time per chunk
             any = any || !generators[i].done();
         }
     }
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    const double wall_s = std::chrono::duration<double>(ingesting).count();
+    const double gen_s = std::chrono::duration<double>(generating).count();
     const obs::ProcessMemory after = obs::readProcessMemory();
 
     // Table accounting: the Loc-RIB should hold exactly the shared
@@ -231,6 +243,7 @@ main(int argc, char **argv)
         total_rib_routes > 0
             ? double(rib_memory) / double(total_rib_routes)
             : 0.0;
+    const size_t descent_nodes = speaker.prefixTableDescentNodes();
 
     // Everything reported below goes through the registry first, so
     // the text/CSV/JSON exporters and this bench's JSON agree.
@@ -242,7 +255,8 @@ main(int argc, char **argv)
     const auto &counters = speaker.counters();
     std::cout << "ingest: " << announcements << " announcements in "
               << stats::formatDouble(wall_s, 2) << " s = "
-              << stats::formatDouble(tps, 0) << " tps\n"
+              << stats::formatDouble(tps, 0) << " tps (plus "
+              << stats::formatDouble(gen_s, 2) << " s generating the feed)\n"
               << "tables: Loc-RIB " << loc_rib_routes
               << ", Adj-RIB-In " << adj_in_routes << ", Adj-RIB-Out "
               << adj_out_routes << " (exported "
@@ -254,7 +268,9 @@ main(int argc, char **argv)
               << " B/route observed, "
               << stats::formatDouble(rib_bytes_per_route, 1)
               << " B/route structural (" << rib_memory
-              << " B RIB storage)\n";
+              << " B RIB storage)\n"
+              << "prefix tree: " << descent_nodes
+              << " nodes visited finding every prefix\n";
 
     std::ofstream json(out_path);
     stats::JsonWriter writer(json);
@@ -267,6 +283,7 @@ main(int argc, char **argv)
     writer.field("distinct_paths",
                  uint64_t(generators.front().pathPoolSize()));
     writer.field("wall_s", wall_s);
+    writer.field("gen_s", gen_s);
     writer.field("tps", registry.gaugeValue("fullfeed.tps"));
     writer.field("updates_received", counters.updatesReceived);
     writer.field("updates_sent", counters.updatesSent);
@@ -284,6 +301,7 @@ main(int argc, char **argv)
                  registry.gaugeValue("fullfeed.bytes_per_route"));
     writer.field("rib_memory_bytes", uint64_t(rib_memory));
     writer.field("rib_bytes_per_route", rib_bytes_per_route);
+    writer.field("prefix_tree_descent_nodes", uint64_t(descent_nodes));
     writer.endObject();
     json << "\n";
     std::cout << "wrote " << out_path << "\n";

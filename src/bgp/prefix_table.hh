@@ -127,7 +127,10 @@ class SharedPrefixTable
         slotRefs_.reserve(prefixes);
     }
 
-    /** Bytes held by the tree arena and the slot side-arrays. */
+    /**
+     * Bytes held by the tree (arena and, past its threshold, the
+     * direct-indexed root) and the slot side-arrays.
+     */
     size_t
     memoryBytes() const
     {
@@ -139,6 +142,13 @@ class SharedPrefixTable
 
     /** Live tree nodes (prefix entries + compression joints). */
     size_t nodeCount() const { return tree_.nodeCount(); }
+
+    /**
+     * Tree nodes a lookup of each live prefix visits, summed
+     * (net::PrefixTree::descentNodes()): the walk every resolve() and
+     * find() of a known prefix repeats.
+     */
+    size_t descentNodes() const { return tree_.descentNodes(); }
 
   private:
     net::PrefixTree<Slot> tree_;

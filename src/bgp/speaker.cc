@@ -805,6 +805,12 @@ BgpSpeaker::ribMemoryBytes() const
     return bytes;
 }
 
+size_t
+BgpSpeaker::prefixTableDescentNodes() const
+{
+    return prefixTable_->descentNodes();
+}
+
 void
 BgpSpeaker::reserveRoutes(size_t prefixes)
 {

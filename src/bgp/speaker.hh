@@ -361,6 +361,12 @@ class BgpSpeaker
      */
     size_t ribMemoryBytes() const;
     /**
+     * Tree nodes a lookup of each prefix in the shared prefix table
+     * visits, summed (SharedPrefixTable::descentNodes()): a
+     * deterministic count of the walk each UPDATE's resolve() repeats.
+     */
+    size_t prefixTableDescentNodes() const;
+    /**
      * Pre-size RIB storage for @p prefixes distinct routes: the
      * shared prefix table (arena and slot arrays) and every existing
      * RIB's column. A router provisioned for a full feed

@@ -31,11 +31,35 @@
  * arena; the arena itself only grows (capacity is the high-water mark
  * of live + free nodes), which is the right trade for tables whose
  * size is workload-bounded.
+ *
+ * A tree holding rootMinKeys keys or more also keeps a direct-indexed
+ * root, the first level of DIR-24-8 (Gupta, Lin & McKeown, INFOCOM
+ * 1998) and Poptrie (Asai & Ohara, SIGCOMM 2015): 65 536 entries, one
+ * per /16, each naming the deepest node of length <= 16 that covers
+ * that /16 and the deepest such node that holds a value. find(),
+ * findOrInsert(), erase() and matchLongest() of keys and addresses of
+ * length >= 16 start at that node instead of node 0, which skips most
+ * of the dependent node loads of a descent through a full table. The
+ * start node lies on the walk from node 0, so the rest of the walk is
+ * the same one: node allocation, forEach() order and the unibit count
+ * matchLongest() reports do not depend on the root, and matchLongest()
+ * takes the best match above the start node from the entry.
+ *
+ * The root is built when an insert reaches rootMinKeys keys (reserve()
+ * for that many allocates it up front, ahead of the arena) and dropped
+ * when a draining tree falls below rootDropKeys. Prefix-lists,
+ * topology speakers and small snapshots stay below the threshold and
+ * pay nothing for it: all root upkeep is out of line behind one
+ * root_.empty() test, so their insert, erase and prune stay small
+ * enough to inline into callers. Only mutating calls build or change
+ * the root; const lookups never write, so readers may share one tree
+ * across threads.
  */
 
 #ifndef BGPBENCH_NET_PREFIX_TREE_HH
 #define BGPBENCH_NET_PREFIX_TREE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -69,6 +93,20 @@ class PrefixTree
     /** "No node" sentinel for child links and the free list head. */
     static constexpr uint32_t npos = 0xffffffffu;
 
+    /**
+     * Keys at which the tree builds its direct-indexed root (see the
+     * file comment). Below it a walk from node 0 is short, and the
+     * root's 512 KiB would outweigh the arena.
+     */
+    static constexpr size_t rootMinKeys = 4096;
+
+    /**
+     * A draining tree drops its root below this many keys. The gap to
+     * rootMinKeys keeps a tree that hovers at the threshold from
+     * rebuilding the root on every step.
+     */
+    static constexpr size_t rootDropKeys = rootMinKeys / 2;
+
     PrefixTree() { clear(); }
 
     /**
@@ -100,29 +138,28 @@ class PrefixTree
     {
         const uint32_t bits = prefix.address().toUint32();
         const int len = prefix.length();
-        uint32_t cur = 0;
+        uint32_t cur = startNode(bits, len);
+        uint32_t joint = npos;
+        uint32_t fresh = npos;
         for (;;) {
             if (arena_[cur].len == len) {
                 // The walk maintains "arena_[cur] covers prefix", so
                 // equal lengths mean equal prefixes.
-                bool fresh = !arena_[cur].hasValue;
-                if (fresh) {
-                    arena_[cur].hasValue = true;
-                    ++size_;
+                if (arena_[cur].hasValue) {
+                    if (inserted)
+                        *inserted = false;
+                    return &arena_[cur].value;
                 }
-                if (inserted)
-                    *inserted = fresh;
-                return &arena_[cur].value;
+                arena_[cur].hasValue = true;
+                fresh = cur;
+                break;
             }
             const int branch = bitAt(bits, arena_[cur].len);
             const uint32_t childIdx = arena_[cur].child[branch];
             if (childIdx == npos) {
-                uint32_t fresh = allocNode(bits, uint8_t(len), true);
+                fresh = allocNode(bits, uint8_t(len), true);
                 arena_[cur].child[branch] = fresh;
-                ++size_;
-                if (inserted)
-                    *inserted = true;
-                return &arena_[fresh].value;
+                break;
             }
             const uint32_t childBits = arena_[childIdx].bits;
             const int childLen = arena_[childIdx].len;
@@ -140,27 +177,29 @@ class PrefixTree
                 // Target sits between cur and child: splice it in as
                 // the child's new parent.
                 const int down = bitAt(childBits, len);
-                uint32_t fresh = allocNode(bits, uint8_t(len), true);
+                fresh = allocNode(bits, uint8_t(len), true);
                 arena_[fresh].child[down] = childIdx;
                 arena_[cur].child[branch] = fresh;
-                ++size_;
-                if (inserted)
-                    *inserted = true;
-                return &arena_[fresh].value;
+                break;
             }
             // Paths diverge below cur: split with a valueless joint at
             // the common length, with child and the new leaf below it.
-            uint32_t joint = allocNode(bits & maskForLength(common),
-                                       uint8_t(common), false);
-            uint32_t fresh = allocNode(bits, uint8_t(len), true);
+            joint = allocNode(bits & maskForLength(common), uint8_t(common),
+                              false);
+            fresh = allocNode(bits, uint8_t(len), true);
             arena_[joint].child[bitAt(childBits, common)] = childIdx;
             arena_[joint].child[bitAt(bits, common)] = fresh;
             arena_[cur].child[branch] = joint;
-            ++size_;
-            if (inserted)
-                *inserted = true;
-            return &arena_[fresh].value;
+            break;
         }
+        ++size_;
+        if (!root_.empty())
+            rootInserted(joint, fresh);
+        else if (size_ >= rootMinKeys)
+            buildRoot();
+        if (inserted)
+            *inserted = true;
+        return &arena_[fresh].value;
     }
 
     /**
@@ -175,7 +214,7 @@ class PrefixTree
         // Explicit parent stack: depth <= 33 by the covers-invariant.
         uint32_t stack[33];
         int depth = 0;
-        uint32_t cur = 0;
+        uint32_t cur = startNode(bits, len);
         while (arena_[cur].len != len) {
             const uint32_t childIdx =
                 arena_[cur].child[bitAt(bits, arena_[cur].len)];
@@ -193,7 +232,10 @@ class PrefixTree
         arena_[cur].hasValue = false;
         arena_[cur].value = V{};
         --size_;
-        prune(cur, stack, depth);
+        if (root_.empty())
+            prune<false>(cur, stack, depth);
+        else
+            rootErased(cur, stack, depth);
         return true;
     }
 
@@ -233,6 +275,12 @@ class PrefixTree
         const uint32_t bits = addr.toUint32();
         const V *best = nullptr;
         uint32_t cur = 0;
+        if (!root_.empty()) {
+            const RootEntry &entry = root_[bits >> (32 - rootBits)];
+            cur = entry.cover;
+            if (entry.best != npos)
+                best = &arena_[entry.best].value;
+        }
         int depth = 0;
         for (;;) {
             const Node &node = arena_[cur];
@@ -312,12 +360,28 @@ class PrefixTree
     /** Live arena nodes, including valueless joints and the root. */
     size_t nodeCount() const { return liveNodes_; }
 
-    /** Drop every entry; keeps the arena's capacity. */
+    /**
+     * Sum over stored keys of the nodes find() visits for each, from
+     * its start node down to the key's own node: a deterministic count
+     * of lookup work, computed in one O(size()) walk.
+     */
+    size_t
+    descentNodes() const
+    {
+        uint32_t path[33];
+        return descend(0, 0, path);
+    }
+
+    /**
+     * Drop every entry and the direct-indexed root; keeps the arena's
+     * capacity.
+     */
     void
     clear()
     {
         arena_.clear();
         arena_.push_back(Node{});
+        root_ = std::vector<RootEntry>();
         freeHead_ = npos;
         size_ = 0;
         liveNodes_ = 1;
@@ -326,19 +390,27 @@ class PrefixTree
     /**
      * Pre-size the arena for @p prefixes entries (2n+1 nodes covers
      * the worst-case joint count), avoiding growth reallocations
-     * during a bulk load.
+     * during a bulk load. A tree sized for at least rootMinKeys
+     * entries also allocates its root here, ahead of the arena; the
+     * root is still filled in when the rootMinKeys-th key arrives.
      */
     void
     reserve(size_t prefixes)
     {
+        if (prefixes >= rootMinKeys)
+            root_.reserve(size_t(1) << rootBits);
         arena_.reserve(2 * prefixes + 1);
     }
 
-    /** Bytes held by the arena (capacity, i.e. high-water). */
+    /**
+     * Bytes held by the arena (capacity, i.e. high-water) and, while
+     * it exists, the direct-indexed root.
+     */
     size_t
     memoryBytes() const
     {
-        return arena_.capacity() * sizeof(Node) + sizeof(*this);
+        return arena_.capacity() * sizeof(Node) +
+               root_.capacity() * sizeof(RootEntry) + sizeof(*this);
     }
 
   private:
@@ -350,6 +422,18 @@ class PrefixTree
         uint8_t len = 0;
         bool hasValue = false;
         V value{};
+    };
+
+    /** Leading address bits the direct-indexed root resolves. */
+    static constexpr int rootBits = 16;
+
+    /** One /16's entry in the direct-indexed root. */
+    struct RootEntry
+    {
+        /** The deepest node of length <= rootBits covering the /16. */
+        uint32_t cover;
+        /** The deepest such node holding a value, or npos. */
+        uint32_t best;
     };
 
     /** Bit @p pos of @p bits counted from the MSB (pos in [0, 31]). */
@@ -399,13 +483,180 @@ class PrefixTree
         --liveNodes_;
     }
 
+    /** The node a walk towards a key of @p len bits at @p bits starts at. */
+    uint32_t
+    startNode(uint32_t bits, int len) const
+    {
+        if (len < rootBits || root_.empty())
+            return 0;
+        return root_[bits >> (32 - rootBits)].cover;
+    }
+
+    /** Build the root from the tree as it stands. */
+    [[gnu::noinline]] void
+    buildRoot()
+    {
+        root_.resize(size_t(1) << rootBits);
+        fillRoot(0, npos);
+    }
+
+    /**
+     * Write the root entries under node @p idx (length <= rootBits),
+     * each once; @p best is idx's deepest valued ancestor.
+     */
+    void
+    fillRoot(uint32_t idx, uint32_t best)
+    {
+        if (arena_[idx].hasValue)
+            best = idx;
+        const RootEntry entry{idx, best};
+        forEachGap(idx, [&](size_t first, size_t last) {
+            std::fill(root_.begin() + first, root_.begin() + last, entry);
+        });
+        for (uint32_t child : arena_[idx].child) {
+            if (child != npos && arena_[child].len <= rootBits)
+                fillRoot(child, best);
+        }
+    }
+
+    /** First root entry under node @p idx (length <= rootBits). */
+    size_t
+    rootFirst(uint32_t idx) const
+    {
+        return arena_[idx].bits >> (32 - rootBits);
+    }
+
+    /** One past the last root entry under node @p idx. */
+    size_t
+    rootLast(uint32_t idx) const
+    {
+        return rootFirst(idx) + (size_t(1) << (rootBits - arena_[idx].len));
+    }
+
+    /**
+     * Call fn(first, last) for each span of root entries under node
+     * @p idx (length <= rootBits) that no child of length <= rootBits
+     * covers: the entries whose deepest covering node is idx.
+     */
+    template <typename Fn>
+    void
+    forEachGap(uint32_t idx, Fn &&fn) const
+    {
+        size_t next = rootFirst(idx);
+        for (uint32_t child : arena_[idx].child) {
+            if (child == npos || arena_[child].len > rootBits)
+                continue;
+            fn(next, rootFirst(child));
+            next = rootLast(child);
+        }
+        fn(next, rootLast(idx));
+    }
+
+    /** Point the entries whose deepest covering node is @p idx at @p cover. */
+    void
+    setCover(uint32_t idx, uint32_t cover)
+    {
+        forEachGap(idx, [&](size_t first, size_t last) {
+            for (size_t i = first; i < last; ++i)
+                root_[i].cover = cover;
+        });
+    }
+
+    /**
+     * findOrInsert()'s upkeep while the root exists: @p fresh gained
+     * its value, and @p joint (or npos) was split in above it.
+     */
+    [[gnu::noinline]] void
+    rootInserted(uint32_t joint, uint32_t fresh)
+    {
+        if (joint != npos)
+            rootLinked(joint);
+        rootLinked(fresh);
+    }
+
+    /**
+     * erase()'s upkeep while the root exists: node @p cur just lost
+     * its value, and @p stack holds its ancestors from the walk's
+     * start node. Update the entries that name cur or a node the
+     * prune frees, then drop the root if the tree has drained below
+     * rootDropKeys.
+     */
+    [[gnu::noinline]] void
+    rootErased(uint32_t cur, uint32_t *stack, int depth)
+    {
+        rootValueLost(cur);
+        prune<true>(cur, stack, depth);
+        if (size_ < rootDropKeys)
+            root_ = std::vector<RootEntry>();
+    }
+
+    /**
+     * Node @p idx was just linked in, or gained its value: the entries
+     * it alone covers name it, and it is the best match of every entry
+     * under it that no deeper valued node covers.
+     */
+    void
+    rootLinked(uint32_t idx)
+    {
+        const int len = arena_[idx].len;
+        if (len > rootBits)
+            return;
+        setCover(idx, idx);
+        if (!arena_[idx].hasValue)
+            return;
+        // Valued nodes covering one entry are nested, so a shorter one
+        // is an ancestor of idx.
+        const size_t last = rootLast(idx);
+        for (size_t i = rootFirst(idx); i < last; ++i) {
+            uint32_t &best = root_[i].best;
+            if (best == npos || arena_[best].len < len)
+                best = idx;
+        }
+    }
+
+    /**
+     * Node @p idx lost its value: the entries it was the best match of
+     * fall back to its deepest valued ancestor.
+     */
+    void
+    rootValueLost(uint32_t idx)
+    {
+        if (arena_[idx].len > rootBits)
+            return;
+        uint32_t stack[33];
+        int depth = pathTo(idx, stack);
+        while (depth > 0 && !arena_[stack[depth - 1]].hasValue)
+            --depth;
+        const uint32_t above = depth > 0 ? stack[depth - 1] : npos;
+        const size_t last = rootLast(idx);
+        for (size_t i = rootFirst(idx); i < last; ++i) {
+            if (root_[i].best == idx)
+                root_[i].best = above;
+        }
+    }
+
+    /**
+     * Fill @p stack with node @p idx's ancestors, node 0 first.
+     * @return How many there are.
+     */
+    int
+    pathTo(uint32_t idx, uint32_t *stack) const
+    {
+        const uint32_t bits = arena_[idx].bits;
+        int depth = 0;
+        for (uint32_t cur = 0; cur != idx;
+             cur = arena_[cur].child[bitAt(bits, arena_[cur].len)])
+            stack[depth++] = cur;
+        return depth;
+    }
+
     /** Arena index of the node storing @p prefix, or npos. */
     uint32_t
     findNode(const Prefix &prefix) const
     {
         const uint32_t bits = prefix.address().toUint32();
         const int len = prefix.length();
-        uint32_t cur = 0;
+        uint32_t cur = startNode(bits, len);
         while (arena_[cur].len != len) {
             const uint32_t childIdx =
                 arena_[cur].child[bitAt(bits, arena_[cur].len)];
@@ -424,9 +675,16 @@ class PrefixTree
      * Restore the structural invariant upward from @p cur after its
      * value was cleared: remove childless valueless nodes (which may
      * cascade) and splice single-child valueless nodes (which cannot).
+     * @p stack holds cur's ancestors from where the erase walk
+     * started. Without the root (@p WithRoot false) that is node 0;
+     * with it, the walk may have started below node 0, so the stack
+     * is refilled from node 0 if the cascade climbs past its top, and
+     * every freed node of length <= rootBits hands its entries to its
+     * parent.
      */
+    template <bool WithRoot>
     void
-    prune(uint32_t cur, const uint32_t *stack, int depth)
+    prune(uint32_t cur, uint32_t *stack, int depth)
     {
         while (cur != 0) {
             Node &node = arena_[cur];
@@ -436,7 +694,11 @@ class PrefixTree
                              int(node.child[1] != npos);
             if (kids == 2)
                 break;
+            if (WithRoot && depth == 0)
+                depth = pathTo(cur, stack);
             const uint32_t parent = stack[--depth];
+            if (WithRoot && node.len <= rootBits)
+                setCover(cur, parent);
             Node &par = arena_[parent];
             const int slot = par.child[0] == cur ? 0 : 1;
             if (kids == 1) {
@@ -465,7 +727,33 @@ class PrefixTree
             walk(node.child[1], fn);
     }
 
+    /**
+     * Sum, over stored keys at or below node @p idx (at @p depth, with
+     * its ancestors in @p path), of the nodes find() visits.
+     */
+    size_t
+    descend(uint32_t idx, int depth, uint32_t *path) const
+    {
+        const Node &node = arena_[idx];
+        path[depth] = idx;
+        size_t total = 0;
+        if (node.hasValue) {
+            const uint32_t start = startNode(node.bits, node.len);
+            int from = depth;
+            while (path[from] != start)
+                --from;
+            total += size_t(depth - from + 1);
+        }
+        for (uint32_t child : node.child) {
+            if (child != npos)
+                total += descend(child, depth + 1, path);
+        }
+        return total;
+    }
+
     std::vector<Node> arena_;
+    /** The direct-indexed root: empty, or one entry per /16. */
+    std::vector<RootEntry> root_;
     uint32_t freeHead_ = npos;
     size_t size_ = 0;
     size_t liveNodes_ = 0;

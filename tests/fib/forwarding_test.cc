@@ -3,10 +3,15 @@
  * Tests for the forwarding table and the RFC-1812 forwarding engine.
  */
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fib/forwarding_engine.hh"
 #include "fib/forwarding_table.hh"
+#include "workload/rng.hh"
 
 using namespace bgpbench;
 using namespace bgpbench::fib;
@@ -169,6 +174,66 @@ TEST(ForwardingTable, VisitedCountsLiveRoutesOnly)
     table.install(Prefix::fromString("10.1.2.0/24"), tagged(24));
     table.lookup(Ipv4Address(10, 1, 2, 9), &visited);
     EXPECT_EQ(visited, 25);
+}
+
+TEST(ForwardingTable, TableScaleAgreesWithLinearScan)
+{
+    // Enough routes for the tree's direct-indexed root, then a third
+    // removed: lookups, their unibit node count and exact matches
+    // must agree with a scan of the routes still installed.
+    workload::Rng rng(17);
+    std::vector<std::pair<Prefix, uint32_t>> routes;
+    ForwardingTable table;
+    while (table.size() < 12'000) {
+        const Prefix prefix(Ipv4Address(uint32_t(rng.next())),
+                            int(rng.range(8, 28)));
+        if (table.exact(prefix))
+            continue;
+        const uint32_t tag = uint32_t(routes.size());
+        ASSERT_TRUE(table.install(prefix, tagged(tag)));
+        routes.emplace_back(prefix, tag);
+    }
+    std::vector<std::pair<Prefix, uint32_t>> live;
+    for (size_t i = 0; i < routes.size(); ++i) {
+        if (i % 3 == 0)
+            ASSERT_TRUE(table.remove(routes[i].first));
+        else
+            live.push_back(routes[i]);
+    }
+    ASSERT_EQ(table.size(), live.size());
+
+    for (int i = 0; i < 2000; ++i) {
+        const Prefix &near = routes[rng.below(routes.size())].first;
+        const Ipv4Address addr(near.address().toUint32() |
+                               (uint32_t(rng.next()) & 0xffff));
+        int want = -1;
+        int wantLength = -1;
+        int depth = 0;
+        for (const auto &[prefix, tag] : live) {
+            if (prefix.contains(addr) && prefix.length() > wantLength) {
+                want = int(tag);
+                wantLength = prefix.length();
+            }
+            const uint32_t diff =
+                prefix.address().toUint32() ^ addr.toUint32();
+            const int common = diff == 0 ? 32 : std::countl_zero(diff);
+            depth = std::max(depth, std::min(prefix.length(), common));
+        }
+        int visited = 0;
+        const FibEntry *entry = table.lookup(addr, &visited);
+        EXPECT_EQ(entry ? int(entry->interface) : -1, want)
+            << addr.toString();
+        EXPECT_EQ(visited, depth + 1) << addr.toString();
+    }
+    for (size_t i = 0; i < routes.size(); ++i) {
+        const FibEntry *entry = table.exact(routes[i].first);
+        if (i % 3 == 0) {
+            EXPECT_EQ(entry, nullptr) << routes[i].first.toString();
+        } else {
+            ASSERT_NE(entry, nullptr) << routes[i].first.toString();
+            EXPECT_EQ(entry->interface, routes[i].second);
+        }
+    }
 }
 
 TEST(ForwardingEngine, ForwardsValidPacket)

@@ -3,9 +3,11 @@
  * Tests of net::PrefixTree: the path-compressed radix trie behind the
  * shared RIB prefix table, the FIB, snapshot indexes and prefix-lists.
  * Unit cases pin the structural invariants (compression,
- * splice-on-erase, free-list reuse, ordered iteration) and the
- * unibit-depth count of matchLongest(); the randomized cases lockstep
- * the tree against std::map and a linear-scan LPM oracle.
+ * splice-on-erase, free-list reuse, ordered iteration), the
+ * unibit-depth count of matchLongest() and when the direct-indexed
+ * root exists; the randomized cases lockstep the tree against
+ * std::map and a linear-scan LPM oracle, below and past the root's
+ * threshold.
  */
 
 #include <algorithm>
@@ -86,6 +88,16 @@ class LinearLpm
             }
         }
         return false;
+    }
+
+    const Value *
+    find(const net::Prefix &prefix) const
+    {
+        for (const auto &[p, v] : entries_) {
+            if (p == prefix)
+                return &v;
+        }
+        return nullptr;
     }
 
     const Value *
@@ -549,3 +561,217 @@ TEST_P(PrefixTreeOracleTest, MatchesLinearOracle)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTreeOracleTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(PrefixTree, RootExistsOnlyPastThreshold)
+{
+    using Tree = net::PrefixTree<uint32_t>;
+    constexpr size_t rootBytes = (size_t(1) << 16) * 2 * sizeof(uint32_t);
+    // One /24 in each of the first rootMinKeys /16s.
+    auto key = [](size_t i) {
+        return net::Prefix(net::Ipv4Address(uint32_t(i) << 16), 24);
+    };
+
+    Tree tree;
+    tree.reserve(Tree::rootMinKeys - 1);
+    const size_t arenaBytes = tree.memoryBytes();
+    for (size_t i = 0; i + 1 < Tree::rootMinKeys; ++i)
+        tree.insert(key(i), uint32_t(i));
+    // Never reached the threshold: the reserved arena is all it holds,
+    // and every find() walks from node 0.
+    EXPECT_EQ(tree.memoryBytes(), arenaBytes);
+    const size_t fromNode0 = tree.descentNodes();
+
+    tree.insert(key(Tree::rootMinKeys - 1), 0);
+    const size_t withRoot = tree.memoryBytes();
+    EXPECT_GE(withRoot, arenaBytes + rootBytes);
+    // Each /24 is alone in its /16, so find() starts right above it.
+    EXPECT_LT(tree.descentNodes(), fromNode0);
+    EXPECT_LE(tree.descentNodes(), 2 * tree.size());
+
+    // Draining keeps the root down to rootDropKeys...
+    size_t next = Tree::rootMinKeys;
+    while (tree.size() > Tree::rootDropKeys)
+        ASSERT_TRUE(tree.erase(key(--next)));
+    EXPECT_EQ(tree.memoryBytes(), withRoot);
+    // ...and drops it below that.
+    ASSERT_TRUE(tree.erase(key(--next)));
+    EXPECT_EQ(tree.memoryBytes() + rootBytes, withRoot);
+    for (size_t i = 0; i < next; ++i) {
+        const uint32_t *value = tree.find(key(i));
+        ASSERT_NE(value, nullptr);
+        EXPECT_EQ(*value, uint32_t(i));
+    }
+}
+
+TEST(PrefixTree, DescentNodesCountsFindWalks)
+{
+    // Below the threshold every find() starts at node 0: the count is
+    // each key's depth plus one.
+    net::PrefixTree<int> tree;
+    EXPECT_EQ(tree.descentNodes(), 0u);
+    tree.insert(pfx("0.0.0.0/0"), 0);    // node 0: 1
+    tree.insert(pfx("10.0.0.0/8"), 8);   // 2
+    tree.insert(pfx("10.1.0.0/16"), 16); // 3
+    // Two /24s below a valueless /23 joint: 5 each.
+    tree.insert(pfx("10.1.2.0/24"), 24);
+    tree.insert(pfx("10.1.3.0/24"), 25);
+    EXPECT_EQ(tree.descentNodes(), 1u + 2 + 3 + 5 + 5);
+}
+
+/**
+ * Past rootMinKeys the tree keeps its direct-indexed root. Each seed
+ * preloads twice that many keys, a third of them /0../16 so that
+ * values and joints sit at and above the root's level, the rest
+ * clustered in a few thousand /16s; runs mixed insert, erase and
+ * lookup steps against the oracle; drains the tree below the point
+ * where the root is dropped; and refills it past the threshold.
+ */
+class PrefixTreeRootOracleTest
+    : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(PrefixTreeRootOracleTest, MatchesLinearOracleAcrossRootLifetime)
+{
+    using Tree = net::PrefixTree<uint32_t>;
+    workload::Rng rng(GetParam());
+    Tree tree;
+    LinearLpm<uint32_t> oracle;
+    std::vector<net::Prefix> keys; // every key inserted, maybe erased
+
+    std::vector<uint32_t> slash16s;
+    for (int i = 0; i < 3000; ++i)
+        slash16s.push_back(uint32_t(rng.next()) & 0xffff0000u);
+    auto randomKey = [&]() {
+        const uint32_t low = uint32_t(rng.next());
+        if (rng.below(3) == 0)
+            return net::Prefix(net::Ipv4Address(low), int(rng.below(17)));
+        const uint32_t high = slash16s[rng.below(slash16s.size())];
+        return net::Prefix(net::Ipv4Address(high | (low & 0xffff)),
+                           int(rng.range(16, 32)));
+    };
+    auto insertKey = [&]() {
+        const net::Prefix p = randomKey();
+        const uint32_t value = uint32_t(rng.next());
+        bool inserted = false;
+        tree.insert(p, value, &inserted);
+        EXPECT_EQ(inserted, oracle.insert(p, value)) << p.toString();
+        keys.push_back(p);
+    };
+    auto eraseKey = [&]() {
+        const net::Prefix p = keys[rng.below(keys.size())];
+        EXPECT_EQ(tree.erase(p), oracle.remove(p)) << p.toString();
+    };
+    auto probeAddress = [&]() {
+        const net::Prefix &p = keys[rng.below(keys.size())];
+        return net::Ipv4Address(p.address().toUint32() |
+                                (uint32_t(rng.next()) & 0x1ff));
+    };
+    auto check = [&](const char *phase, int step) {
+        ASSERT_EQ(tree.size(), oracle.size()) << phase << " " << step;
+        ASSERT_LE(tree.nodeCount(), 2 * tree.size() + 1);
+
+        const net::Ipv4Address probe = probeAddress();
+        int visited = 0;
+        const uint32_t *got = tree.matchLongest(probe, &visited);
+        const uint32_t *want = oracle.lookup(probe);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << phase << " " << step << " probe " << probe.toString();
+        if (got) {
+            EXPECT_EQ(*got, *want) << phase << " " << step;
+        }
+        EXPECT_EQ(visited, oracle.unibitVisited(probe))
+            << phase << " " << step << " probe " << probe.toString();
+
+        const net::Prefix key = keys[rng.below(keys.size())];
+        const uint32_t *found = tree.find(key);
+        const uint32_t *expected = oracle.find(key);
+        ASSERT_EQ(found == nullptr, expected == nullptr)
+            << phase << " " << step << " key " << key.toString();
+        if (found) {
+            EXPECT_EQ(*found, *expected);
+        }
+
+        const net::Prefix range(probeAddress(), int(rng.below(33)));
+        std::vector<std::pair<int, uint32_t>> chain;
+        tree.forEachCovering(range, [&](int length, uint32_t value) {
+            chain.emplace_back(length, value);
+        });
+        EXPECT_EQ(chain, oracle.covering(range))
+            << phase << " " << step << " range " << range.toString();
+    };
+
+    for (int step = 0; tree.size() < 2 * Tree::rootMinKeys; ++step) {
+        insertKey();
+        if (step % 64 == 0)
+            check("preload", step);
+    }
+    const size_t preloadDescent = tree.descentNodes();
+    EXPECT_LT(preloadDescent, 6 * tree.size()); // starts below node 0
+
+    for (int step = 0; step < 1500; ++step) {
+        const int action = int(rng.below(10));
+        if (action < 5)
+            insertKey();
+        else if (action < 8)
+            eraseKey();
+        check("mixed", step);
+    }
+
+    // Drain below rootDropKeys, where the root goes.
+    std::vector<net::Prefix> live;
+    tree.forEach([&](const net::Prefix &p, uint32_t) { live.push_back(p); });
+    for (size_t i = live.size(); i > 1; --i)
+        std::swap(live[i - 1], live[rng.below(i)]);
+    for (int step = 0; tree.size() >= Tree::rootDropKeys / 2; ++step) {
+        ASSERT_TRUE(tree.erase(live.back()));
+        ASSERT_TRUE(oracle.remove(live.back()));
+        live.pop_back();
+        if (step % 8 == 0)
+            check("drain", step);
+    }
+
+    // Refill past the threshold, which builds the root again.
+    for (int step = 0; tree.size() < 2 * Tree::rootMinKeys; ++step) {
+        insertKey();
+        if (step % 8 == 0)
+            check("refill", step);
+    }
+    for (int step = 0; step < 500; ++step) {
+        if (rng.below(2))
+            eraseKey();
+        else
+            insertKey();
+        check("churn", step);
+    }
+
+    // Every key the oracle holds is found with its value.
+    std::vector<std::pair<net::Prefix, uint32_t>> rows;
+    tree.forEach([&](const net::Prefix &p, uint32_t v) {
+        rows.emplace_back(p, v);
+    });
+    ASSERT_EQ(rows.size(), oracle.size());
+    for (const auto &[p, v] : rows) {
+        const uint32_t *want = oracle.find(p);
+        ASSERT_NE(want, nullptr) << p.toString();
+        EXPECT_EQ(v, *want);
+        ASSERT_NE(tree.find(p), nullptr);
+        EXPECT_EQ(*tree.find(p), v);
+    }
+
+    // The tree's shape and each /16's deepest covering node depend on
+    // the key set alone, so the descent count of the churned tree must
+    // equal that of trees loaded in key order and in reverse.
+    Tree ascending;
+    Tree descending;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        ascending.insert(rows[i].first, rows[i].second);
+        descending.insert(rows[rows.size() - 1 - i].first, 0);
+    }
+    EXPECT_EQ(tree.nodeCount(), ascending.nodeCount());
+    EXPECT_EQ(tree.descentNodes(), ascending.descentNodes());
+    EXPECT_EQ(tree.descentNodes(), descending.descentNodes());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTreeRootOracleTest,
+                         ::testing::Values(101, 202, 303, 404));

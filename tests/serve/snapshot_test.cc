@@ -3,12 +3,14 @@
  * Tests for immutable epoch-stamped RIB snapshots.
  */
 
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bgp/rib.hh"
 #include "serve/snapshot.hh"
+#include "workload/rng.hh"
 
 using namespace bgpbench;
 using namespace bgpbench::serve;
@@ -288,4 +290,61 @@ TEST(RibSnapshot, OldEpochSurvivesNewerBuilds)
     EXPECT_NE(old_snapshot->bestPath(pfx("10.1.0.0/16")), nullptr);
     EXPECT_TRUE(old_snapshot->verifyChecksum());
     EXPECT_EQ(newer->bestPath(pfx("10.1.0.0/16")), nullptr);
+}
+
+TEST(RibSnapshot, TableScaleAgreesWithRouteScan)
+{
+    // A snapshot large enough for its index to build the direct-indexed
+    // root: bestPath and lookup must agree with a scan of routes().
+    workload::Rng rng(23);
+    bgp::LocRib rib;
+    std::vector<net::Prefix> installed;
+    while (rib.size() < 10'000) {
+        const net::Prefix prefix(net::Ipv4Address(uint32_t(rng.next())),
+                                 int(rng.range(0, 30)) < 3
+                                     ? int(rng.range(1, 16))
+                                     : int(rng.range(16, 28)));
+        install(rib, prefix.toString(), bgp::PeerId(rng.below(4)),
+                uint16_t(100 + rng.below(50)));
+        installed.push_back(prefix);
+    }
+    RibSnapshotPtr snapshot = RibSnapshot::build(rib, 1, 0);
+    const std::vector<SnapshotRoute> &routes = snapshot->routes();
+    ASSERT_EQ(routes.size(), rib.size());
+
+    for (const SnapshotRoute &route : routes)
+        EXPECT_EQ(snapshot->bestPath(route.prefix), &route);
+    for (int i = 0; i < 2000; ++i) {
+        const net::Prefix &near = installed[rng.below(installed.size())];
+        const net::Ipv4Address addr(near.address().toUint32() |
+                                    (uint32_t(rng.next()) & 0xfff));
+        const SnapshotRoute *want = nullptr;
+        for (const SnapshotRoute &route : routes) {
+            if (route.prefix.contains(addr) &&
+                (!want || route.prefix.length() > want->prefix.length()))
+                want = &route;
+        }
+        EXPECT_EQ(snapshot->lookup(addr), want) << addr.toString();
+        const net::Prefix missing(addr, 32);
+        if (!rib.find(missing)) {
+            EXPECT_EQ(snapshot->bestPath(missing), nullptr);
+        }
+    }
+
+    // Readers on several threads share the snapshot's tree, root
+    // included; lookups only read it.
+    auto readAll = [&snapshot, &routes](size_t *mismatches) {
+        for (const SnapshotRoute &route : routes) {
+            if (snapshot->bestPath(route.prefix) != &route ||
+                snapshot->lookup(route.prefix.address()) == nullptr)
+                ++*mismatches;
+        }
+    };
+    size_t mismatches[2] = {0, 0};
+    std::thread first(readAll, &mismatches[0]);
+    std::thread second(readAll, &mismatches[1]);
+    first.join();
+    second.join();
+    EXPECT_EQ(mismatches[0], 0u);
+    EXPECT_EQ(mismatches[1], 0u);
 }
