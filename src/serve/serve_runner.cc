@@ -21,16 +21,20 @@ hostNowNs()
 
 /**
  * The query-target population: the scenario's prefix grid
- * (topo::scenarioPrefix), hottest-first in origination order.
+ * (topo::scenarioPrefix) at the nodes that originate it,
+ * hottest-first in origination order.
  */
 std::vector<net::Prefix>
-serveTargets(size_t nodes, size_t prefixesPerNode)
+serveTargets(const topo::Topology &topology, size_t prefixesPerNode)
 {
     std::vector<net::Prefix> targets;
-    targets.reserve(nodes * prefixesPerNode);
-    for (size_t node = 0; node < nodes; ++node)
+    targets.reserve(topology.nodeCount() * prefixesPerNode);
+    for (size_t node = 0; node < topology.nodeCount(); ++node) {
+        if (!topology.soleNodeOfAs(node))
+            continue;
         for (size_t j = 0; j < prefixesPerNode; ++j)
             targets.push_back(topo::scenarioPrefix(node, j));
+    }
     return targets;
 }
 
@@ -49,7 +53,7 @@ runServeScenario(const ServeRunConfig &config)
         .bindRibListener(&publisher, config.snapshotEvery);
 
     std::vector<net::Prefix> targets =
-        serveTargets(runner.sim().topology().nodeCount(),
+        serveTargets(runner.sim().topology(),
                      config.scenario.prefixesPerNode);
 
     // Two engines so the two phases report independently: the paced

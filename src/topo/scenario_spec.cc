@@ -264,14 +264,18 @@ ScenarioRunner::run()
     // Phase 2: announce the workload.
     mark = sim.now();
     sim::SimTime at = sim.now();
+    uint64_t originations = spec_.originations.size();
     if (!spec_.originations.empty()) {
         for (const auto &[node, prefix] : spec_.originations)
             sim.originate(node, prefix, at);
     } else {
         for (size_t node = 0; node < sim.topology().nodeCount();
              ++node) {
+            if (!sim.topology().soleNodeOfAs(node))
+                continue;
             for (size_t j = 0; j < spec_.prefixesPerNode; ++j)
                 sim.originate(node, scenarioPrefix(node, j), at);
+            originations += spec_.prefixesPerNode;
         }
     }
     converged = converged && sim.runToConvergence(spec_.limitNs);
@@ -299,11 +303,6 @@ ScenarioRunner::run()
     stability.scenario = spec_.name;
     stability.shape = spec_.shape;
     stability.nodes = sim.topology().nodeCount();
-    uint64_t originations =
-        spec_.originations.empty()
-            ? uint64_t(sim.topology().nodeCount()) *
-                  spec_.prefixesPerNode
-            : spec_.originations.size();
     stability.injectedEvents =
         faulted ? spec_.faults.size() : originations;
     uint64_t prefix_events = spec_.faults.prefixEvents();

@@ -147,9 +147,12 @@ struct ScenarioSpec
     std::string shape;
     Topology topology;
     /**
-     * Workload: every node originates this many scenarioPrefix()
+     * Workload: every node that is the only one of its AS
+     * (Topology::soleNodeOfAs) originates this many scenarioPrefix()
      * routes once sessions are up — unless @ref originations names
-     * an explicit route set, which then replaces the grid.
+     * an explicit route set, which then replaces the grid. In the
+     * clos fabric that is the ToRs; every other shape gives each
+     * node its own AS.
      */
     size_t prefixesPerNode = 1;
     /** Explicit (node, prefix) originations (demo topologies). */

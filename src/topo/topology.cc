@@ -76,6 +76,17 @@ Topology::isIbgp(size_t index) const
 }
 
 bool
+Topology::soleNodeOfAs(size_t index) const
+{
+    bgp::AsNumber asn = node(index).asn;
+    for (size_t other = 0; other < nodes_.size(); ++other) {
+        if (other != index && nodes_[other].asn == asn)
+            return false;
+    }
+    return true;
+}
+
+bool
 Topology::connected() const
 {
     if (nodes_.empty())

@@ -167,6 +167,15 @@ class Topology
      */
     bool isIbgp(size_t link) const;
 
+    /**
+     * True if no other node shares @p node's AS. Only such a node's
+     * prefixes can reach every other node: an eBGP neighbour drops a
+     * path that already carries its own AS (RFC 4271 section 9.1.2),
+     * so the RFC 7938 fabric's spines and pod aggs never learn each
+     * other's routes.
+     */
+    bool soleNodeOfAs(size_t node) const;
+
     /** True if every node can reach every other over the links. */
     bool connected() const;
 
