@@ -7,9 +7,16 @@
 namespace bgpbench::bgp
 {
 
+namespace
+{
+
+/**
+ * Steps 0-5b of the tie-break ladder: every step but the final
+ * router-id comparison. Zero means multipath-equivalent.
+ */
 int
-compareCandidates(const Candidate &a, const Candidate &b,
-                  const DecisionConfig &config)
+comparePathQuality(const Candidate &a, const Candidate &b,
+                   const DecisionConfig &config)
 {
     panicIf(!a.attributes || !b.attributes,
             "decision process given a candidate without attributes");
@@ -62,10 +69,22 @@ compareCandidates(const Candidate &a, const Candidate &b,
     if (cl_a != cl_b)
         return cl_a < cl_b ? -1 : 1;
 
+    return 0;
+}
+
+} // namespace
+
+int
+compareCandidates(const Candidate &a, const Candidate &b,
+                  const DecisionConfig &config)
+{
+    if (int quality = comparePathQuality(a, b, config))
+        return quality;
+
     // 6. Lowest BGP identifier, using the ORIGINATOR_ID of reflected
     //    routes in place of the peer's (RFC 4456 section 9).
-    RouterId id_a = pa.originatorId.value_or(a.peerRouterId);
-    RouterId id_b = pb.originatorId.value_or(b.peerRouterId);
+    RouterId id_a = a.attributes->originatorId.value_or(a.peerRouterId);
+    RouterId id_b = b.attributes->originatorId.value_or(b.peerRouterId);
     if (id_a != id_b)
         return id_a < id_b ? -1 : 1;
 
@@ -89,67 +108,33 @@ selectBest(const std::vector<Candidate> &candidates,
     return best;
 }
 
-bool
-multipathEquivalent(const Candidate &a, const Candidate &b,
-                    const DecisionConfig &config)
-{
-    panicIf(!a.attributes || !b.attributes,
-            "multipath equivalence given a candidate without "
-            "attributes");
-
-    const PathAttributes &pa = *a.attributes;
-    const PathAttributes &pb = *b.attributes;
-
-    if (a.locallyOriginated != b.locallyOriginated)
-        return false;
-    if (pa.localPref.value_or(config.defaultLocalPref) !=
-        pb.localPref.value_or(config.defaultLocalPref)) {
-        return false;
-    }
-    if (pa.asPath.pathLength() != pb.asPath.pathLength())
-        return false;
-    if (pa.origin != pb.origin)
-        return false;
-    // MED only separates candidates when the comparison step would
-    // actually run (same neighbour AS, or always-compare-med).
-    bool med_comparable =
-        config.alwaysCompareMed ||
-        (pa.asPath.firstAs() != 0 &&
-         pa.asPath.firstAs() == pb.asPath.firstAs());
-    if (med_comparable && pa.med.value_or(0) != pb.med.value_or(0))
-        return false;
-    if (a.externalSession != b.externalSession)
-        return false;
-    if (pa.clusterList.size() != pb.clusterList.size())
-        return false;
-    return true;
-}
-
-std::vector<size_t>
+void
 selectMultipath(const std::vector<Candidate> &candidates,
-                const DecisionConfig &config)
+                const DecisionConfig &config, std::vector<size_t> &group)
 {
+    group.clear();
     auto best = selectBest(candidates, config);
     if (!best)
-        return {};
-    std::vector<size_t> group{*best};
+        return;
+    group.push_back(*best);
     if (config.maxPaths <= 1)
-        return group;
+        return;
 
     for (size_t i = 0; i < candidates.size(); ++i) {
-        if (i != *best &&
-            multipathEquivalent(candidates[i], candidates[*best],
-                                config)) {
+        if (i != *best && comparePathQuality(candidates[i],
+                                             candidates[*best],
+                                             config) == 0) {
             group.push_back(i);
         }
     }
 
-    // Deterministic group order: the full tie-break ladder (ending in
-    // the router-id step), with the candidate index as the final
-    // tiebreak for truly indistinguishable entries. The candidate
-    // vector itself is built in peer-id order, so this depends only
-    // on the route set.
-    std::sort(group.begin(), group.end(), [&](size_t x, size_t y) {
+    // Deterministic member order after the best: the full tie-break
+    // ladder (ending in the router-id step), with the candidate index
+    // as the final tiebreak for truly indistinguishable entries. The
+    // candidate vector itself is built in peer-id order, so this
+    // depends only on the route set. The best stays first even when
+    // the conditional MED rule makes the ladder intransitive.
+    std::sort(group.begin() + 1, group.end(), [&](size_t x, size_t y) {
         int cmp = compareCandidates(candidates[x], candidates[y],
                                     config);
         if (cmp != 0)
@@ -158,7 +143,6 @@ selectMultipath(const std::vector<Candidate> &candidates,
     });
     if (group.size() > config.maxPaths)
         group.resize(config.maxPaths);
-    return group;
 }
 
 } // namespace bgpbench::bgp

@@ -27,12 +27,12 @@ struct DecisionConfig
      */
     bool alwaysCompareMed = false;
     /**
-     * Vendor "maximum-paths": the ECMP group depth. 1 (the default)
-     * selects a single best path, reproducing the classic decision
-     * process exactly; N > 1 lets up to N candidates that tie through
-     * the whole tie-break ladder short of the final router-id step
-     * share the forwarding load (RFC 7938 section 6.1 datacenter
-     * ECMP).
+     * Vendor "maximum-paths": the ECMP group depth. Up to N
+     * candidates that tie the best through the whole tie-break
+     * ladder short of the final router-id step share the forwarding
+     * load (RFC 7938 section 6.1 datacenter ECMP). With 1 (the
+     * default) the group is the best path alone, which is the
+     * classic single-path decision process.
      */
     size_t maxPaths = 1;
 };
@@ -50,7 +50,12 @@ struct DecisionConfig
  *   3. lower ORIGIN (IGP < EGP < INCOMPLETE)
  *   4. lower MED (see DecisionConfig::alwaysCompareMed)
  *   5. eBGP-learned over iBGP-learned
- *   6. lower peer BGP identifier
+ *   5b. shorter CLUSTER_LIST (RFC 4456 section 9)
+ *   6. lower peer BGP identifier (ORIGINATOR_ID when reflected)
+ *
+ * Candidates that tie through step 5b are multipath-equivalent:
+ * equally good by policy and path quality, differing only in the
+ * deterministic last-resort tiebreak.
  *
  * @return Negative if @p a is preferred, positive if @p b is
  *         preferred, zero only for indistinguishable candidates.
@@ -70,29 +75,20 @@ selectBest(const std::vector<Candidate> &candidates,
            const DecisionConfig &config = {});
 
 /**
- * True when @p a and @p b tie through every tie-break step *before*
- * the final router-id comparison (steps 0-5b of compareCandidates) —
- * the multipath-equivalence test of vendor "maximum-paths": such
- * routes are equally good by policy and path quality and differ only
- * in the deterministic last-resort tiebreak.
- */
-bool multipathEquivalent(const Candidate &a, const Candidate &b,
-                         const DecisionConfig &config = {});
-
-/**
- * Select the ECMP group for a prefix: the best candidate plus every
- * candidate multipath-equivalent to it, ordered by the full
+ * Select the route group for a prefix into @p group: the best
+ * candidate plus every candidate multipath-equivalent to it (tied
+ * through step 5b of compareCandidates), ordered by the full
  * tie-break ladder (best first, then ascending router-id — a
  * deterministic order depending only on the candidate set, never on
  * arrival or thread interleaving), truncated to config.maxPaths.
  *
- * With maxPaths == 1 this returns exactly {selectBest(...)}.
- *
- * @return Candidate indexes, best first; empty if @p candidates is.
+ * With maxPaths == 1 the group is {selectBest(...)}. @p group is
+ * replaced (empty if @p candidates is) and keeps its capacity, so a
+ * caller that reuses one vector allocates nothing once it has grown.
  */
-std::vector<size_t>
-selectMultipath(const std::vector<Candidate> &candidates,
-                const DecisionConfig &config = {});
+void selectMultipath(const std::vector<Candidate> &candidates,
+                     const DecisionConfig &config,
+                     std::vector<size_t> &group);
 
 } // namespace bgpbench::bgp
 

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -328,15 +329,24 @@ class LocRib
     {
         Candidate best;
         /**
-         * The rest of the ECMP group (maximum-paths > 1 only): the
-         * candidates multipath-equivalent to best, in the decision
-         * process's deterministic group order. Always empty in
-         * single-path mode.
+         * The rest of the route group: the candidates
+         * multipath-equivalent to best, in the decision process's
+         * deterministic group order (selectMultipath). Empty when
+         * best stands alone, as it always does with maximum-paths 1.
          */
         std::vector<Candidate> multipath;
+
+        /**
+         * Replace @p hops with the route's next-hop list: best's
+         * NEXT_HOP, then each member's NEXT_HOP not already listed,
+         * in group order. The speaker tells the FIB of a route
+         * exactly when this list changes, and serve snapshots
+         * publish it.
+         */
+        void nextHops(std::vector<net::Ipv4Address> &hops) const;
     };
 
-    /** What a (multipath) selection changed. */
+    /** What a selection changed. */
     struct SelectOutcome
     {
         /** The best path's attributes or provenance changed. */
@@ -350,19 +360,19 @@ class LocRib
     explicit LocRib(SharedPrefixTable &table) : store_(table) {}
 
     /**
-     * Install/replace the best route for @p prefix.
+     * Install/replace @p best as the route for @p prefix, alone.
      * @return True if the selected attributes actually changed.
      */
     bool select(const net::Prefix &prefix, Candidate best);
 
     /**
-     * Install/replace the route group of a live slot: best plus, with
-     * maximum-paths > 1, the ECMP members beyond it in decision group
-     * order. With an empty @p multipath this is select() by slot
-     * (same change detection).
+     * Install/replace the route group of a live slot. @p group holds
+     * indexes into @p candidates, best first (selectMultipath's
+     * output; never empty). The entry keeps its member storage, so
+     * installing a group no larger than the last allocates nothing.
      */
-    SelectOutcome selectAt(Slot slot, Candidate best,
-                           std::vector<Candidate> multipath = {});
+    SelectOutcome selectAt(Slot slot, std::span<const Candidate> candidates,
+                           std::span<const size_t> group);
 
     /**
      * Remove the entry at @p slot entirely (no candidate remains);
@@ -402,8 +412,9 @@ class LocRib
   private:
     /** Store a selection in @p obtained's entry; report the change. */
     static SelectOutcome
-    assign(detail::RibStore<Entry>::Obtained obtained, Candidate best,
-           std::vector<Candidate> multipath);
+    assign(detail::RibStore<Entry>::Obtained obtained,
+           std::span<const Candidate> candidates,
+           std::span<const size_t> group);
 
     detail::RibStore<Entry> store_;
 };

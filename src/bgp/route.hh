@@ -55,10 +55,10 @@ struct FibUpdate
     net::Prefix prefix;
     std::optional<net::Ipv4Address> nextHop;
     /**
-     * ECMP next hops beyond the primary, in the decision process's
-     * deterministic group order (maximum-paths > 1 only; always empty
-     * in single-path mode, where consumers see exactly the classic
-     * update shape).
+     * The route's next-hop list (LocRib::Entry::nextHops) after its
+     * first entry, nextHop: the ECMP group members' distinct hops in
+     * group order. Empty whenever the group is the best path alone,
+     * which it always is with maximum-paths 1.
      */
     std::vector<net::Ipv4Address> extraHops;
 

@@ -109,6 +109,13 @@ SessionFsm::tcpClosed(TimeNs)
                                             : SessionState::Idle);
 }
 
+void
+SessionFsm::streamFailed(const DecodeError &error,
+                         std::vector<Message> &tx)
+{
+    teardown(error.code, error.subcode, tx);
+}
+
 bool
 SessionFsm::handleMessage(const Message &msg, TimeNs now,
                           std::vector<Message> &tx)

@@ -93,6 +93,14 @@ class SessionFsm
     void tcpClosed(TimeNs now);
 
     /**
+     * The peer's byte stream failed to decode (RFC 4271 section 6):
+     * tear the session down with the decoder's error code. Like every
+     * teardown this sends a NOTIFICATION only from OpenSent,
+     * OpenConfirm or Established.
+     */
+    void streamFailed(const DecodeError &error, std::vector<Message> &tx);
+
+    /**
      * Deliver a decoded message from the peer.
      *
      * @param msg The message.

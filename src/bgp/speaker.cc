@@ -300,6 +300,9 @@ void
 BgpSpeaker::tcpEstablished(PeerId peer, TimeNs now)
 {
     Peer &p = peerRef(peer);
+    // A new connection is a new byte stream: nothing of the last one,
+    // a framing failure included, carries over.
+    p.decoder = StreamDecoder{};
     SessionState before = p.fsm.state();
     std::vector<Message> tx;
     p.fsm.tcpEstablished(now, tx);
@@ -311,8 +314,21 @@ void
 BgpSpeaker::tcpClosed(PeerId peer, TimeNs now)
 {
     Peer &p = peerRef(peer);
+    p.decoder = StreamDecoder{};
     SessionState before = p.fsm.state();
     p.fsm.tcpClosed(now);
+    noteStateChange(p, before, now);
+}
+
+void
+BgpSpeaker::streamFailed(PeerId peer, const DecodeError &error,
+                         TimeNs now)
+{
+    Peer &p = peerRef(peer);
+    SessionState before = p.fsm.state();
+    std::vector<Message> tx;
+    p.fsm.streamFailed(error, tx);
+    transmit(p, tx);
     noteStateChange(p, before, now);
 }
 
@@ -338,28 +354,10 @@ void
 BgpSpeaker::drainDecoder(Peer &p, TimeNs now)
 {
     DecodeError error;
-    while (true) {
-        auto msg = p.decoder.next(error);
-        if (!msg) {
-            if (error) {
-                // RFC 4271 section 6: answer a malformed message with
-                // the corresponding NOTIFICATION and close.
-                SessionState before = p.fsm.state();
-                std::vector<Message> tx;
-                tx.push_back(NotificationMessage{
-                    error.code, error.subcode, {}});
-                std::vector<Message> more;
-                p.fsm.stop(now, more);
-                transmit(p, tx);
-                noteStateChange(p, before, now);
-            }
-            return;
-        }
+    while (auto msg = p.decoder.next(error))
         handleMessage(p.config.id, *msg, now);
-        // The session may have died while handling the message.
-        if (p.fsm.state() == SessionState::Idle && p.decoder.failed())
-            return;
-    }
+    if (error)
+        streamFailed(p.config.id, error, now);
 }
 
 void
@@ -592,9 +590,9 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
     if (obs_.decisionCandidates)
         obs_.decisionCandidates->record(candidates.size());
 
-    auto best_index = selectBest(candidates, config_.decision);
+    selectMultipath(candidates, config_.decision, group_);
 
-    if (!best_index) {
+    if (group_.empty()) {
         if (locRib_.removeAt(slot)) {
             ++counters_.locRibChanges;
             ++counters_.fibChanges;
@@ -608,35 +606,42 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, nullptr, stats);
         }
-    } else if (config_.decision.maxPaths <= 1) {
-        const Candidate &best = candidates[*best_index];
-        const auto *previous = locRib_.findAt(slot);
-        bool next_hop_changed =
-            !previous || !previous->best.attributes ||
-            previous->best.attributes->nextHop !=
-                best.attributes->nextHop;
-
-        if (locRib_.selectAt(slot, best).bestChanged) {
+    } else {
+        // Install the group: the best path plus its multipath
+        // equals, none with maximum-paths 1. The FIB only cares about
+        // the next-hop list; a change that keeps it (e.g. a MED
+        // change on the same session) does not touch the FIB. Only
+        // the best path is advertised to peers (standard BGP
+        // semantics).
+        previousHops_.clear();
+        if (const auto *previous = locRib_.findAt(slot))
+            previous->nextHops(previousHops_);
+        auto outcome = locRib_.selectAt(slot, candidates, group_);
+        if (outcome.groupChanged) {
             ++counters_.locRibChanges;
             ++stats.locRibChanges;
             bump(obs_.locRibChanges);
             ++ribVersion_;
             ribDirty_ = true;
-            // The forwarding table only cares about the next hop; a
-            // best-path change that keeps the next hop (e.g. a MED
-            // change on the same session) does not touch the FIB.
-            if (next_hop_changed) {
+
+            const auto *entry = locRib_.findAt(slot);
+            if (!entry->multipath.empty())
+                bump(obs_.ecmpGroups);
+            entry->nextHops(hops_);
+            if (hops_ != previousHops_) {
                 ++counters_.fibChanges;
                 ++stats.fibChanges;
                 bump(obs_.fibChanges);
                 events_->onFibUpdate(
-                    FibUpdate{prefix, best.attributes->nextHop, {}});
+                    FibUpdate{prefix, hops_.front(),
+                              {hops_.begin() + 1, hops_.end()}});
             }
+        }
+        if (outcome.bestChanged) {
+            const Candidate &best = candidates[group_.front()];
             for (Peer *peer : establishedPeers_)
                 updateAdjOut(*peer, prefix, slot, &best, stats);
         }
-    } else {
-        installMultipath(prefix, slot, stats);
     }
 
     // Release the scratch's attribute references now, as a local
@@ -644,66 +649,6 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
     candidates.clear();
     ++decisionsSincePublish_;
     maybePublishRib(now, false);
-}
-
-void
-BgpSpeaker::installMultipath(const net::Prefix &prefix, Slot slot,
-                             UpdateStats &stats)
-{
-    // maximum-paths > 1: install the full ECMP group. Only the best
-    // path is advertised to peers (standard BGP semantics); the
-    // multipath set feeds the Loc-RIB, the FIB, and snapshots.
-    auto group = selectMultipath(candidates_, config_.decision);
-    const Candidate &best = candidates_[group[0]];
-    std::vector<Candidate> multipath;
-    multipath.reserve(group.size() - 1);
-    for (size_t k = 1; k < group.size(); ++k)
-        multipath.push_back(candidates_[group[k]]);
-
-    // Deterministic deduplicated hop list in group order; the FIB
-    // sees a change exactly when this list changes.
-    auto hops_of = [](const Candidate &b,
-                      const std::vector<Candidate> &rest) {
-        std::vector<net::Ipv4Address> hops{b.attributes->nextHop};
-        for (const Candidate &c : rest) {
-            net::Ipv4Address hop = c.attributes->nextHop;
-            if (std::find(hops.begin(), hops.end(), hop) == hops.end())
-                hops.push_back(hop);
-        }
-        return hops;
-    };
-
-    const auto *previous = locRib_.findAt(slot);
-    std::vector<net::Ipv4Address> previous_hops;
-    if (previous && previous->best.attributes)
-        previous_hops = hops_of(previous->best, previous->multipath);
-
-    auto outcome = locRib_.selectAt(slot, best, std::move(multipath));
-    if (outcome.groupChanged) {
-        ++counters_.locRibChanges;
-        ++stats.locRibChanges;
-        bump(obs_.locRibChanges);
-        ++ribVersion_;
-        ribDirty_ = true;
-
-        const auto *entry = locRib_.findAt(slot);
-        if (!entry->multipath.empty())
-            bump(obs_.ecmpGroups);
-        std::vector<net::Ipv4Address> hops =
-            hops_of(entry->best, entry->multipath);
-        if (hops != previous_hops) {
-            ++counters_.fibChanges;
-            ++stats.fibChanges;
-            bump(obs_.fibChanges);
-            FibUpdate update{prefix, hops.front(),
-                             {hops.begin() + 1, hops.end()}};
-            events_->onFibUpdate(update);
-        }
-        if (outcome.bestChanged) {
-            for (Peer *peer : establishedPeers_)
-                updateAdjOut(*peer, prefix, slot, &best, stats);
-        }
-    }
 }
 
 void

@@ -262,16 +262,29 @@ class BgpSpeaker
     /** Stop a peer session and flush its routes. */
     void stopPeer(PeerId peer, TimeNs now);
 
-    /** The transport to @p peer came up: the OPEN exchange begins. */
+    /**
+     * The transport to @p peer came up: the OPEN exchange begins on
+     * a fresh stream decoder.
+     */
     void tcpEstablished(PeerId peer, TimeNs now);
 
-    /** The transport to @p peer dropped: routes are invalidated. */
+    /**
+     * The transport to @p peer dropped: routes are invalidated and
+     * the stream decoder starts clean.
+     */
     void tcpClosed(PeerId peer, TimeNs now);
 
     /**
+     * The byte stream from @p peer failed to decode with @p error:
+     * the session FSM tears the session down, sending the matching
+     * NOTIFICATION if the session was up or coming up. The one
+     * answer to a malformed stream, whoever decoded it.
+     */
+    void streamFailed(PeerId peer, const DecodeError &error, TimeNs now);
+
+    /**
      * Deliver raw bytes from @p peer. Frames, decodes, and processes
-     * every complete message; on a decode error, sends the
-     * corresponding NOTIFICATION and tears the session down.
+     * every complete message; on a decode error, streamFailed().
      */
     void receiveBytes(PeerId peer, std::span<const uint8_t> bytes,
                       TimeNs now);
@@ -436,20 +449,17 @@ class BgpSpeaker
 
     /**
      * Re-run the decision process for @p prefix and propagate the
-     * outcome (Loc-RIB, FIB, Adj-RIB-Out). @p slot is the prefix's
-     * shared-table slot as its last RIB write or withdraw resolved it
-     * (noSlot, or a slot that withdraw freed, when no RIB holds the
-     * prefix), so the decision walks no tree.
+     * outcome. One path serves every maximum-paths: selectMultipath
+     * fills group_, the Loc-RIB installs the group, the FIB hears of
+     * it when its next-hop list changes, and Adj-RIB-Out fans out
+     * when its best path changes. With maximum-paths 1 the group is
+     * the best path alone. @p slot is the prefix's shared-table slot
+     * as its last RIB write or withdraw resolved it (noSlot, or a
+     * slot that withdraw freed, when no RIB holds the prefix), so the
+     * decision walks no tree.
      */
     void runDecision(const net::Prefix &prefix, Slot slot,
                      UpdateStats &stats, TimeNs now);
-
-    /**
-     * The maximum-paths > 1 tail of runDecision(): install the ECMP
-     * group selected from candidates_.
-     */
-    void installMultipath(const net::Prefix &prefix, Slot slot,
-                          UpdateStats &stats);
 
     /**
      * Update a single peer's Adj-RIB-Out for the new best route.
@@ -582,6 +592,13 @@ class BgpSpeaker
     std::vector<UpdateMessage> outbound_;
     /** runDecision()'s candidate list; reused by every decision. */
     std::vector<Candidate> candidates_;
+    /** runDecision()'s route group: indexes into candidates_, best
+     *  first (selectMultipath). */
+    std::vector<size_t> group_;
+    /** runDecision()'s next-hop lists (LocRib::Entry::nextHops) of
+     *  the prefix's route before and after the install. */
+    std::vector<net::Ipv4Address> previousHops_;
+    std::vector<net::Ipv4Address> hops_;
     /**
      * ebgpExport()'s memo: interned input attributes -> their eBGP
      * export. Keyed by the owning shared pointer, so a dead attribute

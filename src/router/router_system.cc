@@ -12,14 +12,19 @@ namespace bgpbench::router
 namespace
 {
 
+/** Scheduling quantum: traffic arrivals and CPU time allocation. */
+constexpr sim::SimTime quantumNs = sim::nsFromMs(1);
+/** CPU-load / forwarding-rate sampling interval. */
+constexpr double statsIntervalSec = 1.0;
+
 bgp::SpeakerConfig
 speakerConfigFor(const RouterConfig &config)
 {
+    // The speaker proposes the protocol's default hold time.
     bgp::SpeakerConfig sc;
     sc.localAs = config.localAs;
     sc.routerId = config.routerId;
     sc.localAddress = config.address;
-    sc.holdTimeSec = config.holdTimeSec;
     sc.damping = config.damping;
     // Outbound updates pack as many prefixes as fit in 4096 bytes,
     // like a real stack; the test speakers control their own packing.
@@ -34,8 +39,8 @@ RouterSystem::RouterSystem(sim::Simulator *sim, SystemProfile profile,
     : sim_(sim), profile_(std::move(profile)),
       config_(std::move(config)), cpu_(profile_.cpu),
       speaker_(speakerConfigFor(config_), this), engine_(&fib_),
-      fwdBytes_(config_.statsIntervalSec, "forwarded-bytes"),
-      drops_(config_.statsIntervalSec, "dropped-packets"),
+      fwdBytes_(statsIntervalSec, "forwarded-bytes"),
+      drops_(statsIntervalSec, "dropped-packets"),
       alive_(std::make_shared<bool>(true))
 {
     panicIf(sim_ == nullptr, "router requires a simulator");
@@ -87,7 +92,7 @@ RouterSystem::RouterSystem(sim::Simulator *sim, SystemProfile profile,
 
     // Track CPU load of every process ("top" style, % of one core).
     loadTracker_ = std::make_unique<sim::CpuLoadTracker>(
-        profile_.cpu.cyclesPerSecond, config_.statsIntervalSec);
+        profile_.cpu.cyclesPerSecond, statsIntervalSec);
     for (auto &proc : controlProcs_)
         loadTracker_->track(proc.get());
     loadTracker_->track(irqProc_.get());
@@ -107,7 +112,7 @@ RouterSystem::start()
     running_ = true;
 
     // Scheduling quantum: traffic arrivals + CPU time allocation.
-    sim_->scheduleEvery(config_.quantum, [this, alive = alive_]() {
+    sim_->scheduleEvery(quantumNs, [this, alive = alive_]() {
         if (!*alive || !running_)
             return false;
         quantumTick();
@@ -147,7 +152,7 @@ RouterSystem::start()
     }
 
     // Instrumentation sampling.
-    sim_->scheduleEvery(sim::nsFromSec(config_.statsIntervalSec),
+    sim_->scheduleEvery(sim::nsFromSec(statsIntervalSec),
                         [this, alive = alive_]() {
                             if (!*alive || !running_)
                                 return false;
@@ -166,6 +171,8 @@ void
 RouterSystem::connectPeer(size_t port)
 {
     panicIf(port >= ports_.size(), "bad port index");
+    // A new connection is a new byte stream.
+    ports_[port].decoder = bgp::StreamDecoder{};
     bgp::PeerId peer = ports_[port].peerId;
     speaker_.startPeer(peer, sim_->now());
     speaker_.tcpEstablished(peer, sim_->now());
@@ -199,12 +206,8 @@ RouterSystem::deliverToPort(size_t port, net::WireSegmentPtr segment)
         size_t pre = p.decoder.bufferedBytes();
         auto msg = p.decoder.next(error);
         if (!msg) {
-            if (error) {
-                // Malformed stream: a real router sends the matching
-                // NOTIFICATION and drops the session; stopPeer emits
-                // a CEASE and invalidates the peer's routes.
-                speaker_.stopPeer(p.peerId, sim_->now());
-            }
+            if (error)
+                speaker_.streamFailed(p.peerId, error, sim_->now());
             break;
         }
         size_t consumed = pre - p.decoder.bufferedBytes();
@@ -474,10 +477,10 @@ RouterSystem::postFibPipeline(std::vector<bgp::FibUpdate> batch,
 void
 RouterSystem::quantumTick()
 {
-    double quantum_sec = sim::toSeconds(config_.quantum);
+    double quantum_sec = sim::toSeconds(quantumNs);
     crossTrafficTick(quantum_sec);
     maybeDispatch();
-    cpu_.step(config_.quantum);
+    cpu_.step(quantumNs);
 }
 
 void

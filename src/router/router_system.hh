@@ -49,15 +49,10 @@ struct RouterConfig
     bgp::AsNumber localAs = 65000;
     bgp::RouterId routerId = 0x0a000001;
     net::Ipv4Address address = net::Ipv4Address(10, 0, 0, 1);
-    uint16_t holdTimeSec = 180;
     /** BGP neighbours; peer ids double as port indices. */
     std::vector<bgp::PeerConfig> peers;
     /** Route flap damping for the router's speaker (RFC 2439). */
     bgp::DampingConfig damping;
-    /** Scheduling quantum. */
-    sim::SimTime quantum = sim::nsFromMs(1);
-    /** CPU-load / forwarding-rate sampling interval. */
-    double statsIntervalSec = 1.0;
 };
 
 /** Data-plane counters. */

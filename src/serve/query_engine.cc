@@ -50,8 +50,6 @@ QueryEngine::QueryEngine(const SnapshotPublisher &publisher,
 {
     if (config_.readers < 1)
         fatal("QueryEngine requires at least one reader");
-    if (config_.batchSize < 1)
-        fatal("QueryEngine requires a non-zero batch size");
     readers_.reserve(size_t(config_.readers));
     for (int r = 0; r < config_.readers; ++r) {
         auto reader = std::make_unique<Reader>();
@@ -71,83 +69,68 @@ QueryEngine::execute(const RibSnapshot &snapshot,
     using workload::QueryKind;
     // Response encoding mirrors what a management-plane daemon would
     // put on the socket: a kind byte, the epoch, then the answer.
-    net::BufferPool *pool =
-        config_.encodeResponses ? &net::BufferPool::global() : nullptr;
+    net::BufferPool &pool = net::BufferPool::global();
 
     switch (query.kind) {
       case QueryKind::Lookup: {
         const SnapshotRoute *route = snapshot.lookup(query.addr);
-        if (pool) {
-            net::ByteWriter writer = pool->writer(24);
-            writer.writeU8(uint8_t(query.kind));
-            writer.writeU32(uint32_t(snapshot.epoch()));
-            writer.writeAddress(query.addr);
-            if (route) {
-                writer.writeAddress(route->prefix.address());
-                writer.writeU8(uint8_t(route->prefix.length()));
-                writer.writeU32(uint32_t(route->peer));
-            }
-            reader.encodedBytes += pool->seal(std::move(writer))->size();
+        net::ByteWriter writer = pool.writer(24);
+        writer.writeU8(uint8_t(query.kind));
+        writer.writeU32(uint32_t(snapshot.epoch()));
+        writer.writeAddress(query.addr);
+        if (route) {
+            writer.writeAddress(route->prefix.address());
+            writer.writeU8(uint8_t(route->prefix.length()));
+            writer.writeU32(uint32_t(route->peer));
         }
+        reader.encodedBytes += pool.seal(std::move(writer))->size();
         return route != nullptr;
       }
       case QueryKind::BestPath: {
         const SnapshotRoute *route = snapshot.bestPath(query.prefix);
-        if (pool) {
-            net::ByteWriter writer = pool->writer(32);
-            writer.writeU8(uint8_t(query.kind));
-            writer.writeU32(uint32_t(snapshot.epoch()));
-            writer.writeAddress(query.prefix.address());
-            writer.writeU8(uint8_t(query.prefix.length()));
-            if (route) {
-                writer.writeU32(uint32_t(route->peer));
-                writer.writeU8(route->locallyOriginated ? 1 : 0);
-                writer.writeU16(uint16_t(
-                    route->attributes
-                        ? route->attributes->asPath.pathLength()
-                        : 0));
-            }
-            reader.encodedBytes += pool->seal(std::move(writer))->size();
+        net::ByteWriter writer = pool.writer(32);
+        writer.writeU8(uint8_t(query.kind));
+        writer.writeU32(uint32_t(snapshot.epoch()));
+        writer.writeAddress(query.prefix.address());
+        writer.writeU8(uint8_t(query.prefix.length()));
+        if (route) {
+            writer.writeU32(uint32_t(route->peer));
+            writer.writeU8(route->locallyOriginated ? 1 : 0);
+            writer.writeU16(uint16_t(
+                route->attributes ? route->attributes->asPath.pathLength()
+                                  : 0));
         }
+        reader.encodedBytes += pool.seal(std::move(writer))->size();
         return route != nullptr;
       }
       case QueryKind::Scan: {
-        size_t visited = 0;
-        if (pool) {
-            net::ByteWriter writer =
-                pool->writer(16 + config_.scanLimit * 9);
-            writer.writeU8(uint8_t(query.kind));
-            writer.writeU32(uint32_t(snapshot.epoch()));
-            writer.writeAddress(query.prefix.address());
-            writer.writeU8(uint8_t(query.prefix.length()));
-            visited = snapshot.scan(
-                query.prefix, config_.scanLimit,
-                [&writer](const SnapshotRoute &route) {
-                    writer.writeAddress(route.prefix.address());
-                    writer.writeU8(uint8_t(route.prefix.length()));
-                    writer.writeU32(uint32_t(route.peer));
-                });
-            reader.encodedBytes += pool->seal(std::move(writer))->size();
-        } else {
-            visited = snapshot.scan(query.prefix, config_.scanLimit,
-                                    [](const SnapshotRoute &) {});
-        }
+        net::ByteWriter writer = pool.writer(16 + scanLimit * 9);
+        writer.writeU8(uint8_t(query.kind));
+        writer.writeU32(uint32_t(snapshot.epoch()));
+        writer.writeAddress(query.prefix.address());
+        writer.writeU8(uint8_t(query.prefix.length()));
+        size_t visited = snapshot.scan(
+            query.prefix, scanLimit,
+            [&writer](const SnapshotRoute &route) {
+                writer.writeAddress(route.prefix.address());
+                writer.writeU8(uint8_t(route.prefix.length()));
+                writer.writeU32(uint32_t(route.peer));
+            });
+        reader.encodedBytes += pool.seal(std::move(writer))->size();
         reader.routesScanned += visited;
         return visited > 0;
       }
       case QueryKind::PeerStats: {
         const auto &peers = snapshot.peerSummaries();
-        if (pool) {
-            net::ByteWriter writer = pool->writer(8 + peers.size() * 12);
-            writer.writeU8(uint8_t(query.kind));
-            writer.writeU32(uint32_t(snapshot.epoch()));
-            writer.writeU16(uint16_t(peers.size()));
-            for (const PeerTableSummary &peer : peers) {
-                writer.writeU32(uint32_t(peer.peer));
-                writer.writeU32(uint32_t(peer.bestPaths));
-            }
-            reader.encodedBytes += pool->seal(std::move(writer))->size();
+        net::ByteWriter writer = pool.writer(8 + peers.size() * 12);
+        writer.writeU8(uint8_t(query.kind));
+        writer.writeU32(uint32_t(snapshot.epoch()));
+        writer.writeU16(uint16_t(peers.size()));
+        for (const PeerTableSummary &peer : peers) {
+            writer.writeU32(uint32_t(peer.peer));
+            writer.writeU32(uint32_t(peer.bestPaths));
         }
+        reader.encodedBytes += pool.seal(std::move(writer))->size();
         return !peers.empty();
       }
     }
@@ -174,7 +157,7 @@ QueryEngine::readerLoop(Reader &reader, uint64_t quota)
         }
         reader.lastEpoch = snapshot->epoch();
 
-        uint64_t batch = quota ? config_.batchSize : config_.pacedBatch;
+        uint64_t batch = quota ? batchSize : config_.pacedBatch;
         if (quota)
             batch = std::min(batch, quota - reader.queries);
         for (uint64_t i = 0; i < batch; ++i) {

@@ -56,8 +56,6 @@ struct QueryEngineConfig
     int readers = 4;
     /** Queries each reader executes in runFixed(). */
     uint64_t queriesPerReader = 100000;
-    /** Queries executed against one snapshot acquisition. */
-    uint64_t batchSize = 256;
     /**
      * Paced mode: queries per polling burst. Paced readers model
      * fixed-rate telemetry pollers, not spinning clients — each
@@ -71,13 +69,9 @@ struct QueryEngineConfig
      * unmolested even when readers outnumber hardware threads.
      */
     uint64_t pacedIntervalNs = 5000000;
-    /** Encode every response into a pooled WireSegment. */
-    bool encodeResponses = true;
     /** Base seed; reader r streams with seed + r. */
     uint64_t seed = 1;
     workload::QueryStreamConfig stream;
-    /** Routes a Scan query visits at most. */
-    size_t scanLimit = 64;
 };
 
 /** Per-class outcome of a run. */
@@ -161,6 +155,11 @@ class QueryEngine
     void absorbInto(obs::MetricRegistry &target);
 
   private:
+    /** Queries run flat out against one snapshot acquisition. */
+    static constexpr uint64_t batchSize = 256;
+    /** Routes a Scan query visits at most. */
+    static constexpr size_t scanLimit = 64;
+
     struct Reader
     {
         std::unique_ptr<workload::QueryStream> stream;
@@ -176,7 +175,10 @@ class QueryEngine
         uint64_t lastEpoch = 0;
     };
 
-    /** Execute one query against @p snapshot; returns hit/miss. */
+    /**
+     * Execute one query against @p snapshot, encoding the response
+     * into a pooled WireSegment; returns hit/miss.
+     */
     bool execute(const RibSnapshot &snapshot, const workload::Query &query,
                  Reader &reader);
 

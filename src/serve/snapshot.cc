@@ -16,6 +16,7 @@ RibSnapshot::build(const bgp::LocRib &rib, uint64_t epoch,
 
     snapshot->routes_.reserve(rib.size());
     std::map<bgp::PeerId, uint64_t> per_peer;
+    std::vector<net::Ipv4Address> hops;
     rib.forEach([&](const net::Prefix &prefix,
                     const bgp::LocRib::Entry &entry) {
         SnapshotRoute route;
@@ -23,15 +24,8 @@ RibSnapshot::build(const bgp::LocRib &rib, uint64_t epoch,
         route.attributes = entry.best.attributes;
         route.peer = entry.best.peer;
         route.locallyOriginated = entry.best.locallyOriginated;
-        for (const bgp::Candidate &alt : entry.multipath) {
-            net::Ipv4Address hop = alt.attributes->nextHop;
-            if (hop != route.attributes->nextHop &&
-                std::find(route.extraHops.begin(),
-                          route.extraHops.end(),
-                          hop) == route.extraHops.end()) {
-                route.extraHops.push_back(hop);
-            }
-        }
+        entry.nextHops(hops);
+        route.extraHops.assign(hops.begin() + 1, hops.end());
         snapshot->routes_.push_back(std::move(route));
         ++per_peer[entry.best.peer];
     });

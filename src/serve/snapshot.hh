@@ -47,10 +47,10 @@ struct SnapshotRoute
     bgp::PeerId peer = 0;
     bool locallyOriginated = false;
     /**
-     * ECMP next hops beyond the best path's (maximum-paths > 1), in
-     * the decision process's deterministic group order — empty in
-     * single-path mode, keeping snapshot bytes and checksums
-     * identical to the classic shape.
+     * The route's next-hop list (LocRib::Entry::nextHops) after the
+     * best path's own hop — empty whenever the group is the best
+     * path alone, as with maximum-paths 1, so such snapshots hash as
+     * single-path ones.
      */
     std::vector<net::Ipv4Address> extraHops;
 };

@@ -214,12 +214,11 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
         add_peer(link.b, link.a);
     }
 
-    if (config_.establishAtStart) {
-        for (size_t l = 0; l < topo_.linkCount(); ++l) {
-            scheduleMirrored(l, 0, [this, l](Shard &shard) {
-                establishLocal(shard, l);
-            });
-        }
+    // Every link's session comes up at t = 0.
+    for (size_t l = 0; l < topo_.linkCount(); ++l) {
+        scheduleMirrored(l, 0, [this, l](Shard &shard) {
+            establishLocal(shard, l);
+        });
     }
 }
 
@@ -442,19 +441,14 @@ TopologySim::arrive(size_t l, uint64_t epoch, uint64_t key, size_t dst,
     // the per-prefix decision work the UPDATE will trigger, at this
     // node's clock rate, serialised on its single control CPU. The
     // announce cost approximates both announce and withdraw work.
-    sim::SimTime cost_ns = 0;
-    if (config_.chargeProcessingCost) {
-        const router::SystemProfile &profile = topo_.node(dst).profile;
-        double cycles = profile.costs.msgParse +
-                        profile.costs.msgPerByte * double(wire->size());
-        if (type == bgp::MessageType::Update) {
-            cycles += profile.costs.announcePrefix *
-                      double(transactions);
-        }
-        cost_ns = sim::SimTime(cycles /
-                               profile.cpu.cyclesPerSecond * 1e9) +
-                  profile.costs.msgGateNs;
-    }
+    const router::SystemProfile &profile = topo_.node(dst).profile;
+    double cycles = profile.costs.msgParse +
+                    profile.costs.msgPerByte * double(wire->size());
+    if (type == bgp::MessageType::Update)
+        cycles += profile.costs.announcePrefix * double(transactions);
+    sim::SimTime cost_ns =
+        sim::SimTime(cycles / profile.cpu.cyclesPerSecond * 1e9) +
+        profile.costs.msgGateNs;
     sim::SimTime begin = std::max(shard.sim.now(), cpuFreeAt_[dst]);
     sim::SimTime done = begin + cost_ns;
     cpuFreeAt_[dst] = done;
@@ -560,7 +554,7 @@ TopologySim::scheduleSessionReset(size_t link, sim::SimTime at)
         if (!shard.links[link].up)
             return;
         closeLocal(shard, link);
-        shard.sim.scheduleIn(config_.reconnectDelayNs,
+        shard.sim.scheduleIn(reconnectDelayNs,
                              [this, link, sh = &shard]() {
                                  establishLocal(*sh, link);
                              });

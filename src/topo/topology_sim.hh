@@ -101,16 +101,6 @@ namespace bgpbench::topo
 /** Runtime knobs of a topology simulation. */
 struct TopologySimConfig
 {
-    /** Bring every link's session up at t = 0. */
-    bool establishAtStart = true;
-    /** Delay before a reset or re-enabled session reconnects. */
-    sim::SimTime reconnectDelayNs = sim::nsFromMs(10);
-    /**
-     * Charge the per-node SystemProfile costs for inbound message
-     * processing. Disable for pure protocol-behaviour tests where
-     * virtual CPU time is irrelevant.
-     */
-    bool chargeProcessingCost = true;
     /**
      * Worker threads: 1 (default) runs the sequential engine, N > 1
      * runs a worker pool over the sharded engine, 0 resolves to the
@@ -217,7 +207,8 @@ class TopologySim
     void scheduleLinkDown(size_t link, sim::SimTime at);
     /** Bring a downed link back; sessions re-establish. */
     void scheduleLinkUp(size_t link, sim::SimTime at);
-    /** Reset the session on @p link; reconnects after the delay. */
+    /** Reset the session on @p link; reconnects after
+     *  reconnectDelayNs. */
     void scheduleSessionReset(size_t link, sim::SimTime at);
     /**
      * Restart a router: every incident session drops at @p at and
@@ -273,6 +264,9 @@ class TopologySim
     void publishParallelMetrics(obs::MetricRegistry &registry) const;
 
   private:
+    /** Delay before a reset session reconnects. */
+    static constexpr sim::SimTime reconnectDelayNs = sim::nsFromMs(10);
+
     struct NodeEvents;
 
     struct LinkState

@@ -41,17 +41,12 @@ constexpr uint64_t kLengthShare[] = {
 } // namespace
 
 FullFeedGenerator::FullFeedGenerator(const FullFeedConfig &config)
-    : total_(config.routeCount),
-      chunkPrefixes_(config.chunkPrefixes),
-      prefixesPerPacket_(config.prefixesPerPacket),
-      prefixRng_(config.seed),
+    : total_(config.routeCount), prefixRng_(config.seed),
       pathRng_(config.seed ^
                0x9e3779b97f4a7c15ULL * (uint64_t(config.feedAs) + 1))
 {
     if (total_ == 0)
         fatal("full feed requires a positive route count");
-    if (chunkPrefixes_ == 0)
-        fatal("full feed requires a positive chunk size");
     if (config.feedAs == 0)
         fatal("full feed requires a feed AS");
     planLengthMix(config);
@@ -93,8 +88,8 @@ FullFeedGenerator::planLengthMix(const FullFeedConfig &config)
 void
 FullFeedGenerator::buildPathPool(const FullFeedConfig &config)
 {
-    const size_t attach = std::max<size_t>(1, config.attachCount);
-    const size_t nodes = std::max(config.topologyAses, attach + 2);
+    const size_t attach = kAttachCount;
+    const size_t nodes = kTopologyAses;
 
     // Barabási–Albert preferential attachment, built inline (see the
     // header for why topo:: is off limits here): the first attach+1
@@ -132,9 +127,9 @@ FullFeedGenerator::buildPathPool(const FullFeedConfig &config)
     // hubs transit almost everything, stubs only originate.
     const bgp::AsNumber asBase = 1;
     constexpr size_t kMaxTransitHops = 9;
-    pool_.reserve(config.pathPoolSize);
+    pool_.reserve(kPathPoolSize);
     std::vector<uint32_t> chain;
-    for (size_t p = 0; p < config.pathPoolSize; ++p) {
+    for (size_t p = 0; p < kPathPoolSize; ++p) {
         uint32_t origin = uint32_t(pathRng_.below(nodes));
         chain.clear();
         for (uint32_t node = origin; node != 0; node = parent[node])
@@ -190,11 +185,9 @@ FullFeedGenerator::nextChunk(std::vector<StreamPacket> &out)
 {
     if (done())
         return 0;
-    const size_t count = std::min(chunkPrefixes_, total_ - generated_);
+    const size_t count = std::min(kChunkPrefixes, total_ - generated_);
 
-    bgp::PackingOptions packing;
-    packing.maxPrefixesPerUpdate = prefixesPerPacket_;
-    bgp::UpdateBuilder builder(packing);
+    bgp::UpdateBuilder builder;
     for (size_t i = 0; i < count; ++i) {
         const int length = drawLength();
         const size_t slot = size_t(length - kMinLength);

@@ -49,21 +49,6 @@ struct FullFeedConfig
 
     /** NEXT_HOP carried by every announcement. */
     net::Ipv4Address nextHop = net::Ipv4Address(10, 0, 0, 1);
-
-    /** Routes per nextChunk() call. */
-    size_t chunkPrefixes = 4096;
-
-    /** Packing cap handed to UpdateBuilder (0 = fill to 4096 B). */
-    size_t prefixesPerPacket = 0;
-
-    /** Synthetic AS graph size (power-law via BA attachment). */
-    size_t topologyAses = 2048;
-
-    /** BA attachment degree (edges per new AS). */
-    size_t attachCount = 2;
-
-    /** Distinct AS-path attribute sets to draw from. */
-    size_t pathPoolSize = 32768;
 };
 
 /**
@@ -94,6 +79,18 @@ class FullFeedGenerator
     size_t pathPoolSize() const { return pool_.size(); }
 
   private:
+    /**
+     * Routes per nextChunk() call. Each chunk's UPDATEs are packed as
+     * full as 4096 bytes allow.
+     */
+    static constexpr size_t kChunkPrefixes = 4096;
+    /** Synthetic AS graph size (power-law via BA attachment). */
+    static constexpr size_t kTopologyAses = 2048;
+    /** BA attachment degree (edges per new AS). */
+    static constexpr size_t kAttachCount = 2;
+    /** Distinct AS-path attribute sets to draw from. */
+    static constexpr size_t kPathPoolSize = 32768;
+
     /** Smallest generated mask length. */
     static constexpr int kMinLength = 8;
     /** Largest (and most common) generated mask length. */
@@ -111,8 +108,6 @@ class FullFeedGenerator
 
     size_t total_ = 0;
     size_t generated_ = 0;
-    size_t chunkPrefixes_ = 0;
-    size_t prefixesPerPacket_ = 0;
 
     /** Drives the prefix sequence; seeded from seed only. */
     Rng prefixRng_;

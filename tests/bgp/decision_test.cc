@@ -267,3 +267,210 @@ TEST(DecisionProperty, SelectBestIsUnbeaten)
         }
     }
 }
+
+namespace
+{
+
+DecisionConfig
+maxPaths(size_t paths, bool always_compare_med = false)
+{
+    DecisionConfig config;
+    config.maxPaths = paths;
+    config.alwaysCompareMed = always_compare_med;
+    return config;
+}
+
+std::vector<size_t>
+groupOf(const std::vector<Candidate> &candidates,
+        const DecisionConfig &config)
+{
+    std::vector<size_t> group;
+    selectMultipath(candidates, config, group);
+    return group;
+}
+
+/** Four routes that tie through step 5b, router ids 40, 10, 30, 20. */
+std::vector<Candidate>
+fourEqualPaths()
+{
+    return {candidate({100, 900}, 1, 40), candidate({200, 900}, 2, 10),
+            candidate({300, 900}, 3, 30), candidate({400, 900}, 4, 20)};
+}
+
+} // namespace
+
+TEST(DecisionMultipath, EmptyCandidatesGiveEmptyGroup)
+{
+    std::vector<size_t> group{7};
+    selectMultipath({}, maxPaths(4), group);
+    EXPECT_TRUE(group.empty());
+}
+
+TEST(DecisionMultipath, GroupIsBestThenAscendingRouterId)
+{
+    auto candidates = fourEqualPaths();
+    EXPECT_EQ(groupOf(candidates, maxPaths(8)),
+              (std::vector<size_t>{1, 3, 2, 0}));
+    EXPECT_EQ(*selectBest(candidates), 1u);
+}
+
+TEST(DecisionMultipath, TruncatesAtMaxPaths)
+{
+    auto candidates = fourEqualPaths();
+    EXPECT_EQ(groupOf(candidates, maxPaths(2)),
+              (std::vector<size_t>{1, 3}));
+    // maximum-paths 1: the group is the best path alone.
+    EXPECT_EQ(groupOf(candidates, maxPaths(1)), std::vector<size_t>{1});
+    EXPECT_EQ(groupOf(candidates, {}), std::vector<size_t>{1});
+}
+
+TEST(DecisionMultipath, RouterIdAndPeerDifferencesStayInGroup)
+{
+    // Same attributes but for the next hop; different peers, router
+    // ids, and an ORIGINATOR_ID standing in for one router id.
+    std::vector<Candidate> candidates{candidate({100, 900}, 5, 50),
+                                      candidate({100, 900}, 6, 60),
+                                      candidate({100, 900}, 7, 70)};
+    PathAttributes reflected = *candidates[2].attributes;
+    reflected.originatorId = 5;
+    candidates[2].attributes = makeAttributes(std::move(reflected));
+    // Index 2 reads router id 5 through its ORIGINATOR_ID.
+    EXPECT_EQ(groupOf(candidates, maxPaths(4)),
+              (std::vector<size_t>{2, 0, 1}));
+
+    // Any earlier step separates: a longer path, a worse ORIGIN, an
+    // iBGP session, a lower LOCAL_PREF, a longer CLUSTER_LIST.
+    std::vector<Candidate> apart{candidate({100, 900}, 1, 90)};
+    apart.push_back(candidate({100, 901, 902}, 2, 1));
+    apart.push_back(withOrigin(candidate({100, 900}, 3, 2),
+                               Origin::Incomplete));
+    apart.push_back(candidate({100, 900}, 4, 3, false));
+    apart.push_back(withLocalPref(candidate({100, 900}, 5, 4), 50));
+    PathAttributes longer = *candidate({100, 900}, 6, 5).attributes;
+    longer.clusterList = {7};
+    apart.push_back(Candidate{makeAttributes(std::move(longer)), 6, 5,
+                              true});
+    EXPECT_EQ(groupOf(apart, maxPaths(8)), std::vector<size_t>{0});
+}
+
+TEST(DecisionMultipath, MedSeparatesOnlyWhenComparable)
+{
+    // Same neighbour AS: the lower MED wins outright, and the higher
+    // one stays out of the group despite its lower router id.
+    std::vector<Candidate> same_as{
+        withMed(candidate({100, 900}, 1, 30), 10),
+        withMed(candidate({100, 901}, 2, 10), 20)};
+    EXPECT_EQ(groupOf(same_as, maxPaths(4)), std::vector<size_t>{0});
+
+    // Different neighbour ASes: MED is not compared, so the routes
+    // tie through step 5b and group by router id...
+    std::vector<Candidate> other_as{
+        withMed(candidate({100, 900}, 1, 30), 10),
+        withMed(candidate({200, 900}, 2, 20), 50)};
+    EXPECT_EQ(groupOf(other_as, maxPaths(4)),
+              (std::vector<size_t>{1, 0}));
+    // ...unless always-compare-med makes MED separate them.
+    EXPECT_EQ(groupOf(other_as, maxPaths(4, true)),
+              std::vector<size_t>{0});
+}
+
+TEST(DecisionMultipath, LocalBestNeverGroupedWithLearned)
+{
+    std::vector<Candidate> candidates{candidate({100, 900}, 1, 10),
+                                      candidate({100, 900}, 2, 20)};
+    Candidate local = candidate({100, 900}, 3, 30);
+    local.locallyOriginated = true;
+    local.externalSession = false;
+    candidates.push_back(local);
+    EXPECT_EQ(groupOf(candidates, maxPaths(4)), std::vector<size_t>{2});
+}
+
+TEST(DecisionMultipath, IntransitiveMedKeepsBestFirst)
+{
+    // The ConditionalMedIsIntransitive cycle plus the route that
+    // selectBest settles on: every other route ties it through step
+    // 5b, but two of them are ordered by MED among themselves.
+    auto a = withMed(candidate({100, 900}, 1, 30), 10);
+    auto b = withMed(candidate({100, 901}, 2, 10), 50);
+    auto c = candidate({200, 902}, 3, 20);
+    std::vector<Candidate> candidates{a, b, c};
+    ASSERT_EQ(*selectBest(candidates), 2u);
+    EXPECT_EQ(groupOf(candidates, maxPaths(4)),
+              (std::vector<size_t>{2, 0, 1}));
+}
+
+/**
+ * Property: the group is the best path first, then only candidates
+ * that tie it through step 5b, judged by an independent field-by-field
+ * check; no more than maxPaths of them, and every tying candidate
+ * when fewer.
+ */
+TEST(DecisionMultipathProperty, MembersTieBestThroughStep5b)
+{
+    workload::Rng rng(41);
+    for (int trial = 0; trial < 400; ++trial) {
+        DecisionConfig config = maxPaths(size_t(rng.range(1, 5)),
+                                         rng.below(4) == 0);
+        std::vector<Candidate> candidates;
+        int n = int(rng.range(0, 9));
+        for (int i = 0; i < n; ++i) {
+            // Narrow value ranges so ties at every step are common.
+            std::vector<AsNumber> path{AsNumber(rng.range(100, 102))};
+            if (rng.below(2))
+                path.push_back(AsNumber(rng.range(200, 300)));
+            Candidate c = candidate(std::move(path), uint32_t(i + 1),
+                                    RouterId(rng.range(1, 6)),
+                                    rng.below(4) != 0);
+            PathAttributes attrs = *c.attributes;
+            if (rng.below(2))
+                attrs.localPref = uint32_t(rng.range(99, 101));
+            if (rng.below(2))
+                attrs.med = uint32_t(rng.range(0, 2));
+            if (rng.below(4) == 0)
+                attrs.origin = Origin::Egp;
+            if (rng.below(4) == 0)
+                attrs.clusterList = {9};
+            c.attributes = makeAttributes(std::move(attrs));
+            c.locallyOriginated = rng.below(8) == 0;
+            candidates.push_back(std::move(c));
+        }
+
+        auto ties = [&](const Candidate &x, const Candidate &y) {
+            const PathAttributes &px = *x.attributes;
+            const PathAttributes &py = *y.attributes;
+            bool med_compared =
+                config.alwaysCompareMed ||
+                px.asPath.firstAs() == py.asPath.firstAs();
+            return x.locallyOriginated == y.locallyOriginated &&
+                   px.localPref.value_or(100) ==
+                       py.localPref.value_or(100) &&
+                   px.asPath.pathLength() == py.asPath.pathLength() &&
+                   px.origin == py.origin &&
+                   (!med_compared ||
+                    px.med.value_or(0) == py.med.value_or(0)) &&
+                   x.externalSession == y.externalSession &&
+                   px.clusterList.size() == py.clusterList.size();
+        };
+
+        std::vector<size_t> group = groupOf(candidates, config);
+        ASSERT_EQ(group.empty(), candidates.empty());
+        if (group.empty())
+            continue;
+        ASSERT_EQ(group.front(), *selectBest(candidates, config));
+        ASSERT_LE(group.size(), config.maxPaths);
+        const Candidate &best = candidates[group.front()];
+        size_t tying = 0;
+        for (size_t i = 0; i < candidates.size(); ++i) {
+            size_t in_group =
+                size_t(std::count(group.begin(), group.end(), i));
+            ASSERT_LE(in_group, 1u);
+            if (in_group) {
+                EXPECT_TRUE(ties(candidates[i], best))
+                    << "trial " << trial << " member " << i;
+            }
+            tying += ties(candidates[i], best);
+        }
+        EXPECT_EQ(group.size(), std::min(tying, config.maxPaths))
+            << "trial " << trial;
+    }
+}

@@ -284,11 +284,16 @@ TEST(Fuzz, SpeakerSurvivesHostilePeerBytes)
         for (int chunk = 0; chunk < 8; ++chunk)
             speaker.receiveBytes(0, randomBytes(rng, 128), 0);
 
-        // The session is gone or still waiting for an OPEN; either
-        // way the speaker's state is consistent.
+        // The session is gone, answered by exactly one NOTIFICATION
+        // however many junk chunks followed, or, when the junk's
+        // first framed length exceeds what arrived, still waiting
+        // for an OPEN with nothing sent.
         auto state = speaker.sessionState(0);
         EXPECT_TRUE(state == SessionState::Idle ||
                     state == SessionState::OpenSent)
             << toString(state);
+        EXPECT_EQ(sink.notifications,
+                  state == SessionState::Idle ? 1u : 0u)
+            << "trial " << trial;
     }
 }

@@ -139,14 +139,17 @@ TEST(LocRib, SlotAccessOverSharedTable)
     auto slot = in.update(p1, attrs(100), attrs(100)).slot;
 
     EXPECT_EQ(loc.findAt(slot), nullptr);
-    Candidate c1{attrs(100), 1, 10, true};
-    auto first = loc.selectAt(slot, c1);
+    std::vector<Candidate> candidates{Candidate{attrs(100), 1, 10, true},
+                                      Candidate{attrs(300), 1, 10, true}};
+    const size_t first_alone[] = {0};
+    const size_t second_alone[] = {1};
+    auto first = loc.selectAt(slot, candidates, first_alone);
     EXPECT_TRUE(first.bestChanged);
     EXPECT_TRUE(first.groupChanged);
     EXPECT_EQ(loc.findAt(slot), loc.find(p1));
-    EXPECT_FALSE(loc.selectAt(slot, c1).bestChanged);
-    EXPECT_TRUE(loc.selectAt(slot, Candidate{attrs(300), 1, 10, true})
-                    .bestChanged);
+    EXPECT_FALSE(loc.selectAt(slot, candidates, first_alone).bestChanged);
+    EXPECT_TRUE(
+        loc.selectAt(slot, candidates, second_alone).bestChanged);
 
     // The slot outlives the Adj-RIB-In entry while the Loc-RIB holds
     // it; the Loc-RIB's removal then frees the prefix.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -94,14 +95,18 @@ struct NullSink : public SpeakerEvents
 class AllocFixture
 {
   public:
-    /** @p exportPolicy is attached to every peer's export. */
-    explicit AllocFixture(Policy exportPolicy = {})
+    /**
+     * @p exportPolicy is attached to every peer's export; @p maxPaths
+     * is the speaker's maximum-paths.
+     */
+    explicit AllocFixture(Policy exportPolicy = {}, size_t maxPaths = 1)
     {
         SpeakerConfig config;
         config.localAs = 65000;
         config.routerId = 1;
         config.localAddress = net::Ipv4Address(10, 0, 0, 1);
         config.holdTimeSec = 0;
+        config.decision.maxPaths = maxPaths;
         speaker = std::make_unique<BgpSpeaker>(config, &sink);
         for (PeerId id = 0; id <= downstreamPeer; ++id) {
             PeerConfig peer;
@@ -158,11 +163,16 @@ class AllocFixture
     uint32_t nextPrefix = 0;
 };
 
-} // namespace
-
-TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
+/**
+ * The UPDATE-path budget at maximum-paths @p maxPaths: every NLRI has
+ * one candidate, so each decision installs a group of one whatever
+ * the setting, and the setting may cost nothing per prefix.
+ */
+void
+expectUpdateAllocationsFlat(size_t maxPaths)
 {
-    AllocFixture f;
+    SCOPED_TRACE("maximum-paths " + std::to_string(maxPaths));
+    AllocFixture f({}, maxPaths);
     // Warm-up: grow the reusable storage (decision scratch, per-peer
     // builders, flush scratch) and fill the eBGP export memo.
     for (int round = 0; round < 2; ++round)
@@ -192,6 +202,18 @@ TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
     // the four receiving peers plus one segment they all share (one
     // allocation of slack).
     EXPECT_LE(for_one, feedPeers + 2) << for_one;
+}
+
+} // namespace
+
+TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlri)
+{
+    expectUpdateAllocationsFlat(1);
+}
+
+TEST(SpeakerAlloc, UpdateAllocationsDoNotGrowWithNlriAtMaxPathsFour)
+{
+    expectUpdateAllocationsFlat(4);
 }
 
 TEST(SpeakerAlloc, OneExportTransformPerAttributeSet)

@@ -824,3 +824,73 @@ TEST(SpeakerEvents, UpdateReceivedOncePerDecodedUpdate)
     EXPECT_TRUE(events.received[2].attributes->interned());
     EXPECT_EQ(speaker.counters().updatesReceived, 2u);
 }
+
+namespace
+{
+
+/** Records the error code of every NOTIFICATION the speaker sends. */
+struct NotificationRecorder : public SpeakerEvents
+{
+    void
+    onTransmit(PeerId, MessageType type, net::WireSegmentPtr wire,
+               size_t) override
+    {
+        if (type != MessageType::Notification)
+            return;
+        DecodeError error;
+        auto msg = decodeMessage({wire->data(), wire->size()}, error);
+        ASSERT_TRUE(msg.has_value()) << error.detail;
+        codes.push_back(std::get<NotificationMessage>(*msg).errorCode);
+    }
+
+    std::vector<ErrorCode> codes;
+};
+
+} // namespace
+
+TEST(SpeakerStream, MalformedStreamTearsDownOnceAndReconnects)
+{
+    NotificationRecorder events;
+    SpeakerConfig config;
+    config.localAs = 65000;
+    config.routerId = 1;
+    config.localAddress = net::Ipv4Address(10, 255, 0, 1);
+    config.holdTimeSec = 0;
+    BgpSpeaker speaker(config, &events);
+    PeerConfig peer;
+    peer.id = 0;
+    peer.asn = 64601;
+    speaker.addPeer(peer);
+
+    OpenMessage open;
+    open.myAs = 64601;
+    open.holdTimeSec = 0;
+    open.bgpIdentifier = 101;
+    auto connect = [&]() {
+        speaker.startPeer(0, 0);
+        speaker.tcpEstablished(0, 0);
+        speaker.receiveBytes(0, encodeMessage(open), 0);
+        speaker.receiveBytes(0, encodeMessage(KeepaliveMessage{}), 0);
+    };
+    connect();
+    ASSERT_EQ(speaker.sessionState(0), SessionState::Established);
+
+    // Three junk chunks: the first fails the framing check (length
+    // 0xabab) and tears the session down with the decoder's code; the
+    // session is Idle for the other two, which send nothing.
+    const std::vector<uint8_t> junk(64, 0xab);
+    for (int chunk = 0; chunk < 3; ++chunk) {
+        speaker.receiveBytes(0, junk, 0);
+        EXPECT_EQ(speaker.sessionState(0), SessionState::Idle);
+        ASSERT_EQ(events.codes.size(), 1u) << "after chunk " << chunk;
+    }
+    EXPECT_EQ(events.codes[0], ErrorCode::MessageHeaderError);
+    EXPECT_EQ(speaker.counters().notificationsSent, 1u);
+
+    // The transport closes and reopens: the new stream decodes from a
+    // clean state and the session comes back.
+    speaker.tcpClosed(0, 0);
+    connect();
+    EXPECT_EQ(speaker.sessionState(0), SessionState::Established);
+    EXPECT_EQ(events.codes.size(), 1u);
+}

@@ -420,3 +420,35 @@ TEST(RouterSystem, BadPortIndexPanics)
     EXPECT_THROW(w.router.deliverToPort(7, std::vector<uint8_t>{}),
                  PanicError);
 }
+
+TEST(RouterSystem, JunkStreamAnsweredWithHeaderError)
+{
+    World w(xeonProfile());
+    ASSERT_TRUE(w.establish1());
+
+    // Watch what the router sends on port 0 from here on.
+    std::vector<bgp::ErrorCode> codes;
+    w.router.setPortTransmitHandler(0, [&](net::WireSegmentPtr wire) {
+        bgp::DecodeError error;
+        auto msg =
+            bgp::decodeMessage({wire->data(), wire->size()}, error);
+        ASSERT_TRUE(msg.has_value()) << error.detail;
+        if (bgp::messageType(*msg) == bgp::MessageType::Notification) {
+            codes.push_back(
+                std::get<bgp::NotificationMessage>(*msg).errorCode);
+        }
+    });
+
+    // Junk whose framed length (0xabab) fails the header check: the
+    // router answers with Message Header Error, not Cease, once.
+    for (int chunk = 0; chunk < 3; ++chunk)
+        w.router.deliverToPort(0, std::vector<uint8_t>(64, 0xab));
+    ASSERT_TRUE(
+        runUntil(w.sim, [&]() { return w.router.controlDrained(); }));
+    w.sim.runUntil(w.sim.now() + sim::nsFromMs(100));
+
+    EXPECT_EQ(w.router.speaker().sessionState(0),
+              bgp::SessionState::Idle);
+    ASSERT_EQ(codes.size(), 1u);
+    EXPECT_EQ(codes[0], bgp::ErrorCode::MessageHeaderError);
+}

@@ -127,20 +127,6 @@ TEST(QueryEngine, EmptyTableMisses)
     EXPECT_EQ(report.routesScanned, 0u);
 }
 
-TEST(QueryEngine, EncodingCanBeDisabled)
-{
-    SnapshotPublisher publisher;
-    loadedPublisher(publisher, 16);
-    QueryEngineConfig config;
-    config.readers = 1;
-    config.queriesPerReader = 500;
-    config.encodeResponses = false;
-    QueryEngine engine(publisher, routeTargets(16), config);
-    ServeReport report = engine.runFixed();
-    EXPECT_EQ(report.encodedBytes, 0u);
-    EXPECT_EQ(report.queries, 500u);
-}
-
 TEST(QueryEngine, PerClassCountsAreSeedDeterministic)
 {
     SnapshotPublisher publisher;

@@ -113,7 +113,8 @@ TEST(EcmpDeterminism, MidWindowFaultMatrixIsByteIdentical)
 TEST(EcmpDeterminism, MaxPathsOneMatchesDefaultEngine)
 {
     // maximum-paths 1 must be indistinguishable from a config that
-    // never mentions the knob: the legacy single-path code runs.
+    // never mentions the knob: every route group is the best path
+    // alone, so there is nothing else to install.
     topo::TopologySimConfig defaults;
     topo::TopologySim sim(smallClos(), defaults);
     for (size_t tor : kTors)
