@@ -37,7 +37,6 @@
 #include "stats/json.hh"
 #include "stats/report.hh"
 #include "topo/scenario_spec.hh"
-#include "topo/scenarios.hh"
 
 #include "bench_util.hh"
 
@@ -66,17 +65,16 @@ struct CellResult
 };
 
 /**
- * Topology plus the workload it can actually converge on. Ring, mesh
- * and scale-free use the every-node origination grid; the Clos fabric
- * originates at its ToRs only (a spine- or agg-originated prefix is
+ * Topology plus the node its beacon train targets. Every shape runs
+ * the default workload, which originates only at nodes whose AS no
+ * other node shares: every node of ring, mesh and scale-free, and
+ * the ToRs of the Clos fabric (a spine- or agg-originated prefix is
  * loop-rejected by the other members of its shared AS — RFC 7938
- * numbering — so only ToR routes are network-wide reachable). The
- * beacon train targets a node that actually originates.
+ * numbering). The beacon train targets a node that originates.
  */
 struct ShapeSetup
 {
     topo::Topology topology;
-    std::vector<std::pair<size_t, net::Prefix>> originations;
     size_t beaconNode = 0;
 };
 
@@ -92,13 +90,8 @@ makeShape(const std::string &name, size_t nodes)
         setup.topology = topo::Topology::barabasiAlbert(nodes, 2, 42);
     } else {
         // The canonical 10-node fabric of the ECMP suite: 2 spines,
-        // 2 pods x (2 aggs + 2 tors); ToRs are nodes 4, 5, 8, 9.
+        // 2 pods x (2 aggs + 2 tors); node 4 is the first ToR.
         setup.topology = topo::Topology::clos({});
-        for (size_t tor : {size_t(4), size_t(5), size_t(8),
-                           size_t(9)}) {
-            setup.originations.emplace_back(
-                tor, topo::scenarioPrefix(tor, 0));
-        }
         setup.beaconNode = 4;
     }
     return setup;
@@ -119,7 +112,6 @@ makeSpec(const CellConfig &cell, size_t cycles, uint64_t period_ms,
     spec.name = "flap-train";
     spec.shape = cell.shapeName;
     spec.topology = std::move(setup.topology);
-    spec.originations = std::move(setup.originations);
     spec.simConfig.jobs = jobs;
     if (cell.damping)
         spec.simConfig.damping = topo::churnDampingConfig();

@@ -19,11 +19,13 @@
  * work, every cut 1 ms: the sync layer's worst case) and a
  * scale-free graph with heterogeneous link latencies (skewed
  * per-shard work and per-shard cut latencies: where work-stealing
- * and the adaptive causality bound actually bite) — printing the
+ * and the per-shard causality bound actually bite) — printing the
  * wall-clock speedup tables with the sync-layer health columns
  * (barrier-wait fraction, mean window length, steals per window)
  * read back from the observability registry, and asserting that
- * every report is byte-identical to the sequential one.
+ * every report is byte-identical to the jobs = 1 one. Every jobs
+ * value runs the same window loop; at jobs = 1 the one shard has no
+ * cut link, so each run of a scenario is one window of length 0.
  */
 
 #include <algorithm>
@@ -99,8 +101,8 @@ struct SweepPoint
  * A scale-free graph with latencies spread across 1..13 ms by link
  * index. The degree skew gives shards visibly unequal work (the
  * stealing deques' home turf) and the latency skew gives shards
- * unequal minimum cut latencies (what the adaptive causality bound
- * exploits to stretch windows past the global fixed lookahead).
+ * unequal minimum cut latencies (what the per-shard causality bound
+ * exploits to stretch windows past the smallest cut latency).
  */
 topo::Topology
 skewedScaleFree(size_t n)

@@ -38,8 +38,8 @@ main()
                  "backbone(AS400).\n";
 
     // Originate the demo routes and converge.
-    sim.tracker().markPhaseStart(sim.simulator().now());
-    topo::demo::originateDemoRoutes(sim, net, sim.simulator().now());
+    sim.tracker().markPhaseStart(sim.now());
+    topo::demo::originateDemoRoutes(sim, net, sim.now());
     sim.runToConvergence(limit);
     std::cout << "Announcements converged in "
               << stats::formatDouble(
@@ -61,8 +61,8 @@ main()
     // Link failure: the customer's link to isp-a drops, in-flight
     // data is lost, and everything fails over to isp-b.
     std::cout << "\n*** link customer <-> isp-a fails ***\n";
-    sim.tracker().markPhaseStart(sim.simulator().now());
-    sim.scheduleLinkDown(net.customerIspALink, sim.simulator().now());
+    sim.tracker().markPhaseStart(sim.now());
+    sim.scheduleLinkDown(net.customerIspALink, sim.now());
     sim.runToConvergence(limit);
     std::cout << "Re-converged in "
               << stats::formatDouble(

@@ -30,6 +30,24 @@ endMessage(net::ByteWriter &writer, size_t length_offset)
     writer.patchU16(length_offset, uint16_t(writer.size()));
 }
 
+/**
+ * Check the 16-byte marker @p head starts with (all ones, RFC 4271
+ * §4.1); a bad or missing one means the stream is not synchronised
+ * (§6.1).
+ */
+bool
+markerIntact(std::span<const uint8_t> head, DecodeError &error)
+{
+    if (head.size() >= proto::markerBytes &&
+        std::all_of(head.begin(), head.begin() + proto::markerBytes,
+                    [](uint8_t b) { return b == 0xff; }))
+        return true;
+    error = DecodeError{ErrorCode::MessageHeaderError,
+                        uint8_t(HeaderSubcode::ConnectionNotSynchronized),
+                        "bad marker"};
+    return false;
+}
+
 } // namespace
 
 MessageType
@@ -424,16 +442,9 @@ decodeMessage(std::span<const uint8_t> wire, DecodeError &error)
     error = DecodeError{};
     net::ByteReader reader(wire);
 
-    auto marker = reader.readBytes(proto::markerBytes);
-    if (!reader.ok() ||
-        !std::all_of(marker.begin(), marker.end(),
-                     [](uint8_t b) { return b == 0xff; })) {
-        error = DecodeError{
-            ErrorCode::MessageHeaderError,
-            uint8_t(HeaderSubcode::ConnectionNotSynchronized),
-            "bad marker"};
+    if (!markerIntact(wire, error))
         return std::nullopt;
-    }
+    reader.skip(proto::markerBytes);
 
     uint16_t length = reader.readU16();
     uint8_t type = reader.readU8();
@@ -559,8 +570,16 @@ StreamDecoder::next(DecodeError &error)
         return std::nullopt;
     }
 
+    // Check a buffered 19-byte header before waiting for the rest of
+    // its frame: a bad marker fails at once (RFC 4271 §6.1), instead
+    // of leaving the session waiting for a framed length that junk
+    // made up.
     auto framedLength = [this,
                          &error](const uint8_t *head) -> uint16_t {
+        if (!markerIntact({head, proto::headerBytes}, error)) {
+            failed_ = true;
+            return 0;
+        }
         uint16_t length = (uint16_t(head[proto::markerBytes]) << 8) |
                           head[proto::markerBytes + 1];
         if (length < proto::minMessageBytes ||

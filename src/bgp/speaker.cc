@@ -481,7 +481,6 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
     // to the Loc-RIB and every Adj-RIB-Out.
     for (const auto &prefix : msg.withdrawnRoutes) {
         ++counters_.withdrawalsProcessed;
-        ++stats.withdrawnPrefixes;
         damper_.onWithdraw(from.config.id, prefix, now);
         if (Slot slot = from.ribIn.withdraw(prefix); slot != noSlot)
             runDecision(prefix, slot, stats, now);
@@ -506,9 +505,7 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
 
         for (const auto &prefix : msg.nlri) {
             ++counters_.announcementsProcessed;
-            ++stats.announcedPrefixes;
             if (looped) {
-                ++stats.rejectedByPolicy;
                 if (Slot slot = from.ribIn.withdraw(prefix);
                     slot != noSlot)
                     runDecision(prefix, slot, stats, now);
@@ -519,10 +516,8 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
                 bump(obs_.policyEvals);
             PathAttributesPtr effective =
                 from.config.importPolicy.apply(prefix, received);
-            if (!effective) {
-                ++stats.rejectedByPolicy;
+            if (!effective)
                 bump(obs_.policyRejects);
-            }
             AdjRibIn::Write write =
                 from.ribIn.update(prefix, received, std::move(effective));
 
@@ -597,14 +592,13 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
             ++counters_.locRibChanges;
             ++counters_.fibChanges;
             ++stats.locRibChanges;
-            ++stats.fibChanges;
             bump(obs_.locRibChanges);
             bump(obs_.fibChanges);
             ++ribVersion_;
             ribDirty_ = true;
             events_->onFibUpdate(FibUpdate{prefix, std::nullopt, {}});
             for (Peer *peer : establishedPeers_)
-                updateAdjOut(*peer, prefix, slot, nullptr, stats);
+                updateAdjOut(*peer, prefix, slot, nullptr);
         }
     } else {
         // Install the group: the best path plus its multipath
@@ -630,7 +624,6 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
             entry->nextHops(hops_);
             if (hops_ != previousHops_) {
                 ++counters_.fibChanges;
-                ++stats.fibChanges;
                 bump(obs_.fibChanges);
                 events_->onFibUpdate(
                     FibUpdate{prefix, hops_.front(),
@@ -640,7 +633,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
         if (outcome.bestChanged) {
             const Candidate &best = candidates[group_.front()];
             for (Peer *peer : establishedPeers_)
-                updateAdjOut(*peer, prefix, slot, &best, stats);
+                updateAdjOut(*peer, prefix, slot, &best);
         }
     }
 
@@ -653,17 +646,14 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
 
 void
 BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
-                         Slot slot, const Candidate *best,
-                         UpdateStats &stats)
+                         Slot slot, const Candidate *best)
 {
     if (!peer.fsm.established())
         return;
 
     auto send_withdraw_if_advertised = [&]() {
-        if (peer.ribOut.withdrawAt(slot)) {
+        if (peer.ribOut.withdrawAt(slot))
             peer.pending.withdraw(prefix);
-            ++stats.advertisedPrefixes;
-        }
     };
 
     if (!best) {
@@ -710,10 +700,8 @@ BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
     const PathAttributesPtr &attrs = mapped ? mapped : best->attributes;
 
     auto advertise = [&](const PathAttributesPtr &exported) {
-        if (peer.ribOut.advertiseAt(slot, exported)) {
+        if (peer.ribOut.advertiseAt(slot, exported))
             peer.pending.announce(prefix, exported);
-            ++stats.advertisedPrefixes;
-        }
     };
 
     if (peer.externalSession) {
@@ -866,10 +854,9 @@ BgpSpeaker::advertiseFullTable(Peer &peer, TimeNs now)
 {
     OBS_SPAN(obs_.tracer, "full_table_export", "bgp",
              obs::kTrackRouters, obs_.track, [now] { return now; });
-    UpdateStats stats;
     locRib_.forEachWithSlot([&](const net::Prefix &prefix, Slot slot,
                                 const LocRib::Entry &entry) {
-        updateAdjOut(peer, prefix, slot, &entry.best, stats);
+        updateAdjOut(peer, prefix, slot, &entry.best);
     });
     flushPending(now);
 }

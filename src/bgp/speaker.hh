@@ -89,15 +89,11 @@ struct PeerConfig
     bool routeReflectorClient = false;
 };
 
-/** Counters describing the processing of one inbound UPDATE. */
+/** What the processing of one inbound UPDATE changed. */
 struct UpdateStats
 {
-    size_t announcedPrefixes = 0;
-    size_t withdrawnPrefixes = 0;
-    size_t rejectedByPolicy = 0;
+    /** Loc-RIB entries the UPDATE installed, replaced or removed. */
     size_t locRibChanges = 0;
-    size_t fibChanges = 0;
-    size_t advertisedPrefixes = 0;
 };
 
 /** Aggregate lifetime counters of a speaker. */
@@ -467,7 +463,7 @@ class BgpSpeaker
      * the fan-out O(1) column writes.
      */
     void updateAdjOut(Peer &peer, const net::Prefix &prefix, Slot slot,
-                      const Candidate *best, UpdateStats &stats);
+                      const Candidate *best);
 
     /** Flush all pending per-peer builders into UPDATE messages. */
     void flushPending(TimeNs now);

@@ -67,8 +67,7 @@ inline constexpr const char *topoStealCount = "topo.steal_count";
 
 /** Route-map evaluations against a non-empty policy (speakers). */
 inline constexpr const char *bgpPolicyEvals = "bgp.policy_evals";
-/** Routes rejected by import/export policy (the authoritative
- *  counter; UpdateStats::rejectedByPolicy is the per-UPDATE view). */
+/** Routes rejected by import/export policy (speakers). */
 inline constexpr const char *bgpPolicyRejects = "bgp.policy_rejects";
 /** Loc-RIB installs that produced a multipath (ECMP) group. */
 inline constexpr const char *bgpEcmpGroups = "bgp.ecmp_groups";

@@ -67,7 +67,7 @@ struct Partition
     /**
      * Per shard: the smallest latency over cut links with an
      * endpoint in that shard (simTimeNever when the shard touches no
-     * cut link). Feeds the adaptive engine's causality bound: no
+     * cut link). Feeds the window loop's causality bound: no
      * message shard s emits can arrive anywhere earlier than its own
      * next event time plus this latency.
      */

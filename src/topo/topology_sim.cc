@@ -109,22 +109,18 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
         // all: every window would be empty. Degrade loudly, not
         // silently wrong.
         std::cerr << "warning: a cross-shard link has zero latency, "
-                     "leaving no conservative lookahead; running "
-                     "sequentially\n";
+                     "leaving no conservative lookahead; running on "
+                     "one shard\n";
         partition_ = partitionTopology(topo_, 1);
     }
     if (partition_.nodeSkew > 0.25) {
         stats::printImbalanceWarning(std::cerr, partition_.shardCount,
                                      partition_.nodeSkew);
     }
-    lookaheadNs_ = partition_.minCutLatencyNs;
     // The shard count follows jobs alone, so a run partitions the
     // same way on every host; workers beyond the hardware threads
     // would only wait on the barrier.
     workers_ = std::min({jobs, partition_.shardCount, hardware});
-    controller_ = WindowController(
-        partition_.shardCount > 1 ? lookaheadNs_ : 0,
-        partition_.cutLinks);
 
     shards_.reserve(partition_.shardCount);
     for (size_t s = 0; s < partition_.shardCount; ++s) {
@@ -606,34 +602,7 @@ TopologySim::scheduleRouterRestart(size_t node, sim::SimTime at,
     }
 }
 
-bool
-TopologySim::runSequential(sim::SimTime limit)
-{
-    Shard &shard = *shards_[0];
-    auto begin = std::chrono::steady_clock::now();
-    sim::SimTime windowBegin = shard.sim.now();
-    bool converged;
-    while (true) {
-        sim::SimTime next = shard.sim.nextEventTime();
-        if (next == sim::simTimeNever) {
-            converged = true;
-            break;
-        }
-        if (next > limit) {
-            converged = false;
-            break;
-        }
-        shard.sim.step();
-    }
-    shard.hostBusyNs += hostNanosSince(begin);
-    // One drain == one window in the sequential engine, so traces of
-    // jobs = 1 runs carry the same engine lane the parallel ones do.
-    shard.tracer.complete("window", "engine", obs::kTrackEngine, 0,
-                          windowBegin, shard.sim.now());
-    return converged;
-}
-
-size_t
+void
 TopologySim::mergeInbound(size_t dst)
 {
     // Gather the destination's inbound batches into one scratch
@@ -659,7 +628,7 @@ TopologySim::mergeInbound(size_t dst)
         batch.clear();
     }
     if (inboxScratch_.empty())
-        return 0;
+        return;
     mergeBounds_.push_back(inboxScratch_.size());
 
     // Pairwise merge the sorted runs in place until one remains.
@@ -685,26 +654,18 @@ TopologySim::mergeInbound(size_t dst)
     // order. (time, key) is a total order over cross messages — keys
     // are unique — so the queue contents are independent of both the
     // source visit order and the merge shape.
-    size_t count = inboxScratch_.size();
     Shard &shard = *shards_[dst];
-    shard.sim.reserve(count);
+    shard.sim.reserve(inboxScratch_.size());
     for (CrossMessage &msg : inboxScratch_)
         scheduleArrival(shard, std::move(msg));
     inboxScratch_.clear();
-    return count;
 }
 
 void
 TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
 {
-    size_t crossed = 0;
     for (size_t d = 0; d < shards_.size(); ++d)
-        crossed += mergeInbound(d);
-    // Feed the controller the just-finished window's cross-shard
-    // traffic: a burst shrinks the next target, silence grows it.
-    // Virtual-time-observable input only, so the target sequence —
-    // and with it every window — replays identically.
-    controller_.observe(crossed);
+        mergeInbound(d);
 
     sim::SimTime next = sim::simTimeNever;
     for (const auto &shard : shards_)
@@ -720,21 +681,13 @@ TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
         return;
     }
 
-    // Open [next, end): no message transmitted inside the window can
-    // arrive before its end. The controller's target stretches the
-    // window up to the causality bound: the earliest instant any busy
-    // shard could make a message arrive anywhere, i.e. its next event
-    // time plus the smallest cut-link latency it touches. Both bounds
-    // are >= next + lookaheadNs_, so no window is shorter than the
-    // smallest cut latency.
-    sim::SimTime target = controller_.targetNs();
-    sim::SimTime end;
-    if (target == sim::simTimeNever ||
-        next > sim::simTimeNever - target) {
-        end = sim::simTimeNever;
-    } else {
-        end = next + target;
-    }
+    // Open [next, end) with end at the causality bound: the earliest
+    // instant any busy shard could make a message arrive in another
+    // shard, i.e. its next event time plus the smallest cut-link
+    // latency it touches. No message transmitted inside the window
+    // can arrive before its end, and no window is shorter than the
+    // smallest cut latency. A shard with no cut link bounds nothing,
+    // so a one-shard run's single window reaches the limit.
     sim::SimTime bound = sim::simTimeNever;
     for (const auto &shard : shards_) {
         sim::SimTime shard_next = shard->sim.nextEventTime();
@@ -745,18 +698,20 @@ TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
             continue;
         bound = std::min(bound, shard_next + cut);
     }
-    end = std::min(end, bound);
+    sim::SimTime end = bound;
     if (limit != sim::simTimeNever)
         end = std::min(end, limit + 1);
     windowEnd_ = end;
     ++windows_;
-    if (end != sim::simTimeNever)
-        windowLenSumNs_ += end - next;
+    // Only a causality-bounded window has a length: the limit alone
+    // bounds an unbounded one, which says nothing about the sync.
+    sim::SimTime length = bound == sim::simTimeNever ? 0 : end - next;
+    windowLenSumNs_ += length;
     // The engine lane gets one span per window above the per-shard
     // lanes; virtual timestamps keep the trace deterministic.
     engineTracer_.complete("sync_window", "engine", obs::kTrackEngine,
                            uint32_t(shards_.size()), next,
-                           end == sim::simTimeNever ? next : end);
+                           next + length);
 
     // Refill the work deques with the shards that have work this
     // window, round-robin across workers. The deques are empty here
@@ -803,7 +758,7 @@ TopologySim::runShardWindow(Shard &shard,
 }
 
 bool
-TopologySim::runParallel(sim::SimTime limit)
+TopologySim::runWindows(sim::SimTime limit)
 {
     runDone_ = false;
     runConverged_ = false;
@@ -830,27 +785,25 @@ TopologySim::runParallel(sim::SimTime limit)
     std::barrier barrier(std::ptrdiff_t(workers_),
                          std::move(completion));
 
-    std::vector<std::thread> workers;
-    workers.reserve(workers_);
-    for (size_t w = 0; w < workers_; ++w) {
-        workers.emplace_back([this, w, &barrier, &failed]() {
-            while (!runDone_) {
-                uint32_t task = 0;
-                while (nextTask(w, task))
-                    runShardWindow(*shards_[task], failed);
-                if (config_.obs) {
-                    auto waitBegin = std::chrono::steady_clock::now();
-                    barrier.arrive_and_wait();
-                    workerBarrierWaitNs_[w] +=
-                        hostNanosSince(waitBegin);
-                } else {
-                    barrier.arrive_and_wait();
-                }
-            }
-        });
-    }
-    for (std::thread &worker : workers)
-        worker.join();
+    auto work = [this, &barrier, &failed](size_t w) {
+        while (!runDone_) {
+            uint32_t task = 0;
+            while (nextTask(w, task))
+                runShardWindow(*shards_[task], failed);
+            auto waitBegin = std::chrono::steady_clock::now();
+            barrier.arrive_and_wait();
+            workerBarrierWaitNs_[w] += hostNanosSince(waitBegin);
+        }
+    };
+    // The calling thread is worker 0, so a one-worker run starts no
+    // thread at all.
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers_ - 1);
+    for (size_t w = 1; w < workers_; ++w)
+        helpers.emplace_back(work, w);
+    work(0);
+    for (std::thread &helper : helpers)
+        helper.join();
 
     for (auto &entry : shards_) {
         if (entry->error) {
@@ -881,8 +834,7 @@ TopologySim::absorbShardTrackers()
 bool
 TopologySim::runToConvergence(sim::SimTime limit)
 {
-    bool converged = shards_.size() == 1 ? runSequential(limit)
-                                         : runParallel(limit);
+    bool converged = runWindows(limit);
     absorbShardTrackers();
     return converged;
 }
@@ -962,9 +914,8 @@ TopologySim::publishParallelMetrics(
     registry.gauge(obs::metric::parallelNodeSkew)
         .set(partition_.nodeSkew);
     registry.gauge(obs::metric::parallelLookaheadNs)
-        .set((shards_.size() > 1 &&
-              lookaheadNs_ != sim::simTimeNever)
-                 ? double(lookaheadNs_)
+        .set(partition_.minCutLatencyNs != sim::simTimeNever
+                 ? double(partition_.minCutLatencyNs)
                  : 0.0);
     registry.counter(obs::metric::parallelWindows).add(windows_);
     // Sync-layer counters. Window length is virtual time and fully
@@ -974,8 +925,10 @@ TopologySim::publishParallelMetrics(
     registry.counter(obs::metric::topoWindowLenNs)
         .add(windowLenSumNs_);
     uint64_t barrier_wait = 0;
-    for (uint64_t ns : workerBarrierWaitNs_)
-        barrier_wait += ns;
+    if (config_.obs) {
+        for (uint64_t ns : workerBarrierWaitNs_)
+            barrier_wait += ns;
+    }
     registry.counter(obs::metric::topoBarrierWaitNs).add(barrier_wait);
     registry.counter(obs::metric::topoStealCount)
         .add(stealCount_.load(std::memory_order_relaxed));

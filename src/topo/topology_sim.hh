@@ -1,8 +1,8 @@
 /**
  * @file
  * TopologySim: N full BgpSpeaker instances wired into a Topology on
- * top of the deterministic discrete-event simulator, with an optional
- * parallel sharded execution mode.
+ * top of the deterministic discrete-event simulator, stepped as
+ * shards in conservative windows.
  *
  * Each node owns a real BgpSpeaker; its SpeakerEvents::onTransmit is
  * bridged into simulated link delivery: a transmitted wire segment
@@ -22,26 +22,25 @@
  * counter; segments in flight across a down or reset are dropped,
  * exactly as a TCP connection teardown loses unacknowledged data.
  *
- * ## Parallel execution (config.jobs)
+ * ## Execution (config.jobs)
  *
- * With jobs > 1 the topology's routers are partitioned into shards
- * (greedy BFS portfolio, see partition.hh) and a pool of worker
- * threads drains the shards' own event queues in conservative
- * lookahead windows: every shard drains the events below the window
- * end, chosen so that no message sent inside the window can be due
- * before it ends. At the window barrier the shards' outbound batch
- * buffers are exchanged and the next window is derived from the
- * globally earliest pending event. Three throughput mechanisms sit
- * on top of that conservative core:
+ * The topology's routers are partitioned into shards (greedy BFS
+ * portfolio, see partition.hh; one shard at jobs = 1) and every run,
+ * at every jobs value, drains the shards' own event queues in the
+ * same loop of conservative windows. A window ends at the causality
+ * bound: the minimum over busy shards s of (next event of s +
+ * smallest cut-link latency incident to s), clamped to the run's
+ * limit. No message transmitted inside the window can reach another
+ * shard before that bound, and both of its inputs are virtual-time
+ * quantities, so the window sequence replays identically run to run.
+ * A one-shard run has no cut link to bound its window, so it drains
+ * everything up to the limit in one window. At the window barrier
+ * the shards' outbound batch buffers are exchanged and the next
+ * window is derived from the globally earliest pending event. The
+ * calling thread is worker 0 and jobs - 1 threads join it (none at
+ * jobs = 1). Two throughput mechanisms sit on top of that
+ * conservative core:
  *
- *  - Adaptive lookahead. A WindowController grows the window toward
- *    a cap while cross-shard traffic is quiet and shrinks it back
- *    toward the fixed floor under bursts; every window is clamped to
- *    the causality bound min over busy shards s of
- *    (next event of s + smallest cut-link latency incident to s),
- *    which no cross-shard arrival can undercut. Both inputs are
- *    virtual-time quantities, so the window sequence replays
- *    identically run to run.
  *  - Batched cross-shard delivery. Transmits append to per-cut-link
  *    elastic batch buffers (one per direction, owned by the source
  *    shard; capacity retained across windows) instead of a flat
@@ -59,7 +58,7 @@
  *
  * Determinism is the cardinal constraint: for a fixed topology and
  * schedule, runs at ANY shard count produce reports byte-identical
- * to the sequential engine (jobs = 1). Three mechanisms enforce it:
+ * to the one-shard run (jobs = 1). Three mechanisms enforce it:
  *
  *  1. Total message order. Every message event (arrival, delivery)
  *     carries the explicit queue ordering key
@@ -92,7 +91,6 @@
 #include "topo/convergence.hh"
 #include "topo/partition.hh"
 #include "topo/steal_deque.hh"
-#include "topo/sync_window.hh"
 #include "topo/topology.hh"
 
 namespace bgpbench::topo
@@ -102,10 +100,11 @@ namespace bgpbench::topo
 struct TopologySimConfig
 {
     /**
-     * Worker threads: 1 (default) runs the sequential engine, N > 1
-     * runs a worker pool over the sharded engine, 0 resolves to the
-     * hardware concurrency. N sets the shard count; the pool never
-     * starts more threads than the hardware has. Reports are
+     * Worker threads: 1 (default) runs one shard on the calling
+     * thread, N > 1 shards the topology for the calling thread plus
+     * N - 1 more, 0 resolves to the hardware concurrency. Every value
+     * runs the same window loop. N sets the shard count; the pool
+     * never starts more threads than the hardware has. Reports are
      * byte-identical for every value.
      */
     size_t jobs = 1;
@@ -163,13 +162,6 @@ class TopologySim
     TopologySim &operator=(const TopologySim &) = delete;
 
     const Topology &topology() const { return topo_; }
-    /**
-     * Shard 0's simulator. With jobs = 1 this is THE simulator;
-     * parallel runs keep one per shard, so cross-run code should use
-     * now() / pendingEvents() instead.
-     */
-    sim::Simulator &simulator() { return shards_[0]->sim; }
-    const sim::Simulator &simulator() const { return shards_[0]->sim; }
     /** Latest simulated time reached by any shard. */
     sim::SimTime now() const;
     /** Events waiting across all shards. */
@@ -183,11 +175,6 @@ class TopologySim
     size_t jobs() const { return workers_; }
     /** The node partition driving the sharded execution. */
     const Partition &partition() const { return partition_; }
-    /** The adaptive lookahead window policy in effect. */
-    const WindowController &windowController() const
-    {
-        return controller_;
-    }
     bgp::BgpSpeaker &speaker(size_t node);
     const bgp::BgpSpeaker &speaker(size_t node) const;
     ConvergenceTracker &tracker() { return tracker_; }
@@ -408,18 +395,19 @@ class TopologySim
     void deliver(size_t link, uint64_t epoch, size_t dst,
                  const net::WireSegmentPtr &wire);
 
-    /** Sequential engine: drain shard 0 up to @p limit. */
-    bool runSequential(sim::SimTime limit);
-    /** Parallel engine: windowed barrier stepping on a worker pool. */
-    bool runParallel(sim::SimTime limit);
+    /**
+     * The window loop: barrier-stepped windows up to @p limit on the
+     * calling thread (worker 0) plus workers_ - 1 threads.
+     */
+    bool runWindows(sim::SimTime limit);
     /**
      * Drain all batch buffers, pick the next window, and refill the
      * work-stealing deques (barrier completion step — runs
      * exclusively).
      */
     void exchangeAndOpenWindow(sim::SimTime limit);
-    /** Drain one destination's inbound batches; merged count. */
-    size_t mergeInbound(size_t dst);
+    /** Drain one destination's inbound batches into its queue. */
+    void mergeInbound(size_t dst);
     /** Pop worker @p worker's next shard task (own deque or steal). */
     bool nextTask(size_t worker, uint32_t &task);
     /** Drain @p shard below windowEnd_ on the calling worker. */
@@ -431,14 +419,8 @@ class TopologySim
     Topology topo_;
     TopologySimConfig config_;
     Partition partition_;
-    /**
-     * Conservative fixed window span: the smallest cross-shard link
-     * latency. simTimeNever when nothing is cut (single shard).
-     */
-    sim::SimTime lookaheadNs_ = sim::simTimeNever;
-    /** Worker threads of the parallel engine (1 = sequential). */
+    /** Worker threads of the window loop, the calling one included. */
     size_t workers_ = 1;
-    WindowController controller_{0, 0};
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<NodeEvents>> events_;
     std::vector<std::unique_ptr<bgp::BgpSpeaker>> speakers_;
@@ -462,7 +444,7 @@ class TopologySim
     /** Shard tasks taken from another worker's deque (diagnostic). */
     std::atomic<uint64_t> stealCount_{0};
     /** Host ns each worker spent blocked on the barrier (diagnostic,
-     *  recorded only when obs sinks are attached). */
+     *  published only when obs sinks are attached). */
     std::vector<uint64_t> workerBarrierWaitNs_;
     /** Scratch for merging one destination's inbound batches. */
     std::vector<CrossMessage> inboxScratch_;

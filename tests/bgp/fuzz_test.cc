@@ -285,15 +285,12 @@ TEST(Fuzz, SpeakerSurvivesHostilePeerBytes)
             speaker.receiveBytes(0, randomBytes(rng, 128), 0);
 
         // The session is gone, answered by exactly one NOTIFICATION
-        // however many junk chunks followed, or, when the junk's
-        // first framed length exceeds what arrived, still waiting
-        // for an OPEN with nothing sent.
+        // however many junk chunks followed. The junk's first header
+        // fails on its marker as soon as it is buffered, whatever
+        // framed length it claims.
         auto state = speaker.sessionState(0);
-        EXPECT_TRUE(state == SessionState::Idle ||
-                    state == SessionState::OpenSent)
-            << toString(state);
-        EXPECT_EQ(sink.notifications,
-                  state == SessionState::Idle ? 1u : 0u)
-            << "trial " << trial;
+        EXPECT_EQ(state, SessionState::Idle)
+            << "trial " << trial << ": " << toString(state);
+        EXPECT_EQ(sink.notifications, 1u) << "trial " << trial;
     }
 }

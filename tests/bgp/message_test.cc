@@ -293,6 +293,31 @@ TEST(StreamDecoder, BadFramingIsSticky)
     EXPECT_FALSE(decoder.next(error).has_value());
 }
 
+TEST(StreamDecoder, BadMarkerFailsAsSoonAsTheHeaderArrives)
+{
+    // A header with a bad marker claiming a 4096-byte frame: the
+    // decoder must not wait for the other 4077 bytes, on the staging
+    // path or on the zero-copy segment path.
+    std::vector<uint8_t> header(proto::headerBytes, 0xff);
+    header[5] = 0x7f;
+    header[16] = 0x10; // framed length 4096
+    header[17] = 0x00;
+    header[18] = uint8_t(MessageType::Update);
+
+    StreamDecoder staged;
+    staged.feed(std::span<const uint8_t>(header));
+    StreamDecoder borrowed;
+    borrowed.feed(net::BufferPool::global().wrap(header));
+    for (StreamDecoder *decoder : {&staged, &borrowed}) {
+        DecodeError error;
+        EXPECT_FALSE(decoder->next(error).has_value());
+        EXPECT_EQ(error.code, ErrorCode::MessageHeaderError);
+        EXPECT_EQ(error.subcode,
+                  uint8_t(HeaderSubcode::ConnectionNotSynchronized));
+        EXPECT_TRUE(decoder->failed());
+    }
+}
+
 TEST(StreamDecoder, PartialMessageNeedsMoreBytes)
 {
     auto wire = encodeMessage(KeepaliveMessage{});

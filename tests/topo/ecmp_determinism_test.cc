@@ -36,13 +36,24 @@ smallClos()
 }
 
 /**
- * The fabric's ToR node indices (spines first, then per pod aggs
- * before tors). Prefixes originate at ToRs, as in a real datacenter —
- * a spine- or agg-originated prefix can never reach the other members
- * of its shared AS (their own AS in the path loop-rejects it), so
- * only ToR routes are network-wide reachable.
+ * The fabric's ToR node indices: the nodes whose AS no other node
+ * shares, where the default topology workload originates too.
+ * Prefixes originate at ToRs, as in a real datacenter — a spine- or
+ * agg-originated prefix can never reach the other members of its
+ * shared AS (their own AS in the path loop-rejects it), so only ToR
+ * routes are network-wide reachable.
  */
-const std::vector<size_t> kTors = {4, 5, 8, 9};
+std::vector<size_t>
+tors()
+{
+    topo::Topology clos = smallClos();
+    std::vector<size_t> out;
+    for (size_t node = 0; node < clos.nodeCount(); ++node) {
+        if (clos.soleNodeOfAs(node))
+            out.push_back(node);
+    }
+    return out;
+}
 
 std::string
 allRenderings(const topo::ConvergenceReport &report)
@@ -66,7 +77,7 @@ runClos(size_t jobs, size_t max_paths, bool faults)
     config.jobs = jobs;
     config.maxPaths = max_paths;
     topo::TopologySim sim(smallClos(), config);
-    for (size_t tor : kTors)
+    for (size_t tor : tors())
         sim.originate(tor, topo::scenarioPrefix(tor, 0), 0);
     if (faults) {
         // Link 0 is a tor->agg uplink; losing and regaining it
@@ -117,7 +128,7 @@ TEST(EcmpDeterminism, MaxPathsOneMatchesDefaultEngine)
     // alone, so there is nothing else to install.
     topo::TopologySimConfig defaults;
     topo::TopologySim sim(smallClos(), defaults);
-    for (size_t tor : kTors)
+    for (size_t tor : tors())
         sim.originate(tor, topo::scenarioPrefix(tor, 0), 0);
     ASSERT_TRUE(sim.runToConvergence(sim::nsFromSec(600.0)));
     topo::ConvergenceReport report = sim.report("ecmp", "clos");
@@ -131,7 +142,7 @@ TEST(EcmpDeterminism, MultipathGroupsFormOnTheFabric)
         topo::TopologySimConfig config;
         config.maxPaths = max_paths;
         topo::TopologySim sim(smallClos(), config);
-        for (size_t tor : kTors)
+        for (size_t tor : tors())
             sim.originate(tor, topo::scenarioPrefix(tor, 0), 0);
         EXPECT_TRUE(sim.runToConvergence(sim::nsFromSec(600.0)));
         size_t groups = 0;
@@ -156,7 +167,7 @@ TEST(EcmpDeterminism, MultipathMembersAreRealAlternatives)
     topo::TopologySimConfig config;
     config.maxPaths = 4;
     topo::TopologySim sim(smallClos(), config);
-    for (size_t tor : kTors)
+    for (size_t tor : tors())
         sim.originate(tor, topo::scenarioPrefix(tor, 0), 0);
     ASSERT_TRUE(sim.runToConvergence(sim::nsFromSec(600.0)));
     ASSERT_TRUE(sim.locRibsConsistent());

@@ -25,8 +25,7 @@ struct DemoRun
         : net(topo::demo::fourAsPolicyTopology()), sim(net.topology)
     {
         sim.runToConvergence(kLimit);
-        topo::demo::originateDemoRoutes(sim, net,
-                                        sim.simulator().now());
+        topo::demo::originateDemoRoutes(sim, net, sim.now());
         sim.runToConvergence(kLimit);
     }
 
@@ -83,9 +82,8 @@ TEST(NetworkExample, FailoverToBackupIsp)
     DemoRun run;
     const FourAsNetwork &net = run.net;
 
-    run.sim.tracker().markPhaseStart(run.sim.simulator().now());
-    run.sim.scheduleLinkDown(net.customerIspALink,
-                             run.sim.simulator().now());
+    run.sim.tracker().markPhaseStart(run.sim.now());
+    run.sim.scheduleLinkDown(net.customerIspALink, run.sim.now());
     ASSERT_TRUE(run.sim.runToConvergence(kLimit));
     EXPECT_GT(run.sim.tracker().convergenceTimeSec(), 0.0);
 
@@ -107,8 +105,7 @@ TEST(NetworkExample, MartianNeverLeaksToBackbone)
 
     // Even after the failover reshuffles every path, the martian
     // filter must hold.
-    run.sim.scheduleLinkDown(net.customerIspALink,
-                             run.sim.simulator().now());
+    run.sim.scheduleLinkDown(net.customerIspALink, run.sim.now());
     ASSERT_TRUE(run.sim.runToConvergence(kLimit));
     EXPECT_EQ(run.sim.speaker(net.backbone)
                   .locRib()

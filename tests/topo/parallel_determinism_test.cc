@@ -205,8 +205,6 @@ TEST(ParallelDeterminism, EngineResolvesRequestedShards)
     EXPECT_EQ(sim.jobs(), workers);
     EXPECT_EQ(sim.partition().shardCount, 8u);
     EXPECT_EQ(sim.partition().shardCount, topo::shardTarget(16, 4));
-    EXPECT_GE(sim.windowController().capNs(),
-              sim.windowController().floorNs());
 
     for (size_t node = 0; node < 16; ++node)
         sim.originate(node, topo::scenarioPrefix(node, 0), 0);
@@ -235,10 +233,10 @@ TEST(ParallelDeterminism, EngineResolvesRequestedShards)
 TEST(ParallelDeterminism, AdaptiveSyncMatrixIsByteIdentical)
 {
     // The full matrix: jobs 1/2/4/8 with faults landing mid-window,
-    // all byte-identical to the sequential baseline. This is the
-    // acceptance bar of the adaptive engine: the window policy, the
-    // batch merge, and the stealing may change the execution
-    // schedule, never a report byte.
+    // all byte-identical to the one-shard baseline. This is the
+    // acceptance bar of the window loop: the causality-bounded
+    // windows, the batch merge, and the stealing may change the
+    // execution schedule, never a report byte.
     auto run = [](size_t jobs) {
         return allRenderings(midFlightFaultsReport(jobs, "adaptive-matrix"));
     };

@@ -54,7 +54,7 @@ TEST(TopologySim, EbgpLinePropagation)
               bgp::SessionState::Established);
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     const auto *at_b = ribEntry(sim, 1, prefix);
@@ -88,7 +88,7 @@ TEST(TopologySim, IbgpPreservesPathAndNextHop)
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     const auto *at_c = ribEntry(sim, 2, prefix);
@@ -104,11 +104,11 @@ TEST(TopologySim, WithdrawPropagates)
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     ASSERT_NE(ribEntry(sim, 2, prefix), nullptr);
 
-    sim.withdrawLocal(0, prefix, sim.simulator().now());
+    sim.withdrawLocal(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     EXPECT_EQ(ribEntry(sim, 2, prefix), nullptr);
     EXPECT_TRUE(sim.originated().empty());
@@ -121,11 +121,11 @@ TEST(TopologySim, LinkDownFlushesAndLinkUpRelearns)
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     // Cutting r1--r2 must withdraw the route from r2.
-    sim.scheduleLinkDown(1, sim.simulator().now());
+    sim.scheduleLinkDown(1, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     EXPECT_FALSE(sim.linkUp(1));
     EXPECT_EQ(ribEntry(sim, 2, prefix), nullptr);
@@ -134,7 +134,7 @@ TEST(TopologySim, LinkDownFlushesAndLinkUpRelearns)
 
     // Restoring the link re-establishes the session and the route
     // comes back with the full-table exchange.
-    sim.scheduleLinkUp(1, sim.simulator().now());
+    sim.scheduleLinkUp(1, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     EXPECT_TRUE(sim.linkUp(1));
     ASSERT_NE(ribEntry(sim, 2, prefix), nullptr);
@@ -150,10 +150,10 @@ TEST(TopologySim, SessionResetReconverges)
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
-    sim.scheduleSessionReset(1, sim.simulator().now());
+    sim.scheduleSessionReset(1, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     EXPECT_EQ(sim.speaker(2).sessionState(1),
               bgp::SessionState::Established);
@@ -168,11 +168,10 @@ TEST(TopologySim, RouterRestartRelearnsRoutes)
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
     net::Prefix prefix = net::Prefix::fromString("192.0.2.0/24");
-    sim.originate(0, prefix, sim.simulator().now());
+    sim.originate(0, prefix, sim.now());
     ASSERT_TRUE(sim.runToConvergence(kLimit));
 
-    sim.scheduleRouterRestart(1, sim.simulator().now(),
-                              sim::nsFromMs(50));
+    sim.scheduleRouterRestart(1, sim.now(), sim::nsFromMs(50));
     ASSERT_TRUE(sim.runToConvergence(kLimit));
     EXPECT_EQ(sim.speaker(1).sessionState(0),
               bgp::SessionState::Established);
@@ -192,13 +191,13 @@ TEST(TopologySim, ProcessingCostSlowsConvergence)
         topo::Topology topo = topo::Topology::line(5, opts);
         topo::TopologySim sim(topo);
         sim.runToConvergence(kLimit);
-        sim.tracker().markPhaseStart(sim.simulator().now());
+        sim.tracker().markPhaseStart(sim.now());
         for (size_t i = 0; i < 5; ++i) {
             sim.originate(
                 i,
                 net::Prefix(net::Ipv4Address(100, 0, uint8_t(i), 0),
                             24),
-                sim.simulator().now());
+                sim.now());
         }
         sim.runToConvergence(kLimit);
         return sim.tracker().convergenceTimeSec();
