@@ -7,8 +7,8 @@
  * rta cache). The AttributeInterner canonicalises every PathAttributes
  * built through makeAttributes() to a single shared instance keyed by
  * its content hash, so attribute equality anywhere downstream — the
- * three RIBs, outbound update grouping, export memoisation — becomes a
- * pointer comparison instead of a deep structural compare.
+ * RIBs, export no-op checks, update grouping, export memoisation —
+ * becomes a pointer comparison instead of a deep structural compare.
  *
  * The interner holds only weak references: an attribute set whose last
  * route dies is freed normally and its table slot is reclaimed lazily

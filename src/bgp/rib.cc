@@ -97,38 +97,4 @@ LocRib::find(const net::Prefix &prefix) const
     return store_.find(prefix);
 }
 
-bool
-AdjRibOut::assign(detail::RibStore<PathAttributesPtr>::Obtained obtained,
-                  PathAttributesPtr attrs)
-{
-    if (!obtained.inserted && sameAttributeValue(*obtained.entry, attrs))
-        return false;
-    *obtained.entry = std::move(attrs);
-    return true;
-}
-
-bool
-AdjRibOut::advertise(const net::Prefix &prefix, PathAttributesPtr attrs)
-{
-    return assign(store_.obtain(prefix), std::move(attrs));
-}
-
-bool
-AdjRibOut::advertiseAt(Slot slot, PathAttributesPtr attrs)
-{
-    return assign(store_.obtainAt(slot), std::move(attrs));
-}
-
-bool
-AdjRibOut::withdraw(const net::Prefix &prefix)
-{
-    return store_.erase(prefix) != SharedPrefixTable::npos;
-}
-
-const PathAttributesPtr *
-AdjRibOut::find(const net::Prefix &prefix) const
-{
-    return store_.find(prefix);
-}
-
 } // namespace bgpbench::bgp

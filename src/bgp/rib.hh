@@ -1,12 +1,13 @@
 /**
  * @file
- * The three Routing Information Bases of RFC 4271 section 3.2:
- * Adj-RIB-In (per peer), Loc-RIB, and Adj-RIB-Out (per peer).
+ * The stored Routing Information Bases of RFC 4271 section 3.2:
+ * Adj-RIB-In (per peer) and Loc-RIB. Adj-RIB-Out is not stored: a
+ * peer holds export(peer, Loc-RIB best), which BgpSpeaker derives.
  *
  * Storage: the speaker owns one bgp::SharedPrefixTable holding every
  * live prefix exactly once; each RIB stores only a slot-indexed value
  * column (dense vector + presence bitset). N peers cost N columns over
- * one key set instead of 2N+1 copies of it, and the decision sweep
+ * one key set instead of N+1 copies of it, and the decision sweep
  * reads each peer's entry by direct slot indexing. Standalone RIBs
  * (tests, tools) own a private table.
  *
@@ -37,8 +38,8 @@ namespace detail
 {
 
 /**
- * The storage engine shared by the three RIB classes: a value column
- * over a SharedPrefixTable.
+ * The storage engine shared by the RIB classes: a value column over a
+ * SharedPrefixTable.
  *
  * Column entries hold one table reference per present slot
  * (resolve/addRef on set, release on erase/clear), so a prefix leaves
@@ -171,22 +172,9 @@ class RibStore
     void
     forEach(Fn &&fn) const
     {
-        forEachWithSlot([&](const net::Prefix &prefix, Slot,
-                            const Entry &entry) { fn(prefix, entry); });
-    }
-
-    /**
-     * Like forEach but also passes the shared-table slot:
-     * fn(prefix, slot, entry). The speaker's full-table walks use the
-     * slot for O(1) Adj-RIB-Out column writes.
-     */
-    template <typename Fn>
-    void
-    forEachWithSlot(Fn &&fn) const
-    {
         table_->forEach([&](const net::Prefix &prefix, Slot slot) {
             if (slot < present_.size() && present_[slot])
-                fn(prefix, slot, column_[slot]);
+                fn(prefix, column_[slot]);
         });
     }
 
@@ -400,15 +388,6 @@ class LocRib
         store_.forEach(std::forward<Fn>(fn));
     }
 
-    /** Ordered walk carrying the shared-table slot:
-     *  fn(prefix, slot, entry). */
-    template <typename Fn>
-    void
-    forEachWithSlot(Fn &&fn) const
-    {
-        store_.forEachWithSlot(std::forward<Fn>(fn));
-    }
-
   private:
     /** Store a selection in @p obtained's entry; report the change. */
     static SelectOutcome
@@ -417,70 +396,6 @@ class LocRib
            std::span<const size_t> group);
 
     detail::RibStore<Entry> store_;
-};
-
-/**
- * Adj-RIB-Out: what we have advertised to one peer. Storing it lets
- * the speaker suppress no-op announcements and generate correct
- * withdrawals (RFC 4271 section 9.2).
- */
-class AdjRibOut
-{
-  public:
-    using Slot = SharedPrefixTable::Slot;
-
-    AdjRibOut() = default;
-    /** Column over the speaker's shared table. */
-    explicit AdjRibOut(SharedPrefixTable &table) : store_(table) {}
-
-    /**
-     * Record an advertisement.
-     * @return True if this differs from what was previously advertised
-     *         (i.e., an UPDATE must actually be sent).
-     */
-    bool advertise(const net::Prefix &prefix, PathAttributesPtr attrs);
-
-    /**
-     * advertise() with a pre-resolved shared-table slot (the O(1)
-     * fan-out write). @p slot must be live: some column of the table
-     * holds its prefix.
-     */
-    bool advertiseAt(Slot slot, PathAttributesPtr attrs);
-
-    /**
-     * Record a withdrawal.
-     * @return True if the prefix had been advertised (i.e., a
-     *         withdrawal must actually be sent).
-     */
-    bool withdraw(const net::Prefix &prefix);
-
-    /** withdraw() by pre-resolved slot (npos-safe). */
-    bool withdrawAt(Slot slot) { return store_.eraseAt(slot); }
-
-    const PathAttributesPtr *find(const net::Prefix &prefix) const;
-
-    size_t size() const { return store_.size(); }
-    bool empty() const { return store_.empty(); }
-    void clear() { store_.clear(); }
-    void reserve(size_t n) { store_.reserve(n); }
-    size_t memoryBytes() const { return store_.memoryBytes(); }
-
-    /** Ordered walk; see AdjRibIn::forEach. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        store_.forEach(std::forward<Fn>(fn));
-    }
-
-  private:
-    /** Store @p attrs in @p obtained's entry unless it holds that
-     *  value already. */
-    static bool
-    assign(detail::RibStore<PathAttributesPtr>::Obtained obtained,
-           PathAttributesPtr attrs);
-
-    detail::RibStore<PathAttributesPtr> store_;
 };
 
 } // namespace bgpbench::bgp

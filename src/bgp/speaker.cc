@@ -131,10 +131,21 @@ BgpSpeaker::adjRibIn(PeerId peer) const
     return peerRef(peer).ribIn;
 }
 
-const AdjRibOut &
+BgpSpeaker::AdjRibOutView
 BgpSpeaker::adjRibOut(PeerId peer) const
 {
-    return peerRef(peer).ribOut;
+    const Peer &p = peerRef(peer);
+    return AdjRibOutView(*this, p.fsm.established() ? &p : nullptr);
+}
+
+PathAttributesPtr
+BgpSpeaker::AdjRibOutView::find(const net::Prefix &prefix) const
+{
+    const LocRib::Entry *entry = speaker_->locRib_.find(prefix);
+    if (!peer_ || !entry)
+        return nullptr;
+    return speaker_->exportTo(*peer_, prefix, entry->best,
+                              ExportUse::Derive);
 }
 
 void
@@ -378,9 +389,6 @@ BgpSpeaker::handleMessage(PeerId peer, const Message &msg, TimeNs now)
             processUpdate(p, *update, now);
         } else if (messageType(msg) == MessageType::RouteRefresh) {
             // RFC 2918: re-send our entire Adj-RIB-Out to the peer.
-            // Forgetting what was advertised makes every route
-            // "changed" so advertiseFullTable re-emits it all.
-            p.ribOut.clear();
             advertiseFullTable(p, now);
         }
     }
@@ -433,9 +441,8 @@ BgpSpeaker::requestWakeup(TimeNs at)
 void
 BgpSpeaker::readmitReusable(TimeNs now)
 {
-    UpdateStats stats;
     for (const auto &[peer, prefix] : damper_.takeReusable(now))
-        runDecision(prefix, prefixTable_->find(prefix), stats, now);
+        runDecision(prefix, prefixTable_->find(prefix), now);
 }
 
 void
@@ -474,16 +481,16 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
     // activity of one inbound UPDATE.
     OBS_SPAN(obs_.tracer, "update", "bgp", obs::kTrackRouters,
              obs_.track, [now] { return now; });
-    UpdateStats stats;
+    const uint64_t loc_rib_changes = counters_.locRibChanges;
 
     // Each prefix's slot in the shared table is resolved once, by its
     // Adj-RIB-In write (or withdraw), and threaded through the decision
-    // to the Loc-RIB and every Adj-RIB-Out.
+    // to the Loc-RIB.
     for (const auto &prefix : msg.withdrawnRoutes) {
         ++counters_.withdrawalsProcessed;
         damper_.onWithdraw(from.config.id, prefix, now);
         if (Slot slot = from.ribIn.withdraw(prefix); slot != noSlot)
-            runDecision(prefix, slot, stats, now);
+            runDecision(prefix, slot, now);
     }
 
     if (!msg.nlri.empty()) {
@@ -508,7 +515,7 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
             if (looped) {
                 if (Slot slot = from.ribIn.withdraw(prefix);
                     slot != noSlot)
-                    runDecision(prefix, slot, stats, now);
+                    runDecision(prefix, slot, now);
                 continue;
             }
 
@@ -532,7 +539,7 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
                 ++counters_.announcementsSuppressed;
 
             if (write.changed || suppressed)
-                runDecision(prefix, write.slot, stats, now);
+                runDecision(prefix, write.slot, now);
         }
     }
 
@@ -544,22 +551,23 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
         armDampingWakeup(now);
         syncDampingObs();
     }
+    UpdateStats stats;
+    stats.locRibChanges = size_t(counters_.locRibChanges - loc_rib_changes);
     events_->onUpdateProcessed(from.config.id, stats);
 }
 
 void
-BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
-                        UpdateStats &stats, TimeNs now)
+BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
 {
     ++counters_.decisionRuns;
     bump(obs_.decisionRuns);
 
     // Every RIB of this speaker is a column over the shared table, so
-    // with the prefix's slot in hand the per-peer reads, the Loc-RIB
-    // update and the Adj-RIB-Out fan-out below are O(1) column
-    // accesses, not tree walks. noSlot, or a slot the caller's
-    // withdraw just freed, reads as absent in every column: then
-    // there is no candidate and nothing to withdraw.
+    // with the prefix's slot in hand the per-peer reads and the
+    // Loc-RIB update below are O(1) column accesses, not tree walks.
+    // noSlot, or a slot the caller's withdraw just freed, reads as
+    // absent in every column: then there is no candidate and nothing
+    // to withdraw.
 
     // Collect candidates: every established peer's import-accepted
     // route plus any locally originated route.
@@ -587,18 +595,26 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
 
     selectMultipath(candidates, config_.decision, group_);
 
+    // Every peer holds the export of the current best. Keep it, and
+    // the FIB's next-hop list, before the Loc-RIB write below, which
+    // may free the slot: no column is read after that write.
+    previousHops_.clear();
+    Candidate previous;
+    if (const auto *entry = locRib_.findAt(slot)) {
+        entry->nextHops(previousHops_);
+        previous = entry->best;
+    }
+
     if (group_.empty()) {
         if (locRib_.removeAt(slot)) {
             ++counters_.locRibChanges;
             ++counters_.fibChanges;
-            ++stats.locRibChanges;
             bump(obs_.locRibChanges);
             bump(obs_.fibChanges);
             ++ribVersion_;
             ribDirty_ = true;
             events_->onFibUpdate(FibUpdate{prefix, std::nullopt, {}});
-            for (Peer *peer : establishedPeers_)
-                updateAdjOut(*peer, prefix, slot, nullptr);
+            updateAdjOut(prefix, &previous, nullptr);
         }
     } else {
         // Install the group: the best path plus its multipath
@@ -607,13 +623,10 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
         // change on the same session) does not touch the FIB. Only
         // the best path is advertised to peers (standard BGP
         // semantics).
-        previousHops_.clear();
-        if (const auto *previous = locRib_.findAt(slot))
-            previous->nextHops(previousHops_);
+        const Candidate &best = candidates[group_.front()];
         auto outcome = locRib_.selectAt(slot, candidates, group_);
         if (outcome.groupChanged) {
             ++counters_.locRibChanges;
-            ++stats.locRibChanges;
             bump(obs_.locRibChanges);
             ++ribVersion_;
             ribDirty_ = true;
@@ -630,11 +643,9 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
                               {hops_.begin() + 1, hops_.end()}});
             }
         }
-        if (outcome.bestChanged) {
-            const Candidate &best = candidates[group_.front()];
-            for (Peer *peer : establishedPeers_)
-                updateAdjOut(*peer, prefix, slot, &best);
-        }
+        if (outcome.bestChanged)
+            updateAdjOut(prefix, previous.attributes ? &previous : nullptr,
+                         &best);
     }
 
     // Release the scratch's attribute references now, as a local
@@ -645,86 +656,83 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot,
 }
 
 void
-BgpSpeaker::updateAdjOut(Peer &peer, const net::Prefix &prefix,
-                         Slot slot, const Candidate *best)
+BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
+                         const Candidate *before, const Candidate *after)
 {
-    if (!peer.fsm.established())
-        return;
-
-    auto send_withdraw_if_advertised = [&]() {
-        if (peer.ribOut.withdrawAt(slot))
-            peer.pending.withdraw(prefix);
-    };
-
-    if (!best) {
-        send_withdraw_if_advertised();
-        return;
+    for (Peer *peer : establishedPeers_) {
+        PathAttributesPtr held =
+            before ? exportTo(*peer, prefix, *before, ExportUse::Derive)
+                   : nullptr;
+        PathAttributesPtr next =
+            after ? exportTo(*peer, prefix, *after, ExportUse::Send)
+                  : nullptr;
+        if (next) {
+            if (!sameAttributeValue(held, next))
+                peer->pending.announce(prefix, std::move(next));
+        } else if (held) {
+            peer->pending.withdraw(prefix);
+        }
     }
+}
 
+PathAttributesPtr
+BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
+                     const Candidate &best, ExportUse use) const
+{
     // Do not advertise a route back to the peer it was learned from.
-    if (best->peer == peer.config.id) {
-        send_withdraw_if_advertised();
-        return;
-    }
+    if (best.peer == peer.config.id)
+        return nullptr;
     // iBGP-learned routes are only re-advertised to iBGP peers under
     // the route-reflection rules of RFC 4456: routes from clients go
     // to everyone, routes from non-clients go to clients only.
     bool reflecting = false;
-    if (!best->externalSession && !peer.externalSession &&
-        best->peer != localPeerId) {
-        auto source = peers_.find(best->peer);
+    if (!best.externalSession && !peer.externalSession &&
+        best.peer != localPeerId) {
+        auto source = peers_.find(best.peer);
         bool source_client =
             source != peers_.end() &&
             source->second->config.routeReflectorClient;
-        bool target_client = peer.config.routeReflectorClient;
-        if (!source_client && !target_client) {
-            send_withdraw_if_advertised();
-            return;
-        }
+        if (!source_client && !peer.config.routeReflectorClient)
+            return nullptr;
         reflecting = true;
     }
 
     // The export route-map, if one is attached, runs first. What
-    // follows is the same whether or not a map ran.
+    // follows is the same whether or not a map ran. Only the export
+    // about to be sent counts as an evaluation.
+    const bool send = use == ExportUse::Send;
     PathAttributesPtr mapped;
     if (!peer.config.exportPolicy.empty()) {
-        bump(obs_.policyEvals);
-        mapped = peer.config.exportPolicy.apply(
-            prefix, best->attributes, config_.localAs);
+        if (send)
+            bump(obs_.policyEvals);
+        mapped = peer.config.exportPolicy.apply(prefix, best.attributes,
+                                                config_.localAs);
         if (!mapped) {
-            bump(obs_.policyRejects);
-            send_withdraw_if_advertised();
-            return;
+            if (send)
+                bump(obs_.policyRejects);
+            return nullptr;
         }
     }
-    const PathAttributesPtr &attrs = mapped ? mapped : best->attributes;
-
-    auto advertise = [&](const PathAttributesPtr &exported) {
-        if (peer.ribOut.advertiseAt(slot, exported))
-            peer.pending.announce(prefix, exported);
-    };
+    const PathAttributesPtr &attrs = mapped ? mapped : best.attributes;
 
     if (peer.externalSession) {
         // Sender-side loop avoidance: the peer would discard a path
         // containing its own AS (RFC 4271 9.1.2), so don't send one.
-        if (attrs->asPath.contains(peer.config.asn)) {
-            send_withdraw_if_advertised();
-            return;
-        }
-        advertise(ebgpExport(attrs));
-    } else if (reflecting) {
-        // RFC 4456 section 8: stamp the originator and prepend our
-        // cluster id; everything else is reflected unchanged.
-        PathAttributes out = *attrs;
-        if (!out.originatorId)
-            out.originatorId = best->peerRouterId;
-        out.clusterList.insert(
-            out.clusterList.begin(),
-            config_.clusterId ? config_.clusterId : config_.routerId);
-        advertise(makeAttributes(std::move(out)));
-    } else {
-        advertise(attrs);
+        if (attrs->asPath.contains(peer.config.asn))
+            return nullptr;
+        return ebgpExport(attrs, use);
     }
+    if (!reflecting)
+        return attrs;
+    // RFC 4456 section 8: stamp the originator and prepend our
+    // cluster id; everything else is reflected unchanged.
+    PathAttributes out = *attrs;
+    if (!out.originatorId)
+        out.originatorId = best.peerRouterId;
+    out.clusterList.insert(out.clusterList.begin(),
+                           config_.clusterId ? config_.clusterId
+                                             : config_.routerId);
+    return makeAttributes(std::move(out));
 }
 
 size_t
@@ -733,8 +741,7 @@ BgpSpeaker::ribMemoryBytes() const
     size_t bytes = prefixTable_->memoryBytes() + locRib_.memoryBytes() +
                    localRoutes_.memoryBytes();
     for (const auto &[id, peer] : peers_)
-        bytes += peer->ribIn.memoryBytes() +
-                 peer->ribOut.memoryBytes();
+        bytes += peer->ribIn.memoryBytes();
     return bytes;
 }
 
@@ -751,23 +758,27 @@ BgpSpeaker::reserveRoutes(size_t prefixes)
     // localRoutes_ is deliberately left alone: locally originated
     // routes number in the dozens, not at table scale.
     locRib_.reserve(prefixes);
-    for (auto &[id, peer] : peers_) {
+    for (auto &[id, peer] : peers_)
         peer->ribIn.reserve(prefixes);
-        peer->ribOut.reserve(prefixes);
-    }
 }
 
-const PathAttributesPtr &
-BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs)
+PathAttributesPtr
+BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, ExportUse use) const
 {
     // The memo is keyed on pointer identity, which stays hot across
     // messages, decision runs and peers because the interner
     // canonicalises attributes: a full-table load runs one transform
     // per distinct attribute set, not one per prefix and peer.
-    if (exportMemo_.size() >= exportMemoCap)
+    const bool send = use == ExportUse::Send;
+    // Every peer of a fan-out derives the same previous best.
+    if (!send && attrs == lastDerived_.first)
+        return lastDerived_.second;
+    if (send && exportMemo_.size() >= exportMemoCap)
         exportMemo_.clear();
-    auto [memo, missed] = exportMemo_.try_emplace(attrs);
-    if (missed) {
+    PathAttributesPtr exported;
+    if (auto memo = exportMemo_.find(attrs); memo != exportMemo_.end()) {
+        exported = memo->second;
+    } else {
         PathAttributes out = *attrs;
         out.asPath.prepend(config_.localAs);
         out.nextHop = config_.localAddress;
@@ -776,9 +787,13 @@ BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs)
         out.localPref.reset();
         out.originatorId.reset();
         out.clusterList.clear();
-        memo->second = makeAttributes(std::move(out));
+        exported = makeAttributes(std::move(out));
+        if (send)
+            exportMemo_.emplace(attrs, exported);
     }
-    return memo->second;
+    if (!send)
+        lastDerived_ = {attrs, exported};
+    return exported;
 }
 
 void
@@ -854,9 +869,11 @@ BgpSpeaker::advertiseFullTable(Peer &peer, TimeNs now)
 {
     OBS_SPAN(obs_.tracer, "full_table_export", "bgp",
              obs::kTrackRouters, obs_.track, [now] { return now; });
-    locRib_.forEachWithSlot([&](const net::Prefix &prefix, Slot slot,
-                                const LocRib::Entry &entry) {
-        updateAdjOut(peer, prefix, slot, &entry.best);
+    locRib_.forEach([&](const net::Prefix &prefix,
+                        const LocRib::Entry &entry) {
+        if (PathAttributesPtr attrs =
+                exportTo(peer, prefix, entry.best, ExportUse::Send))
+            peer.pending.announce(prefix, std::move(attrs));
     });
     flushPending(now);
 }
@@ -872,16 +889,14 @@ BgpSpeaker::invalidatePeerRoutes(Peer &peer, TimeNs now)
         prefixes.push_back(prefix);
     });
     peer.ribIn.clear();
-    peer.ribOut.clear();
     // MRAI may have left changes queued for this peer; they must not
     // leak into the next session (a fresh Established re-advertises
     // the full table from scratch, with the interval idle again).
     peer.pending = UpdateBuilder(config_.packing);
     peer.mraiReadyAt = 0;
 
-    UpdateStats stats;
     for (const auto &prefix : prefixes)
-        runDecision(prefix, prefixTable_->find(prefix), stats, now);
+        runDecision(prefix, prefixTable_->find(prefix), now);
     flushPending(now);
 }
 
@@ -891,18 +906,16 @@ BgpSpeaker::originate(const net::Prefix &prefix,
 {
     if (!attrs)
         fatal("originate() requires attributes");
-    UpdateStats stats;
     Slot slot = localRoutes_.update(prefix, attrs, attrs).slot;
-    runDecision(prefix, slot, stats, now);
+    runDecision(prefix, slot, now);
     flushPending(now);
 }
 
 void
 BgpSpeaker::withdrawLocal(const net::Prefix &prefix, TimeNs now)
 {
-    UpdateStats stats;
     if (Slot slot = localRoutes_.withdraw(prefix); slot != noSlot)
-        runDecision(prefix, slot, stats, now);
+        runDecision(prefix, slot, now);
     flushPending(now);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * BgpSpeaker: a complete BGP-4 speaker tying together sessions, the
- * three RIBs, the policy engine, the decision process, and outbound
- * update packing.
+ * RIBs, the policy engine, the decision process, and outbound update
+ * packing.
  *
  * The speaker is transport-agnostic and clock-explicit: the owner
  * delivers bytes (or decoded messages) with a timestamp and receives
@@ -318,13 +318,17 @@ class BgpSpeaker
     /** Withdraw a locally originated route. */
     void withdrawLocal(const net::Prefix &prefix, TimeNs now);
 
+    class AdjRibOutView;
+
     /** @name Introspection
      *  @{
      */
     SessionState sessionState(PeerId peer) const;
     const LocRib &locRib() const { return locRib_; }
     const AdjRibIn &adjRibIn(PeerId peer) const;
-    const AdjRibOut &adjRibOut(PeerId peer) const;
+    /** What @p peer holds from us (see AdjRibOutView); empty while
+     *  its session is not Established. */
+    AdjRibOutView adjRibOut(PeerId peer) const;
     const SpeakerCounters &counters() const { return counters_; }
     const SpeakerConfig &config() const { return config_; }
 
@@ -399,7 +403,6 @@ class BgpSpeaker
         SessionFsm fsm;
         StreamDecoder decoder;
         AdjRibIn ribIn;
-        AdjRibOut ribOut;
         UpdateBuilder pending;
         /**
          * Earliest time the next UPDATE may be sent to this peer
@@ -413,7 +416,7 @@ class BgpSpeaker
         Peer(PeerConfig cfg, SessionConfig session_cfg,
              PackingOptions packing, SharedPrefixTable &table)
             : config(std::move(cfg)), fsm(session_cfg), ribIn(table),
-              ribOut(table), pending(packing)
+              pending(packing)
         {}
     };
 
@@ -447,23 +450,36 @@ class BgpSpeaker
      * Re-run the decision process for @p prefix and propagate the
      * outcome. One path serves every maximum-paths: selectMultipath
      * fills group_, the Loc-RIB installs the group, the FIB hears of
-     * it when its next-hop list changes, and Adj-RIB-Out fans out
-     * when its best path changes. With maximum-paths 1 the group is
-     * the best path alone. @p slot is the prefix's shared-table slot
-     * as its last RIB write or withdraw resolved it (noSlot, or a
-     * slot that withdraw freed, when no RIB holds the prefix), so the
-     * decision walks no tree.
+     * it when its next-hop list changes, and the peers hear of it
+     * (updateAdjOut) when its best path changes. With maximum-paths 1
+     * the group is the best path alone. @p slot is the prefix's
+     * shared-table slot as its last RIB write or withdraw resolved it
+     * (noSlot, or a slot that withdraw freed, when no RIB holds the
+     * prefix), so the decision walks no tree.
      */
-    void runDecision(const net::Prefix &prefix, Slot slot,
-                     UpdateStats &stats, TimeNs now);
+    void runDecision(const net::Prefix &prefix, Slot slot, TimeNs now);
 
     /**
-     * Update a single peer's Adj-RIB-Out for the new best route.
-     * @p slot is the prefix's pre-resolved shared-table slot, giving
-     * the fan-out O(1) column writes.
+     * The best path of @p prefix went from @p before to @p after (null:
+     * no route). Each Established peer holds export(peer, before), so
+     * it is sent export(peer, after) when that differs in value, or a
+     * withdrawal when the route is no longer exported to it.
      */
-    void updateAdjOut(Peer &peer, const net::Prefix &prefix, Slot slot,
-                      const Candidate *best);
+    void updateAdjOut(const net::Prefix &prefix, const Candidate *before,
+                      const Candidate *after);
+
+    /** Send: an export about to be queued, which counts the route-map
+     *  evaluation and fills the eBGP memo. Derive: what a peer already
+     *  holds, which does neither. */
+    enum class ExportUse { Send, Derive };
+
+    /**
+     * export(peer, best): the attributes @p peer is told for @p prefix
+     * while @p best is its Loc-RIB best path, or null when the route
+     * is withheld. A function of its arguments and the configuration.
+     */
+    PathAttributesPtr exportTo(const Peer &peer, const net::Prefix &prefix,
+                               const Candidate &best, ExportUse use) const;
 
     /** Flush all pending per-peer builders into UPDATE messages. */
     void flushPending(TimeNs now);
@@ -501,11 +517,11 @@ class BgpSpeaker
     /**
      * The eBGP export of @p attrs: the local AS prepended, next-hop
      * self, LOCAL_PREF and the reflection attributes stripped. The
-     * result depends on nothing of the peer's, so it is memoised
-     * speaker-wide in exportMemo_. The reference stays valid until
-     * the next call.
+     * result depends on nothing of the peer's, so Send memoises it
+     * speaker-wide in exportMemo_; Derive only reads the memo.
      */
-    const PathAttributesPtr &ebgpExport(const PathAttributesPtr &attrs);
+    PathAttributesPtr ebgpExport(const PathAttributesPtr &attrs,
+                                 ExportUse use) const;
 
     /**
      * One encode-once cache entry: the UPDATE exactly as encoded plus
@@ -601,15 +617,19 @@ class BgpSpeaker
      * set can never alias a recycled address. Emptied wholesale at
      * exportMemoCap entries, which bounds how many dead attribute
      * sets long churn can keep alive; a full-feed load stays far
-     * below it.
+     * below it. Mutable: a cache of a pure function.
      */
-    std::unordered_map<PathAttributesPtr, PathAttributesPtr> exportMemo_;
+    mutable std::unordered_map<PathAttributesPtr, PathAttributesPtr>
+        exportMemo_;
     static constexpr size_t exportMemoCap = 65536;
+    /** ebgpExport()'s last Derive: input -> export. Holding the input
+     *  keeps its address from being reused by another set. */
+    mutable std::pair<PathAttributesPtr, PathAttributesPtr> lastDerived_;
     /**
      * Peers currently in Established state, sorted by peer id (the
      * iteration order of peers_). The per-prefix decision sweep and
-     * the Adj-RIB-Out fan-out walk this instead of the full peer map,
-     * so idle/configured-but-down peers cost nothing per prefix.
+     * the export fan-out walk this instead of the full peer map, so
+     * idle/configured-but-down peers cost nothing per prefix.
      */
     std::vector<Peer *> establishedPeers_;
     /** Locally originated routes (pseudo Adj-RIB-In). */
@@ -626,6 +646,53 @@ class BgpSpeaker
     /** Damper transition counts already mirrored into obs. */
     uint64_t dampingSuppressedSeen_ = 0;
     uint64_t dampingReusedSeen_ = 0;
+};
+
+/**
+ * A peer's Adj-RIB-Out, derived: export(peer, best) of every Loc-RIB
+ * route, computed on each read (size() and forEach() walk the
+ * Loc-RIB). Reading it neither fills nor clears the export memo and
+ * counts no route-map evaluation, so it cannot change a later UPDATE.
+ */
+class BgpSpeaker::AdjRibOutView
+{
+  public:
+    size_t
+    size() const
+    {
+        size_t n = 0;
+        forEach([&n](const net::Prefix &, const PathAttributesPtr &) { ++n; });
+        return n;
+    }
+
+    /** The attributes the peer holds for @p prefix, or null. */
+    PathAttributesPtr find(const net::Prefix &prefix) const;
+
+    /** fn(prefix, attributes) per route, in ascending prefix order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        if (!peer_)
+            return;
+        speaker_->locRib_.forEach(
+            [&](const net::Prefix &prefix, const LocRib::Entry &entry) {
+                if (PathAttributesPtr attrs = speaker_->exportTo(
+                        *peer_, prefix, entry.best, ExportUse::Derive))
+                    fn(prefix, attrs);
+            });
+    }
+
+  private:
+    friend class BgpSpeaker;
+
+    /** @p peer is null while its session is not Established. */
+    AdjRibOutView(const BgpSpeaker &speaker, const Peer *peer)
+        : speaker_(&speaker), peer_(peer)
+    {}
+
+    const BgpSpeaker *speaker_;
+    const Peer *peer_;
 };
 
 } // namespace bgpbench::bgp

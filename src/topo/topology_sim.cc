@@ -4,7 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <iostream>
-#include <queue>
 #include <thread>
 
 #include "net/logging.hh"
@@ -36,6 +35,33 @@ struct CrossTimeKeyLess
         return a.key < b.key;
     }
 };
+
+/**
+ * @p receiver's Adj-RIB-In from @p peer equals @p sender's Adj-RIB-Out
+ * toward it. Both walk in ascending prefix order.
+ */
+bool
+adjacencyAgrees(const bgp::BgpSpeaker &sender,
+                const bgp::BgpSpeaker &receiver, bgp::PeerId peer)
+{
+    std::vector<std::pair<net::Prefix, bgp::PathAttributesPtr>> sent;
+    sender.adjRibOut(peer).forEach(
+        [&](const net::Prefix &prefix, const bgp::PathAttributesPtr &attrs) {
+            sent.emplace_back(prefix, attrs);
+        });
+    const bgp::AdjRibIn &held = receiver.adjRibIn(peer);
+    if (held.size() != sent.size())
+        return false;
+    size_t i = 0;
+    bool same = true;
+    held.forEach([&](const net::Prefix &prefix,
+                     const bgp::AdjRibIn::Entry &entry) {
+        same = same && sent[i].first == prefix &&
+               bgp::sameAttributeValue(sent[i].second, entry.received);
+        ++i;
+    });
+    return same;
+}
 
 } // namespace
 
@@ -843,25 +869,21 @@ bool
 TopologySim::locRibsConsistent() const
 {
     for (const auto &[origin, prefix] : originated_) {
-        // BFS over up links from the origin; every reached router
-        // must hold the prefix.
-        std::vector<bool> seen(topo_.nodeCount(), false);
-        std::queue<size_t> frontier;
-        seen[origin] = true;
-        frontier.push(origin);
-        while (!frontier.empty()) {
-            size_t at = frontier.front();
-            frontier.pop();
-            if (!speakers_[at]->locRib().find(prefix))
-                return false;
-            for (const Topology::Adjacent &adj :
-                 topo_.neighborsOf(at)) {
-                if (linkUp(adj.link) && !seen[adj.node]) {
-                    seen[adj.node] = true;
-                    frontier.push(adj.node);
-                }
-            }
-        }
+        if (!speakers_[origin]->locRib().find(prefix))
+            return false;
+    }
+    for (size_t l = 0; l < topo_.linkCount(); ++l) {
+        if (!linkUp(l))
+            continue;
+        // Both ends know each other by the link index.
+        const Link &link = topo_.link(l);
+        const bgp::BgpSpeaker &a = *speakers_[link.a.node];
+        const bgp::BgpSpeaker &b = *speakers_[link.b.node];
+        const auto peer = bgp::PeerId(l);
+        if (a.sessionState(peer) != bgp::SessionState::Established ||
+            b.sessionState(peer) != bgp::SessionState::Established ||
+            !adjacencyAgrees(a, b, peer) || !adjacencyAgrees(b, a, peer))
+            return false;
     }
     return true;
 }

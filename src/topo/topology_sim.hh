@@ -216,9 +216,11 @@ class TopologySim
     bool runToConvergence(sim::SimTime limit);
 
     /**
-     * Semantic convergence check: every originated prefix is present
-     * in the Loc-RIB of every router reachable from its origin over
-     * currently-up links.
+     * Semantic convergence check, a link-local BGP fixpoint: every
+     * origin's Loc-RIB holds what it originated, and on every up link
+     * both sessions are Established and each end's Adj-RIB-In equals
+     * the other's Adj-RIB-Out toward it (same prefixes, value-equal
+     * attributes). It honours loop prevention and policy (DESIGN §8).
      */
     bool locRibsConsistent() const;
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the three RIB structures.
+ * Tests for the stored RIB structures: Adj-RIB-In and Loc-RIB. The
+ * derived Adj-RIB-Out is checked on the wire in adj_rib_out_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -159,37 +160,4 @@ TEST(LocRib, SlotAccessOverSharedTable)
     EXPECT_FALSE(loc.removeAt(slot));
     EXPECT_EQ(loc.findAt(slot), nullptr);
     EXPECT_EQ(table.find(p1), SharedPrefixTable::npos);
-}
-
-TEST(AdjRibOut, AdvertiseSuppressesNoOps)
-{
-    AdjRibOut rib;
-    auto a = attrs(100);
-    EXPECT_TRUE(rib.advertise(p1, a));
-    // Re-advertising the identical route must not generate traffic.
-    EXPECT_FALSE(rib.advertise(p1, a));
-    EXPECT_FALSE(rib.advertise(p1, attrs(100)));
-    // A new path does.
-    EXPECT_TRUE(rib.advertise(p1, attrs(200)));
-}
-
-TEST(AdjRibOut, WithdrawOnlyWhenAdvertised)
-{
-    AdjRibOut rib;
-    EXPECT_FALSE(rib.withdraw(p1));
-    rib.advertise(p1, attrs(100));
-    EXPECT_TRUE(rib.withdraw(p1));
-    EXPECT_FALSE(rib.withdraw(p1));
-}
-
-TEST(AdjRibOut, FindAndSize)
-{
-    AdjRibOut rib;
-    rib.advertise(p1, attrs(100));
-    rib.advertise(p2, attrs(200));
-    EXPECT_EQ(rib.size(), 2u);
-    ASSERT_NE(rib.find(p1), nullptr);
-    EXPECT_EQ((*rib.find(p1))->asPath.originAs(), 100);
-    EXPECT_EQ(rib.find(net::Prefix::fromString("9.9.0.0/16")),
-              nullptr);
 }

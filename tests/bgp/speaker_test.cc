@@ -555,9 +555,10 @@ TEST(SpeakerSlots, WithdrawFreesSlotThatSameUpdateReuses)
 {
     // A's import policy rejects R, so only A's Adj-RIB-In holds it:
     // withdrawing R frees its slot at once, and the decision then reads
-    // a freed slot. P is best and advertised, so its slot is freed by
-    // the last Adj-RIB-Out withdraw inside the decision. Q and S, in
-    // the same UPDATE's NLRI, take both slots back off the free list.
+    // a freed slot. P is best, so its slot is freed by the Loc-RIB
+    // removal inside the decision, before the peers hear of it. Q and
+    // S, in the same UPDATE's NLRI, take both slots back off the free
+    // list.
     SlotHarness h({}, makeRejectPrefixPolicy(
                           net::Prefix::fromString("172.16.0.0/16")));
     auto via_a = attrs({64601});
@@ -671,10 +672,10 @@ TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
     }
     EXPECT_EQ(hops, (std::vector<net::Ipv4Address>{hop_b, hop_a, hop_b,
                                                    hop_a, hop_b}));
-    const auto *out = h.speaker->adjRibOut(SlotHarness::downstream)
-                          .find(slotP);
+    PathAttributesPtr out =
+        h.speaker->adjRibOut(SlotHarness::downstream).find(slotP);
     ASSERT_NE(out, nullptr);
-    EXPECT_EQ((*out)->asPath.toString(), "65000 64602 100 200");
+    EXPECT_EQ(out->asPath.toString(), "65000 64602 100 200");
 }
 
 // ---------------------------------------------------------------------
@@ -699,16 +700,16 @@ TEST(SpeakerExport, LoopCheckIsPerPeerOverSharedMemo)
     h.send(0, {}, via64602, attrs({64601, 64602, 1299}));
     h.send(0, {}, via64604, attrs({64601, 64604, 1299}));
 
-    const AdjRibOut &out = h.speaker->adjRibOut(to64603);
+    auto out = h.speaker->adjRibOut(to64603);
     EXPECT_EQ(out.size(), 6u);
     for (const auto &[set, path] :
          {std::pair{via64602, "65000 64601 64602 1299"},
           std::pair{via64604, "65000 64601 64604 1299"}}) {
         for (const auto &p : set) {
-            const PathAttributesPtr *exported = out.find(p);
+            PathAttributesPtr exported = out.find(p);
             ASSERT_NE(exported, nullptr) << p.toString();
-            EXPECT_EQ((*exported)->asPath.toString(), path);
-            EXPECT_EQ((*exported)->nextHop,
+            EXPECT_EQ(exported->asPath.toString(), path);
+            EXPECT_EQ(exported->nextHop,
                       h.speaker->config().localAddress);
         }
     }

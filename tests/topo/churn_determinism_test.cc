@@ -168,11 +168,10 @@ TEST(ChurnDeterminism, FaultScheduleExpansionIsPure)
 TEST(ChurnDeterminism, FourAsSpecMatchesHandRolledDemo)
 {
     // The declarative demo spec must reproduce, byte for byte, what
-    // the bgp_network example's hand-rolled sequence produces.
-    // Note the demo's converged flag is false by design: the martian
-    // filter keeps the backbone's Loc-RIB intentionally different
-    // from isp-b's, so the network-wide consistency check cannot
-    // pass. The two runs must still agree on every byte.
+    // the bgp_network example's hand-rolled sequence produces. The
+    // martian filter keeps the backbone's Loc-RIB different from
+    // isp-b's, yet the network is at a BGP fixpoint: every session's
+    // Adj-RIB-In holds what the other end exports, so it converged.
     topo::ScenarioResult from_spec =
         topo::ScenarioRunner(topo::demo::fourAsScenario()).run();
 
@@ -187,5 +186,6 @@ TEST(ChurnDeterminism, FourAsSpecMatchesHandRolledDemo)
         sim.report("four-as-demo", "four-as");
     report.converged = converged && sim.locRibsConsistent();
 
+    EXPECT_TRUE(report.converged);
     EXPECT_EQ(from_spec.convergence.toJson(), report.toJson());
 }
