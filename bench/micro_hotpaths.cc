@@ -426,83 +426,6 @@ BM_InternetChecksum(benchmark::State &state)
 }
 BENCHMARK(BM_InternetChecksum)->Arg(20)->Arg(1500);
 
-/**
- * A stand-in for the engine's CrossMessage with just the ordering
- * fields; the payload pointer is irrelevant to the merge cost.
- */
-struct FakeCross
-{
-    uint64_t time;
-    uint64_t key;
-};
-
-std::vector<std::vector<FakeCross>>
-crossBatches(size_t links, size_t per_link)
-{
-    // Per-link batches arrive (time, key)-sorted — one source node
-    // feeds each link direction and its serialisation cursor is
-    // monotone — with interleaved time ranges across links.
-    std::vector<std::vector<FakeCross>> batches(links);
-    uint64_t salt = 0x9e3779b97f4a7c15ull;
-    for (size_t l = 0; l < links; ++l) {
-        uint64_t t = 1000 + (l * salt >> 56);
-        for (size_t m = 0; m < per_link; ++m) {
-            t += 1 + ((l * per_link + m) * salt >> 60);
-            batches[l].push_back(
-                FakeCross{t, (uint64_t(l + 1) << 44) | (m + 1)});
-        }
-    }
-    return batches;
-}
-
-/**
- * The batched barrier: per-link batches verified sorted (O(M) probe)
- * and pairwise-merged — O(M log k) with k the link count, and no
- * comparator calls at all when one link dominates.
- */
-void
-BM_CrossDeliverBatchMerge(benchmark::State &state)
-{
-    auto batches = crossBatches(size_t(state.range(0)), 256);
-    auto less = [](const FakeCross &a, const FakeCross &b) {
-        if (a.time != b.time)
-            return a.time < b.time;
-        return a.key < b.key;
-    };
-    std::vector<FakeCross> merged;
-    std::vector<size_t> bounds, scratch;
-    for (auto _ : state) {
-        merged.clear();
-        bounds.clear();
-        for (auto &batch : batches) {
-            if (!std::is_sorted(batch.begin(), batch.end(), less))
-                std::sort(batch.begin(), batch.end(), less);
-            bounds.push_back(merged.size());
-            merged.insert(merged.end(), batch.begin(), batch.end());
-        }
-        bounds.push_back(merged.size());
-        while (bounds.size() > 2) {
-            scratch.clear();
-            scratch.push_back(bounds.front());
-            size_t r = 0;
-            for (; r + 2 < bounds.size(); r += 2) {
-                std::inplace_merge(
-                    merged.begin() + ptrdiff_t(bounds[r]),
-                    merged.begin() + ptrdiff_t(bounds[r + 1]),
-                    merged.begin() + ptrdiff_t(bounds[r + 2]), less);
-                scratch.push_back(bounds[r + 2]);
-            }
-            if (r + 1 < bounds.size())
-                scratch.push_back(bounds[r + 1]);
-            bounds.swap(scratch);
-        }
-        benchmark::DoNotOptimize(merged.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            state.range(0) * 256);
-}
-BENCHMARK(BM_CrossDeliverBatchMerge)->Arg(2)->Arg(8)->Arg(32);
-
 /** Owner-side cost of the shard-task deque: push + popFront. */
 void
 BM_StealDequePushPop(benchmark::State &state)
@@ -717,10 +640,10 @@ establishPeer(bgp::BgpSpeaker &speaker, bgp::PeerId id,
 
 /**
  * Feed alternating attribute-change rounds into a fresh speaker (so
- * every round runs the full decision process, not the re-announce
- * suppression fast path); when @p bound, observability handles are
- * resolved but the tracer has no buffer attached (the production
- * default with --stats/--trace off).
+ * no round takes the re-announce suppression fast path; the loop
+ * check drops them all, see runObsOverheadCheck); when @p bound,
+ * observability handles are resolved but the tracer has no buffer
+ * attached (the production default with --stats/--trace off).
  */
 double
 runObsMode(const std::vector<std::vector<uint8_t>> &wires_a,
@@ -773,12 +696,17 @@ runObsOverheadCheck()
     constexpr size_t prefix_count = 8000;
     constexpr size_t per_packet = 100;
     constexpr size_t rounds = 256;
-    constexpr int reps = 5;
+    constexpr int reps = 41;
     // The measured overhead with sinks detached is ~0% (the bound
-    // mode regularly wins); the gate sits at 5% because best-of-5
-    // wall-clock on a shared CI host carries ±3% noise, while any
-    // real per-UPDATE cost (an atomic, a branch to a live sink)
-    // shows up well above 10%.
+    // mode regularly wins). One ~25 ms run on a shared host can run
+    // at half speed or less when a neighbour is busy, so a best-of-5
+    // per mode swung from 0.7 to 1.6. The gate compares each mode
+    // with its neighbour run instead: the median bound/unbound ratio
+    // of 41 adjacent pairs read 0.99-1.04 over 30 runs on that host,
+    // while a clock read per NLRI prefix reads above 3. The stream
+    // carries the speaker's own AS, so every announcement is dropped
+    // as a loop: the gate covers decode and the loop check, not the
+    // decision process.
     constexpr double tolerance = 1.05;
 
     auto rs = routes(prefix_count);
@@ -798,11 +726,13 @@ runObsOverheadCheck()
     auto wires_b = encode(2);
 
     // Discarded warm-up (page cache, allocator, CPU clocks), then
-    // alternate the mode order per rep and keep each mode's best so
-    // neither side is systematically favoured.
+    // alternate the mode order per rep so neither side is
+    // systematically favoured, and take the median of the pairs'
+    // ratios. Each mode's best run is printed for reference.
     runObsMode(wires_a, wires_b, rounds / 4, false);
     runObsMode(wires_a, wires_b, rounds / 4, true);
     double best_unbound = 0.0, best_bound = 0.0;
+    std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
         bool bound_first = rep % 2 != 0;
         double first =
@@ -811,19 +741,22 @@ runObsOverheadCheck()
             runObsMode(wires_a, wires_b, rounds, !bound_first);
         double bound = bound_first ? first : second;
         double unbound = bound_first ? second : first;
+        ratios.push_back(unbound > 0 ? bound / unbound : 1.0);
         if (rep == 0 || unbound < best_unbound)
             best_unbound = unbound;
         if (rep == 0 || bound < best_bound)
             best_bound = bound;
     }
 
-    double ratio =
-        best_unbound > 0 ? best_bound / best_unbound : 1.0;
-    std::cout << "obs overhead check: unbound "
+    auto middle = ratios.begin() + ptrdiff_t(ratios.size() / 2);
+    std::nth_element(ratios.begin(), middle, ratios.end());
+    double ratio = *middle;
+    std::cout << "obs overhead check: best unbound "
               << stats::formatDouble(best_unbound * 1e3, 2)
-              << " ms, bound (sinks detached) "
+              << " ms, best bound (sinks detached) "
               << stats::formatDouble(best_bound * 1e3, 2) << " ms, "
-              << "ratio " << stats::formatDouble(ratio, 4) << " (limit "
+              << "median ratio of " << reps << " pairs "
+              << stats::formatDouble(ratio, 4) << " (limit "
               << stats::formatDouble(tolerance, 2) << ")\n";
     if (ratio > tolerance) {
         std::cerr << "error: detached observability costs more than "

@@ -3,10 +3,11 @@
  * SharedPrefixTable: one prefix-tree key structure per speaker, shared
  * by every RIB as slot-indexed value columns.
  *
- * PR 2 shared attribute *values* across RIBs by interning; this shares
- * the *key set*. A speaker with N established peers holds the same ~1M
- * prefixes in N Adj-RIBs-In, the Loc-RIB, and N Adj-RIBs-Out — 2N+1
- * copies of every key under the hash-map design. Here the speaker owns
+ * Interning shares attribute *values* across RIBs; this shares the
+ * *key set*. A speaker with N established peers holds the same ~1M
+ * prefixes in N Adj-RIBs-In and the Loc-RIB (its Adj-RIBs-Out are
+ * derived on read) — N+1 copies of every key under a hash-map
+ * design. Here the speaker owns
  * a single PrefixTree mapping each live prefix to a small integer
  * slot; each RIB then stores only a dense per-slot value column (a
  * vector indexed by slot plus a presence bitset). Adding a peer costs

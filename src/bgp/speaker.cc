@@ -668,7 +668,8 @@ BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
                   : nullptr;
         if (next) {
             if (!sameAttributeValue(held, next))
-                peer->pending.announce(prefix, std::move(next));
+                peer->pending.announce(prefix, std::move(next),
+                                       held != nullptr);
         } else if (held) {
             peer->pending.withdraw(prefix);
         }

@@ -20,17 +20,22 @@ prefixKey(const net::Prefix &prefix)
 
 void
 UpdateBuilder::announce(const net::Prefix &prefix,
-                        PathAttributesPtr attrs)
+                        PathAttributesPtr attrs, bool peerHolds)
 {
     bool inserted = false;
     Location &location = pending_.findOrInsert(prefixKey(prefix), inserted);
-    if (!inserted)
+    if (inserted)
+        location.peerHeld = peerHolds;
+    else if (location.group == kCancelled)
+        --cancelled_;
+    else
         tombstone(location);
     uint32_t g = groupFor(attrs);
     Group &group = groups_[g];
     group.prefixes.push_back(prefix);
     group.alive.push_back(1);
-    location = Location{g, uint32_t(group.prefixes.size() - 1)};
+    location.group = g;
+    location.slot = uint32_t(group.prefixes.size() - 1);
 }
 
 void
@@ -38,12 +43,22 @@ UpdateBuilder::withdraw(const net::Prefix &prefix)
 {
     bool inserted = false;
     Location &location = pending_.findOrInsert(prefixKey(prefix), inserted);
-    if (!inserted) {
-        if (location.group == kWithdrawal)
-            return; // already pending as a withdrawal
+    if (inserted) {
+        location.peerHeld = true;
+    } else {
+        if (location.group == kWithdrawal || location.group == kCancelled)
+            return; // already withdrawn, or the peer holds nothing
         tombstone(location);
+        if (!location.peerHeld) {
+            // Announced and withdrawn within one flush to a peer that
+            // held nothing: the peer must hear neither.
+            location.group = kCancelled;
+            ++cancelled_;
+            return;
+        }
     }
-    location = Location{kWithdrawal, uint32_t(withdrawals_.size())};
+    location.group = kWithdrawal;
+    location.slot = uint32_t(withdrawals_.size());
     withdrawals_.push_back(prefix);
     withdrawalsAlive_.push_back(1);
 }
@@ -196,6 +211,7 @@ UpdateBuilder::reset()
     withdrawalsAlive_.clear();
     deadWithdrawals_ = 0;
     pending_.reset();
+    cancelled_ = 0;
     if (memoryBytes() > retainBytes)
         *this = UpdateBuilder(options_);
 }

@@ -57,7 +57,9 @@ struct PackingOptions
  *
  * A later withdraw of a pending announcement (or vice versa)
  * supersedes it, so one flush never contains contradictory state for
- * a prefix.
+ * a prefix. A withdraw that supersedes the announcement of a prefix
+ * the peer held nothing for when the flush began queues nothing, so
+ * a peer is never sent a withdrawal of a prefix it was never told.
  */
 class UpdateBuilder
 {
@@ -66,17 +68,27 @@ class UpdateBuilder
         : options_(options)
     {}
 
-    /** Queue an announcement of @p prefix with @p attrs. */
-    void announce(const net::Prefix &prefix, PathAttributesPtr attrs);
+    /**
+     * Queue an announcement of @p prefix with @p attrs. @p peerHolds
+     * says whether the peer holds a route for @p prefix before this
+     * change; only the first change of a prefix in a flush records
+     * it, because the changes after it build on queued state.
+     */
+    void announce(const net::Prefix &prefix, PathAttributesPtr attrs,
+                  bool peerHolds = true);
 
-    /** Queue a withdrawal of @p prefix. */
+    /**
+     * Queue a withdrawal of @p prefix. If it supersedes an
+     * announcement to a peer that held nothing for @p prefix, the two
+     * cancel and nothing is queued.
+     */
     void withdraw(const net::Prefix &prefix);
 
     /** True if nothing is queued. */
-    bool empty() const { return pending_.size() == 0; }
+    bool empty() const { return pending_.size() == cancelled_; }
 
     /** Number of queued transactions. */
-    size_t pendingTransactions() const { return pending_.size(); }
+    size_t pendingTransactions() const { return pending_.size() - cancelled_; }
 
     /**
      * Append the queued changes to @p out as packed UPDATEs and reset
@@ -128,13 +140,16 @@ class UpdateBuilder
     /** Where a pending prefix currently lives. */
     struct Location
     {
-        /** Group index, or kWithdrawal. */
+        /** Group index, kWithdrawal, or kCancelled (nothing queued). */
         uint32_t group = 0;
         /** Slot within the group's (or withdrawal) vector. */
         uint32_t slot = 0;
+        /** The peer held the prefix when the flush began. */
+        bool peerHeld = true;
     };
 
     static constexpr uint32_t kWithdrawal = ~uint32_t(0);
+    static constexpr uint32_t kCancelled = kWithdrawal - 1;
 
     /** Find or create the group for @p attrs; returns its index. */
     uint32_t groupFor(const PathAttributesPtr &attrs);
@@ -161,6 +176,8 @@ class UpdateBuilder
     size_t deadWithdrawals_ = 0;
     /** Every pending prefix (exact key) and where it sits. */
     net::FlatIndex<Location> pending_;
+    /** Entries of pending_ whose changes cancelled out. */
+    size_t cancelled_ = 0;
 };
 
 } // namespace bgpbench::bgp

@@ -16,12 +16,6 @@ Simulator::push(Event event)
 }
 
 void
-Simulator::reserve(size_t additional)
-{
-    heap_.reserve(heap_.size() + additional);
-}
-
-void
 Simulator::schedule(SimTime at, uint64_t key, Handler handler)
 {
     panicIf(at < now_, "event scheduled in the past");

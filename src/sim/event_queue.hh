@@ -91,14 +91,6 @@ class Simulator
     /** Events waiting. */
     size_t pendingEvents() const { return heap_.size(); }
 
-    /**
-     * Pre-size the event heap for @p additional more events. The
-     * parallel engine's window barrier calls this before scheduling a
-     * merged mailbox batch, so a large cross-shard delivery grows the
-     * heap storage once instead of reallocating mid-loop.
-     */
-    void reserve(size_t additional);
-
     /** Total events executed. */
     uint64_t eventsExecuted() const { return executed_; }
 

@@ -23,19 +23,6 @@ hostNanosSince(std::chrono::steady_clock::time_point begin)
                         .count());
 }
 
-/** The cross-shard delivery order: (arrival time, message key). */
-struct CrossTimeKeyLess
-{
-    template <typename Msg>
-    bool
-    operator()(const Msg &a, const Msg &b) const
-    {
-        if (a.time != b.time)
-            return a.time < b.time;
-        return a.key < b.key;
-    }
-};
-
 /**
  * @p receiver's Adj-RIB-In from @p peer equals @p sender's Adj-RIB-Out
  * toward it. Both walk in ascending prefix order.
@@ -153,33 +140,9 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
         auto shard = std::make_unique<Shard>();
         shard->index = s;
         shard->links.resize(topo_.linkCount());
-        shard->outSlotOfLink.assign(topo_.linkCount(), UINT32_MAX);
         if (config_.obs)
             shard->tracer.attach(&shard->traceBuf);
         shards_.push_back(std::move(shard));
-    }
-    // One outbound batch buffer per outgoing direction of each cut
-    // link; the destination shard keeps a reference list so the
-    // barrier can merge its inbound batches without scanning every
-    // shard. Built in link order, so the merge visits sources in a
-    // fixed order (the sort keys make even that order irrelevant).
-    inBatches_.resize(partition_.shardCount);
-    for (size_t l = 0; l < topo_.linkCount(); ++l) {
-        const Link &link = topo_.link(l);
-        uint32_t sa = partition_.shardOf[link.a.node];
-        uint32_t sb = partition_.shardOf[link.b.node];
-        if (sa == sb)
-            continue;
-        Shard &a = *shards_[sa];
-        a.outSlotOfLink[l] = uint32_t(a.outBatches.size());
-        a.outBatches.push_back(LinkBatch{sb, {}});
-        inBatches_[sb].push_back(
-            BatchRef{sa, a.outSlotOfLink[l]});
-        Shard &b = *shards_[sb];
-        b.outSlotOfLink[l] = uint32_t(b.outBatches.size());
-        b.outBatches.push_back(LinkBatch{sa, {}});
-        inBatches_[sa].push_back(
-            BatchRef{sb, b.outSlotOfLink[l]});
     }
     for (size_t w = 0; w < workers_; ++w)
         workerDeques_.push_back(std::make_unique<StealDeque>());
@@ -423,13 +386,11 @@ TopologySim::transmitFrom(size_t node, bgp::PeerId peer,
     if (dst_shard == shard.index) {
         scheduleArrival(shard, std::move(msg));
     } else {
-        // Cross-shard: append to this direction's batch buffer,
-        // delivered at the next window barrier. Window safety:
-        // msg.time >= now + link latency >= window start + the
-        // smallest cut latency incident to this shard, which is what
-        // bounds the window end.
-        shard.outBatches[shard.outSlotOfLink[l]]
-            .messages.push_back(std::move(msg));
+        // Cross-shard: append to the shard's outbox, delivered at the
+        // next window barrier. Window safety: msg.time >= now + link
+        // latency >= window start + the smallest cut latency incident
+        // to this shard, which is what bounds the window end.
+        shard.outbox.push_back(std::move(msg));
     }
 }
 
@@ -629,69 +590,15 @@ TopologySim::scheduleRouterRestart(size_t node, sim::SimTime at,
 }
 
 void
-TopologySim::mergeInbound(size_t dst)
-{
-    // Gather the destination's inbound batches into one scratch
-    // vector, remembering the run boundaries. Each batch is
-    // (time, key)-sorted by construction — one source node feeds it
-    // and its serialisation cursor is monotone — except when a
-    // mid-window link flap reset the cursor; the is_sorted probe
-    // catches exactly that rare case and re-sorts only then.
-    inboxScratch_.clear();
-    mergeBounds_.clear();
-    for (const BatchRef &ref : inBatches_[dst]) {
-        auto &batch =
-            shards_[ref.srcShard]->outBatches[ref.slot].messages;
-        if (batch.empty())
-            continue;
-        if (!std::is_sorted(batch.begin(), batch.end(),
-                            CrossTimeKeyLess{})) {
-            std::sort(batch.begin(), batch.end(), CrossTimeKeyLess{});
-        }
-        mergeBounds_.push_back(inboxScratch_.size());
-        for (CrossMessage &msg : batch)
-            inboxScratch_.push_back(std::move(msg));
-        batch.clear();
-    }
-    if (inboxScratch_.empty())
-        return;
-    mergeBounds_.push_back(inboxScratch_.size());
-
-    // Pairwise merge the sorted runs in place until one remains.
-    // bounds holds run edges: k runs => k + 1 entries.
-    while (mergeBounds_.size() > 2) {
-        mergeBoundsScratch_.clear();
-        mergeBoundsScratch_.push_back(mergeBounds_.front());
-        size_t r = 0;
-        for (; r + 2 < mergeBounds_.size(); r += 2) {
-            std::inplace_merge(
-                inboxScratch_.begin() + ptrdiff_t(mergeBounds_[r]),
-                inboxScratch_.begin() + ptrdiff_t(mergeBounds_[r + 1]),
-                inboxScratch_.begin() + ptrdiff_t(mergeBounds_[r + 2]),
-                CrossTimeKeyLess{});
-            mergeBoundsScratch_.push_back(mergeBounds_[r + 2]);
-        }
-        if (r + 1 < mergeBounds_.size())
-            mergeBoundsScratch_.push_back(mergeBounds_[r + 1]);
-        mergeBounds_.swap(mergeBoundsScratch_);
-    }
-
-    // One heap growth for the whole batch, then schedule in merged
-    // order. (time, key) is a total order over cross messages — keys
-    // are unique — so the queue contents are independent of both the
-    // source visit order and the merge shape.
-    Shard &shard = *shards_[dst];
-    shard.sim.reserve(inboxScratch_.size());
-    for (CrossMessage &msg : inboxScratch_)
-        scheduleArrival(shard, std::move(msg));
-    inboxScratch_.clear();
-}
-
-void
 TopologySim::exchangeAndOpenWindow(sim::SimTime limit)
 {
-    for (size_t d = 0; d < shards_.size(); ++d)
-        mergeInbound(d);
+    // Cross-shard messages carry unique keys, so their destination
+    // queue runs them in (time, key) order whatever the push order.
+    for (auto &shard : shards_) {
+        for (CrossMessage &msg : shard->outbox)
+            scheduleArrival(shardFor(msg.dst), std::move(msg));
+        shard->outbox.clear();
+    }
 
     sim::SimTime next = sim::simTimeNever;
     for (const auto &shard : shards_)
@@ -802,7 +709,7 @@ TopologySim::runWindows(sim::SimTime limit)
         exchangeAndOpenWindow(limit);
     };
     // The barrier is the only inter-shard synchronisation: its phase
-    // completion publishes the drained batch buffers, the next
+    // completion publishes the emptied outboxes, the next
     // windowEnd_/runDone_ values, and the refilled deques to every
     // worker. Exactly one worker drains a given shard per window
     // (each shard id sits in exactly one deque and pops once), so

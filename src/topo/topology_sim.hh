@@ -35,18 +35,18 @@
  * quantities, so the window sequence replays identically run to run.
  * A one-shard run has no cut link to bound its window, so it drains
  * everything up to the limit in one window. At the window barrier
- * the shards' outbound batch buffers are exchanged and the next
- * window is derived from the globally earliest pending event. The
- * calling thread is worker 0 and jobs - 1 threads join it (none at
- * jobs = 1). Two throughput mechanisms sit on top of that
+ * the shards' outboxes are handed to their destination queues and
+ * the next window is derived from the globally earliest pending
+ * event. The calling thread is worker 0 and jobs - 1 threads join it
+ * (none at jobs = 1). Two throughput mechanisms sit on top of that
  * conservative core:
  *
- *  - Batched cross-shard delivery. Transmits append to per-cut-link
- *    elastic batch buffers (one per direction, owned by the source
- *    shard; capacity retained across windows) instead of a flat
- *    per-destination outbox; the barrier merges the per-link batches
- *    — each already (time, key)-sorted except across rare mid-window
- *    link flaps — per destination instead of re-sorting everything.
+ *  - One outbox per shard. A transmit toward another shard appends
+ *    to its source shard's outbox (capacity retained across
+ *    windows), and the barrier schedules each message straight into
+ *    its destination queue. Nothing is sorted or merged: the queue
+ *    orders events by (time, key), and every cross-shard message has
+ *    a unique key, so push order cannot change the run order.
  *  - Intra-window work-stealing. The engine over-decomposes
  *    (shards ~ 2x workers) and the barrier refills per-worker deques
  *    with the shards that have events in the window; workers pop
@@ -64,7 +64,7 @@
  *     carries the explicit queue ordering key
  *     (source node id, per-source transmit sequence), so ties at
  *     equal simulated times resolve identically no matter which
- *     shard scheduled the event or when it crossed a mailbox —
+ *     shard scheduled the event or when it crossed the barrier —
  *     never by thread arrival order.
  *  2. Mirrored fault events. Link state (up flag, epoch) is
  *     replicated per shard; a fault on a cross-shard link is
@@ -285,7 +285,7 @@ class TopologySim
         bgp::MessageType type;
         uint32_t transactions;
         /**
-         * Shared immutable segment. Crossing the mailbox moves only
+         * Shared immutable segment. Crossing the barrier moves only
          * the reference; the bytes were encoded exactly once in the
          * source speaker. The refcount is atomic, so the destination
          * shard can release its reference on its own thread.
@@ -294,35 +294,10 @@ class TopologySim
     };
 
     /**
-     * Elastic outbound batch buffer for one outgoing direction of
-     * one cut link. The worker running the source shard appends
-     * during its window; the window barrier's completion step drains
-     * every buffer (the barrier provides the happens-before edges,
-     * so no locks or atomics). clear() keeps the capacity, so steady
-     * state appends without allocating. A single source node feeds
-     * each buffer, so its contents are (time, key)-sorted by
-     * construction except across a mid-window link flap (the
-     * serialisation cursor resets); the drain re-sorts only then.
-     */
-    struct LinkBatch
-    {
-        uint32_t dstShard = 0;
-        std::vector<CrossMessage> messages;
-    };
-
-    /** Locates one inbound LinkBatch of a destination shard. */
-    struct BatchRef
-    {
-        uint32_t srcShard;
-        uint32_t slot;
-    };
-
-    /**
      * One slice of the simulation: its own event queue, metric
-     * tracker, link-state replica, and outbound batch buffers. With
-     * work-stealing any worker may drain a shard's window, but only
-     * one per window, so everything here stays single-writer between
-     * barriers.
+     * tracker, link-state replica, and outbox. With work-stealing any
+     * worker may drain a shard's window, but only one per window, so
+     * everything here stays single-writer between barriers.
      */
     struct Shard
     {
@@ -336,10 +311,12 @@ class TopologySim
          * instant.
          */
         std::vector<LinkState> links;
-        /** One outbound batch per outgoing cut-link direction. */
-        std::vector<LinkBatch> outBatches;
-        /** link index -> outBatches slot (UINT32_MAX: not ours). */
-        std::vector<uint32_t> outSlotOfLink;
+        /**
+         * Messages bound for other shards, handed to their
+         * destination queues at the barrier, which provides the
+         * happens-before edges (no locks or atomics).
+         */
+        std::vector<CrossMessage> outbox;
         /** Host nanoseconds spent executing events. */
         uint64_t hostBusyNs = 0;
         /** First exception thrown inside a window, if any. */
@@ -387,7 +364,7 @@ class TopologySim
      * it is identical under every shard layout.
      */
     void scheduleWakeup(Shard &shard, size_t node, sim::SimTime at);
-    /** Schedule a (possibly batch-delivered) arrival in @p shard. */
+    /** Schedule an arrival (local, or handed over at the barrier). */
     void scheduleArrival(Shard &shard, CrossMessage msg);
     /** Segment reached the far end; queue CPU processing. */
     void arrive(size_t link, uint64_t epoch, uint64_t key, size_t dst,
@@ -403,13 +380,11 @@ class TopologySim
      */
     bool runWindows(sim::SimTime limit);
     /**
-     * Drain all batch buffers, pick the next window, and refill the
-     * work-stealing deques (barrier completion step — runs
-     * exclusively).
+     * Hand every outbox message to its destination queue, pick the
+     * next window, and refill the work-stealing deques (barrier
+     * completion step — runs exclusively).
      */
     void exchangeAndOpenWindow(sim::SimTime limit);
-    /** Drain one destination's inbound batches into its queue. */
-    void mergeInbound(size_t dst);
     /** Pop worker @p worker's next shard task (own deque or steal). */
     bool nextTask(size_t worker, uint32_t &task);
     /** Drain @p shard below windowEnd_ on the calling worker. */
@@ -432,8 +407,6 @@ class TopologySim
     std::vector<uint64_t> messageSeq_;
     std::vector<std::pair<size_t, net::Prefix>> originated_;
     ConvergenceTracker tracker_;
-    /** Inbound batch locations per destination shard. */
-    std::vector<std::vector<BatchRef>> inBatches_;
     /** Per-worker shard-task deques, refilled each window. */
     std::vector<std::unique_ptr<StealDeque>> workerDeques_;
     /** Barrier/window state of the run in progress. */
@@ -448,10 +421,6 @@ class TopologySim
     /** Host ns each worker spent blocked on the barrier (diagnostic,
      *  published only when obs sinks are attached). */
     std::vector<uint64_t> workerBarrierWaitNs_;
-    /** Scratch for merging one destination's inbound batches. */
-    std::vector<CrossMessage> inboxScratch_;
-    std::vector<size_t> mergeBounds_;
-    std::vector<size_t> mergeBoundsScratch_;
     /** Engine-lane sink for "sync_window" spans (virtual time). */
     obs::TraceBuffer engineTraceBuf_;
     obs::Tracer engineTracer_;

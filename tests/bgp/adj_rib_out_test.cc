@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -283,13 +282,13 @@ class AdjRibOutWire
     std::vector<net::Prefix>
     somePrefixes()
     {
-        // Distinct, as a peer packs one UPDATE's NLRI.
+        // Repeats are kept: a peer may list a prefix twice in one
+        // UPDATE, and the second copy may undo what the first did
+        // (a damping penalty suppressing the route the first made
+        // best) before the flush.
         std::vector<net::Prefix> out;
-        for (uint64_t n = rng.range(1, 4); n > 0; --n) {
-            const net::Prefix &prefix = pool[rng.below(pool.size())];
-            if (std::find(out.begin(), out.end(), prefix) == out.end())
-                out.push_back(prefix);
-        }
+        for (uint64_t n = rng.range(1, 4); n > 0; --n)
+            out.push_back(pool[rng.below(pool.size())]);
         return out;
     }
 

@@ -895,3 +895,105 @@ TEST(SpeakerStream, MalformedStreamTearsDownOnceAndReconnects)
     EXPECT_EQ(speaker.sessionState(0), SessionState::Established);
     EXPECT_EQ(events.codes.size(), 1u);
 }
+
+// ---------------------------------------------------------------------
+// MRAI: what a deferred flush may send.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Records the UPDATEs sent to each peer and the wakeups asked for. */
+struct MraiRecorder : public SpeakerEvents
+{
+    void
+    onTransmit(PeerId to, MessageType type, net::WireSegmentPtr wire,
+               size_t) override
+    {
+        if (type != MessageType::Update)
+            return;
+        DecodeError error;
+        auto msg = decodeMessage({wire->data(), wire->size()}, error);
+        ASSERT_TRUE(msg.has_value()) << error.detail;
+        sent[to].push_back(std::get<UpdateMessage>(*msg));
+    }
+
+    void
+    onWakeupRequested(SessionFsm::TimeNs at) override
+    {
+        wakeups.push_back(at);
+    }
+
+    std::map<PeerId, std::vector<UpdateMessage>> sent;
+    std::vector<SessionFsm::TimeNs> wakeups;
+};
+
+} // namespace
+
+TEST(SpeakerMrai, WithdrawOfNeverToldPrefixSendsNothing)
+{
+    // MRAI 1 s, eBGP upstream 0 and downstream 1. The first
+    // announcement goes out at once and starts the interval; the next
+    // one waits for the wakeup at 1 s, and its withdrawal before then
+    // cancels it: the downstream was never told the prefix, so the
+    // deferred flush has nothing to send.
+    constexpr uint64_t msNs = 1'000'000;
+    MraiRecorder events;
+    SpeakerConfig config;
+    config.localAs = 65000;
+    config.routerId = 1;
+    config.localAddress = net::Ipv4Address(10, 255, 0, 1);
+    config.holdTimeSec = 0;
+    config.mraiNs = 1000 * msNs;
+    BgpSpeaker speaker(config, &events);
+    const PeerId upstream = 0, downstream = 1;
+    for (auto [id, asn] : {std::pair{upstream, AsNumber(64601)},
+                           std::pair{downstream, AsNumber(65100)}}) {
+        PeerConfig peer;
+        peer.id = id;
+        peer.asn = asn;
+        speaker.addPeer(peer);
+        speaker.startPeer(id, 0);
+        speaker.tcpEstablished(id, 0);
+        OpenMessage open;
+        open.myAs = uint16_t(asn);
+        open.holdTimeSec = 0;
+        open.bgpIdentifier = 100 + id;
+        speaker.handleMessage(id, open, 0);
+        speaker.handleMessage(id, KeepaliveMessage{}, 0);
+    }
+    const auto first = net::Prefix::fromString("192.0.2.0/24");
+    const auto second = net::Prefix::fromString("198.51.100.0/24");
+    auto update = [&](std::vector<net::Prefix> withdrawn,
+                      std::vector<net::Prefix> nlri, uint64_t now) {
+        UpdateMessage msg;
+        msg.withdrawnRoutes = std::move(withdrawn);
+        msg.nlri = std::move(nlri);
+        if (!msg.nlri.empty())
+            msg.attributes = attrs({64601});
+        speaker.handleMessage(upstream, msg, now);
+    };
+
+    update({}, {first}, 0);
+    ASSERT_EQ(events.sent[downstream].size(), 1u);
+    EXPECT_EQ(events.sent[downstream][0].nlri, std::vector{first});
+
+    update({}, {second}, 100 * msNs);
+    update({second}, {}, 200 * msNs);
+    ASSERT_EQ(events.wakeups, std::vector<SessionFsm::TimeNs>{1000 * msNs});
+    speaker.serviceWakeup(1000 * msNs);
+
+    EXPECT_EQ(events.sent[downstream].size(), 1u);
+    for (const UpdateMessage &msg : events.sent[downstream]) {
+        for (const net::Prefix &p : msg.withdrawnRoutes)
+            ADD_FAILURE() << "downstream told to withdraw "
+                          << p.toString();
+    }
+    EXPECT_EQ(speaker.adjRibOut(downstream).size(), 1u);
+    EXPECT_EQ(speaker.adjRibOut(downstream).find(second), nullptr);
+
+    // The interval is idle again: the next change goes out at once.
+    update({}, {second}, 1500 * msNs);
+    ASSERT_EQ(events.sent[downstream].size(), 2u);
+    EXPECT_EQ(events.sent[downstream][1].nlri, std::vector{second});
+}

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/logging.hh"
 #include "sim/event_queue.hh"
 
@@ -157,6 +163,54 @@ TEST(Simulator, KeyedEventsOrderByKeyAtEqualTime)
     sim.schedule(10, 2, [&]() { order.push_back(2); });
     sim.runUntilIdle();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, DistinctTimeKeyPairsRunInOneOrderForEveryPushOrder)
+{
+    // The topology engine's window barrier hands cross-shard messages
+    // to their destination queue in whatever order the outboxes hold
+    // them; each message has its own non-zero key. So the queue alone
+    // must fix the run order: (time, key) ascending, however the
+    // events were pushed. Few distinct times make ties the rule.
+    struct Keyed
+    {
+        SimTime time;
+        uint64_t key;
+        size_t label;
+    };
+    std::mt19937_64 draw(7);
+    std::vector<Keyed> events;
+    for (size_t i = 0; i < 300; ++i) {
+        uint64_t source = draw() % 16 + 1;
+        events.push_back(
+            Keyed{SimTime(draw() % 12), source << 44 | (i + 1), i});
+    }
+    std::vector<Keyed> sorted = events;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Keyed &a, const Keyed &b) {
+                  return std::pair(a.time, a.key) <
+                         std::pair(b.time, b.key);
+              });
+    std::vector<size_t> expected;
+    for (const Keyed &event : sorted)
+        expected.push_back(event.label);
+
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("shuffle seed " + std::to_string(seed));
+        std::vector<Keyed> pushed = events;
+        std::shuffle(pushed.begin(), pushed.end(),
+                     std::mt19937_64(seed));
+        Simulator sim;
+        std::vector<size_t> order;
+        for (const Keyed &event : pushed) {
+            sim.schedule(event.time, event.key,
+                         [&order, label = event.label]() {
+                             order.push_back(label);
+                         });
+        }
+        sim.runUntilIdle();
+        EXPECT_EQ(order, expected);
+    }
 }
 
 TEST(Simulator, KeyZeroRunsBeforeKeyedEvents)

@@ -230,15 +230,16 @@ TEST(ParallelDeterminism, EngineResolvesRequestedShards)
     EXPECT_GT(events, 0u);
 }
 
-TEST(ParallelDeterminism, AdaptiveSyncMatrixIsByteIdentical)
+TEST(ParallelDeterminism, MidWindowFaultMatrixIsByteIdentical)
 {
     // The full matrix: jobs 1/2/4/8 with faults landing mid-window,
     // all byte-identical to the one-shard baseline. This is the
     // acceptance bar of the window loop: the causality-bounded
-    // windows, the batch merge, and the stealing may change the
+    // windows, the outbox hand-off, and the stealing may change the
     // execution schedule, never a report byte.
     auto run = [](size_t jobs) {
-        return allRenderings(midFlightFaultsReport(jobs, "adaptive-matrix"));
+        return allRenderings(
+            midFlightFaultsReport(jobs, "mid-window-fault-matrix"));
     };
     std::string baseline = run(1);
     EXPECT_FALSE(baseline.empty());
@@ -256,7 +257,7 @@ TEST(ParallelDeterminism, DeliveredUpdatesEqualProcessed)
     for (size_t jobs : kJobCounts) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         topo::ConvergenceReport report =
-            midFlightFaultsReport(jobs, "adaptive-matrix");
+            midFlightFaultsReport(jobs, "mid-window-fault-matrix");
         uint64_t received = 0;
         uint64_t transactions = 0;
         for (const topo::RouterReport &router : report.routers) {

@@ -51,8 +51,8 @@ TEST(WindowLoop, OneShardOpensOneWindowPerRun)
     // nothing bounds the window but the limit: each of the scenario's
     // three runToConvergence calls (establish, announce, faults) is
     // one window, and no window has a causality-bounded length. The
-    // determinism matrices' jobs 1 baseline is this one-window run
-    // with no mailbox.
+    // determinism matrices' jobs 1 baseline is this one-window run,
+    // whose one outbox stays empty.
     obs::RunObservability obs;
     runFlapScenario(1, obs);
     EXPECT_EQ(obs.metrics.gaugeValue(obs::metric::parallelShards), 1.0);
