@@ -1,17 +1,15 @@
 /**
  * @file
- * Route flap damping (RFC 2439) in action, and table snapshots.
+ * Route flap damping (RFC 2439) in action.
  *
  * The paper motivates BGP benchmarking with instability: unstable
  * routes multiply the update-processing load it measures. This
  * example subjects a simulated Pentium III router to a flap storm
- * with damping off and on, compares the processing work, and writes
- * an MRT-style snapshot of the converged table.
+ * with damping off and on and compares the processing work.
  */
 
 #include <iostream>
 
-#include "bgp/table_io.hh"
 #include "core/test_peer.hh"
 #include "router/router_system.hh"
 #include "stats/report.hh"
@@ -28,7 +26,6 @@ struct StormResult
     uint64_t fibWrites = 0;
     uint64_t suppressed = 0;
     size_t tableSize = 0;
-    std::vector<uint8_t> snapshot;
 };
 
 StormResult
@@ -98,7 +95,6 @@ runStorm(bool damping)
     result.suppressed =
         router.speaker().counters().announcementsSuppressed;
     result.tableSize = router.speaker().locRib().size();
-    result.snapshot = bgp::dumpTable(router.speaker().locRib());
     return result;
 }
 
@@ -134,16 +130,5 @@ main()
                  "their penalty decays ("
               << off.tableSize - on.tableSize
               << " prefixes suppressed at storm end here).\n";
-
-    // Table snapshot: serialise, stream back into a RIB, verify.
-    // loadTable pre-sizes from the dump's route-count header and
-    // installs entries as they decode — no staged entry vector.
-    bgp::DecodeError error;
-    bgp::LocRib reloaded;
-    size_t loaded = bgp::loadTable(off.snapshot, reloaded, error);
-    std::cout << "\nSnapshot of the undamped table: "
-              << off.snapshot.size() << " bytes, " << loaded
-              << " routes streamed back ("
-              << (error ? error.detail : "ok") << ").\n";
     return 0;
 }

@@ -12,8 +12,8 @@
  * (tests, tools) own a private table.
  *
  * forEach visits entries in ascending (address, length) prefix order,
- * the radix tree's natural walk order. Consumers (snapshots, table
- * dumps) rely on this and do not sort.
+ * the radix tree's natural walk order. Consumers (serve snapshots, the
+ * derived Adj-RIB-Out) rely on this and do not sort.
  */
 
 #ifndef BGPBENCH_BGP_RIB_HH

@@ -8,50 +8,69 @@
 namespace bgpbench::bgp
 {
 
-namespace
-{
-
-/** Detached-instrumentation guard: one branch when unbound. */
-inline void
-bump(obs::Counter *counter, uint64_t n = 1)
-{
-    if (counter)
-        counter->add(n);
-}
-
-} // namespace
+const BgpSpeaker::FoldedCount BgpSpeaker::foldedCounts[] = {
+    {"bgp.updates_received",
+     [](auto &c, auto &) { return c.updatesReceived; }},
+    {"bgp.updates_sent", [](auto &c, auto &) { return c.updatesSent; }},
+    {"bgp.prefixes_advertised",
+     [](auto &c, auto &) { return c.prefixesAdvertised; }},
+    {"bgp.decision_runs", [](auto &c, auto &) { return c.decisionRuns; }},
+    {"rib.loc_rib_changes",
+     [](auto &c, auto &) { return c.locRibChanges; }},
+    {"rib.fib_changes", [](auto &c, auto &) { return c.fibChanges; }},
+    {"bgp.session_transitions",
+     [](auto &c, auto &) { return c.sessionTransitions; }},
+    {obs::metric::bgpPolicyEvals,
+     [](auto &c, auto &) { return c.policyEvals; }},
+    {obs::metric::bgpPolicyRejects,
+     [](auto &c, auto &) { return c.policyRejects; }},
+    {obs::metric::bgpEcmpGroups,
+     [](auto &c, auto &) { return c.ecmpGroups; }},
+    {obs::metric::bgpMraiDeferrals,
+     [](auto &c, auto &) { return c.mraiDeferrals; }},
+    {obs::metric::bgpDampingSuppressed,
+     [](auto &, auto &d) { return d.suppressTransitions(); }},
+    {obs::metric::bgpDampingReused,
+     [](auto &, auto &d) { return d.reuseTransitions(); }},
+};
 
 void
 BgpSpeaker::bindObservability(obs::MetricRegistry *registry,
                               obs::Tracer *tracer, uint32_t track)
 {
-    obs_ = ObsHandles{};
-    obs_.tracer = tracer;
-    obs_.track = track;
+    // The old registry gets what was counted while it was bound; what
+    // the slots hold now was counted detached and reaches no registry.
+    foldObservability();
+    std::fill(candidateRuns_.begin(), candidateRuns_.end(), 0);
+    obs_ = ObsHandles{tracer, track};
     if (!registry)
         return;
-    obs_.updatesReceived = &registry->counter("bgp.updates_received");
-    obs_.updatesSent = &registry->counter("bgp.updates_sent");
-    obs_.prefixesAdvertised =
-        &registry->counter("bgp.prefixes_advertised");
-    obs_.decisionRuns = &registry->counter("bgp.decision_runs");
-    obs_.locRibChanges = &registry->counter("rib.loc_rib_changes");
-    obs_.fibChanges = &registry->counter("rib.fib_changes");
-    obs_.sessionTransitions =
-        &registry->counter("bgp.session_transitions");
-    obs_.policyEvals =
-        &registry->counter(obs::metric::bgpPolicyEvals);
-    obs_.policyRejects =
-        &registry->counter(obs::metric::bgpPolicyRejects);
-    obs_.ecmpGroups = &registry->counter(obs::metric::bgpEcmpGroups);
-    obs_.dampingSuppressed =
-        &registry->counter(obs::metric::bgpDampingSuppressed);
-    obs_.dampingReused =
-        &registry->counter(obs::metric::bgpDampingReused);
-    obs_.mraiDeferrals =
-        &registry->counter(obs::metric::bgpMraiDeferrals);
+    for (size_t i = 0; i < std::size(foldedCounts); ++i) {
+        obs_.counters[i] = &registry->counter(foldedCounts[i].name);
+        obs_.folded[i] = foldedCounts[i].read(counters_, damper_);
+    }
     obs_.decisionCandidates = &registry->histogram(
         "bgp.decision_candidates", {1, 2, 4, 8, 16, 32, 64});
+}
+
+void
+BgpSpeaker::foldObservability()
+{
+    if (!obs_.decisionCandidates)
+        return;
+    for (size_t i = 0; i < std::size(foldedCounts); ++i) {
+        uint64_t count = foldedCounts[i].read(counters_, damper_);
+        if (count != obs_.folded[i]) {
+            obs_.counters[i]->add(count - obs_.folded[i]);
+            obs_.folded[i] = count;
+        }
+    }
+    for (size_t n = 0; n < candidateRuns_.size(); ++n) {
+        if (candidateRuns_[n] != 0) {
+            obs_.decisionCandidates->record(n, candidateRuns_[n]);
+            candidateRuns_[n] = 0;
+        }
+    }
 }
 
 BgpSpeaker::BgpSpeaker(SpeakerConfig config, SpeakerEvents *events)
@@ -144,8 +163,7 @@ BgpSpeaker::AdjRibOutView::find(const net::Prefix &prefix) const
     const LocRib::Entry *entry = speaker_->locRib_.find(prefix);
     if (!peer_ || !entry)
         return nullptr;
-    return speaker_->exportTo(*peer_, prefix, entry->best,
-                              ExportUse::Derive);
+    return speaker_->exportTo(*peer_, prefix, entry->best, nullptr);
 }
 
 void
@@ -214,8 +232,6 @@ BgpSpeaker::transmitUpdates(Peer &peer,
         size_t transactions = update.transactionCount();
         ++counters_.updatesSent;
         counters_.prefixesAdvertised += transactions;
-        bump(obs_.updatesSent);
-        bump(obs_.prefixesAdvertised, transactions);
 
         net::WireSegmentPtr wire;
         bool inserted = false;
@@ -247,7 +263,7 @@ BgpSpeaker::noteStateChange(Peer &peer, SessionState before,
     if (after == before)
         return;
 
-    bump(obs_.sessionTransitions);
+    ++counters_.sessionTransitions;
     if (obs_.tracer) {
         // Mark the transition at its virtual time, named by the new
         // state (static strings; the buffer stores the pointer).
@@ -264,6 +280,7 @@ BgpSpeaker::noteStateChange(Peer &peer, SessionState before,
         unmarkEstablished(peer);
         invalidatePeerRoutes(peer, now);
     }
+    foldObservability();
 }
 
 void
@@ -412,7 +429,6 @@ BgpSpeaker::pollTimers(TimeNs now)
     if (config_.damping.enabled) {
         readmitReusable(now);
         flushPending(now);
-        syncDampingObs();
     }
 }
 
@@ -423,10 +439,8 @@ BgpSpeaker::serviceWakeup(TimeNs now)
     if (config_.damping.enabled)
         readmitReusable(now);
     flushPending(now);
-    if (config_.damping.enabled) {
+    if (config_.damping.enabled)
         armDampingWakeup(now);
-        syncDampingObs();
-    }
 }
 
 void
@@ -454,27 +468,10 @@ BgpSpeaker::armDampingWakeup(TimeNs now)
 }
 
 void
-BgpSpeaker::syncDampingObs()
-{
-    uint64_t suppressed = damper_.suppressTransitions();
-    if (suppressed > dampingSuppressedSeen_) {
-        bump(obs_.dampingSuppressed,
-             suppressed - dampingSuppressedSeen_);
-        dampingSuppressedSeen_ = suppressed;
-    }
-    uint64_t reused = damper_.reuseTransitions();
-    if (reused > dampingReusedSeen_) {
-        bump(obs_.dampingReused, reused - dampingReusedSeen_);
-        dampingReusedSeen_ = reused;
-    }
-}
-
-void
 BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
                           TimeNs now)
 {
     ++counters_.updatesReceived;
-    bump(obs_.updatesReceived);
     // Speaker work is instantaneous in virtual time (processing cost
     // is charged by the owning router/topology layer), so this span
     // is a zero-duration marker delimiting the decision/export
@@ -520,11 +517,11 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
             }
 
             if (!from.config.importPolicy.empty())
-                bump(obs_.policyEvals);
+                ++counters_.policyEvals;
             PathAttributesPtr effective =
                 from.config.importPolicy.apply(prefix, received);
             if (!effective)
-                bump(obs_.policyRejects);
+                ++counters_.policyRejects;
             AdjRibIn::Write write =
                 from.ribIn.update(prefix, received, std::move(effective));
 
@@ -549,7 +546,6 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
         // that never call pollTimers (the topology simulator) re-admit
         // suppressed routes deterministically in virtual time.
         armDampingWakeup(now);
-        syncDampingObs();
     }
     UpdateStats stats;
     stats.locRibChanges = size_t(counters_.locRibChanges - loc_rib_changes);
@@ -560,7 +556,6 @@ void
 BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
 {
     ++counters_.decisionRuns;
-    bump(obs_.decisionRuns);
 
     // Every RIB of this speaker is a column over the shared table, so
     // with the prefix's slot in hand the per-peer reads and the
@@ -590,8 +585,9 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
                                        true});
     }
 
-    if (obs_.decisionCandidates)
-        obs_.decisionCandidates->record(candidates.size());
+    if (candidates.size() >= candidateRuns_.size())
+        candidateRuns_.resize(candidates.size() + 1);
+    ++candidateRuns_[candidates.size()];
 
     selectMultipath(candidates, config_.decision, group_);
 
@@ -609,9 +605,6 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
         if (locRib_.removeAt(slot)) {
             ++counters_.locRibChanges;
             ++counters_.fibChanges;
-            bump(obs_.locRibChanges);
-            bump(obs_.fibChanges);
-            ++ribVersion_;
             ribDirty_ = true;
             events_->onFibUpdate(FibUpdate{prefix, std::nullopt, {}});
             updateAdjOut(prefix, &previous, nullptr);
@@ -627,17 +620,14 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
         auto outcome = locRib_.selectAt(slot, candidates, group_);
         if (outcome.groupChanged) {
             ++counters_.locRibChanges;
-            bump(obs_.locRibChanges);
-            ++ribVersion_;
             ribDirty_ = true;
 
             const auto *entry = locRib_.findAt(slot);
             if (!entry->multipath.empty())
-                bump(obs_.ecmpGroups);
+                ++counters_.ecmpGroups;
             entry->nextHops(hops_);
             if (hops_ != previousHops_) {
                 ++counters_.fibChanges;
-                bump(obs_.fibChanges);
                 events_->onFibUpdate(
                     FibUpdate{prefix, hops_.front(),
                               {hops_.begin() + 1, hops_.end()}});
@@ -651,7 +641,6 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
     // Release the scratch's attribute references now, as a local
     // vector going out of scope would; the capacity stays.
     candidates.clear();
-    ++decisionsSincePublish_;
     maybePublishRib(now, false);
 }
 
@@ -661,11 +650,9 @@ BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
 {
     for (Peer *peer : establishedPeers_) {
         PathAttributesPtr held =
-            before ? exportTo(*peer, prefix, *before, ExportUse::Derive)
-                   : nullptr;
+            before ? exportTo(*peer, prefix, *before, nullptr) : nullptr;
         PathAttributesPtr next =
-            after ? exportTo(*peer, prefix, *after, ExportUse::Send)
-                  : nullptr;
+            after ? exportTo(*peer, prefix, *after, &counters_) : nullptr;
         if (next) {
             if (!sameAttributeValue(held, next))
                 peer->pending.announce(prefix, std::move(next),
@@ -678,7 +665,7 @@ BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
 
 PathAttributesPtr
 BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
-                     const Candidate &best, ExportUse use) const
+                     const Candidate &best, SpeakerCounters *sent) const
 {
     // Do not advertise a route back to the peer it was learned from.
     if (best.peer == peer.config.id)
@@ -701,16 +688,15 @@ BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
     // The export route-map, if one is attached, runs first. What
     // follows is the same whether or not a map ran. Only the export
     // about to be sent counts as an evaluation.
-    const bool send = use == ExportUse::Send;
     PathAttributesPtr mapped;
     if (!peer.config.exportPolicy.empty()) {
-        if (send)
-            bump(obs_.policyEvals);
+        if (sent)
+            ++sent->policyEvals;
         mapped = peer.config.exportPolicy.apply(prefix, best.attributes,
                                                 config_.localAs);
         if (!mapped) {
-            if (send)
-                bump(obs_.policyRejects);
+            if (sent)
+                ++sent->policyRejects;
             return nullptr;
         }
     }
@@ -721,7 +707,7 @@ BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
         // containing its own AS (RFC 4271 9.1.2), so don't send one.
         if (attrs->asPath.contains(peer.config.asn))
             return nullptr;
-        return ebgpExport(attrs, use);
+        return ebgpExport(attrs, sent != nullptr);
     }
     if (!reflecting)
         return attrs;
@@ -764,17 +750,16 @@ BgpSpeaker::reserveRoutes(size_t prefixes)
 }
 
 PathAttributesPtr
-BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, ExportUse use) const
+BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, bool sent) const
 {
     // The memo is keyed on pointer identity, which stays hot across
     // messages, decision runs and peers because the interner
     // canonicalises attributes: a full-table load runs one transform
     // per distinct attribute set, not one per prefix and peer.
-    const bool send = use == ExportUse::Send;
     // Every peer of a fan-out derives the same previous best.
-    if (!send && attrs == lastDerived_.first)
+    if (!sent && attrs == lastDerived_.first)
         return lastDerived_.second;
-    if (send && exportMemo_.size() >= exportMemoCap)
+    if (sent && exportMemo_.size() >= exportMemoCap)
         exportMemo_.clear();
     PathAttributesPtr exported;
     if (auto memo = exportMemo_.find(attrs); memo != exportMemo_.end()) {
@@ -789,10 +774,10 @@ BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, ExportUse use) const
         out.originatorId.reset();
         out.clusterList.clear();
         exported = makeAttributes(std::move(out));
-        if (send)
+        if (sent)
             exportMemo_.emplace(attrs, exported);
     }
-    if (!send)
+    if (!sent)
         lastDerived_ = {attrs, exported};
     return exported;
 }
@@ -816,7 +801,6 @@ BgpSpeaker::flushPending(TimeNs now)
                 peer->mraiReadyAt < next_deadline)
                 next_deadline = peer->mraiReadyAt;
             ++counters_.mraiDeferrals;
-            bump(obs_.mraiDeferrals);
             continue;
         }
         peer->pending.build(outbound_);
@@ -842,6 +826,7 @@ BgpSpeaker::flushPending(TimeNs now)
     maybePublishRib(now, true);
     if (next_deadline != 0)
         requestWakeup(next_deadline);
+    foldObservability();
 }
 
 void
@@ -850,7 +835,7 @@ BgpSpeaker::bindRibListener(RibListener *listener,
 {
     ribListener_ = listener;
     publishEveryDecisions_ = everyDecisions;
-    decisionsSincePublish_ = 0;
+    publishedAtDecision_ = counters_.decisionRuns;
     // A non-empty Loc-RIB is published immediately so a listener
     // attached to a converged speaker need not wait for the next
     // change to see the table.
@@ -860,9 +845,9 @@ BgpSpeaker::bindRibListener(RibListener *listener,
 void
 BgpSpeaker::publishRib(TimeNs now)
 {
-    decisionsSincePublish_ = 0;
+    publishedAtDecision_ = counters_.decisionRuns;
     ribDirty_ = false;
-    ribListener_->onRibPublish(locRib_, ribVersion_, now);
+    ribListener_->onRibPublish(locRib_, ribVersion(), now);
 }
 
 void
@@ -873,7 +858,7 @@ BgpSpeaker::advertiseFullTable(Peer &peer, TimeNs now)
     locRib_.forEach([&](const net::Prefix &prefix,
                         const LocRib::Entry &entry) {
         if (PathAttributesPtr attrs =
-                exportTo(peer, prefix, entry.best, ExportUse::Send))
+                exportTo(peer, prefix, entry.best, &counters_))
             peer.pending.announce(prefix, std::move(attrs));
     });
     flushPending(now);

@@ -16,6 +16,7 @@
 #ifndef BGPBENCH_BGP_SPEAKER_HH
 #define BGPBENCH_BGP_SPEAKER_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -96,18 +97,27 @@ struct UpdateStats
     size_t locRibChanges = 0;
 };
 
-/** Aggregate lifetime counters of a speaker. */
+/** Aggregate lifetime counters of a speaker: its one record of what
+ *  it did, which a bound metric registry is folded from. */
 struct SpeakerCounters
 {
     uint64_t updatesReceived = 0;
     uint64_t announcementsProcessed = 0;
     uint64_t withdrawalsProcessed = 0;
     uint64_t decisionRuns = 0;
+    /** Also the Loc-RIB version (see RibListener). */
     uint64_t locRibChanges = 0;
     uint64_t fibChanges = 0;
+    /** Loc-RIB installs whose group has multipath members (ECMP). */
+    uint64_t ecmpGroups = 0;
     uint64_t updatesSent = 0;
     uint64_t prefixesAdvertised = 0;
     uint64_t notificationsSent = 0;
+    uint64_t sessionTransitions = 0;
+    /** Route-map runs: every import, and every export about to be
+     *  sent, through a non-empty policy; and the routes they denied. */
+    uint64_t policyEvals = 0;
+    uint64_t policyRejects = 0;
     /** Announcements ignored because the route was damped. */
     uint64_t announcementsSuppressed = 0;
     /** Flush rounds where a peer's queue was held back by MRAI. */
@@ -333,14 +343,14 @@ class BgpSpeaker
     const SpeakerConfig &config() const { return config_; }
 
     /**
-     * Attach this speaker to a run's observability sinks. Metric
-     * handles are resolved once here (under the registry's
-     * registration lock) so the hot paths only touch pre-resolved
-     * pointers; several speakers may share one registry (one per
-     * shard) and their counts aggregate. @p track is the trace lane
-     * (tid) for this speaker's events — the owning node id in a
-     * topology run. Null arguments detach; detached instrumentation
-     * is a single branch per site. Trace timestamps come from the
+     * Attach this speaker to a run's observability sinks. It counts
+     * only in counters() and its damper, and folds what it counted
+     * into @p registry before each public call returns; counts from
+     * before this call go to the previously bound registry, if any.
+     * Several speakers may share one registry (one per shard) and
+     * their counts aggregate. @p track is the trace lane (tid) for
+     * this speaker's events — the owning node id in a topology run.
+     * Null arguments detach. Trace timestamps come from the
      * caller-supplied virtual clock (the `now` of each entry point),
      * so binding can never perturb simulation behaviour.
      */
@@ -364,7 +374,7 @@ class BgpSpeaker
                          uint64_t everyDecisions = 0);
 
     /** Monotonic Loc-RIB change count (see RibListener). */
-    uint64_t ribVersion() const { return ribVersion_; }
+    uint64_t ribVersion() const { return counters_.locRibChanges; }
     /** Flap-damping state (live; decays lazily on access). */
     FlapDamper &damper() { return damper_; }
     std::vector<PeerId> peerIds() const;
@@ -468,18 +478,17 @@ class BgpSpeaker
     void updateAdjOut(const net::Prefix &prefix, const Candidate *before,
                       const Candidate *after);
 
-    /** Send: an export about to be queued, which counts the route-map
-     *  evaluation and fills the eBGP memo. Derive: what a peer already
-     *  holds, which does neither. */
-    enum class ExportUse { Send, Derive };
-
     /**
      * export(peer, best): the attributes @p peer is told for @p prefix
      * while @p best is its Loc-RIB best path, or null when the route
      * is withheld. A function of its arguments and the configuration.
+     * @p sent is given for an export about to be queued: the
+     * route-map evaluation counts in it and the eBGP memo fills. What
+     * a peer already holds is derived with null, which does neither.
      */
     PathAttributesPtr exportTo(const Peer &peer, const net::Prefix &prefix,
-                               const Candidate &best, ExportUse use) const;
+                               const Candidate &best,
+                               SpeakerCounters *sent) const;
 
     /** Flush all pending per-peer builders into UPDATE messages. */
     void flushPending(TimeNs now);
@@ -504,8 +513,9 @@ class BgpSpeaker
     /** Arm the wakeup for the damper's next reuse boundary, if any. */
     void armDampingWakeup(TimeNs now);
 
-    /** Mirror damper transition counters into obs (as deltas). */
-    void syncDampingObs();
+    /** Add what was counted since the last fold to the bound
+     *  registry; nothing when detached. */
+    void foldObservability();
 
     /** Track FSM state transitions and fire callbacks. */
     void noteStateChange(Peer &peer, SessionState before, TimeNs now);
@@ -517,11 +527,11 @@ class BgpSpeaker
     /**
      * The eBGP export of @p attrs: the local AS prepended, next-hop
      * self, LOCAL_PREF and the reflection attributes stripped. The
-     * result depends on nothing of the peer's, so Send memoises it
-     * speaker-wide in exportMemo_; Derive only reads the memo.
+     * result depends on nothing of the peer's, so a @p sent export is
+     * memoised speaker-wide in exportMemo_; a derived one only reads it.
      */
     PathAttributesPtr ebgpExport(const PathAttributesPtr &attrs,
-                                 ExportUse use) const;
+                                 bool sent) const;
 
     /**
      * One encode-once cache entry: the UPDATE exactly as encoded plus
@@ -535,24 +545,24 @@ class BgpSpeaker
         net::WireSegmentPtr wire;
     };
 
-    /** Pre-resolved observability handles; all null when detached. */
+    /** A count a bound registry carries: its metric name, and where
+     *  the speaker keeps it. */
+    struct FoldedCount
+    {
+        const char *name;
+        uint64_t (*read)(const SpeakerCounters &, const FlapDamper &);
+    };
+    static const FoldedCount foldedCounts[13];
+
+    /** The observability sinks; all null when detached. */
     struct ObsHandles
     {
         obs::Tracer *tracer = nullptr;
         uint32_t track = 0;
-        obs::Counter *updatesReceived = nullptr;
-        obs::Counter *updatesSent = nullptr;
-        obs::Counter *prefixesAdvertised = nullptr;
-        obs::Counter *decisionRuns = nullptr;
-        obs::Counter *locRibChanges = nullptr;
-        obs::Counter *fibChanges = nullptr;
-        obs::Counter *sessionTransitions = nullptr;
-        obs::Counter *policyEvals = nullptr;
-        obs::Counter *policyRejects = nullptr;
-        obs::Counter *ecmpGroups = nullptr;
-        obs::Counter *dampingSuppressed = nullptr;
-        obs::Counter *dampingReused = nullptr;
-        obs::Counter *mraiDeferrals = nullptr;
+        /** foldedCounts' registry counters, and the values of their
+         *  counts at the last fold. */
+        std::array<obs::Counter *, std::size(foldedCounts)> counters{};
+        std::array<uint64_t, std::size(foldedCounts)> folded{};
         obs::Histogram *decisionCandidates = nullptr;
     };
 
@@ -570,7 +580,8 @@ class BgpSpeaker
             return;
         if (publishEveryDecisions_ == 0
                 ? flushBoundary
-                : decisionsSincePublish_ >= publishEveryDecisions_)
+                : counters_.decisionRuns - publishedAtDecision_ >=
+                      publishEveryDecisions_)
             publishRib(now);
     }
 
@@ -580,8 +591,8 @@ class BgpSpeaker
     /** Read-side publication hook (see bindRibListener). */
     RibListener *ribListener_ = nullptr;
     uint64_t publishEveryDecisions_ = 0;
-    uint64_t ribVersion_ = 0;
-    uint64_t decisionsSincePublish_ = 0;
+    /** counters_.decisionRuns at the last publication (or binding). */
+    uint64_t publishedAtDecision_ = 0;
     bool ribDirty_ = false;
     /**
      * The one prefix -> slot key structure every RIB of this speaker
@@ -604,6 +615,9 @@ class BgpSpeaker
     std::vector<UpdateMessage> outbound_;
     /** runDecision()'s candidate list; reused by every decision. */
     std::vector<Candidate> candidates_;
+    /** Decision runs not yet folded, by candidate count: entry n
+     *  counts the runs with n candidates. */
+    std::vector<uint64_t> candidateRuns_;
     /** runDecision()'s route group: indexes into candidates_, best
      *  first (selectMultipath). */
     std::vector<size_t> group_;
@@ -643,9 +657,6 @@ class BgpSpeaker
      * owner may deliver wakeups late or more than once, both benign.
      */
     TimeNs wakeupArmedAt_ = 0;
-    /** Damper transition counts already mirrored into obs. */
-    uint64_t dampingSuppressedSeen_ = 0;
-    uint64_t dampingReusedSeen_ = 0;
 };
 
 /**
@@ -678,7 +689,7 @@ class BgpSpeaker::AdjRibOutView
         speaker_->locRib_.forEach(
             [&](const net::Prefix &prefix, const LocRib::Entry &entry) {
                 if (PathAttributesPtr attrs = speaker_->exportTo(
-                        *peer_, prefix, entry.best, ExportUse::Derive))
+                        *peer_, prefix, entry.best, nullptr))
                     fn(prefix, attrs);
             });
     }

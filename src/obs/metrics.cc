@@ -44,16 +44,18 @@ noteMaxU64(std::atomic<uint64_t> &slot, uint64_t value)
 } // namespace
 
 void
-Histogram::record(uint64_t sample)
+Histogram::record(uint64_t sample, uint64_t times)
 {
+    if (times == 0)
+        return;
     // First bucket whose inclusive upper bound covers the sample;
     // past the last bound it lands in the overflow slot.
     size_t i = std::lower_bound(bounds_.begin(), bounds_.end(),
                                 sample) -
                bounds_.begin();
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(sample, std::memory_order_relaxed);
+    buckets_[i].fetch_add(times, std::memory_order_relaxed);
+    count_.fetch_add(times, std::memory_order_relaxed);
+    sum_.fetch_add(sample * times, std::memory_order_relaxed);
     noteMaxU64(max_, sample);
 }
 

@@ -10,9 +10,9 @@
  * histograms, max for gauges) is order-independent, so report bytes
  * cannot depend on shard count or thread arrival order.
  *
- * Hot paths resolve a metric once (a Counter* / Histogram* handle)
- * and update through the handle; the registration mutex is only taken
- * when a name is first looked up.
+ * Producers count in plain fields and fold them in at a call boundary
+ * through handles (Counter* / Histogram*) resolved once; the
+ * registration mutex is only taken when a name is first looked up.
  */
 
 #ifndef BGPBENCH_OBS_METRICS_HH
@@ -108,7 +108,8 @@ class Histogram
   public:
     explicit Histogram(std::vector<uint64_t> bounds);
 
-    void record(uint64_t sample);
+    /** Record @p sample @p times times, as that many records would. */
+    void record(uint64_t sample, uint64_t times = 1);
 
     const std::vector<uint64_t> &
     bounds() const

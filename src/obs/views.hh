@@ -53,8 +53,6 @@ inline constexpr const char *parallelNodeSkew = "parallel.node_skew";
 inline constexpr const char *parallelLookaheadNs =
     "parallel.lookahead_ns";
 inline constexpr const char *parallelWindows = "parallel.windows";
-inline constexpr const char *parallelBarrierWaitNs =
-    "parallel.barrier_wait_ns";
 
 /** Sum of opened window lengths (virtual ns — deterministic). */
 inline constexpr const char *topoWindowLenNs = "topo.window_len_ns";

@@ -8,8 +8,9 @@
  * network has converged. The tracker additionally records when the
  * last Loc-RIB-affecting event happened, which is the convergence
  * *instant* (the queue drains somewhat later, as in-flight messages
- * that change nothing are absorbed), and supports a semantic check
- * that every router reaches every originated prefix.
+ * that change nothing are absorbed). Whether the routes are right is
+ * TopologySim::locRibsConsistent's check, a link-local fixpoint: each
+ * up link's Adj-RIB-In at one end equals the other end's Adj-RIB-Out.
  *
  * Metrics follow the path-vector stability literature (Papadimitriou
  * & Cabellos, arXiv:1204.5642): convergence time, total UPDATE

@@ -78,6 +78,30 @@ TEST(Histogram, TracksExactMaximum)
     EXPECT_EQ(h.overflowCount(), 0u);
 }
 
+TEST(Histogram, RecordTimesEqualsThatManyRecords)
+{
+    const std::vector<uint64_t> bounds = {1, 2, 4, 8};
+    obs::Histogram folded(bounds);
+    obs::Histogram single(bounds);
+    // Samples in the first, a middle, the last and the overflow
+    // bucket, a repeat of a sample, and zero records of a new maximum.
+    const std::pair<uint64_t, uint64_t> runs[] = {
+        {0, 3}, {3, 5}, {8, 1}, {3, 2}, {40, 4}, {9000, 0}};
+    for (auto [sample, times] : runs) {
+        folded.record(sample, times);
+        for (uint64_t i = 0; i < times; ++i)
+            single.record(sample);
+    }
+    for (size_t i = 0; i <= bounds.size(); ++i)
+        EXPECT_EQ(folded.bucketCount(i), single.bucketCount(i)) << i;
+    EXPECT_EQ(folded.count(), 15u);
+    EXPECT_EQ(folded.count(), single.count());
+    EXPECT_EQ(folded.sum(), 3u * 7 + 8 + 40 * 4);
+    EXPECT_EQ(folded.sum(), single.sum());
+    EXPECT_EQ(folded.max(), 40u);
+    EXPECT_EQ(folded.max(), single.max());
+}
+
 TEST(Histogram, QuantilesQuoteBucketBounds)
 {
     obs::MetricRegistry registry;
