@@ -20,9 +20,9 @@
  *     this mostly-unchanged workload is the headline number (> 0.9).
  *  3. --policy-overhead-check runs the CI gate instead of the bench:
  *     scenario 1 with a one-entry pass-through route-map attached
- *     versus no policy (warm-up pair, then alternating order,
- *     best-of-9); the pass-through run must not be more than 5%
- *     slower. This bounds the fixed price of having the policy
+ *     versus no policy (warm-up pair, then 41 pairs in alternating
+ *     order); the median pass-through/none ratio must not exceed
+ *     1.05. This bounds the fixed price of having the policy
  *     machinery engaged at all — the COW fast path is what keeps it
  *     flat.
  *
@@ -71,6 +71,10 @@ wallMs(std::chrono::steady_clock::time_point begin)
 bgp::Policy
 heavyScanPolicy(size_t entries)
 {
+    // 240.0.0.0/4 (class E) never appears in the workload.
+    auto class_e = std::make_shared<bgp::PrefixList>("class-e");
+    class_e->add(5, true, net::Prefix(net::Ipv4Address(240, 0, 0, 0), 4),
+                 std::nullopt, 32);
     auto map = std::make_shared<bgp::RouteMap>("heavy-scan");
     for (size_t i = 0; i + 1 < entries; ++i) {
         bgp::RouteMapEntry entry;
@@ -86,9 +90,7 @@ heavyScanPolicy(size_t entries)
             entry.match.minAsPathLength = 24;
             break;
           default:
-            // 240.0.0.0/4 (class E) never appears in the workload.
-            entry.match.prefixCoveredBy =
-                net::Prefix(net::Ipv4Address(240, 0, 0, 0), 4);
+            entry.prefixList = class_e;
             break;
         }
         map->add(std::move(entry));
@@ -203,11 +205,19 @@ runPolicyOverheadCheck(size_t prefixes)
     once(true);
     once(false);
 
-    const int reps = 9;
+    // One run can go at half speed while a neighbour is busy, so a
+    // best-of-9 per mode read 0.65-1.06 over 40 runs on a 4-vCPU
+    // host. Each pair's runs are adjacent, so their ratio shares the
+    // host's state; the gate takes the median ratio of 41 pairs, with
+    // the order alternated per pair. It read 1.005-1.036 over 30
+    // runs, and 1.069-1.088 over 10 runs of a copy whose
+    // copy-on-write hit path re-interns a copy of the attributes.
+    // Each mode's best run is printed for reference.
+    const int reps = 41;
     double best_policy = 0.0;
     double best_plain = 0.0;
+    std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
-        // Alternate the order so cache warmth cannot bias one mode.
         double policy_ms;
         double plain_ms;
         if (rep % 2 == 0) {
@@ -217,18 +227,22 @@ runPolicyOverheadCheck(size_t prefixes)
             plain_ms = once(false);
             policy_ms = once(true);
         }
+        ratios.push_back(plain_ms > 0 ? policy_ms / plain_ms : 1.0);
         if (rep == 0 || policy_ms < best_policy)
             best_policy = policy_ms;
         if (rep == 0 || plain_ms < best_plain)
             best_plain = plain_ms;
     }
 
-    double ratio = best_plain > 0 ? best_policy / best_plain : 1.0;
+    auto middle = ratios.begin() + ptrdiff_t(ratios.size() / 2);
+    std::nth_element(ratios.begin(), middle, ratios.end());
+    double ratio = *middle;
     std::cout << "policy overhead check (scenario 1, Xeon, "
-              << prefixes << " prefixes, best of " << reps << "):\n"
-              << "  pass-through route-map "
-              << stats::formatDouble(best_policy, 2) << " ms, none "
-              << stats::formatDouble(best_plain, 2) << " ms, ratio "
+              << prefixes << " prefixes):\n"
+              << "  best pass-through route-map "
+              << stats::formatDouble(best_policy, 2) << " ms, best none "
+              << stats::formatDouble(best_plain, 2)
+              << " ms, median ratio of " << reps << " pairs "
               << stats::formatDouble(ratio, 3) << " (limit 1.05)\n";
     if (ratio > 1.05) {
         std::cerr << "error: a pass-through route-map costs more "

@@ -78,73 +78,11 @@ PrefixList::evaluateLinear(const net::Prefix &prefix) const
     return ListMatch::NoMatch;
 }
 
-// --- AsPathSet --------------------------------------------------------
-
-AsPathSet &
-AsPathSet::add(Entry entry)
-{
-    auto pos = std::upper_bound(
-        entries_.begin(), entries_.end(), entry.seq,
-        [](uint32_t s, const Entry &e) { return s < e.seq; });
-    entries_.insert(pos, std::move(entry));
-    return *this;
-}
-
-ListMatch
-AsPathSet::evaluate(const AsPath &path) const
-{
-    for (const Entry &entry : entries_) {
-        if (entry.contains && !path.contains(*entry.contains))
-            continue;
-        if (entry.originAs && path.originAs() != *entry.originAs)
-            continue;
-        if (entry.minLength && path.pathLength() < *entry.minLength)
-            continue;
-        if (entry.maxLength && path.pathLength() > *entry.maxLength)
-            continue;
-        return entry.permit ? ListMatch::Permit : ListMatch::Deny;
-    }
-    return ListMatch::NoMatch;
-}
-
-// --- CommunityList ----------------------------------------------------
-
-CommunityList &
-CommunityList::add(uint32_t seq, bool permit, uint32_t community)
-{
-    Entry entry{seq, permit, community};
-    auto pos = std::upper_bound(
-        entries_.begin(), entries_.end(), entry.seq,
-        [](uint32_t s, const Entry &e) { return s < e.seq; });
-    entries_.insert(pos, entry);
-    return *this;
-}
-
-ListMatch
-CommunityList::evaluate(const std::vector<uint32_t> &communities) const
-{
-    for (const Entry &entry : entries_) {
-        if (!std::binary_search(communities.begin(), communities.end(),
-                                entry.community)) {
-            continue;
-        }
-        return entry.permit ? ListMatch::Permit : ListMatch::Deny;
-    }
-    return ListMatch::NoMatch;
-}
-
 // --- PolicyMatch ------------------------------------------------------
 
 bool
-PolicyMatch::matches(const net::Prefix &prefix,
-                     const PathAttributes &attrs) const
+PolicyMatch::matches(const PathAttributes &attrs) const
 {
-    if (prefixCoveredBy && !prefixCoveredBy->covers(prefix))
-        return false;
-    if (minPrefixLength && prefix.length() < *minPrefixLength)
-        return false;
-    if (maxPrefixLength && prefix.length() > *maxPrefixLength)
-        return false;
     if (asPathContains && !attrs.asPath.contains(*asPathContains))
         return false;
     if (originAs && attrs.asPath.originAs() != *originAs)
@@ -251,16 +189,7 @@ RouteMapEntry::matches(const net::Prefix &prefix,
         prefixList->evaluate(prefix) != ListMatch::Permit) {
         return false;
     }
-    if (asPathSet &&
-        asPathSet->evaluate(attrs.asPath) != ListMatch::Permit) {
-        return false;
-    }
-    if (communityList &&
-        communityList->evaluate(attrs.communities) !=
-            ListMatch::Permit) {
-        return false;
-    }
-    return match.matches(prefix, attrs);
+    return match.matches(attrs);
 }
 
 RouteMap &
@@ -283,25 +212,37 @@ RouteMap::add(RouteMapEntry entry)
     return *this;
 }
 
-template <typename Fn>
-ListMatch
-RouteMap::walk(const net::Prefix &prefix, const PathAttributes &attrs,
-               Fn &&fn) const
+PathAttributesPtr
+RouteMap::apply(const net::Prefix &prefix,
+                const PathAttributesPtr &attrs, AsNumber prepend_as,
+                PolicyEvalStats *stats) const
 {
-    bool matched_permit = false;
+    if (!attrs)
+        return nullptr;
+    if (stats)
+        ++stats->evals;
+
+    // Matches read the original attributes (see header). The copy is
+    // taken at the first matched entry that would change the bundle;
+    // every matched entry from there on applies to it.
+    std::optional<PathAttributes> out;
+    bool accepted = false;
     size_t i = 0;
     while (i < entries_.size()) {
         const RouteMapEntry &entry = entries_[i];
-        if (!entry.matches(prefix, attrs)) {
+        if (!entry.matches(prefix, *attrs)) {
             ++i;
             continue;
         }
-        if (!entry.permit)
-            return ListMatch::Deny;
-        matched_permit = true;
-        fn(entry);
+        accepted = entry.permit;
+        if (!accepted)
+            break;
+        if (!out && entry.set.wouldChange(*attrs, prepend_as))
+            out.emplace(*attrs);
+        if (out)
+            entry.set.applyTo(*out, prepend_as);
         if (!entry.continueTo)
-            return ListMatch::Permit;
+            break;
         if (*entry.continueTo == 0) {
             ++i;
             continue;
@@ -318,54 +259,22 @@ RouteMap::walk(const net::Prefix &prefix, const PathAttributes &attrs,
             entries_.begin());
         i = std::max(next, i + 1);
     }
-    return matched_permit ? ListMatch::Permit : ListMatch::NoMatch;
-}
 
-PathAttributesPtr
-RouteMap::apply(const net::Prefix &prefix,
-                const PathAttributesPtr &attrs, AsNumber prepend_as,
-                PolicyEvalStats *stats) const
-{
-    if (!attrs)
-        return nullptr;
-    if (stats)
-        ++stats->evals;
-
-    // Pass 1: disposition plus "would any accumulated set-action
-    // actually change the bundle?". Matches evaluate against the
-    // original attributes (see header), so this pass is pure.
-    bool changes = false;
-    ListMatch outcome =
-        walk(prefix, *attrs, [&](const RouteMapEntry &entry) {
-            if (!changes &&
-                entry.set.wouldChange(*attrs, prepend_as)) {
-                changes = true;
-            }
-        });
-
-    if (outcome != ListMatch::Permit) {
+    if (!accepted) {
         if (stats)
             ++stats->rejects;
         return nullptr;
     }
-    if (!changes) {
+    if (!out) {
         // Copy-on-write hit: the route passes through untouched and
         // keeps its interned pointer identity — no allocation.
         if (stats)
             ++stats->cowHits;
         return attrs;
     }
-
-    // Pass 2 (only for bundles that really change): copy once, apply
-    // every matched entry's set-actions in match order, and
-    // re-canonicalise through the interner.
-    PathAttributes out = *attrs;
-    walk(prefix, *attrs, [&](const RouteMapEntry &entry) {
-        entry.set.applyTo(out, prepend_as);
-    });
     if (stats)
         ++stats->cowCopies;
-    return makeAttributes(std::move(out));
+    return makeAttributes(std::move(*out));
 }
 
 // --- Policy helpers ---------------------------------------------------
@@ -406,18 +315,12 @@ makeRejectPrefixPolicy(const net::Prefix &prefix)
 Policy
 makeLocalPrefForAsPolicy(AsNumber asn, uint32_t local_pref)
 {
-    auto set = std::make_shared<AsPathSet>("as-" + std::to_string(asn));
-    AsPathSet::Entry match;
-    match.seq = 5;
-    match.permit = true;
-    match.contains = asn;
-    set->add(match);
     auto map = std::make_shared<RouteMap>(
         "local-pref " + std::to_string(local_pref) + " for AS" +
         std::to_string(asn));
     RouteMapEntry entry;
     entry.seq = 10;
-    entry.asPathSet = std::move(set);
+    entry.match.asPathContains = asn;
     entry.set.localPref = local_pref;
     map->add(std::move(entry));
     map->add(catchAllPermit());

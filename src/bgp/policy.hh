@@ -3,26 +3,28 @@
  * Quagga-style policy engine for import/export filtering.
  *
  * BGP route selection "is always policy-based" (paper, section III.A).
- * This module provides the policy machinery at production richness:
+ * This module provides the policy machinery, one matcher per
+ * attribute:
  *
- *  - Named, reusable match objects: PrefixList (seq-numbered entries
- *    with le/ge length bounds, compiled onto a net::PrefixTree so a
- *    lookup costs O(32) node visits instead of O(entries)), AsPathSet,
- *    and CommunityList.
+ *  - PrefixList matches the prefix: seq-numbered entries with le/ge
+ *    length bounds, compiled onto a net::PrefixTree so a lookup costs
+ *    O(32) node visits instead of O(entries). "Covered by P" is the
+ *    entry `P le 32`; a length range is `0.0.0.0/0 ge X le Y`.
+ *    PolicyMatch's inline fields match the AS path and communities.
  *
  *  - RouteMap: an ordered list of seq-numbered entries, each with
- *    permit/deny semantics, match clauses (named lists and/or inline
- *    conditions), set-actions (local-pref, MED, as-path prepend,
- *    community add/delete/set, next-hop), and `continue`-style
- *    fallthrough to a later entry.
+ *    permit/deny semantics, match clauses, set-actions (local-pref,
+ *    MED, as-path prepend, community add/delete/set, next-hop), and
+ *    `continue`-style fallthrough to a later entry.
  *
- *  - Copy-on-write set-ops: match clauses evaluate against the
- *    *original* attributes and the accumulated set-actions are applied
- *    once at accept time — and only if they would actually change the
- *    attribute bundle. An accepted route whose bundle is unchanged
- *    keeps its interned PathAttributesPtr (no allocation); a changed
- *    bundle is copied exactly once and re-canonicalised through
- *    AttributeInterner via makeAttributes().
+ *  - Copy-on-write set-ops in one walk: match clauses evaluate
+ *    against the *original* attributes. The bundle is copied once, at
+ *    the first matched entry whose set-actions would change it (an
+ *    entry matched before it changes nothing), every matched entry
+ *    from there on applies to the copy, and the copy is
+ *    re-canonicalised through AttributeInterner via makeAttributes().
+ *    An accepted route no entry changes keeps its interned
+ *    PathAttributesPtr (no allocation).
  *
  * Evaluation semantics (documented invariants, pinned by tests):
  *
@@ -63,7 +65,7 @@
 namespace bgpbench::bgp
 {
 
-/** Tri-state result of evaluating a named match list. */
+/** Tri-state result of evaluating a prefix-list. */
 enum class ListMatch
 {
     NoMatch,
@@ -135,84 +137,11 @@ class PrefixList
 };
 
 /**
- * A named as-path match set (the spirit of Quagga's as-path access
- * lists, over structured predicates instead of regexes): seq-numbered
- * entries, first match decides.
+ * Inline AS-path and community conditions; unset fields match
+ * anything. Prefixes match through RouteMapEntry::prefixList.
  */
-class AsPathSet
-{
-  public:
-    struct Entry
-    {
-        uint32_t seq = 0;
-        bool permit = true;
-        /** Matches paths containing this AS anywhere. */
-        std::optional<AsNumber> contains;
-        /** Matches paths originated by this AS. */
-        std::optional<AsNumber> originAs;
-        /** Matches paths at least this long. */
-        std::optional<int> minLength;
-        /** Matches paths at most this long. */
-        std::optional<int> maxLength;
-    };
-
-    AsPathSet() = default;
-    explicit AsPathSet(std::string name) : name_(std::move(name)) {}
-
-    AsPathSet &add(Entry entry);
-
-    const std::string &name() const { return name_; }
-    size_t size() const { return entries_.size(); }
-    const std::vector<Entry> &entries() const { return entries_; }
-
-    ListMatch evaluate(const AsPath &path) const;
-
-  private:
-    std::string name_;
-    std::vector<Entry> entries_;
-};
-
-/**
- * A named community list (RFC 1997): seq-numbered entries each
- * requiring one community value, first match decides.
- */
-class CommunityList
-{
-  public:
-    struct Entry
-    {
-        uint32_t seq = 0;
-        bool permit = true;
-        uint32_t community = 0;
-    };
-
-    CommunityList() = default;
-    explicit CommunityList(std::string name) : name_(std::move(name))
-    {}
-
-    CommunityList &add(uint32_t seq, bool permit, uint32_t community);
-
-    const std::string &name() const { return name_; }
-    size_t size() const { return entries_.size(); }
-    const std::vector<Entry> &entries() const { return entries_; }
-
-    /** @p communities must be sorted (PathAttributes invariant). */
-    ListMatch evaluate(const std::vector<uint32_t> &communities) const;
-
-  private:
-    std::string name_;
-    std::vector<Entry> entries_;
-};
-
-/** Match conditions; unset fields match anything. */
 struct PolicyMatch
 {
-    /** Matches routes whose prefix is covered by this prefix. */
-    std::optional<net::Prefix> prefixCoveredBy;
-    /** Matches routes whose prefix length is at least this. */
-    std::optional<int> minPrefixLength;
-    /** Matches routes whose prefix length is at most this. */
-    std::optional<int> maxPrefixLength;
     /** Matches routes whose AS_PATH contains this AS. */
     std::optional<AsNumber> asPathContains;
     /** Matches routes originated by this AS. */
@@ -222,9 +151,8 @@ struct PolicyMatch
     /** Matches routes whose AS_PATH length is at least this. */
     std::optional<int> minAsPathLength;
 
-    /** True if @p prefix / @p attrs satisfy every set condition. */
-    bool matches(const net::Prefix &prefix,
-                 const PathAttributes &attrs) const;
+    /** True if @p attrs satisfy every set condition. */
+    bool matches(const PathAttributes &attrs) const;
 };
 
 /**
@@ -289,7 +217,7 @@ struct PolicyEvalStats
 
 /**
  * One route-map entry: match clauses (all present clauses must pass;
- * a named list passes only when it evaluates to Permit), a
+ * the prefix-list passes only when it evaluates to Permit), a
  * disposition, set-actions, and an optional continue clause.
  */
 struct RouteMapEntry
@@ -297,8 +225,6 @@ struct RouteMapEntry
     uint32_t seq = 10;
     bool permit = true;
     std::shared_ptr<const PrefixList> prefixList;
-    std::shared_ptr<const AsPathSet> asPathSet;
-    std::shared_ptr<const CommunityList> communityList;
     /** Inline conditions; all unset matches anything. */
     PolicyMatch match;
     SetActions set;
@@ -352,15 +278,6 @@ class RouteMap
                             PolicyEvalStats *stats = nullptr) const;
 
   private:
-    /**
-     * Walk the entries with the documented first-match/continue
-     * semantics, invoking fn(entry) on each matching permit entry.
-     * @return Permit / Deny / NoMatch.
-     */
-    template <typename Fn>
-    ListMatch walk(const net::Prefix &prefix,
-                   const PathAttributes &attrs, Fn &&fn) const;
-
     std::string name_;
     /** Sorted by seq. */
     std::vector<RouteMapEntry> entries_;

@@ -12,6 +12,12 @@ namespace
 /** Prefix the static cross-traffic route covers (RFC 2544 space). */
 const net::Prefix crossTrafficPrefix =
     net::Prefix(net::Ipv4Address(198, 18, 0, 0), 15);
+/** Cross-traffic frame size. */
+constexpr uint32_t crossPacketBytes = 1000;
+/** Speaker 1 / Speaker 2 / router-under-test AS numbers. */
+constexpr bgp::AsNumber speaker1As = 65001;
+constexpr bgp::AsNumber speaker2As = 65002;
+constexpr bgp::AsNumber routerAs = 65000;
 
 } // namespace
 
@@ -72,20 +78,20 @@ BenchmarkRunner::setUp(const Scenario &scenario)
     sim_ = std::make_unique<sim::Simulator>();
 
     router::RouterConfig rc;
-    rc.localAs = config_.routerAs;
+    rc.localAs = routerAs;
     rc.routerId = 0x0a000001;
     rc.address = net::Ipv4Address(10, 0, 0, 1);
     rc.damping.enabled = config_.dampingEnabled;
 
     bgp::PeerConfig p1;
     p1.id = 0;
-    p1.asn = config_.speaker1As;
+    p1.asn = speaker1As;
     p1.address = net::Ipv4Address(10, 0, 1, 2);
     p1.importPolicy = config_.importPolicy;
     p1.exportPolicy = config_.exportPolicy;
     bgp::PeerConfig p2;
     p2.id = 1;
-    p2.asn = config_.speaker2As;
+    p2.asn = speaker2As;
     p2.address = net::Ipv4Address(10, 0, 2, 2);
     p2.importPolicy = config_.importPolicy;
     p2.exportPolicy = config_.exportPolicy;
@@ -103,7 +109,7 @@ BenchmarkRunner::setUp(const Scenario &scenario)
 
         workload::CrossTrafficConfig ct;
         ct.mbps = config_.crossTrafficMbps;
-        ct.packetBytes = config_.crossPacketBytes;
+        ct.packetBytes = crossPacketBytes;
         ct.source = net::Ipv4Address(10, 0, 3, 2);
         for (int i = 0; i < 32; ++i) {
             ct.destinations.push_back(net::Ipv4Address(
@@ -113,14 +119,14 @@ BenchmarkRunner::setUp(const Scenario &scenario)
     }
 
     TestPeerConfig s1;
-    s1.asn = config_.speaker1As;
+    s1.asn = speaker1As;
     s1.routerId = 0x0a000102;
     s1.address = net::Ipv4Address(10, 0, 1, 2);
     speaker1_ = std::make_unique<TestPeer>(sim_.get(), s1,
                                            router_.get(), 0);
 
     TestPeerConfig s2;
-    s2.asn = config_.speaker2As;
+    s2.asn = speaker2As;
     s2.routerId = 0x0a000202;
     s2.address = net::Ipv4Address(10, 0, 2, 2);
     speaker2_ = std::make_unique<TestPeer>(sim_.get(), s2,
@@ -180,7 +186,7 @@ BenchmarkRunner::run(const Scenario &scenario)
 
     // --- Phase 1: Speaker 1 injects the routing table ----------------
     workload::StreamConfig s1_cfg;
-    s1_cfg.speakerAs = config_.speaker1As;
+    s1_cfg.speakerAs = speaker1As;
     s1_cfg.nextHop = net::Ipv4Address(10, 0, 1, 2);
     s1_cfg.prefixesPerPacket = scenario.prefixesPerPacket();
     // In scenarios 7/8 Speaker 1's paths must be longer than Speaker
@@ -255,7 +261,7 @@ BenchmarkRunner::run(const Scenario &scenario)
           case BgpOperation::IncrementalNoChange:
           case BgpOperation::IncrementalChange: {
             workload::StreamConfig s2_cfg;
-            s2_cfg.speakerAs = config_.speaker2As;
+            s2_cfg.speakerAs = speaker2As;
             s2_cfg.nextHop = net::Ipv4Address(10, 0, 2, 2);
             s2_cfg.prefixesPerPacket = scenario.prefixesPerPacket();
             // Longer paths when the best must not change (5/6);

@@ -36,16 +36,10 @@ struct BenchmarkConfig
     uint64_t seed = 42;
     /** Offered forwarding load during all phases (0 = none). */
     double crossTrafficMbps = 0.0;
-    /** Cross-traffic frame size. */
-    uint32_t crossPacketBytes = 1000;
     /** Enable RFC 2439 flap damping on the router under test. */
     bool dampingEnabled = false;
     /** Safety cap on simulated time per run. */
     sim::SimTime simTimeLimit = sim::nsFromSec(36000.0);
-    /** Speaker 1 / Speaker 2 / router-under-test AS numbers. */
-    bgp::AsNumber speaker1As = 65001;
-    bgp::AsNumber speaker2As = 65002;
-    bgp::AsNumber routerAs = 65000;
     /**
      * Session policies attached to both peers of the router under
      * test (empty = accept unmodified, the paper's configuration).

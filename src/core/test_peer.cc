@@ -5,6 +5,16 @@
 namespace bgpbench::core
 {
 
+namespace
+{
+
+/** Hold time the peer offers in its OPEN. */
+constexpr uint16_t holdTimeSec = 180;
+/** Interval between keepalives the peer emits once established. */
+constexpr double keepaliveSec = 30.0;
+
+} // namespace
+
 TestPeer::TestPeer(sim::Simulator *sim, TestPeerConfig config,
                    router::RouterSystem *router, size_t port)
     : sim_(sim), config_(config), router_(router), port_(port),
@@ -32,7 +42,7 @@ TestPeer::connect()
 
     bgp::OpenMessage open;
     open.myAs = config_.asn;
-    open.holdTimeSec = config_.holdTimeSec;
+    open.holdTimeSec = holdTimeSec;
     open.bgpIdentifier = config_.routerId;
     sendSegment(bgp::encodeSegment(open));
 
@@ -40,7 +50,7 @@ TestPeer::connect()
     // also refresh it, but quiet gaps (e.g. between phases) need
     // explicit keepalives.
     sim_->scheduleEvery(
-        sim::nsFromSec(config_.keepaliveSec),
+        sim::nsFromSec(keepaliveSec),
         [this, alive = alive_]() {
             if (!*alive)
                 return false;

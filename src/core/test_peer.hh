@@ -35,9 +35,6 @@ struct TestPeerConfig
     bgp::AsNumber asn = 65001;
     bgp::RouterId routerId = 0x0a000101;
     net::Ipv4Address address = net::Ipv4Address(10, 0, 1, 2);
-    uint16_t holdTimeSec = 180;
-    /** Interval between keepalives the peer emits once established. */
-    double keepaliveSec = 30.0;
 };
 
 /** What the test peer has received from the router under test. */

@@ -149,7 +149,9 @@ QueryEngine::readerLoop(Reader &reader, uint64_t quota)
     const uint64_t started = nowNs();
     uint64_t last = started;
     bool sawSnapshot = false;
-    while (!stopFlag_.load(std::memory_order_relaxed)) {
+    // The flag is read after each batch, so a paced reader serves at
+    // least one even when stop() comes before its thread runs.
+    do {
         RibSnapshotPtr snapshot = publisher_.current();
         if (!sawSnapshot) {
             reader.firstEpoch = snapshot->epoch();
@@ -193,7 +195,7 @@ QueryEngine::readerLoop(Reader &reader, uint64_t quota)
             // The pause must not be charged to the next query.
             last = nowNs();
         }
-    }
+    } while (!stopFlag_.load(std::memory_order_relaxed));
     reader.wallNs = nowNs() - started;
 }
 

@@ -126,8 +126,9 @@ class QueryEngine
 
     /**
      * Start paced readers that run until stop(): execute a batch,
-     * yield (if configured), repeat. Used to load the read side while
-     * a convergence run drives the write side.
+     * yield (if configured), repeat. Every reader executes at least
+     * one batch, however soon stop() follows. Used to load the read
+     * side while a convergence run drives the write side.
      */
     void startPaced();
 

@@ -47,10 +47,10 @@ runServeScenario(const ServeRunConfig &config)
     obs::RunObservability *obs = config.scenario.simConfig.obs;
     topo::ScenarioRunner runner(config.scenario);
 
+    // Node 0's Loc-RIB is the one published.
     SnapshotPublisher publisher;
-    runner.sim()
-        .speaker(config.publisherNode)
-        .bindRibListener(&publisher, config.snapshotEvery);
+    runner.sim().speaker(0).bindRibListener(&publisher,
+                                            config.snapshotEvery);
 
     std::vector<net::Prefix> targets =
         serveTargets(runner.sim().topology(),

@@ -5,7 +5,7 @@
  *
  * runServeScenario() runs any topo::ScenarioSpec through the one
  * topo::ScenarioRunner — same phases, same virtual-time schedule,
- * same report bytes — while one node's speaker publishes epoch
+ * same report bytes — while node 0's speaker publishes epoch
  * snapshots of its Loc-RIB and a query engine serves a synthetic
  * client population against them. The run has two measured read-side
  * phases:
@@ -44,8 +44,6 @@ struct ServeRunConfig
      */
     topo::ScenarioSpec scenario;
     QueryEngineConfig engine;
-    /** Node whose Loc-RIB is published (see BgpSpeaker). */
-    size_t publisherNode = 0;
     /**
      * Snapshot granularity: 0 publishes at flush boundaries, N > 0
      * after every N decision-process runs that changed the RIB.

@@ -90,21 +90,6 @@ pathHash(const bgp::AsPath &path)
     return h;
 }
 
-/** True if @p a and @p b have the same tokens. */
-bool
-samePath(const bgp::AsPath &a, const bgp::AsPath &b)
-{
-    PathTokens x(a);
-    PathTokens y(b);
-    for (; !x.done() && !y.done(); x.next(), y.next()) {
-        if (x.isSet() != y.isSet())
-            return false;
-        if (x.isSet() ? x.members() != y.members() : x.as() != y.as())
-            return false;
-    }
-    return x.done() && y.done();
-}
-
 } // namespace
 
 void
@@ -126,9 +111,9 @@ ConvergenceTracker::onUpdateDelivered(size_t node,
     lastActivity_ = std::max(lastActivity_, now);
     if (!msg.attributes)
         return;
-    Offer offer{pathHash(msg.attributes->asPath), msg.attributes};
+    uint64_t hash = pathHash(msg.attributes->asPath);
     for (const net::Prefix &prefix : msg.nlri)
-        addOffer(explored_[exploredKey(node, prefix)], offer);
+        addOffer(explored_[exploredKey(node, prefix)], hash);
 }
 
 uint64_t
@@ -142,20 +127,11 @@ ConvergenceTracker::exploredKey(size_t node, const net::Prefix &prefix)
 }
 
 void
-ConvergenceTracker::addOffer(std::vector<Offer> &offers,
-                             const Offer &offer)
+ConvergenceTracker::addOffer(std::vector<uint64_t> &offers,
+                             uint64_t hash)
 {
-    // Equal pointers prove a match; unequal ones prove nothing, since
-    // every worker thread interns into its own table.
-    for (const Offer &kept : offers) {
-        if (kept.hash == offer.hash &&
-            (kept.attributes == offer.attributes ||
-             samePath(kept.attributes->asPath,
-                      offer.attributes->asPath))) {
-            return;
-        }
-    }
-    offers.push_back(offer);
+    if (std::find(offers.begin(), offers.end(), hash) == offers.end())
+        offers.push_back(hash);
 }
 
 void
@@ -188,9 +164,9 @@ ConvergenceTracker::absorb(ConvergenceTracker &shard)
     // behind are keys both trackers hold.
     explored_.merge(shard.explored_);
     for (const auto &[key, offers] : shard.explored_) {
-        std::vector<Offer> &into = explored_.find(key)->second;
-        for (const Offer &offer : offers)
-            addOffer(into, offer);
+        std::vector<uint64_t> &into = explored_.find(key)->second;
+        for (uint64_t hash : offers)
+            addOffer(into, hash);
     }
     shard = ConvergenceTracker();
 }

@@ -58,9 +58,8 @@ class ConvergenceTracker
     void markPhaseStart(sim::SimTime now);
 
     /**
-     * An UPDATE finished its simulated delivery to @p node. Keeps a
-     * reference to the message's attribute set for every (node,
-     * prefix) that had not been offered its AS path before.
+     * An UPDATE finished its simulated delivery to @p node. Records
+     * its AS path's hash for every (node, prefix) it announces.
      */
     void onUpdateDelivered(size_t node, const bgp::UpdateMessage &msg,
                            sim::SimTime now);
@@ -103,8 +102,10 @@ class ConvergenceTracker
     uint64_t droppedSegments() const { return droppedSegments_; }
     /**
      * Distinct AS paths announced to @p node for @p prefix. Two paths
-     * are one exactly when AsPath::toString() renders them equally,
-     * whatever the rest of their attribute sets holds.
+     * are one when their 64-bit hashes over the tokens
+     * AsPath::toString() renders are equal, whatever the rest of
+     * their attribute sets holds: a split AS_SEQUENCE counts as the
+     * unsplit one, and two paths whose hashes collide count once.
      */
     size_t distinctPathsExplored(size_t node,
                                  const net::Prefix &prefix) const;
@@ -140,14 +141,6 @@ class ConvergenceTracker
     /** @} */
 
   private:
-    /** One distinct AS path offered for a (node, prefix). */
-    struct Offer
-    {
-        /** pathHash() of attributes->asPath. */
-        uint64_t hash = 0;
-        bgp::PathAttributesPtr attributes;
-    };
-
     /**
      * (node, prefix) as one integer: the node above bit 40, then the
      * 32-bit address and the 8-bit length. Panics if @p node does not
@@ -162,8 +155,8 @@ class ConvergenceTracker
                            int(key & 0xff));
     }
 
-    /** Append @p offer to @p offers unless it renders as a kept path. */
-    static void addOffer(std::vector<Offer> &offers, const Offer &offer);
+    /** Append @p hash to @p offers unless it is already there. */
+    static void addOffer(std::vector<uint64_t> &offers, uint64_t hash);
 
     sim::SimTime phaseStart_ = 0;
     sim::SimTime lastActivity_ = 0;
@@ -174,8 +167,8 @@ class ConvergenceTracker
     /** Lifetime totals at the last markPhaseStart(). */
     uint64_t phaseUpdatesBase_ = 0;
     uint64_t phaseTransactionsBase_ = 0;
-    /** exploredKey(node, prefix) -> the distinct paths offered. */
-    std::unordered_map<uint64_t, std::vector<Offer>> explored_;
+    /** exploredKey(node, prefix) -> the distinct path hashes offered. */
+    std::unordered_map<uint64_t, std::vector<uint64_t>> explored_;
 };
 
 /** Per-router slice of a convergence report. */

@@ -49,6 +49,23 @@ denyIf(uint32_t seq, PolicyMatch match)
 }
 
 /**
+ * An entry matching the routes of the one-entry prefix-list
+ * "@p prefix ge @p ge le @p le".
+ */
+RouteMapEntry
+prefixEntry(uint32_t seq, bool permit, const net::Prefix &prefix,
+            std::optional<int> ge, std::optional<int> le)
+{
+    auto list = std::make_shared<PrefixList>("test");
+    list->add(5, true, prefix, ge, le);
+    RouteMapEntry entry;
+    entry.seq = seq;
+    entry.permit = permit;
+    entry.prefixList = std::move(list);
+    return entry;
+}
+
+/**
  * @p entries, then a catch-all permit entry that passes every other
  * route through unmodified.
  */
@@ -84,14 +101,11 @@ TEST(Policy, RejectRule)
 
 TEST(Policy, FirstMatchWins)
 {
-    RouteMapEntry accept;
-    accept.seq = 10;
-    accept.match.prefixCoveredBy = p16;
+    RouteMapEntry accept = prefixEntry(10, true, p16, std::nullopt, 32);
     accept.set.localPref = 300;
 
-    PolicyMatch covered;
-    covered.prefixCoveredBy = p16;
-    Policy policy = policyOf({accept, denyIf(20, covered)});
+    Policy policy = policyOf(
+        {accept, prefixEntry(20, false, p16, std::nullopt, 32)});
     auto out = policy.apply(p24, attrs({100}));
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->localPref, 300u);
@@ -101,9 +115,9 @@ TEST(Policy, NoMatchFallsThroughToAccept)
 {
     // A route no deny entry matches reaches the catch-all permit and
     // keeps its interned attributes.
-    PolicyMatch martians;
-    martians.prefixCoveredBy = net::Prefix::fromString("192.168.0.0/16");
-    Policy policy = policyOf({denyIf(10, martians)});
+    Policy policy = policyOf(
+        {prefixEntry(10, false, net::Prefix::fromString("192.168.0.0/16"),
+                     std::nullopt, 32)});
     auto in = attrs({100});
     EXPECT_EQ(policy.apply(p24, in), in);
 }
@@ -135,18 +149,18 @@ TEST(Policy, MatchOriginAs)
 
 TEST(Policy, MatchPrefixLengthBounds)
 {
-    PolicyMatch too_long;
-    too_long.minPrefixLength = 25; // reject long prefixes
-    Policy policy = policyOf({denyIf(10, too_long)});
+    const net::Prefix any = net::Prefix::fromString("0.0.0.0/0");
+    // Reject long prefixes.
+    Policy policy = policyOf({prefixEntry(10, false, any, 25, 32)});
 
     EXPECT_EQ(policy.apply(net::Prefix::fromString("10.0.0.0/28"),
                            attrs({1})),
               nullptr);
     EXPECT_NE(policy.apply(p24, attrs({1})), nullptr);
 
-    PolicyMatch too_short;
-    too_short.maxPrefixLength = 16; // reject short prefixes
-    Policy upper = policyOf({denyIf(10, too_short)});
+    // Reject short prefixes.
+    Policy upper =
+        policyOf({prefixEntry(10, false, any, std::nullopt, 16)});
     EXPECT_EQ(upper.apply(p16, attrs({1})), nullptr);
     EXPECT_NE(upper.apply(p24, attrs({1})), nullptr);
 }

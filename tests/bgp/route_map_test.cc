@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the native route-map surface of the policy engine: named
- * prefix-lists with ge/le bounds (compiled vs linear oracle), as-path
- * sets, community lists, route-map first-match / continue semantics,
- * and the copy-on-write contract of set-action application.
+ * prefix-lists with ge/le bounds (compiled vs linear oracle),
+ * route-map first-match / continue semantics, and the copy-on-write
+ * contract of set-action application.
  */
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +41,15 @@ Policy
 mapPolicy(RouteMap map)
 {
     return Policy(std::make_shared<const RouteMap>(std::move(map)));
+}
+
+/** A prefix-list permitting @p covering and all its more-specifics. */
+std::shared_ptr<const PrefixList>
+coveredBy(const char *covering)
+{
+    auto list = std::make_shared<PrefixList>(covering);
+    list->add(5, true, pfx(covering), std::nullopt, 32);
+    return list;
 }
 
 } // namespace
@@ -146,50 +157,6 @@ TEST(PrefixList, CompiledLookupMatchesLinearOracle)
 }
 
 // ---------------------------------------------------------------------------
-// AsPathSet / CommunityList.
-
-TEST(AsPathSet, FirstMatchDecides)
-{
-    AsPathSet set("transit");
-    set.add({/*seq=*/5, /*permit=*/false, /*contains=*/666,
-             std::nullopt, std::nullopt, std::nullopt});
-    set.add({10, true, std::nullopt, /*originAs=*/300, std::nullopt,
-             std::nullopt});
-    set.add({20, true, std::nullopt, std::nullopt, /*minLength=*/4,
-             std::nullopt});
-
-    EXPECT_EQ(set.evaluate(AsPath::sequence({100, 666, 300})),
-              ListMatch::Deny);
-    EXPECT_EQ(set.evaluate(AsPath::sequence({100, 300})),
-              ListMatch::Permit);
-    EXPECT_EQ(set.evaluate(AsPath::sequence({1, 2, 3, 4})),
-              ListMatch::Permit);
-    EXPECT_EQ(set.evaluate(AsPath::sequence({1, 2})),
-              ListMatch::NoMatch);
-}
-
-TEST(AsPathSet, MaxLengthBound)
-{
-    AsPathSet set;
-    set.add({5, true, std::nullopt, std::nullopt, std::nullopt,
-             /*maxLength=*/2});
-    EXPECT_EQ(set.evaluate(AsPath::sequence({1, 2})),
-              ListMatch::Permit);
-    EXPECT_EQ(set.evaluate(AsPath::sequence({1, 2, 3})),
-              ListMatch::NoMatch);
-}
-
-TEST(CommunityList, FirstMatchDecides)
-{
-    CommunityList cl("customers");
-    cl.add(5, false, 0x00010063); // deny 1:99
-    cl.add(10, true, 0x00010001); // permit 1:1
-    EXPECT_EQ(cl.evaluate({0x00010001, 0x00010063}), ListMatch::Deny);
-    EXPECT_EQ(cl.evaluate({0x00010001}), ListMatch::Permit);
-    EXPECT_EQ(cl.evaluate({0x00020002}), ListMatch::NoMatch);
-}
-
-// ---------------------------------------------------------------------------
 // RouteMap semantics: first-match, deny, implicit deny, continue.
 
 TEST(RouteMap, FirstMatchingEntryDecidesBySeq)
@@ -230,7 +197,7 @@ TEST(RouteMap, NativeMapHasImplicitDeny)
 {
     RouteMap map("rm");
     RouteMapEntry entry;
-    entry.match.prefixCoveredBy = pfx("192.168.0.0/16");
+    entry.prefixList = coveredBy("192.168.0.0/16");
     map.add(entry);
     Policy policy = mapPolicy(std::move(map));
 
@@ -247,7 +214,7 @@ TEST(RouteMap, CatchAllEntryAcceptsUnmodified)
     RouteMap map("filter");
     RouteMapEntry entry;
     entry.permit = false;
-    entry.match.prefixCoveredBy = pfx("192.168.0.0/16");
+    entry.prefixList = coveredBy("192.168.0.0/16");
     RouteMapEntry rest;
     rest.seq = 20;
     map.add(entry).add(rest);
@@ -567,3 +534,267 @@ TEST(PolicyHandle, EmptinessReflectsMapSemantics)
     sized.add(RouteMapEntry{});
     EXPECT_EQ(mapPolicy(std::move(sized)).size(), 2u);
 }
+
+// ---------------------------------------------------------------------------
+// RouteMap::apply against a written-out reference: random maps over the
+// whole route-map surface, applied to random routes on import and export.
+
+namespace
+{
+
+/**
+ * The documented first-match/continue walk, written out: calls
+ * fn(entry) on each matched permit entry and returns the disposition.
+ * Matches read @p attrs; the prefix-list through its linear oracle.
+ */
+template <typename Fn>
+ListMatch
+referenceWalk(const std::vector<RouteMapEntry> &entries,
+              const net::Prefix &prefix, const PathAttributes &attrs,
+              Fn &&fn)
+{
+    auto matches = [&](const RouteMapEntry &entry) {
+        const PolicyMatch &m = entry.match;
+        const std::vector<uint32_t> &c = attrs.communities;
+        return (!entry.prefixList ||
+                entry.prefixList->evaluateLinear(prefix) ==
+                    ListMatch::Permit) &&
+               (!m.asPathContains ||
+                attrs.asPath.contains(*m.asPathContains)) &&
+               (!m.originAs || attrs.asPath.originAs() == *m.originAs) &&
+               (!m.hasCommunity ||
+                std::find(c.begin(), c.end(), *m.hasCommunity) !=
+                    c.end()) &&
+               (!m.minAsPathLength ||
+                attrs.asPath.pathLength() >= *m.minAsPathLength);
+    };
+    bool matched_permit = false;
+    size_t i = 0;
+    while (i < entries.size()) {
+        const RouteMapEntry &entry = entries[i];
+        if (!matches(entry)) {
+            ++i;
+            continue;
+        }
+        if (!entry.permit)
+            return ListMatch::Deny;
+        matched_permit = true;
+        fn(entry);
+        if (!entry.continueTo)
+            return ListMatch::Permit;
+        // The first entry with seq >= the target, and never this one
+        // or an earlier one.
+        size_t next = i + 1;
+        if (*entry.continueTo != 0) {
+            while (next < entries.size() &&
+                   entries[next].seq < *entry.continueTo) {
+                ++next;
+            }
+        }
+        i = next;
+    }
+    return matched_permit ? ListMatch::Permit : ListMatch::NoMatch;
+}
+
+/**
+ * Two passes: the disposition and whether any matched entry would
+ * change the original bundle, then, only if one would, every matched
+ * entry's set-actions applied in match order to one copy.
+ */
+PathAttributesPtr
+referenceApply(const RouteMap &map, const net::Prefix &prefix,
+               const PathAttributesPtr &attrs, AsNumber prepend_as,
+               PolicyEvalStats &stats)
+{
+    ++stats.evals;
+    bool changes = false;
+    ListMatch outcome = referenceWalk(
+        map.entries(), prefix, *attrs, [&](const RouteMapEntry &entry) {
+            changes = changes || entry.set.wouldChange(*attrs, prepend_as);
+        });
+    if (outcome != ListMatch::Permit) {
+        ++stats.rejects;
+        return nullptr;
+    }
+    if (!changes) {
+        ++stats.cowHits;
+        return attrs;
+    }
+    PathAttributes out = *attrs;
+    referenceWalk(map.entries(), prefix, *attrs,
+                  [&](const RouteMapEntry &entry) {
+                      entry.set.applyTo(out, prepend_as);
+                  });
+    ++stats.cowCopies;
+    return makeAttributes(std::move(out));
+}
+
+class RouteMapReference : public ::testing::TestWithParam<uint32_t>
+{
+  protected:
+    std::mt19937 rng{GetParam()};
+
+    uint32_t below(uint32_t n) { return uint32_t(rng() % n); }
+    bool chance(uint32_t n) { return below(n) == 0; }
+
+    /** A subset of a small community pool, so matches happen. */
+    std::vector<uint32_t>
+    someCommunities()
+    {
+        std::vector<uint32_t> out;
+        for (uint32_t c = 1; c <= 6; ++c)
+            if (chance(3))
+                out.push_back(c);
+        std::shuffle(out.begin(), out.end(), rng);
+        return out;
+    }
+
+    /** A prefix inside 10.0.0.0/8, of length 8..32. */
+    net::Prefix
+    somePrefix()
+    {
+        int len = 8 + int(below(25));
+        return net::Prefix(
+            net::Ipv4Address(0x0a000000u | (uint32_t(rng()) & 0x00ffffffu)),
+            len);
+    }
+
+    net::Ipv4Address
+    someNextHop()
+    {
+        return chance(2) ? net::Ipv4Address(10, 0, 0, 1)
+                         : net::Ipv4Address(172, 16, 0, 1);
+    }
+
+    PathAttributesPtr
+    someRoute()
+    {
+        PathAttributes a;
+        std::vector<AsNumber> path(1 + below(5));
+        for (AsNumber &asn : path)
+            asn = 100 + below(6);
+        a.asPath = AsPath::sequence(std::move(path));
+        a.nextHop = someNextHop();
+        if (chance(2))
+            a.localPref = chance(2) ? 100 : 200;
+        if (chance(2))
+            a.med = below(2) * 5;
+        a.communities = someCommunities();
+        std::sort(a.communities.begin(), a.communities.end());
+        return makeAttributes(std::move(a));
+    }
+
+    std::shared_ptr<const PrefixList>
+    somePrefixList()
+    {
+        auto list = std::make_shared<PrefixList>("random");
+        // Distinct seqs: among equal ones the compiled lookup and the
+        // linear oracle may pick different entries.
+        for (uint32_t n = 1 + below(3); n > 0; --n) {
+            net::Prefix p(somePrefix().address(), int(below(17)));
+            std::optional<int> ge, le;
+            if (chance(2))
+                ge = p.length() + int(below(uint32_t(33 - p.length())));
+            if (chance(2))
+                le = (ge ? *ge : p.length()) +
+                     int(below(uint32_t(33 - (ge ? *ge : p.length()))));
+            list->add(5 * n, !chance(4), p, ge, le);
+        }
+        return list;
+    }
+
+    RouteMapEntry
+    someEntry(uint32_t max_seq)
+    {
+        RouteMapEntry e;
+        e.seq = 10 * (1 + below(max_seq));
+        e.permit = !chance(4);
+        if (chance(3))
+            e.prefixList = somePrefixList();
+        if (chance(4))
+            e.match.asPathContains = 100 + below(6);
+        if (chance(4))
+            e.match.originAs = 100 + below(6);
+        if (chance(4))
+            e.match.hasCommunity = 1 + below(6);
+        if (chance(4))
+            e.match.minAsPathLength = int(1 + below(5));
+        if (chance(3))
+            e.set.localPref = chance(2) ? 100 : 200;
+        if (chance(3))
+            e.set.med = below(2) * 5;
+        if (chance(4))
+            e.set.prependCount = int(1 + below(2));
+        if (chance(4))
+            e.set.nextHop = someNextHop();
+        if (chance(3))
+            e.set.addCommunities = someCommunities();
+        if (chance(3))
+            e.set.deleteCommunities = someCommunities();
+        if (chance(5)) {
+            e.set.replaceCommunities = true;
+            e.set.communities = someCommunities();
+        }
+        switch (below(5)) {
+        case 0:
+            e.continueTo = 0; // the next entry
+            break;
+        case 1:
+            e.continueTo = e.seq + 10 * (1 + below(3)); // later
+            break;
+        case 2:
+            e.continueTo = 10 * below(max_seq); // earlier or itself
+            break;
+        default:
+            break;
+        }
+        return e;
+    }
+};
+
+} // namespace
+
+TEST_P(RouteMapReference, ApplyMatchesTwoPassReference)
+{
+    uint64_t copies = 0, hits = 0, rejects = 0;
+    for (int round = 0; round < 400; ++round) {
+        RouteMap map("random");
+        const uint32_t entries = 1 + below(8);
+        for (uint32_t n = 0; n < entries; ++n)
+            map.add(someEntry(entries + 2));
+        for (int probe = 0; probe < 20; ++probe) {
+            const net::Prefix prefix = somePrefix();
+            const PathAttributesPtr in = someRoute();
+            for (AsNumber prepend_as : {AsNumber(0), AsNumber(65000)}) {
+                PolicyEvalStats got_stats, want_stats;
+                PathAttributesPtr got =
+                    map.apply(prefix, in, prepend_as, &got_stats);
+                PathAttributesPtr want = referenceApply(
+                    map, prefix, in, prepend_as, want_stats);
+                SCOPED_TRACE("round " + std::to_string(round) +
+                             " probe " + std::to_string(probe) +
+                             " prepend_as " + std::to_string(prepend_as));
+                ASSERT_EQ(got == nullptr, want == nullptr);
+                if (want) {
+                    EXPECT_EQ(*got, *want);
+                    EXPECT_EQ(got.get() == in.get(),
+                              want.get() == in.get());
+                }
+                EXPECT_EQ(got_stats.evals, want_stats.evals);
+                EXPECT_EQ(got_stats.rejects, want_stats.rejects);
+                EXPECT_EQ(got_stats.cowHits, want_stats.cowHits);
+                EXPECT_EQ(got_stats.cowCopies, want_stats.cowCopies);
+                copies += want_stats.cowCopies;
+                hits += want_stats.cowHits;
+                rejects += want_stats.rejects;
+            }
+        }
+    }
+    // Every outcome must be exercised, not only one.
+    EXPECT_GT(copies, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(rejects, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteMapReference,
+                         ::testing::Values(1u, 2u, 3u, 4u));

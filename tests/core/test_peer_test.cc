@@ -107,13 +107,11 @@ TEST(TestPeer, CountsUpdatesFromRouter)
                                 oneRouterConfig());
     TestPeer peer1(&sim,
                    TestPeerConfig{65001, 0x0a000102,
-                                  net::Ipv4Address(10, 0, 1, 2), 180,
-                                  30.0},
+                                  net::Ipv4Address(10, 0, 1, 2)},
                    &router, 0);
     TestPeer peer2(&sim,
                    TestPeerConfig{65002, 0x0a000202,
-                                  net::Ipv4Address(10, 0, 2, 2), 180,
-                                  30.0},
+                                  net::Ipv4Address(10, 0, 2, 2)},
                    &router, 1);
     router.start();
 

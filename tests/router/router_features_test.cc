@@ -71,8 +71,7 @@ TEST(RouterFeatures, RouteRefreshResendsTableThroughPipeline)
     core::TestPeer peer2(
         &sim,
         core::TestPeerConfig{65002, 0x0a000202,
-                             net::Ipv4Address(10, 0, 2, 2), 180,
-                             30.0},
+                             net::Ipv4Address(10, 0, 2, 2)},
         &router, 1);
     router.start();
 

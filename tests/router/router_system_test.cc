@@ -81,13 +81,11 @@ struct World
         : router(&sim, std::move(profile), twoPeersConfig()),
           peer1(&sim, core::TestPeerConfig{65001, 0x0a000102,
                                            net::Ipv4Address(10, 0, 1,
-                                                            2),
-                                           180, 30.0},
+                                                            2)},
                 &router, 0),
           peer2(&sim, core::TestPeerConfig{65002, 0x0a000202,
                                            net::Ipv4Address(10, 0, 2,
-                                                            2),
-                                           180, 30.0},
+                                                            2)},
                 &router, 1)
     {
         router.start();

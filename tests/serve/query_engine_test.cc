@@ -205,3 +205,20 @@ TEST(QueryEngine, PacedModeStopsCleanly)
     // stop() is idempotent.
     engine.stop();
 }
+
+TEST(QueryEngine, StopRightAfterStartServesEveryReader)
+{
+    // A scenario can converge before a paced reader's thread first
+    // runs; that reader must still serve its first batch.
+    SnapshotPublisher publisher;
+    loadedPublisher(publisher, 16);
+    QueryEngineConfig config;
+    config.readers = 4;
+    config.pacedBatch = 8;
+    QueryEngine engine(publisher, routeTargets(16), config);
+
+    engine.startPaced();
+    engine.stop();
+    EXPECT_GE(engine.report().queries,
+              uint64_t(config.readers) * config.pacedBatch);
+}
