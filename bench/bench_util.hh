@@ -10,11 +10,15 @@
  *
  * Numbers parse strictly (core::parseNumber): a malformed variable
  * keeps the bench's default.
+ *
+ * Also the one measurement behind the CI overhead gates
+ * (pairedOverhead()).
  */
 
 #ifndef BGPBENCH_BENCH_UTIL_HH
 #define BGPBENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -70,6 +74,57 @@ selectedSystems()
         pos = comma + 1;
     }
     return out;
+}
+
+/** What pairedOverhead() measured. */
+struct PairedOverhead
+{
+    /** Median treated/baseline ratio of the pairs. */
+    double medianRatio = 1.0;
+    /** Each mode's fastest run, in the unit the run callable returns. */
+    double bestTreated = 0.0;
+    double bestBaseline = 0.0;
+};
+
+/**
+ * The CI overhead gates' measurement: how much slower a run is with
+ * some machinery engaged (treated) than without it (baseline).
+ *
+ * One run on a shared host can go at half speed or less while a
+ * neighbour is busy, so comparing each mode's best run swings too far
+ * to gate on. Instead the two runs of a pair are adjacent and share
+ * the host's state: after one discarded warm-up pair (page cache,
+ * allocator, CPU clocks), @p pairs pairs run with the order
+ * alternated per pair, so neither mode is systematically first, and
+ * the gate reads the median of the pairs' ratios.
+ *
+ * @param run Called as run(treated); returns the run's duration.
+ */
+template <typename Run>
+PairedOverhead
+pairedOverhead(int pairs, Run &&run)
+{
+    run(true);
+    run(false);
+
+    PairedOverhead result;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < pairs; ++pair) {
+        bool treated_first = pair % 2 == 0;
+        double first = run(treated_first);
+        double second = run(!treated_first);
+        double treated = treated_first ? first : second;
+        double baseline = treated_first ? second : first;
+        ratios.push_back(baseline > 0 ? treated / baseline : 1.0);
+        if (pair == 0 || treated < result.bestTreated)
+            result.bestTreated = treated;
+        if (pair == 0 || baseline < result.bestBaseline)
+            result.bestBaseline = baseline;
+    }
+    auto middle = ratios.begin() + ptrdiff_t(ratios.size() / 2);
+    std::nth_element(ratios.begin(), middle, ratios.end());
+    result.medianRatio = *middle;
+    return result;
 }
 
 } // namespace bgpbench::benchutil

@@ -9,7 +9,6 @@
  * virtual costs instead.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -33,6 +32,8 @@
 #include "topo/steal_deque.hh"
 #include "workload/route_set.hh"
 #include "workload/update_stream.hh"
+
+#include "bench_util.hh"
 
 using namespace bgpbench;
 
@@ -697,17 +698,17 @@ runObsOverheadCheck()
     constexpr size_t prefix_count = 8000;
     constexpr size_t per_packet = 100;
     constexpr size_t rounds = 64;
-    constexpr int reps = 41;
-    // One run on a shared host can run at half speed or less when a
-    // neighbour is busy, so a best-of-5 per mode swung from 0.7 to
-    // 1.6. The gate compares each mode with its neighbour run
-    // instead, and takes the median bound/unbound ratio of 41
-    // adjacent pairs. The stream comes from the upstream peer's AS,
-    // so every announcement goes through import, the decision
-    // process, export to the downstream peer and encode. On a
-    // 4-vCPU host the gate read 0.98-1.02 over 30 runs (about 18 s
-    // each at 64 rounds), and one atomic histogram record per
-    // decision run in bound mode read 1.07-1.19.
+    // A best-of-5 per mode swung from 0.7 to 1.6, so the gate takes
+    // the median bound/unbound ratio of adjacent pairs
+    // (benchutil::pairedOverhead). With 41 pairs it failed about one
+    // run in 13 with no hot-path change; 81 pairs read 0.963-1.030
+    // over 40 runs on a 4-vCPU host, and a copy with one atomic
+    // histogram record per decision run read 1.087-1.155 over 10
+    // (EXPERIMENTS.md, "Observability overhead"). The stream comes
+    // from the upstream peer's AS, so every announcement goes through
+    // import, the decision process, export to the downstream peer and
+    // encode.
+    constexpr int pairs = 81;
     constexpr double tolerance = 1.05;
 
     auto rs = routes(prefix_count);
@@ -727,40 +728,18 @@ runObsOverheadCheck()
     auto wires_a = encode(0);
     auto wires_b = encode(2);
 
-    // Discarded warm-up (page cache, allocator, CPU clocks), then
-    // alternate the mode order per rep so neither side is
-    // systematically favoured, and take the median of the pairs'
-    // ratios. Each mode's best run is printed for reference.
-    runObsMode(wires_a, wires_b, rounds / 4, false);
-    runObsMode(wires_a, wires_b, rounds / 4, true);
-    double best_unbound = 0.0, best_bound = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < reps; ++rep) {
-        bool bound_first = rep % 2 != 0;
-        double first =
-            runObsMode(wires_a, wires_b, rounds, bound_first);
-        double second =
-            runObsMode(wires_a, wires_b, rounds, !bound_first);
-        double bound = bound_first ? first : second;
-        double unbound = bound_first ? second : first;
-        ratios.push_back(unbound > 0 ? bound / unbound : 1.0);
-        if (rep == 0 || unbound < best_unbound)
-            best_unbound = unbound;
-        if (rep == 0 || bound < best_bound)
-            best_bound = bound;
-    }
-
-    auto middle = ratios.begin() + ptrdiff_t(ratios.size() / 2);
-    std::nth_element(ratios.begin(), middle, ratios.end());
-    double ratio = *middle;
+    benchutil::PairedOverhead m =
+        benchutil::pairedOverhead(pairs, [&](bool bound) {
+            return runObsMode(wires_a, wires_b, rounds, bound);
+        });
     std::cout << "obs overhead check: best unbound "
-              << stats::formatDouble(best_unbound * 1e3, 2)
+              << stats::formatDouble(m.bestBaseline * 1e3, 2)
               << " ms, best bound (sinks detached) "
-              << stats::formatDouble(best_bound * 1e3, 2) << " ms, "
-              << "median ratio of " << reps << " pairs "
-              << stats::formatDouble(ratio, 4) << " (limit "
+              << stats::formatDouble(m.bestTreated * 1e3, 2) << " ms, "
+              << "median ratio of " << pairs << " pairs "
+              << stats::formatDouble(m.medianRatio, 4) << " (limit "
               << stats::formatDouble(tolerance, 2) << ")\n";
-    if (ratio > tolerance) {
+    if (m.medianRatio > tolerance) {
         std::cerr << "error: detached observability costs more than "
                   << stats::formatDouble((tolerance - 1.0) * 100.0, 0)
                   << "% on the UPDATE hot path\n";

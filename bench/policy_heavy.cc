@@ -20,17 +20,15 @@
  *     this mostly-unchanged workload is the headline number (> 0.9).
  *  3. --policy-overhead-check runs the CI gate instead of the bench:
  *     scenario 1 with a one-entry pass-through route-map attached
- *     versus no policy (warm-up pair, then 41 pairs in alternating
- *     order); the median pass-through/none ratio must not exceed
- *     1.05. This bounds the fixed price of having the policy
- *     machinery engaged at all — the COW fast path is what keeps it
- *     flat.
+ *     versus no policy (benchutil::pairedOverhead, 41 pairs); the
+ *     median pass-through/none ratio must not exceed 1.05. This
+ *     bounds the fixed price of having the policy machinery engaged
+ *     at all — the COW fast path is what keeps it flat.
  *
  * Writes BENCH_policy_heavy.json (field reference in README.md).
  * Overrides: BGPBENCH_FAST=1 / --smoke shrink the run; --out FILE.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -200,51 +198,20 @@ runPolicyOverheadCheck(size_t prefixes)
         return wallMs(begin);
     };
 
-    // One untimed warm-up pair so first-touch page faults and cache
-    // fills are not charged to whichever mode happens to run first.
-    once(true);
-    once(false);
-
-    // One run can go at half speed while a neighbour is busy, so a
-    // best-of-9 per mode read 0.65-1.06 over 40 runs on a 4-vCPU
-    // host. Each pair's runs are adjacent, so their ratio shares the
-    // host's state; the gate takes the median ratio of 41 pairs, with
-    // the order alternated per pair. It read 1.005-1.036 over 30
-    // runs, and 1.069-1.088 over 10 runs of a copy whose
+    // A best-of-9 per mode read 0.65-1.06 over 40 runs on a 4-vCPU
+    // host; the median ratio of 41 pairs read 1.005-1.026 over 30
+    // runs, and 1.069-1.089 over 10 runs of a copy whose
     // copy-on-write hit path re-interns a copy of the attributes.
-    // Each mode's best run is printed for reference.
-    const int reps = 41;
-    double best_policy = 0.0;
-    double best_plain = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < reps; ++rep) {
-        double policy_ms;
-        double plain_ms;
-        if (rep % 2 == 0) {
-            policy_ms = once(true);
-            plain_ms = once(false);
-        } else {
-            plain_ms = once(false);
-            policy_ms = once(true);
-        }
-        ratios.push_back(plain_ms > 0 ? policy_ms / plain_ms : 1.0);
-        if (rep == 0 || policy_ms < best_policy)
-            best_policy = policy_ms;
-        if (rep == 0 || plain_ms < best_plain)
-            best_plain = plain_ms;
-    }
-
-    auto middle = ratios.begin() + ptrdiff_t(ratios.size() / 2);
-    std::nth_element(ratios.begin(), middle, ratios.end());
-    double ratio = *middle;
+    const int pairs = 41;
+    benchutil::PairedOverhead m = benchutil::pairedOverhead(pairs, once);
     std::cout << "policy overhead check (scenario 1, Xeon, "
               << prefixes << " prefixes):\n"
               << "  best pass-through route-map "
-              << stats::formatDouble(best_policy, 2) << " ms, best none "
-              << stats::formatDouble(best_plain, 2)
-              << " ms, median ratio of " << reps << " pairs "
-              << stats::formatDouble(ratio, 3) << " (limit 1.05)\n";
-    if (ratio > 1.05) {
+              << stats::formatDouble(m.bestTreated, 2) << " ms, best none "
+              << stats::formatDouble(m.bestBaseline, 2)
+              << " ms, median ratio of " << pairs << " pairs "
+              << stats::formatDouble(m.medianRatio, 3) << " (limit 1.05)\n";
+    if (m.medianRatio > 1.05) {
         std::cerr << "error: a pass-through route-map costs more "
                      "than 5% over no policy\n";
         return 1;

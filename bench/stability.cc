@@ -17,14 +17,13 @@
  * Every cell is run at jobs = 1, 2, 4, 8 and the convergence +
  * stability reports must be byte-identical across all four — the
  * "deterministic" column. Wall time never appears in the output, so
- * BENCH_stability.json is byte-stable run to run.
+ * BENCH_stability.json is byte-stable run to run. Every run also
+ * prints the damping-off ablation and asserts, per topology class at
+ * MRAI 0, that churn amplification strictly increases when damping is
+ * switched off and that damping strictly reduces
+ * updates-per-convergence.
  *
- *   --smoke                  shrink topologies and train length (CI)
- *   --damping-off-ablation   also assert, per topology class at
- *                            MRAI 0, that churn amplification
- *                            strictly increases when damping is
- *                            switched off (and that damping strictly
- *                            reduces updates-per-convergence)
+ *   --smoke   shrink topologies and train length (CI)
  *
  * Overrides: BGPBENCH_FAST=1 behaves like --smoke.
  */
@@ -171,16 +170,12 @@ int
 main(int argc, char **argv)
 {
     bool smoke = benchutil::fastMode();
-    bool ablation = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke") {
             smoke = true;
-        } else if (arg == "--damping-off-ablation") {
-            ablation = true;
         } else {
-            std::cerr << "usage: stability [--smoke] "
-                         "[--damping-off-ablation]\n";
+            std::cerr << "usage: stability [--smoke]\n";
             return 2;
         }
     }
@@ -291,38 +286,31 @@ main(int argc, char **argv)
         }
     }
 
-    if (ablation) {
-        std::cout << "\ndamping-off ablation (MRAI 0):\n";
-        for (const ShapeSize &shape : shapes) {
-            const CellResult *off = findCell(cells, shape.name, 0,
-                                             false);
-            const CellResult *on = findCell(cells, shape.name, 0,
-                                            true);
-            bool churn_up = off->stability.churnAmplification >
-                            on->stability.churnAmplification;
-            bool updates_down = on->stability.updatesPerConvergence <
-                                off->stability.updatesPerConvergence;
-            std::cout
-                << "  " << shape.name << ": churn amp "
-                << stats::formatDouble(
-                       on->stability.churnAmplification, 2)
-                << " (on) -> "
-                << stats::formatDouble(
-                       off->stability.churnAmplification, 2)
-                << " (off), upd/conv "
-                << stats::formatDouble(
-                       on->stability.updatesPerConvergence, 2)
-                << " (on) -> "
-                << stats::formatDouble(
-                       off->stability.updatesPerConvergence, 2)
-                << " (off)"
-                << ((churn_up && updates_down) ? "" : "  VIOLATION")
-                << "\n";
-            if (!churn_up || !updates_down) {
-                std::cerr << "error: damping did not reduce churn on "
-                          << shape.name << "\n";
-                rc = 1;
-            }
+    std::cout << "\ndamping-off ablation (MRAI 0):\n";
+    for (const ShapeSize &shape : shapes) {
+        const CellResult *off = findCell(cells, shape.name, 0, false);
+        const CellResult *on = findCell(cells, shape.name, 0, true);
+        bool churn_up = off->stability.churnAmplification >
+                        on->stability.churnAmplification;
+        bool updates_down = on->stability.updatesPerConvergence <
+                            off->stability.updatesPerConvergence;
+        std::cout
+            << "  " << shape.name << ": churn amp "
+            << stats::formatDouble(on->stability.churnAmplification, 2)
+            << " (on) -> "
+            << stats::formatDouble(off->stability.churnAmplification, 2)
+            << " (off), upd/conv "
+            << stats::formatDouble(on->stability.updatesPerConvergence, 2)
+            << " (on) -> "
+            << stats::formatDouble(off->stability.updatesPerConvergence,
+                                   2)
+            << " (off)"
+            << ((churn_up && updates_down) ? "" : "  VIOLATION")
+            << "\n";
+        if (!churn_up || !updates_down) {
+            std::cerr << "error: damping did not reduce churn on "
+                      << shape.name << "\n";
+            rc = 1;
         }
     }
     return rc;

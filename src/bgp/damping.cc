@@ -22,7 +22,7 @@ FlapDamper::effectivelySuppressed(const History &history,
                                   TimeNs now) const
 {
     return history.suppressed &&
-           decayedPenalty(history, now) >= config_.reuseThreshold;
+           decayedPenalty(history, now) >= reuseThreshold;
 }
 
 bool
@@ -31,11 +31,9 @@ FlapDamper::addPenalty(PeerId peer, const net::Prefix &prefix,
 {
     auto &history = histories_[Key{peer, prefix}];
     history.penalty =
-        std::min(decayedPenalty(history, now) + penalty,
-                 config_.maxPenalty);
+        std::min(decayedPenalty(history, now) + penalty, maxPenalty);
     history.anchor = now;
-    if (history.penalty >= config_.suppressThreshold &&
-        !history.suppressed) {
+    if (history.penalty >= suppressThreshold && !history.suppressed) {
         history.suppressed = true;
         ++suppressTransitions_;
     }
@@ -48,29 +46,21 @@ FlapDamper::onWithdraw(PeerId peer, const net::Prefix &prefix,
 {
     if (!config_.enabled)
         return false;
-    return addPenalty(peer, prefix, config_.withdrawPenalty, now);
+    return addPenalty(peer, prefix, withdrawPenalty, now);
 }
 
 bool
 FlapDamper::onAnnounce(PeerId peer, const net::Prefix &prefix,
-                       bool attribute_change, TimeNs now)
+                       TimeNs now)
 {
     if (!config_.enabled)
         return false;
 
-    auto it = histories_.find(Key{peer, prefix});
-    bool known_flapper = it != histories_.end();
-
-    if (!known_flapper) {
-        // First sighting: announcements of fresh routes carry no
-        // penalty (RFC 2439 section 4.4.2).
+    // First sighting: announcements of fresh routes carry no penalty
+    // (RFC 2439 section 4.4.2).
+    if (histories_.find(Key{peer, prefix}) == histories_.end())
         return false;
-    }
-
-    double penalty = attribute_change
-                         ? config_.attributeChangePenalty
-                         : config_.reAnnouncePenalty;
-    return addPenalty(peer, prefix, penalty, now);
+    return addPenalty(peer, prefix, reAnnouncePenalty, now);
 }
 
 bool
@@ -102,16 +92,14 @@ FlapDamper::takeReusable(TimeNs now)
     for (auto it = histories_.begin(); it != histories_.end();) {
         History &history = it->second;
         double decayed = decayedPenalty(history, now);
-        if (history.suppressed &&
-            decayed < config_.reuseThreshold) {
+        if (history.suppressed && decayed < reuseThreshold) {
             history.suppressed = false;
             ++reuseTransitions_;
             reusable.emplace_back(it->first.peer, it->first.prefix);
         }
 
         // Garbage-collect histories that have decayed to noise.
-        if (!history.suppressed &&
-            decayed < config_.reuseThreshold / 8.0) {
+        if (!history.suppressed && decayed < reuseThreshold / 8.0) {
             it = histories_.erase(it);
         } else {
             ++it;
@@ -128,12 +116,12 @@ FlapDamper::nextReuseTime(TimeNs now) const
         if (!history.suppressed)
             continue;
         TimeNs at = now + 1;
-        if (history.penalty > config_.reuseThreshold) {
+        if (history.penalty > reuseThreshold) {
             // Half-lives until the anchored penalty reaches the
             // reuse threshold; ceil to whole ns so the wakeup lands
             // at-or-after the exact crossing.
             double half_lives =
-                std::log2(history.penalty / config_.reuseThreshold);
+                std::log2(history.penalty / reuseThreshold);
             double delay_ns = std::ceil(half_lives * halfLifeNs_);
             TimeNs cross = history.anchor + TimeNs(delay_ns);
             at = std::max(cross, now + 1);

@@ -16,6 +16,11 @@
  * function of the flap times — querying a history more or less often
  * (as parallel shard layouts do) cannot perturb the floating-point
  * path or shift a suppress/reuse boundary.
+ *
+ * Only the switch and the half-life are settable: the router runs
+ * 900 s, the topology stability scenarios 2 s. Penalties and
+ * thresholds are FlapDamper constants at common vendor defaults, and
+ * an attribute change costs the same as a re-announcement.
  */
 
 #ifndef BGPBENCH_BGP_DAMPING_HH
@@ -31,25 +36,13 @@
 namespace bgpbench::bgp
 {
 
-/** RFC 2439 parameters (defaults follow common vendor practice). */
+/** The settable RFC 2439 parameters. */
 struct DampingConfig
 {
     /** Master switch; damping is off unless enabled. */
     bool enabled = false;
-    /** Penalty added per withdrawal. */
-    double withdrawPenalty = 1000.0;
-    /** Penalty added per re-announcement of a withdrawn route. */
-    double reAnnouncePenalty = 500.0;
-    /** Penalty added per attribute change. */
-    double attributeChangePenalty = 500.0;
-    /** Penalty above which the route is suppressed. */
-    double suppressThreshold = 2000.0;
-    /** Penalty below which a suppressed route is reused. */
-    double reuseThreshold = 750.0;
     /** Exponential decay half-life in seconds. */
     double halfLifeSec = 900.0;
-    /** Penalty ceiling (bounds maximum suppression time). */
-    double maxPenalty = 12000.0;
 };
 
 /**
@@ -61,6 +54,21 @@ class FlapDamper
 {
   public:
     using TimeNs = uint64_t;
+
+    /** Penalty added per withdrawal. */
+    static constexpr double withdrawPenalty = 1000.0;
+    /**
+     * Penalty added per announcement of a tracked route: a
+     * re-announcement after a withdrawal and an attribute change
+     * alike.
+     */
+    static constexpr double reAnnouncePenalty = 500.0;
+    /** Penalty at or above which the route is suppressed. */
+    static constexpr double suppressThreshold = 2000.0;
+    /** Penalty below which a suppressed route is reused. */
+    static constexpr double reuseThreshold = 750.0;
+    /** Penalty ceiling (bounds maximum suppression time). */
+    static constexpr double maxPenalty = 12000.0;
 
     explicit FlapDamper(DampingConfig config)
         : config_(config),
@@ -77,16 +85,13 @@ class FlapDamper
                     TimeNs now);
 
     /**
-     * Record an announcement.
+     * Record an announcement. A route with a flap history is charged
+     * reAnnouncePenalty; a fresh one is not.
      *
-     * @param attribute_change True when the announcement changes the
-     *        stored attributes of an existing route (a path flap
-     *        rather than a fresh route).
      * @return True if the route is (still) suppressed and must not
      *         enter the decision process.
      */
-    bool onAnnounce(PeerId peer, const net::Prefix &prefix,
-                    bool attribute_change, TimeNs now);
+    bool onAnnounce(PeerId peer, const net::Prefix &prefix, TimeNs now);
 
     /** Current suppression state (pure read; no decay rebase). */
     bool isSuppressed(PeerId peer, const net::Prefix &prefix,

@@ -15,8 +15,7 @@ namespace
  * router-id comparison. Zero means multipath-equivalent.
  */
 int
-comparePathQuality(const Candidate &a, const Candidate &b,
-                   const DecisionConfig &config)
+comparePathQuality(const Candidate &a, const Candidate &b)
 {
     panicIf(!a.attributes || !b.attributes,
             "decision process given a candidate without attributes");
@@ -30,8 +29,8 @@ comparePathQuality(const Candidate &a, const Candidate &b,
         return a.locallyOriginated ? -1 : 1;
 
     // 1. Higher LOCAL_PREF wins.
-    uint32_t lp_a = pa.localPref.value_or(config.defaultLocalPref);
-    uint32_t lp_b = pb.localPref.value_or(config.defaultLocalPref);
+    uint32_t lp_a = pa.localPref.value_or(defaultLocalPref);
+    uint32_t lp_b = pb.localPref.value_or(defaultLocalPref);
     if (lp_a != lp_b)
         return lp_a > lp_b ? -1 : 1;
 
@@ -45,13 +44,11 @@ comparePathQuality(const Candidate &a, const Candidate &b,
     if (pa.origin != pb.origin)
         return pa.origin < pb.origin ? -1 : 1;
 
-    // 4. Lower MED wins, when comparable. Absent MED counts as 0
-    //    (the common vendor default).
-    bool med_comparable =
-        config.alwaysCompareMed ||
-        (pa.asPath.firstAs() != 0 &&
-         pa.asPath.firstAs() == pb.asPath.firstAs());
-    if (med_comparable) {
+    // 4. Lower MED wins, between routes from the same neighbour AS
+    //    only (RFC 4271 9.1.2.2 c). Absent MED counts as 0 (the
+    //    common vendor default).
+    if (pa.asPath.firstAs() != 0 &&
+        pa.asPath.firstAs() == pb.asPath.firstAs()) {
         uint32_t med_a = pa.med.value_or(0);
         uint32_t med_b = pb.med.value_or(0);
         if (med_a != med_b)
@@ -75,10 +72,9 @@ comparePathQuality(const Candidate &a, const Candidate &b,
 } // namespace
 
 int
-compareCandidates(const Candidate &a, const Candidate &b,
-                  const DecisionConfig &config)
+compareCandidates(const Candidate &a, const Candidate &b)
 {
-    if (int quality = comparePathQuality(a, b, config))
+    if (int quality = comparePathQuality(a, b))
         return quality;
 
     // 6. Lowest BGP identifier, using the ORIGINATOR_ID of reflected
@@ -92,38 +88,34 @@ compareCandidates(const Candidate &a, const Candidate &b,
 }
 
 std::optional<size_t>
-selectBest(const std::vector<Candidate> &candidates,
-           const DecisionConfig &config)
+selectBest(const std::vector<Candidate> &candidates)
 {
     if (candidates.empty())
         return std::nullopt;
 
     size_t best = 0;
     for (size_t i = 1; i < candidates.size(); ++i) {
-        if (compareCandidates(candidates[i], candidates[best],
-                              config) < 0) {
+        if (compareCandidates(candidates[i], candidates[best]) < 0)
             best = i;
-        }
     }
     return best;
 }
 
 void
 selectMultipath(const std::vector<Candidate> &candidates,
-                const DecisionConfig &config, std::vector<size_t> &group)
+                size_t maxPaths, std::vector<size_t> &group)
 {
     group.clear();
-    auto best = selectBest(candidates, config);
+    auto best = selectBest(candidates);
     if (!best)
         return;
     group.push_back(*best);
-    if (config.maxPaths <= 1)
+    if (maxPaths <= 1)
         return;
 
     for (size_t i = 0; i < candidates.size(); ++i) {
-        if (i != *best && comparePathQuality(candidates[i],
-                                             candidates[*best],
-                                             config) == 0) {
+        if (i != *best &&
+            comparePathQuality(candidates[i], candidates[*best]) == 0) {
             group.push_back(i);
         }
     }
@@ -135,14 +127,13 @@ selectMultipath(const std::vector<Candidate> &candidates,
     // depends only on the route set. The best stays first even when
     // the conditional MED rule makes the ladder intransitive.
     std::sort(group.begin() + 1, group.end(), [&](size_t x, size_t y) {
-        int cmp = compareCandidates(candidates[x], candidates[y],
-                                    config);
+        int cmp = compareCandidates(candidates[x], candidates[y]);
         if (cmp != 0)
             return cmp < 0;
         return x < y;
     });
-    if (group.size() > config.maxPaths)
-        group.resize(config.maxPaths);
+    if (group.size() > maxPaths)
+        group.resize(maxPaths);
 }
 
 } // namespace bgpbench::bgp

@@ -14,28 +14,8 @@
 namespace bgpbench::bgp
 {
 
-/** Tuning knobs for route selection. */
-struct DecisionConfig
-{
-    /** LOCAL_PREF assumed when the attribute is absent (eBGP). */
-    uint32_t defaultLocalPref = 100;
-    /**
-     * Compare MED between routes from different neighbour ASes
-     * (vendor "always-compare-med"). When false, MED only breaks ties
-     * between routes whose AS_PATH starts with the same AS, per
-     * RFC 4271 9.1.2.2 c).
-     */
-    bool alwaysCompareMed = false;
-    /**
-     * Vendor "maximum-paths": the ECMP group depth. Up to N
-     * candidates that tie the best through the whole tie-break
-     * ladder short of the final router-id step share the forwarding
-     * load (RFC 7938 section 6.1 datacenter ECMP). With 1 (the
-     * default) the group is the best path alone, which is the
-     * classic single-path decision process.
-     */
-    size_t maxPaths = 1;
-};
+/** LOCAL_PREF assumed when the attribute is absent (eBGP). */
+constexpr uint32_t defaultLocalPref = 100;
 
 /**
  * Three-way comparison of two candidate routes for the same prefix.
@@ -48,7 +28,8 @@ struct DecisionConfig
  *   1. higher LOCAL_PREF (degree of preference)
  *   2. shorter AS_PATH
  *   3. lower ORIGIN (IGP < EGP < INCOMPLETE)
- *   4. lower MED (see DecisionConfig::alwaysCompareMed)
+ *   4. lower MED, only between routes whose AS_PATH starts with the
+ *      same AS (RFC 4271 9.1.2.2 c)
  *   5. eBGP-learned over iBGP-learned
  *   5b. shorter CLUSTER_LIST (RFC 4456 section 9)
  *   6. lower peer BGP identifier (ORIGINATOR_ID when reflected)
@@ -60,8 +41,7 @@ struct DecisionConfig
  * @return Negative if @p a is preferred, positive if @p b is
  *         preferred, zero only for indistinguishable candidates.
  */
-int compareCandidates(const Candidate &a, const Candidate &b,
-                      const DecisionConfig &config = {});
+int compareCandidates(const Candidate &a, const Candidate &b);
 
 /**
  * Select the best candidate for a prefix.
@@ -71,8 +51,7 @@ int compareCandidates(const Candidate &a, const Candidate &b,
  *         empty.
  */
 std::optional<size_t>
-selectBest(const std::vector<Candidate> &candidates,
-           const DecisionConfig &config = {});
+selectBest(const std::vector<Candidate> &candidates);
 
 /**
  * Select the route group for a prefix into @p group: the best
@@ -80,15 +59,18 @@ selectBest(const std::vector<Candidate> &candidates,
  * through step 5b of compareCandidates), ordered by the full
  * tie-break ladder (best first, then ascending router-id — a
  * deterministic order depending only on the candidate set, never on
- * arrival or thread interleaving), truncated to config.maxPaths.
+ * arrival or thread interleaving), truncated to @p maxPaths.
  *
- * With maxPaths == 1 the group is {selectBest(...)}. @p group is
+ * @p maxPaths is vendor "maximum-paths", the ECMP group depth: up to
+ * that many candidates that tie the best through the whole ladder
+ * short of the final router-id step share the forwarding load
+ * (RFC 7938 section 6.1 datacenter ECMP). With 1 the group is
+ * {selectBest(...)}, the classic single-path decision. @p group is
  * replaced (empty if @p candidates is) and keeps its capacity, so a
  * caller that reuses one vector allocates nothing once it has grown.
  */
 void selectMultipath(const std::vector<Candidate> &candidates,
-                     const DecisionConfig &config,
-                     std::vector<size_t> &group);
+                     size_t maxPaths, std::vector<size_t> &group);
 
 } // namespace bgpbench::bgp
 

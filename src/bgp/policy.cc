@@ -29,13 +29,19 @@ PrefixList::add(uint32_t seq, bool permit, const net::Prefix &prefix,
     // An entry can never match a route it does not cover.
     entry.minLength = std::max(entry.minLength, prefix.length());
 
-    auto pos = std::upper_bound(
+    // One entry per seq, as in a Quagga prefix-list: re-adding a seq
+    // replaces its entry.
+    auto pos = std::lower_bound(
         entries_.begin(), entries_.end(), entry.seq,
-        [](uint32_t s, const Entry &e) { return s < e.seq; });
-    entries_.insert(pos, entry);
+        [](const Entry &e, uint32_t s) { return e.seq < s; });
+    if (pos != entries_.end() && pos->seq == entry.seq)
+        *pos = entry;
+    else
+        entries_.insert(pos, entry);
 
-    // Rebuild the trie's index vectors: insertion shifted the indexes
-    // of every later entry. Build is config-time; keep it simple.
+    // Rebuild the trie's index vectors: an insertion shifts the
+    // indexes of every later entry, a replacement may change its
+    // entry's prefix. Build is config-time; keep it simple.
     trie_.clear();
     for (uint32_t i = 0; i < entries_.size(); ++i)
         trie_.findOrInsert(entries_[i].prefix)->push_back(i);

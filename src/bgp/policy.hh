@@ -101,7 +101,7 @@ class PrefixList
     explicit PrefixList(std::string name) : name_(std::move(name)) {}
 
     /**
-     * Append an entry.
+     * Add an entry; an entry already holding @p seq is replaced.
      *
      * Bounds follow the familiar ge/le rules: neither given matches
      * the exact prefix length only; `ge` alone matches lengths in
@@ -130,7 +130,7 @@ class PrefixList
 
   private:
     std::string name_;
-    /** Sorted by seq. */
+    /** Sorted by seq, one entry per seq. */
     std::vector<Entry> entries_;
     /** entry prefix -> indexes into entries_ with that prefix. */
     net::PrefixTree<std::vector<uint32_t>> trie_;

@@ -8,15 +8,12 @@ AdjRibIn::update(const net::Prefix &prefix, PathAttributesPtr received,
                  PathAttributesPtr effective)
 {
     auto [slot, entry, inserted] = store_.obtain(prefix);
-    Write write{slot, true, false};
-    if (!inserted) {
-        bool same_received = sameAttributeValue(entry->received, received);
-        write.attributeChange = entry->received && !same_received;
-        if (same_received &&
-            sameAttributeValue(entry->effective, effective)) {
-            write.changed = false;
-            return write;
-        }
+    Write write{slot, true};
+    if (!inserted &&
+        sameAttributeValue(entry->received, received) &&
+        sameAttributeValue(entry->effective, effective)) {
+        write.changed = false;
+        return write;
     }
     entry->received = std::move(received);
     entry->effective = std::move(effective);

@@ -250,18 +250,17 @@ class AdjRibIn
         Slot slot = SharedPrefixTable::npos;
         /** The stored entry changed. */
         bool changed = false;
-        /**
-         * An existing route's received attributes changed value (the
-         * "attribute change" flap of RFC 2439 damping).
-         */
-        bool attributeChange = false;
     };
 
     AdjRibIn() = default;
     /** Column over the speaker's shared table. */
     explicit AdjRibIn(SharedPrefixTable &table) : store_(table) {}
 
-    /** Insert or replace the route for @p prefix. */
+    /**
+     * Insert or replace the route for @p prefix. The write is a
+     * change unless both @p received and @p effective equal the
+     * stored attributes by value.
+     */
     Write update(const net::Prefix &prefix, PathAttributesPtr received,
                  PathAttributesPtr effective);
 

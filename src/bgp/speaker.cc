@@ -103,7 +103,7 @@ BgpSpeaker::addPeer(PeerConfig config)
     session.expectedPeerAs = config.asn;
 
     auto peer = std::make_unique<Peer>(std::move(config), session,
-                                       config_.packing, *prefixTable_);
+                                       *prefixTable_);
     peer->externalSession = peer->config.asn != config_.localAs;
     peers_.emplace(peer->config.id, std::move(peer));
 }
@@ -527,11 +527,9 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
 
             // Flap damping: a re-announcement or attribute change of
             // a tracked flapper accrues penalty; suppressed routes
-            // are stored but kept out of the decision process. The
-            // write above compared against the previous entry, so
-            // this needs no lookup of its own.
-            bool suppressed = damper_.onAnnounce(
-                from.config.id, prefix, write.attributeChange, now);
+            // are stored but kept out of the decision process.
+            bool suppressed =
+                damper_.onAnnounce(from.config.id, prefix, now);
             if (suppressed)
                 ++counters_.announcementsSuppressed;
 
@@ -589,7 +587,7 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
         candidateRuns_.resize(candidates.size() + 1);
     ++candidateRuns_[candidates.size()];
 
-    selectMultipath(candidates, config_.decision, group_);
+    selectMultipath(candidates, config_.maxPaths, group_);
 
     // Every peer holds the export of the current best. Keep it, and
     // the FIB's next-hop list, before the Loc-RIB write below, which
@@ -878,7 +876,7 @@ BgpSpeaker::invalidatePeerRoutes(Peer &peer, TimeNs now)
     // MRAI may have left changes queued for this peer; they must not
     // leak into the next session (a fresh Established re-advertises
     // the full table from scratch, with the interval idle again).
-    peer.pending = UpdateBuilder(config_.packing);
+    peer.pending = UpdateBuilder();
     peer.mraiReadyAt = 0;
 
     for (const auto &prefix : prefixes)

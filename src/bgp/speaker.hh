@@ -51,9 +51,12 @@ struct SpeakerConfig
     /** Address installed as NEXT_HOP on eBGP advertisements. */
     net::Ipv4Address localAddress;
     uint16_t holdTimeSec = proto::defaultHoldTimeSec;
-    DecisionConfig decision;
-    /** Outbound packing policy (small vs large packets, Table I). */
-    PackingOptions packing;
+    /**
+     * Vendor "maximum-paths": the ECMP group depth of the decision
+     * process (see selectMultipath). 1 is the classic single best
+     * path.
+     */
+    size_t maxPaths = 1;
     /** Route flap damping (RFC 2439); disabled by default. */
     DampingConfig damping;
     /**
@@ -424,9 +427,8 @@ class BgpSpeaker
         bool externalSession = true;
 
         Peer(PeerConfig cfg, SessionConfig session_cfg,
-             PackingOptions packing, SharedPrefixTable &table)
-            : config(std::move(cfg)), fsm(session_cfg), ribIn(table),
-              pending(packing)
+             SharedPrefixTable &table)
+            : config(std::move(cfg)), fsm(session_cfg), ribIn(table)
         {}
     };
 

@@ -104,7 +104,7 @@ UpdateBuilder::build(std::vector<UpdateMessage> &out)
     // length (2) + attribute-block length (2).
     constexpr size_t fixed_overhead = proto::headerBytes + 4;
 
-    size_t cap = options_.maxPrefixesPerUpdate;
+    size_t cap = maxPrefixesPerUpdate_;
     auto chunk_reserve = [cap](size_t live) {
         return cap > 0 ? std::min(cap, live) : live;
     };
@@ -213,7 +213,7 @@ UpdateBuilder::reset()
     pending_.reset();
     cancelled_ = 0;
     if (memoryBytes() > retainBytes)
-        *this = UpdateBuilder(options_);
+        *this = UpdateBuilder(maxPrefixesPerUpdate_);
 }
 
 } // namespace bgpbench::bgp

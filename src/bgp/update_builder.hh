@@ -6,8 +6,10 @@
  * An UPDATE carries one attribute block, so announcements are grouped
  * by attribute set; each group is chunked to respect the 4096-byte
  * message limit (RFC 4271 section 4.1) and, optionally, an explicit
- * prefixes-per-message cap — the knob the benchmark uses to emit
- * "small" (1 prefix) versus "large" (500 prefixes) packets (Table I).
+ * prefixes-per-message cap. Speakers never cap, so they pack as many
+ * prefixes as fit in 4096 bytes, like a real stack; the workload
+ * stream builders cap to emit the benchmark's "small" (1 prefix)
+ * versus "large" (500 prefixes) packets (Table I).
  *
  * Grouping is indexed: attribute sets resolve to their group through a
  * hash index (content hash, then value equality with the pointer fast
@@ -41,16 +43,6 @@
 namespace bgpbench::bgp
 {
 
-/** Packing policy for UpdateBuilder. */
-struct PackingOptions
-{
-    /**
-     * Hard cap on prefixes per UPDATE (announcements and withdrawals
-     * counted separately). 0 means "as many as fit in 4096 bytes".
-     */
-    size_t maxPrefixesPerUpdate = 0;
-};
-
 /**
  * Accumulates announcements and withdrawals, then emits packed
  * UPDATE messages.
@@ -64,8 +56,13 @@ struct PackingOptions
 class UpdateBuilder
 {
   public:
-    explicit UpdateBuilder(PackingOptions options = {})
-        : options_(options)
+    /**
+     * @param maxPrefixesPerUpdate Hard cap on prefixes per UPDATE
+     *        (announcements and withdrawals counted separately). 0
+     *        means "as many as fit in 4096 bytes".
+     */
+    explicit UpdateBuilder(size_t maxPrefixesPerUpdate = 0)
+        : maxPrefixesPerUpdate_(maxPrefixesPerUpdate)
     {}
 
     /**
@@ -161,7 +158,7 @@ class UpdateBuilder
      *  storage. */
     void reset();
 
-    PackingOptions options_;
+    size_t maxPrefixesPerUpdate_;
     /**
      * Groups in creation order. Only the first groupCount_ are in
      * use; the rest are cleared slots kept for their capacity.

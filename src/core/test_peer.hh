@@ -47,12 +47,6 @@ struct TestPeerCounters
     uint64_t notificationsReceived = 0;
     uint64_t refreshesReceived = 0;
     uint64_t segmentsSent = 0;
-
-    uint64_t
-    transactionsReceived() const
-    {
-        return announcementsReceived + withdrawalsReceived;
-    }
 };
 
 /**

@@ -97,13 +97,6 @@ class ByteWriter
         buf_.at(offset + 1) = uint8_t(v);
     }
 
-    /** Overwrite a previously written u8 at @p offset. */
-    void
-    patchU8(size_t offset, uint8_t v)
-    {
-        buf_.at(offset) = v;
-    }
-
     size_t size() const { return buf_.size(); }
 
     const std::vector<uint8_t> &bytes() const { return buf_; }

@@ -26,9 +26,6 @@ speakerConfigFor(const RouterConfig &config)
     sc.routerId = config.routerId;
     sc.localAddress = config.address;
     sc.damping = config.damping;
-    // Outbound updates pack as many prefixes as fit in 4096 bytes,
-    // like a real stack; the test speakers control their own packing.
-    sc.packing = bgp::PackingOptions{};
     return sc;
 }
 
@@ -40,7 +37,6 @@ RouterSystem::RouterSystem(sim::Simulator *sim, SystemProfile profile,
       config_(std::move(config)), cpu_(profile_.cpu),
       speaker_(speakerConfigFor(config_), this), engine_(&fib_),
       fwdBytes_(statsIntervalSec, "forwarded-bytes"),
-      drops_(statsIntervalSec, "dropped-packets"),
       alive_(std::make_shared<bool>(true))
 {
     panicIf(sim_ == nullptr, "router requires a simulator");
@@ -218,13 +214,6 @@ RouterSystem::deliverToPort(size_t port, net::WireSegmentPtr segment)
     }
 
     maybeDispatch();
-}
-
-void
-RouterSystem::deliverToPort(size_t port, std::vector<uint8_t> bytes)
-{
-    deliverToPort(port,
-                  net::BufferPool::global().wrap(std::move(bytes)));
 }
 
 void
@@ -541,7 +530,6 @@ RouterSystem::crossTrafficTick(double quantum_sec)
 
         if (!routable) {
             dataPlane_.queueDrops += count;
-            drops_.add(t, double(count));
             return;
         }
         dataPlane_.forwardedPackets += count;
@@ -561,7 +549,6 @@ RouterSystem::crossTrafficTick(double quantum_sec)
                         profile_.cpu.cyclesPerSecond * 1e9;
     if (backlog_ns > double(c.queueLimitNs)) {
         dataPlane_.queueDrops += accepted;
-        drops_.add(t, double(accepted));
         // Interrupts still fire for dropped packets.
         irqProc_->post(
             uint64_t(c.irqPerPacket * double(accepted)));

@@ -104,8 +104,6 @@ class RouterSystem : private bgp::SpeakerEvents
     /** @name Control-plane ports (one per configured peer)
      *  @{
      */
-    size_t portCount() const { return ports_.size(); }
-
     /** Report TCP establishment on @p port: the OPEN exchange runs. */
     void connectPeer(size_t port);
 
@@ -114,9 +112,6 @@ class RouterSystem : private bgp::SpeakerEvents
 
     /** Deliver one TCP segment from the peer (must fit rxSpace). */
     void deliverToPort(size_t port, net::WireSegmentPtr segment);
-
-    /** Owned-bytes convenience overload: wraps into a segment. */
-    void deliverToPort(size_t port, std::vector<uint8_t> bytes);
 
     /**
      * Install the handler receiving segments the router sends. The
@@ -173,8 +168,6 @@ class RouterSystem : private bgp::SpeakerEvents
     {
         return fwdBytes_;
     }
-    /** Dropped packets per stats bucket. */
-    const stats::TimeSeries &dropSeries() const { return drops_; }
     /** @} */
 
   private:
@@ -265,7 +258,6 @@ class RouterSystem : private bgp::SpeakerEvents
     // Instrumentation.
     std::unique_ptr<sim::CpuLoadTracker> loadTracker_;
     stats::TimeSeries fwdBytes_;
-    stats::TimeSeries drops_;
     DataPlaneCounters dataPlane_;
     ControlPlaneCounters controlPlane_;
 

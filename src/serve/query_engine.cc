@@ -159,7 +159,7 @@ QueryEngine::readerLoop(Reader &reader, uint64_t quota)
         }
         reader.lastEpoch = snapshot->epoch();
 
-        uint64_t batch = quota ? batchSize : config_.pacedBatch;
+        uint64_t batch = quota ? batchSize : pacedBatch;
         if (quota)
             batch = std::min(batch, quota - reader.queries);
         for (uint64_t i = 0; i < batch; ++i) {
@@ -177,20 +177,16 @@ QueryEngine::readerLoop(Reader &reader, uint64_t quota)
         if (quota && reader.queries >= quota)
             break;
         if (!quota) {
-            if (config_.pacedIntervalNs > 0) {
-                // Sliced so stop() never waits a full interval for
-                // the reader to notice the flag.
-                uint64_t slept = 0;
-                while (slept < config_.pacedIntervalNs &&
-                       !stopFlag_.load(std::memory_order_relaxed)) {
-                    uint64_t slice = std::min<uint64_t>(
-                        config_.pacedIntervalNs - slept, 500000);
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(slice));
-                    slept += slice;
-                }
-            } else {
-                std::this_thread::yield();
+            // Sliced so stop() never waits a full interval for the
+            // reader to notice the flag.
+            uint64_t slept = 0;
+            while (slept < pacedIntervalNs &&
+                   !stopFlag_.load(std::memory_order_relaxed)) {
+                uint64_t slice =
+                    std::min<uint64_t>(pacedIntervalNs - slept, 500000);
+                std::this_thread::sleep_for(
+                    std::chrono::nanoseconds(slice));
+                slept += slice;
             }
             // The pause must not be charged to the next query.
             last = nowNs();

@@ -18,10 +18,10 @@
  * measurements.
  *
  * Two running modes cover the two benchmark questions:
- *  - paced (yieldBetweenBatches): readers run concurrently with the
- *    decision process to measure interference, yielding between
- *    batches so the measurement works even on a single hardware
- *    thread;
+ *  - paced (startPaced): readers run concurrently with the decision
+ *    process to measure interference, sleeping pacedIntervalNs
+ *    between batches of pacedBatch queries so the measurement works
+ *    even on a single hardware thread;
  *  - flat-out (runFixed): a fixed query count per reader measures
  *    peak sustained throughput against a quiescent table.
  */
@@ -56,19 +56,6 @@ struct QueryEngineConfig
     int readers = 4;
     /** Queries each reader executes in runFixed(). */
     uint64_t queriesPerReader = 100000;
-    /**
-     * Paced mode: queries per polling burst. Paced readers model
-     * fixed-rate telemetry pollers, not spinning clients — each
-     * burst samples latency and staleness, then the reader sleeps.
-     */
-    uint64_t pacedBatch = 32;
-    /**
-     * Paced mode: sleep between bursts. Bounds the read side's CPU
-     * share (4 readers x 32 queries / 5 ms is well under a percent
-     * of one core), which is what keeps the decision process
-     * unmolested even when readers outnumber hardware threads.
-     */
-    uint64_t pacedIntervalNs = 5000000;
     /** Base seed; reader r streams with seed + r. */
     uint64_t seed = 1;
     workload::QueryStreamConfig stream;
@@ -112,6 +99,20 @@ class QueryEngine
 {
   public:
     /**
+     * Paced mode: queries per polling burst. Paced readers model
+     * fixed-rate telemetry pollers, not spinning clients — each
+     * burst samples latency and staleness, then the reader sleeps.
+     */
+    static constexpr uint64_t pacedBatch = 32;
+    /**
+     * Paced mode: sleep between bursts. Bounds the read side's CPU
+     * share (4 readers x 32 queries / 5 ms is well under a percent
+     * of one core), which is what keeps the decision process
+     * unmolested even when readers outnumber hardware threads.
+     */
+    static constexpr uint64_t pacedIntervalNs = 5000000;
+
+    /**
      * @param publisher Source of snapshots; must outlive the engine.
      * @param targets Prefix population queries are drawn from.
      */
@@ -125,10 +126,10 @@ class QueryEngine
     QueryEngine &operator=(const QueryEngine &) = delete;
 
     /**
-     * Start paced readers that run until stop(): execute a batch,
-     * yield (if configured), repeat. Every reader executes at least
-     * one batch, however soon stop() follows. Used to load the read
-     * side while a convergence run drives the write side.
+     * Start paced readers that run until stop(): execute pacedBatch
+     * queries, sleep pacedIntervalNs, repeat. Every reader executes
+     * at least one batch, however soon stop() follows. Used to load
+     * the read side while a convergence run drives the write side.
      */
     void startPaced();
 

@@ -80,12 +80,6 @@ class CpuModel
     /** True if any registered process has queued work. */
     bool anyRunnable() const;
 
-    /** Total cycles one core delivers per second. */
-    double coreCyclesPerSecond() const
-    {
-        return config_.cyclesPerSecond;
-    }
-
   private:
     /** Assign runnable, unpinned processes to logical CPUs. */
     void place();

@@ -45,8 +45,6 @@ class CpuLoadTracker
             intervalSeconds_, process->name()));
     }
 
-    double intervalSeconds() const { return intervalSeconds_; }
-
     /**
      * Record one sample for every tracked process. Call exactly once
      * per interval (the router schedules this as a periodic event).

@@ -90,9 +90,6 @@ class SimProcess
         return total;
     }
 
-    /** Number of queued jobs. */
-    size_t backlogJobs() const { return jobs_.size(); }
-
     /**
      * Consume up to @p budget cycles of queued work, executing the
      * apply closures of jobs that complete.

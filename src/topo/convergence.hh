@@ -88,10 +88,10 @@ class ConvergenceTracker
     /** @name Accumulated metrics
      *  @{
      */
-    sim::SimTime phaseStart() const { return phaseStart_; }
-    /** Time of the last routing-state-affecting event. */
-    sim::SimTime lastActivity() const { return lastActivity_; }
-    /** lastActivity - phaseStart, in seconds (0 if nothing happened). */
+    /**
+     * Time from the phase start to the last routing-state-affecting
+     * event, in seconds (0 if nothing happened).
+     */
     double convergenceTimeSec() const;
     uint64_t updatesDelivered() const { return updatesDelivered_; }
     uint64_t transactionsDelivered() const

@@ -257,22 +257,6 @@ Topology::clos(const ClosOptions &opts)
             make_node("spine" + std::to_string(s), spine_as));
     }
 
-    auto tier_link = [&](size_t lower, size_t upper,
-                         const bgp::Policy &lower_import,
-                         const bgp::Policy &lower_export,
-                         const bgp::Policy &upper_import,
-                         const bgp::Policy &upper_export) {
-        Link link;
-        link.a.node = lower;
-        link.a.importPolicy = lower_import;
-        link.a.exportPolicy = lower_export;
-        link.b.node = upper;
-        link.b.importPolicy = upper_import;
-        link.b.exportPolicy = upper_export;
-        link.latencyNs = opts.base.latencyNs;
-        link.bandwidthMbps = opts.base.bandwidthMbps;
-        topo.addLink(std::move(link));
-    };
 
     size_t tor_count = 0;
     for (size_t p = 0; p < opts.pods; ++p) {
@@ -289,14 +273,14 @@ Topology::clos(const ClosOptions &opts)
                 bgp::AsNumber(first_tor_as + tor_count));
             ++tor_count;
             for (size_t agg : agg_nodes) {
-                tier_link(tor, agg, opts.torImport, opts.torExport,
-                          opts.aggImport, opts.aggExport);
+                topo.addLink(tor, agg, opts.base.latencyNs,
+                             opts.base.bandwidthMbps);
             }
         }
         for (size_t agg : agg_nodes) {
             for (size_t spine : spine_nodes) {
-                tier_link(agg, spine, opts.aggImport, opts.aggExport,
-                          opts.spineImport, opts.spineExport);
+                topo.addLink(agg, spine, opts.base.latencyNs,
+                             opts.base.bandwidthMbps);
             }
         }
     }

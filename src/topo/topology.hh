@@ -93,13 +93,8 @@ struct GenOptions
  * share one AS (base.firstAs), the aggregation switches of one pod
  * share a per-pod AS, and every ToR gets its own AS — which is what
  * makes the pod-internal and spine-level path sets equal-length and
- * thus ECMP-eligible under maximum-paths.
- *
- * The per-tier policies are attached to the matching end of every
- * generated link (e.g. aggImport filters what an aggregation switch
- * accepts from either neighbouring tier), giving policy-heavy
- * scenarios a realistic shape: the same named route-map shared by a
- * whole tier.
+ * thus ECMP-eligible under maximum-paths. Every session accepts and
+ * exports routes unmodified.
  */
 struct ClosOptions
 {
@@ -108,10 +103,6 @@ struct ClosOptions
     size_t aggsPerPod = 2;
     size_t spines = 2;
     GenOptions base;
-    /** Per-tier session policies (empty = accept unmodified). */
-    bgp::Policy torImport, torExport;
-    bgp::Policy aggImport, aggExport;
-    bgp::Policy spineImport, spineExport;
 };
 
 /**

@@ -164,7 +164,7 @@ TopologySim::TopologySim(Topology topology, TopologySimConfig config)
         speaker_config.localAs = node.asn;
         speaker_config.routerId = node.routerId;
         speaker_config.localAddress = node.address;
-        speaker_config.decision.maxPaths = config_.maxPaths;
+        speaker_config.maxPaths = config_.maxPaths;
         speaker_config.damping = config_.damping;
         speaker_config.mraiNs = uint64_t(config_.mraiNs);
         auto speaker = std::make_unique<bgp::BgpSpeaker>(

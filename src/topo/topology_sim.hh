@@ -110,7 +110,7 @@ struct TopologySimConfig
     size_t jobs = 1;
     /**
      * maximum-paths applied to every speaker's decision process
-     * (DecisionConfig::maxPaths). 1 keeps the classic single best
+     * (SpeakerConfig::maxPaths). 1 keeps the classic single best
      * path; reports stay byte-identical across jobs either way.
      */
     size_t maxPaths = 1;

@@ -59,9 +59,7 @@ buildChurnStream(const std::vector<RouteSpec> &routes,
     };
     std::vector<FlapperState> state(flappers);
 
-    bgp::PackingOptions packing;
-    packing.maxPrefixesPerUpdate = config.stream.prefixesPerPacket;
-    bgp::UpdateBuilder builder(packing);
+    bgp::UpdateBuilder builder(config.stream.prefixesPerPacket);
     std::unordered_set<net::Prefix> pending;
     std::vector<StreamPacket> packets;
 

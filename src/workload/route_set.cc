@@ -13,10 +13,6 @@ generateRouteSet(const RouteSetConfig &config)
 {
     if (config.count == 0)
         fatal("route set count must be positive");
-    if (config.minPathLength < 1 ||
-        config.maxPathLength < config.minPathLength) {
-        fatal("invalid AS path length range");
-    }
 
     Rng rng(config.seed);
     std::vector<RouteSpec> routes;
@@ -26,7 +22,7 @@ generateRouteSet(const RouteSetConfig &config)
 
     while (routes.size() < config.count) {
         int length;
-        if (rng.uniform() < config.slash24Fraction) {
+        if (rng.uniform() < slash24Fraction) {
             length = 24;
         } else {
             length = int(rng.range(16, 22));
@@ -45,8 +41,8 @@ generateRouteSet(const RouteSetConfig &config)
 
         RouteSpec spec;
         spec.prefix = prefix;
-        int hops = int(rng.range(uint64_t(config.minPathLength),
-                                 uint64_t(config.maxPathLength)));
+        int hops = int(rng.range(uint64_t(minPathLength),
+                                 uint64_t(maxPathLength)));
         spec.basePath.reserve(size_t(hops));
         for (int h = 0; h < hops; ++h) {
             spec.basePath.push_back(

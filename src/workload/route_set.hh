@@ -31,19 +31,20 @@ struct RouteSpec
     std::vector<bgp::AsNumber> basePath;
 };
 
+/** AS path length range (before the speaker's own AS). */
+constexpr int minPathLength = 1;
+constexpr int maxPathLength = 4;
+/**
+ * Fraction of /24 prefixes; the rest are a mix of /16..../22, echoing
+ * the CIDR mask-length distribution of Internet tables.
+ */
+constexpr double slash24Fraction = 0.55;
+
 /** Parameters of the generator. */
 struct RouteSetConfig
 {
     size_t count = 5000;
     uint64_t seed = 1;
-    /** AS path length range (before the speaker's own AS). */
-    int minPathLength = 1;
-    int maxPathLength = 4;
-    /**
-     * Fraction of /24 prefixes; the rest are a mix of /16..../22,
-     * echoing the CIDR mask-length distribution of Internet tables.
-     */
-    double slash24Fraction = 0.55;
 };
 
 /**

@@ -53,9 +53,7 @@ buildAnnouncementStream(const std::vector<RouteSpec> &routes,
     if (config.prefixesPerPacket == 0)
         fatal("prefixes per packet must be positive");
 
-    bgp::PackingOptions packing;
-    packing.maxPrefixesPerUpdate = config.prefixesPerPacket;
-    bgp::UpdateBuilder builder(packing);
+    bgp::UpdateBuilder builder(config.prefixesPerPacket);
 
     size_t group = config.prefixesPerPacket;
     for (size_t i = 0; i < routes.size(); ++i) {
@@ -75,9 +73,7 @@ buildWithdrawalStream(const std::vector<RouteSpec> &routes,
     if (config.prefixesPerPacket == 0)
         fatal("prefixes per packet must be positive");
 
-    bgp::PackingOptions packing;
-    packing.maxPrefixesPerUpdate = config.prefixesPerPacket;
-    bgp::UpdateBuilder builder(packing);
+    bgp::UpdateBuilder builder(config.prefixesPerPacket);
     for (const auto &route : routes)
         builder.withdraw(route.prefix);
     return toPackets(builder.build());

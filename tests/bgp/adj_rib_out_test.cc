@@ -210,7 +210,7 @@ class AdjRibOutWire
         config.routerId = localId;
         config.localAddress = localAddress;
         config.holdTimeSec = 0;
-        config.decision.maxPaths = std::get<0>(GetParam());
+        config.maxPaths = std::get<0>(GetParam());
         config.damping.enabled = true;
         config.damping.halfLifeSec = 10.0;
         speaker = std::make_unique<BgpSpeaker>(config, &log);

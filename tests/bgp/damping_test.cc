@@ -25,11 +25,6 @@ testConfig()
 {
     DampingConfig config;
     config.enabled = true;
-    config.withdrawPenalty = 1000;
-    config.reAnnouncePenalty = 500;
-    config.attributeChangePenalty = 500;
-    config.suppressThreshold = 2000;
-    config.reuseThreshold = 750;
     config.halfLifeSec = 900;
     return config;
 }
@@ -42,7 +37,7 @@ TEST(FlapDamper, DisabledDoesNothing)
 {
     FlapDamper damper(DampingConfig{}); // enabled = false
     EXPECT_FALSE(damper.onWithdraw(1, p, 0));
-    EXPECT_FALSE(damper.onAnnounce(1, p, true, 0));
+    EXPECT_FALSE(damper.onAnnounce(1, p, 0));
     EXPECT_FALSE(damper.isSuppressed(1, p, 0));
     EXPECT_EQ(damper.trackedRoutes(), 0u);
 }
@@ -50,7 +45,7 @@ TEST(FlapDamper, DisabledDoesNothing)
 TEST(FlapDamper, FreshAnnouncementCarriesNoPenalty)
 {
     FlapDamper damper(testConfig());
-    EXPECT_FALSE(damper.onAnnounce(1, p, false, 0));
+    EXPECT_FALSE(damper.onAnnounce(1, p, 0));
     EXPECT_EQ(damper.penalty(1, p, 0), 0.0);
 }
 
@@ -67,7 +62,7 @@ TEST(FlapDamper, RepeatedFlapsSuppress)
     FlapDamper damper(testConfig());
     // withdraw (1000) + re-announce (500) + withdraw (1000) = 2500.
     EXPECT_FALSE(damper.onWithdraw(1, p, 0));
-    EXPECT_FALSE(damper.onAnnounce(1, p, false, 1 * sec));
+    EXPECT_FALSE(damper.onAnnounce(1, p, 1 * sec));
     EXPECT_TRUE(damper.onWithdraw(1, p, 2 * sec));
     EXPECT_TRUE(damper.isSuppressed(1, p, 2 * sec));
 }
@@ -84,7 +79,7 @@ TEST(FlapDamper, SuppressionLapsesAtReuseThreshold)
 {
     FlapDamper damper(testConfig());
     damper.onWithdraw(1, p, 0);
-    damper.onAnnounce(1, p, false, 0);
+    damper.onAnnounce(1, p, 0);
     damper.onWithdraw(1, p, 0); // penalty 2500, suppressed
     ASSERT_TRUE(damper.isSuppressed(1, p, 0));
 
@@ -98,14 +93,14 @@ TEST(FlapDamper, PenaltyCapped)
     FlapDamper damper(testConfig());
     for (int i = 0; i < 100; ++i)
         damper.onWithdraw(1, p, 0);
-    EXPECT_LE(damper.penalty(1, p, 0), testConfig().maxPenalty);
+    EXPECT_LE(damper.penalty(1, p, 0), FlapDamper::maxPenalty);
 }
 
 TEST(FlapDamper, PeersTrackedIndependently)
 {
     FlapDamper damper(testConfig());
     damper.onWithdraw(1, p, 0);
-    damper.onAnnounce(1, p, false, 0);
+    damper.onAnnounce(1, p, 0);
     damper.onWithdraw(1, p, 0);
     EXPECT_TRUE(damper.isSuppressed(1, p, 0));
     EXPECT_FALSE(damper.isSuppressed(2, p, 0));
@@ -116,7 +111,7 @@ TEST(FlapDamper, TakeReusableReportsLapsedRoutes)
 {
     FlapDamper damper(testConfig());
     damper.onWithdraw(1, p, 0);
-    damper.onAnnounce(1, p, false, 0);
+    damper.onAnnounce(1, p, 0);
     damper.onWithdraw(1, p, 0);
     ASSERT_TRUE(damper.isSuppressed(1, p, 0));
 
@@ -166,7 +161,7 @@ TEST(FlapDamper, ReadsDoNotPerturbTheTrajectory)
 
     auto flap = [&](FlapDamper &damper, uint64_t at) {
         damper.onWithdraw(1, p, at);
-        damper.onAnnounce(1, p, false, at + sec / 2);
+        damper.onAnnounce(1, p, at + sec / 2);
     };
     flap(quiet, 0);
     flap(polled, 0);
@@ -194,7 +189,7 @@ TEST(FlapDamper, ReuseBoundaryIsExact)
 {
     FlapDamper damper(testConfig());
     damper.onWithdraw(1, p, 0);
-    damper.onAnnounce(1, p, false, 0);
+    damper.onAnnounce(1, p, 0);
     damper.onWithdraw(1, p, 0); // penalty 2500 at anchor 0
     ASSERT_TRUE(damper.isSuppressed(1, p, 0));
 
@@ -231,11 +226,11 @@ TEST(FlapDamper, TransitionCountersCountEpisodesNotEvents)
     EXPECT_EQ(damper.reuseTransitions(), 0u);
 
     damper.onWithdraw(1, p, 0);
-    damper.onAnnounce(1, p, false, 0);
+    damper.onAnnounce(1, p, 0);
     damper.onWithdraw(1, p, 0); // crosses 2000: one suppression
     EXPECT_EQ(damper.suppressTransitions(), 1u);
     // More flaps inside the same episode do not re-count.
-    damper.onAnnounce(1, p, false, sec);
+    damper.onAnnounce(1, p, sec);
     damper.onWithdraw(1, p, 2 * sec);
     EXPECT_EQ(damper.suppressTransitions(), 1u);
 
@@ -246,7 +241,7 @@ TEST(FlapDamper, TransitionCountersCountEpisodesNotEvents)
 
     // A fresh flap burst afterwards is a second episode.
     damper.onWithdraw(1, p, at);
-    damper.onAnnounce(1, p, false, at + sec);
+    damper.onAnnounce(1, p, at + sec);
     damper.onWithdraw(1, p, at + 2 * sec);
     EXPECT_EQ(damper.suppressTransitions(), 2u);
 }

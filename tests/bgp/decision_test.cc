@@ -65,11 +65,13 @@ TEST(Decision, HigherLocalPrefWins)
 
 TEST(Decision, AbsentLocalPrefUsesDefault)
 {
-    DecisionConfig config;
-    config.defaultLocalPref = 100;
     auto a = candidate({100});                       // default 100
     auto b = withLocalPref(candidate({100, 200}), 150);
-    EXPECT_GT(compareCandidates(a, b, config), 0); // b preferred
+    EXPECT_GT(compareCandidates(a, b), 0); // b preferred
+    // The default is 100: an explicit 100 ties it, so the shorter
+    // path decides.
+    auto c = withLocalPref(candidate({100, 200}), defaultLocalPref);
+    EXPECT_LT(compareCandidates(a, c), 0);
 }
 
 TEST(Decision, ShorterAsPathWins)
@@ -113,21 +115,10 @@ TEST(Decision, MedComparedForSameNeighborAs)
 
 TEST(Decision, MedIgnoredAcrossNeighborAses)
 {
-    DecisionConfig config;
-    config.alwaysCompareMed = false;
     auto a = withMed(candidate({100, 300}, 1, 10), 50);
     auto b = withMed(candidate({200, 300}, 2, 20), 5);
     // Different first AS: MED skipped; tie broken by router id.
-    EXPECT_LT(compareCandidates(a, b, config), 0);
-}
-
-TEST(Decision, AlwaysCompareMedOverridesNeighborCheck)
-{
-    DecisionConfig config;
-    config.alwaysCompareMed = true;
-    auto a = withMed(candidate({100, 300}, 1, 10), 50);
-    auto b = withMed(candidate({200, 300}, 2, 20), 5);
-    EXPECT_GT(compareCandidates(a, b, config), 0);
+    EXPECT_LT(compareCandidates(a, b), 0);
 }
 
 TEST(Decision, MissingMedTreatedAsZero)
@@ -176,21 +167,21 @@ TEST(Decision, SelectBestPicksMinimum)
 }
 
 /**
- * Property: with always-compare-med the comparison is a strict weak
- * ordering. (The RFC's neighbor-AS-conditional MED rule is famously
- * NOT transitive — the root of real-world MED oscillation — so the
- * property only holds in the always-compare configuration.)
+ * Property: among routes from one neighbour AS the comparison is a
+ * strict weak ordering. (The RFC's neighbour-AS-conditional MED rule
+ * is famously NOT transitive across neighbour ASes — the root of
+ * real-world MED oscillation, see ConditionalMedIsIntransitive — so
+ * every path here starts with the same AS, where MED is always
+ * compared.)
  */
 TEST(DecisionProperty, StrictWeakOrdering)
 {
-    DecisionConfig config;
-    config.alwaysCompareMed = true;
     workload::Rng rng(23);
     std::vector<Candidate> pool;
     for (int i = 0; i < 24; ++i) {
-        std::vector<AsNumber> path;
+        std::vector<AsNumber> path{100};
         int hops = int(rng.range(1, 4));
-        for (int h = 0; h < hops; ++h)
+        for (int h = 1; h < hops; ++h)
             path.push_back(AsNumber(rng.range(100, 110)));
         Candidate c = candidate(std::move(path),
                                 uint32_t(rng.range(1, 4)),
@@ -204,16 +195,16 @@ TEST(DecisionProperty, StrictWeakOrdering)
     }
 
     for (const auto &a : pool) {
-        EXPECT_EQ(compareCandidates(a, a, config), 0);
+        EXPECT_EQ(compareCandidates(a, a), 0);
         for (const auto &b : pool) {
             // Antisymmetry.
-            EXPECT_EQ(compareCandidates(a, b, config) < 0,
-                      compareCandidates(b, a, config) > 0);
+            EXPECT_EQ(compareCandidates(a, b) < 0,
+                      compareCandidates(b, a) > 0);
             for (const auto &c : pool) {
                 // Transitivity of strict preference.
-                if (compareCandidates(a, b, config) < 0 &&
-                    compareCandidates(b, c, config) < 0) {
-                    EXPECT_LT(compareCandidates(a, c, config), 0);
+                if (compareCandidates(a, b) < 0 &&
+                    compareCandidates(b, c) < 0) {
+                    EXPECT_LT(compareCandidates(a, c), 0);
                 }
             }
         }
@@ -226,9 +217,6 @@ TEST(DecisionProperty, StrictWeakOrdering)
  */
 TEST(Decision, ConditionalMedIsIntransitive)
 {
-    DecisionConfig config;
-    config.alwaysCompareMed = false;
-
     // a: via AS 100, MED 10, router id 30
     // b: via AS 100, MED 50, router id 10
     // c: via AS 200, no MED, router id 20
@@ -237,11 +225,11 @@ TEST(Decision, ConditionalMedIsIntransitive)
     auto c = candidate({200, 902}, 3, 20);
 
     // a beats b on MED (same neighbor AS).
-    EXPECT_LT(compareCandidates(a, b, config), 0);
+    EXPECT_LT(compareCandidates(a, b), 0);
     // b beats c on router id (MED not comparable).
-    EXPECT_LT(compareCandidates(b, c, config), 0);
+    EXPECT_LT(compareCandidates(b, c), 0);
     // ...but c beats a on router id: a cycle.
-    EXPECT_LT(compareCandidates(c, a, config), 0);
+    EXPECT_LT(compareCandidates(c, a), 0);
 }
 
 /** Property: selectBest returns an element no other one beats. */
@@ -271,21 +259,11 @@ TEST(DecisionProperty, SelectBestIsUnbeaten)
 namespace
 {
 
-DecisionConfig
-maxPaths(size_t paths, bool always_compare_med = false)
-{
-    DecisionConfig config;
-    config.maxPaths = paths;
-    config.alwaysCompareMed = always_compare_med;
-    return config;
-}
-
 std::vector<size_t>
-groupOf(const std::vector<Candidate> &candidates,
-        const DecisionConfig &config)
+groupOf(const std::vector<Candidate> &candidates, size_t max_paths)
 {
     std::vector<size_t> group;
-    selectMultipath(candidates, config, group);
+    selectMultipath(candidates, max_paths, group);
     return group;
 }
 
@@ -302,26 +280,23 @@ fourEqualPaths()
 TEST(DecisionMultipath, EmptyCandidatesGiveEmptyGroup)
 {
     std::vector<size_t> group{7};
-    selectMultipath({}, maxPaths(4), group);
+    selectMultipath({}, 4, group);
     EXPECT_TRUE(group.empty());
 }
 
 TEST(DecisionMultipath, GroupIsBestThenAscendingRouterId)
 {
     auto candidates = fourEqualPaths();
-    EXPECT_EQ(groupOf(candidates, maxPaths(8)),
-              (std::vector<size_t>{1, 3, 2, 0}));
+    EXPECT_EQ(groupOf(candidates, 8), (std::vector<size_t>{1, 3, 2, 0}));
     EXPECT_EQ(*selectBest(candidates), 1u);
 }
 
 TEST(DecisionMultipath, TruncatesAtMaxPaths)
 {
     auto candidates = fourEqualPaths();
-    EXPECT_EQ(groupOf(candidates, maxPaths(2)),
-              (std::vector<size_t>{1, 3}));
+    EXPECT_EQ(groupOf(candidates, 2), (std::vector<size_t>{1, 3}));
     // maximum-paths 1: the group is the best path alone.
-    EXPECT_EQ(groupOf(candidates, maxPaths(1)), std::vector<size_t>{1});
-    EXPECT_EQ(groupOf(candidates, {}), std::vector<size_t>{1});
+    EXPECT_EQ(groupOf(candidates, 1), std::vector<size_t>{1});
 }
 
 TEST(DecisionMultipath, RouterIdAndPeerDifferencesStayInGroup)
@@ -335,8 +310,7 @@ TEST(DecisionMultipath, RouterIdAndPeerDifferencesStayInGroup)
     reflected.originatorId = 5;
     candidates[2].attributes = makeAttributes(std::move(reflected));
     // Index 2 reads router id 5 through its ORIGINATOR_ID.
-    EXPECT_EQ(groupOf(candidates, maxPaths(4)),
-              (std::vector<size_t>{2, 0, 1}));
+    EXPECT_EQ(groupOf(candidates, 4), (std::vector<size_t>{2, 0, 1}));
 
     // Any earlier step separates: a longer path, a worse ORIGIN, an
     // iBGP session, a lower LOCAL_PREF, a longer CLUSTER_LIST.
@@ -350,7 +324,7 @@ TEST(DecisionMultipath, RouterIdAndPeerDifferencesStayInGroup)
     longer.clusterList = {7};
     apart.push_back(Candidate{makeAttributes(std::move(longer)), 6, 5,
                               true});
-    EXPECT_EQ(groupOf(apart, maxPaths(8)), std::vector<size_t>{0});
+    EXPECT_EQ(groupOf(apart, 8), std::vector<size_t>{0});
 }
 
 TEST(DecisionMultipath, MedSeparatesOnlyWhenComparable)
@@ -360,18 +334,14 @@ TEST(DecisionMultipath, MedSeparatesOnlyWhenComparable)
     std::vector<Candidate> same_as{
         withMed(candidate({100, 900}, 1, 30), 10),
         withMed(candidate({100, 901}, 2, 10), 20)};
-    EXPECT_EQ(groupOf(same_as, maxPaths(4)), std::vector<size_t>{0});
+    EXPECT_EQ(groupOf(same_as, 4), std::vector<size_t>{0});
 
     // Different neighbour ASes: MED is not compared, so the routes
-    // tie through step 5b and group by router id...
+    // tie through step 5b and group by router id.
     std::vector<Candidate> other_as{
         withMed(candidate({100, 900}, 1, 30), 10),
         withMed(candidate({200, 900}, 2, 20), 50)};
-    EXPECT_EQ(groupOf(other_as, maxPaths(4)),
-              (std::vector<size_t>{1, 0}));
-    // ...unless always-compare-med makes MED separate them.
-    EXPECT_EQ(groupOf(other_as, maxPaths(4, true)),
-              std::vector<size_t>{0});
+    EXPECT_EQ(groupOf(other_as, 4), (std::vector<size_t>{1, 0}));
 }
 
 TEST(DecisionMultipath, LocalBestNeverGroupedWithLearned)
@@ -382,7 +352,7 @@ TEST(DecisionMultipath, LocalBestNeverGroupedWithLearned)
     local.locallyOriginated = true;
     local.externalSession = false;
     candidates.push_back(local);
-    EXPECT_EQ(groupOf(candidates, maxPaths(4)), std::vector<size_t>{2});
+    EXPECT_EQ(groupOf(candidates, 4), std::vector<size_t>{2});
 }
 
 TEST(DecisionMultipath, IntransitiveMedKeepsBestFirst)
@@ -395,8 +365,7 @@ TEST(DecisionMultipath, IntransitiveMedKeepsBestFirst)
     auto c = candidate({200, 902}, 3, 20);
     std::vector<Candidate> candidates{a, b, c};
     ASSERT_EQ(*selectBest(candidates), 2u);
-    EXPECT_EQ(groupOf(candidates, maxPaths(4)),
-              (std::vector<size_t>{2, 0, 1}));
+    EXPECT_EQ(groupOf(candidates, 4), (std::vector<size_t>{2, 0, 1}));
 }
 
 /**
@@ -409,8 +378,7 @@ TEST(DecisionMultipathProperty, MembersTieBestThroughStep5b)
 {
     workload::Rng rng(41);
     for (int trial = 0; trial < 400; ++trial) {
-        DecisionConfig config = maxPaths(size_t(rng.range(1, 5)),
-                                         rng.below(4) == 0);
+        size_t max_paths = size_t(rng.range(1, 5));
         std::vector<Candidate> candidates;
         int n = int(rng.range(0, 9));
         for (int i = 0; i < n; ++i) {
@@ -438,9 +406,7 @@ TEST(DecisionMultipathProperty, MembersTieBestThroughStep5b)
         auto ties = [&](const Candidate &x, const Candidate &y) {
             const PathAttributes &px = *x.attributes;
             const PathAttributes &py = *y.attributes;
-            bool med_compared =
-                config.alwaysCompareMed ||
-                px.asPath.firstAs() == py.asPath.firstAs();
+            bool med_compared = px.asPath.firstAs() == py.asPath.firstAs();
             return x.locallyOriginated == y.locallyOriginated &&
                    px.localPref.value_or(100) ==
                        py.localPref.value_or(100) &&
@@ -452,12 +418,12 @@ TEST(DecisionMultipathProperty, MembersTieBestThroughStep5b)
                    px.clusterList.size() == py.clusterList.size();
         };
 
-        std::vector<size_t> group = groupOf(candidates, config);
+        std::vector<size_t> group = groupOf(candidates, max_paths);
         ASSERT_EQ(group.empty(), candidates.empty());
         if (group.empty())
             continue;
-        ASSERT_EQ(group.front(), *selectBest(candidates, config));
-        ASSERT_LE(group.size(), config.maxPaths);
+        ASSERT_EQ(group.front(), *selectBest(candidates));
+        ASSERT_LE(group.size(), max_paths);
         const Candidate &best = candidates[group.front()];
         size_t tying = 0;
         for (size_t i = 0; i < candidates.size(); ++i) {
@@ -470,7 +436,7 @@ TEST(DecisionMultipathProperty, MembersTieBestThroughStep5b)
             }
             tying += ties(candidates[i], best);
         }
-        EXPECT_EQ(group.size(), std::min(tying, config.maxPaths))
+        EXPECT_EQ(group.size(), std::min(tying, max_paths))
             << "trial " << trial;
     }
 }

@@ -37,21 +37,18 @@ TEST(AdjRibIn, UpdateInsertsAndReplaces)
     auto a = attrs(100);
     auto first = rib.update(p1, a, a);
     EXPECT_TRUE(first.changed);
-    EXPECT_FALSE(first.attributeChange); // a new route, not a flap
     EXPECT_EQ(rib.findAt(first.slot), rib.find(p1));
     EXPECT_EQ(rib.size(), 1u);
 
     // Same content: no change reported.
     auto same = rib.update(p1, a, a);
     EXPECT_FALSE(same.changed);
-    EXPECT_FALSE(same.attributeChange);
     EXPECT_EQ(same.slot, first.slot);
 
     // Different content: change reported.
     auto b = attrs(200);
     auto replaced = rib.update(p1, b, b);
     EXPECT_TRUE(replaced.changed);
-    EXPECT_TRUE(replaced.attributeChange);
     EXPECT_EQ(replaced.slot, first.slot);
     EXPECT_EQ(rib.size(), 1u);
     EXPECT_EQ(*rib.find(p1)->received, *b);
@@ -74,11 +71,13 @@ TEST(AdjRibIn, PolicyRejectionStoredAsNullEffective)
     EXPECT_TRUE(entry->received);
     EXPECT_FALSE(entry->effective);
 
-    // Accepting the same route later is a change, but the received
-    // attributes did not change.
-    auto accepted = rib.update(p1, attrs(100), attrs(100));
-    EXPECT_TRUE(accepted.changed);
-    EXPECT_FALSE(accepted.attributeChange);
+    // Accepting the same route later is a change.
+    EXPECT_TRUE(rib.update(p1, attrs(100), attrs(100)).changed);
+
+    // So is a new received value that imports to the same result:
+    // the entry stores what was received.
+    EXPECT_TRUE(rib.update(p1, attrs(200), attrs(100)).changed);
+    EXPECT_EQ(*rib.find(p1)->received, *attrs(200));
 }
 
 TEST(AdjRibIn, WithdrawRemoves)

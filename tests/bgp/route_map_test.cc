@@ -120,39 +120,73 @@ TEST(PrefixList, MoreSpecificEntryDoesNotShadowLowerSeq)
     EXPECT_EQ(pl.evaluate(pfx("10.1.2.0/24")), ListMatch::Permit);
 }
 
+TEST(PrefixList, ReAddedSeqReplacesItsEntry)
+{
+    PrefixList pl;
+    pl.add(5, false, pfx("10.1.0.0/16"), std::nullopt, 32);
+    pl.add(5, true, pfx("10.0.0.0/8"), std::nullopt, 32);
+    // One entry per seq: the later add replaced the deny.
+    ASSERT_EQ(pl.size(), 1u);
+    EXPECT_TRUE(pl.entries().front().permit);
+    EXPECT_EQ(pl.entries().front().prefix, pfx("10.0.0.0/8"));
+    EXPECT_EQ(pl.evaluate(pfx("10.1.2.0/24")), ListMatch::Permit);
+    EXPECT_EQ(pl.evaluateLinear(pfx("10.1.2.0/24")), ListMatch::Permit);
+
+    // The replaced entry's prefix no longer matches anything of its
+    // own: the trie forgot it.
+    pl.add(5, true, pfx("192.168.0.0/16"));
+    EXPECT_EQ(pl.evaluate(pfx("10.1.2.0/24")), ListMatch::NoMatch);
+    EXPECT_EQ(pl.evaluate(pfx("192.168.0.0/16")), ListMatch::Permit);
+
+    // Other seqs keep their order around the replaced one.
+    pl.add(10, false, pfx("10.0.0.0/8"), std::nullopt, 32);
+    pl.add(1, false, pfx("192.168.0.0/16"));
+    pl.add(5, true, pfx("10.0.0.0/8"), std::nullopt, 32);
+    ASSERT_EQ(pl.size(), 3u);
+    EXPECT_EQ(pl.entries()[0].seq, 1u);
+    EXPECT_EQ(pl.entries()[1].seq, 5u);
+    EXPECT_EQ(pl.entries()[2].seq, 10u);
+    EXPECT_EQ(pl.evaluate(pfx("10.1.2.0/24")), ListMatch::Permit);
+    EXPECT_EQ(pl.evaluate(pfx("192.168.0.0/16")), ListMatch::Deny);
+}
+
 TEST(PrefixList, CompiledLookupMatchesLinearOracle)
 {
     // Property test: the trie-compiled evaluate() must agree with the
-    // reference linear scan on every probe, for a deterministic
-    // pseudo-random list with overlapping entries and varied bounds.
+    // reference linear scan on every probe, for deterministic
+    // pseudo-random lists with overlapping entries and varied bounds.
+    // Seqs come from a set of 16, so most adds re-add a seq.
     std::mt19937 rng(20260807);
-    PrefixList pl("fuzz");
-    for (uint32_t i = 0; i < 200; ++i) {
-        int len = int(rng() % 25); // 0..24
-        uint32_t addr = rng();
-        net::Prefix p(net::Ipv4Address(addr), len);
-        std::optional<int> ge, le;
-        switch (rng() % 4) {
-        case 1:
-            ge = len + int(rng() % (33 - len));
-            break;
-        case 2:
-            le = len + int(rng() % (33 - len));
-            break;
-        case 3:
-            ge = len + int(rng() % (33 - len));
-            le = *ge + int(rng() % (33 - *ge));
-            break;
-        default:
-            break;
+    for (int trial = 0; trial < 20; ++trial) {
+        PrefixList pl("fuzz");
+        for (uint32_t i = 0; i < 50; ++i) {
+            int len = int(rng() % 25); // 0..24
+            uint32_t addr = rng();
+            net::Prefix p(net::Ipv4Address(addr), len);
+            std::optional<int> ge, le;
+            switch (rng() % 4) {
+            case 1:
+                ge = len + int(rng() % (33 - len));
+                break;
+            case 2:
+                le = len + int(rng() % (33 - len));
+                break;
+            case 3:
+                ge = len + int(rng() % (33 - len));
+                le = *ge + int(rng() % (33 - *ge));
+                break;
+            default:
+                break;
+            }
+            uint32_t seq = 5 * (rng() % 16);
+            pl.add(seq, rng() % 3 != 0, p, ge, le);
         }
-        pl.add(i * 5, rng() % 3 != 0, p, ge, le);
-    }
-    for (int probe = 0; probe < 4000; ++probe) {
-        int len = int(rng() % 33);
-        net::Prefix p(net::Ipv4Address(uint32_t(rng())), len);
-        ASSERT_EQ(pl.evaluate(p), pl.evaluateLinear(p))
-            << "probe " << p.toString();
+        for (int probe = 0; probe < 200; ++probe) {
+            int len = int(rng() % 33);
+            net::Prefix p(net::Ipv4Address(uint32_t(rng())), len);
+            ASSERT_EQ(pl.evaluate(p), pl.evaluateLinear(p))
+                << "trial " << trial << " probe " << p.toString();
+        }
     }
 }
 
@@ -688,8 +722,6 @@ class RouteMapReference : public ::testing::TestWithParam<uint32_t>
     somePrefixList()
     {
         auto list = std::make_shared<PrefixList>("random");
-        // Distinct seqs: among equal ones the compiled lookup and the
-        // linear oracle may pick different entries.
         for (uint32_t n = 1 + below(3); n > 0; --n) {
             net::Prefix p(somePrefix().address(), int(below(17)));
             std::optional<int> ge, le;
@@ -698,7 +730,8 @@ class RouteMapReference : public ::testing::TestWithParam<uint32_t>
             if (chance(2))
                 le = (ge ? *ge : p.length()) +
                      int(below(uint32_t(33 - (ge ? *ge : p.length()))));
-            list->add(5 * n, !chance(4), p, ge, le);
+            uint32_t seq = 5 * below(3);
+            list->add(seq, !chance(4), p, ge, le);
         }
         return list;
     }

@@ -106,7 +106,7 @@ class AllocFixture
         config.routerId = 1;
         config.localAddress = net::Ipv4Address(10, 0, 0, 1);
         config.holdTimeSec = 0;
-        config.decision.maxPaths = maxPaths;
+        config.maxPaths = maxPaths;
         speaker = std::make_unique<BgpSpeaker>(config, &sink);
         for (PeerId id = 0; id <= downstreamPeer; ++id) {
             PeerConfig peer;

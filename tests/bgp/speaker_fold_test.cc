@@ -110,7 +110,7 @@ class SpeakerFold : public ::testing::TestWithParam<uint64_t>
         config.routerId = 1;
         config.localAddress = net::Ipv4Address(10, 255, 0, 1);
         config.holdTimeSec = 0;
-        config.decision.maxPaths = 2;
+        config.maxPaths = 2;
         config.damping.enabled = true;
         config.damping.halfLifeSec = 10.0;
         config.mraiNs = 30 * msNs;

@@ -74,8 +74,7 @@ class Mesh
     };
 
     size_t
-    addSpeaker(AsNumber asn, RouterId id, net::Ipv4Address addr,
-               PackingOptions packing = {})
+    addSpeaker(AsNumber asn, RouterId id, net::Ipv4Address addr)
     {
         auto node = std::make_unique<Node>();
         node->events.mesh = this;
@@ -84,7 +83,6 @@ class Mesh
         config.localAs = asn;
         config.routerId = id;
         config.localAddress = addr;
-        config.packing = packing;
         node->speaker = std::make_unique<BgpSpeaker>(config,
                                                      &node->events);
         nodes.push_back(std::move(node));
@@ -417,24 +415,6 @@ TEST(Speaker, CountersTrackTransactions)
     EXPECT_EQ(counters.withdrawalsProcessed, 1u);
 }
 
-TEST(Speaker, SmallPackingEmitsOneUpdatePerPrefix)
-{
-    Mesh mesh;
-    PackingOptions small;
-    small.maxPrefixesPerUpdate = 1;
-    size_t a = mesh.addSpeaker(65001, 1, net::Ipv4Address(10, 0, 0, 1),
-                               small);
-    size_t b = mesh.addSpeaker(65002, 2, net::Ipv4Address(10, 0, 0, 2));
-    mesh.connect(a, 0, b, 0);
-
-    for (uint32_t i = 0; i < 10; ++i)
-        mesh.speakerAt(a).originate(prefix(i), attrs({}), 0);
-    mesh.pump();
-
-    EXPECT_EQ(mesh.speakerAt(a).counters().updatesSent, 10u);
-    EXPECT_EQ(mesh.speakerAt(b).counters().updatesReceived, 10u);
-}
-
 TEST(Speaker, RejectsDuplicatePeerConfig)
 {
     Mesh mesh;
@@ -626,14 +606,10 @@ TEST(SpeakerSlots, LoopedAnnouncementWithdrawsOnlyCopy)
 
 TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
 {
-    // An attribute change costs more than a plain re-announcement
-    // here, so the penalty shows that the change was detected.
+    // An attribute change is charged as a re-announcement, and the
+    // route is suppressed once its penalty reaches 2000.
     DampingConfig damping;
     damping.enabled = true;
-    damping.withdrawPenalty = 1000;
-    damping.reAnnouncePenalty = 500;
-    damping.attributeChangePenalty = 800;
-    damping.suppressThreshold = 2000;
     SlotHarness h(damping);
     const uint64_t t = 1'000'000'000;
     const net::Ipv4Address hop_a(10, 0, 1, 1);
@@ -648,10 +624,11 @@ TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
     h.send(SlotHarness::feedA, {}, {slotP}, via_a, t);   // +500
     ASSERT_EQ(h.speaker->locRib().find(slotP)->best.peer,
               SlotHarness::feedA);
-    h.send(SlotHarness::feedA, {}, {slotP}, via_a_changed, t); // +800
+    EXPECT_EQ(h.speaker->counters().announcementsSuppressed, 0u);
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a_changed, t); // +500
 
     EXPECT_DOUBLE_EQ(
-        h.speaker->damper().penalty(SlotHarness::feedA, slotP, t), 2300);
+        h.speaker->damper().penalty(SlotHarness::feedA, slotP, t), 2000);
     EXPECT_EQ(h.speaker->counters().announcementsSuppressed, 1u);
     // The suppressed route is stored but kept out of the decision, so
     // B's longer path wins.

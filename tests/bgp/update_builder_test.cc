@@ -117,9 +117,7 @@ TEST(UpdateBuilder, PendingTransactionCount)
 
 TEST(UpdateBuilder, MaxPrefixCapSplitsMessages)
 {
-    PackingOptions options;
-    options.maxPrefixesPerUpdate = 10;
-    UpdateBuilder builder(options);
+    UpdateBuilder builder(10);
     auto a = attrs(100);
     for (uint32_t i = 0; i < 25; ++i)
         builder.announce(prefix(i), a);
@@ -133,9 +131,7 @@ TEST(UpdateBuilder, MaxPrefixCapSplitsMessages)
 
 TEST(UpdateBuilder, CapOfOneMakesSmallPackets)
 {
-    PackingOptions options;
-    options.maxPrefixesPerUpdate = 1;
-    UpdateBuilder builder(options);
+    UpdateBuilder builder(1);
     auto a = attrs(100);
     for (uint32_t i = 0; i < 5; ++i)
         builder.announce(prefix(i), a);
@@ -244,9 +240,7 @@ TEST(UpdateBuilder, RegroupedPrefixCountsOnce)
 /** Packing regression: the cap chunks a group into exact runs. */
 TEST(UpdateBuilder, CapChunksKeepOrderWithinGroup)
 {
-    PackingOptions options;
-    options.maxPrefixesPerUpdate = 2;
-    UpdateBuilder builder(options);
+    UpdateBuilder builder(2);
     auto a = attrs(100);
     for (uint32_t i = 0; i < 5; ++i)
         builder.announce(prefix(i), a);
@@ -281,9 +275,7 @@ TEST(UpdateBuilderProperty, BuildConservesChanges)
 {
     workload::Rng rng(37);
     for (int trial = 0; trial < 60; ++trial) {
-        PackingOptions options;
-        options.maxPrefixesPerUpdate = rng.range(0, 20);
-        UpdateBuilder builder(options);
+        UpdateBuilder builder(rng.range(0, 20));
 
         std::map<net::Prefix, int> expected; // 1 announce, -1 withdraw
         int n = int(rng.range(1, 200));

@@ -8,6 +8,7 @@
 
 #include "core/test_peer.hh"
 #include "net/logging.hh"
+#include "net/wire_segment.hh"
 #include "router/router_system.hh"
 #include "router/system_profiles.hh"
 #include "workload/update_stream.hh"
@@ -415,7 +416,8 @@ TEST(RouterSystem, BadPortIndexPanics)
     World w(pentium3Profile());
     EXPECT_THROW(w.router.rxSpace(7), PanicError);
     EXPECT_THROW(w.router.connectPeer(7), PanicError);
-    EXPECT_THROW(w.router.deliverToPort(7, std::vector<uint8_t>{}),
+    EXPECT_THROW(w.router.deliverToPort(
+                     7, net::BufferPool::global().wrap({})),
                  PanicError);
 }
 
@@ -440,7 +442,8 @@ TEST(RouterSystem, JunkStreamAnsweredWithHeaderError)
     // Junk whose framed length (0xabab) fails the header check: the
     // router answers with Message Header Error, not Cease, once.
     for (int chunk = 0; chunk < 3; ++chunk)
-        w.router.deliverToPort(0, std::vector<uint8_t>(64, 0xab));
+        w.router.deliverToPort(0, net::BufferPool::global().wrap(
+                                      std::vector<uint8_t>(64, 0xab)));
     ASSERT_TRUE(
         runUntil(w.sim, [&]() { return w.router.controlDrained(); }));
     w.sim.runUntil(w.sim.now() + sim::nsFromMs(100));

@@ -189,8 +189,6 @@ TEST(QueryEngine, PacedModeStopsCleanly)
     loadedPublisher(publisher, 16);
     QueryEngineConfig config;
     config.readers = 2;
-    config.pacedBatch = 16;
-    config.pacedIntervalNs = 100000; // 0.1 ms: plenty of bursts
     QueryEngine engine(publisher, routeTargets(16), config);
 
     engine.startPaced();
@@ -199,7 +197,7 @@ TEST(QueryEngine, PacedModeStopsCleanly)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     engine.stop();
     ServeReport report = engine.report();
-    EXPECT_GE(report.queries, 2u * 16u);
+    EXPECT_GE(report.queries, 2u * QueryEngine::pacedBatch);
     EXPECT_EQ(report.firstEpoch, 1u);
 
     // stop() is idempotent.
@@ -214,11 +212,10 @@ TEST(QueryEngine, StopRightAfterStartServesEveryReader)
     loadedPublisher(publisher, 16);
     QueryEngineConfig config;
     config.readers = 4;
-    config.pacedBatch = 8;
     QueryEngine engine(publisher, routeTargets(16), config);
 
     engine.startPaced();
     engine.stop();
     EXPECT_GE(engine.report().queries,
-              uint64_t(config.readers) * config.pacedBatch);
+              uint64_t(config.readers) * QueryEngine::pacedBatch);
 }

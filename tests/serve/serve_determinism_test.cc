@@ -67,8 +67,6 @@ serveConfig(topo::ScenarioSpec spec)
     serve::ServeRunConfig config;
     config.scenario = std::move(spec);
     config.engine.readers = 2;
-    config.engine.pacedBatch = 16;
-    config.engine.pacedIntervalNs = 200000;
     config.throughputPhase = false;
     return config;
 }

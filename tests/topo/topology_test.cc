@@ -181,31 +181,6 @@ TEST(Topology, ClosAsNumberingFollowsRfc7938)
         }
 }
 
-TEST(Topology, ClosAttachesTierPoliciesToLinkEnds)
-{
-    topo::ClosOptions opts;
-    opts.torImport = bgp::makeLocalPrefForAsPolicy(64999, 200);
-    opts.aggExport =
-        bgp::makeRejectPrefixPolicy(net::Prefix::fromString(
-            "240.0.0.0/4"));
-    Topology topo = Topology::clos(opts);
-
-    size_t tor_imports = 0, agg_exports = 0;
-    for (size_t l = 0; l < topo.linkCount(); ++l) {
-        const topo::Link &link = topo.link(l);
-        if (!link.a.importPolicy.empty())
-            ++tor_imports; // lower tier sits on end a
-        if (!link.b.exportPolicy.empty() &&
-            topo.node(link.b.node).name.find("agg") !=
-                std::string::npos)
-            ++agg_exports;
-    }
-    // Every tor->agg link carries the tor import policy on its a end;
-    // the agg export policy rides the same links' b ends.
-    EXPECT_EQ(tor_imports, 2u * (2 * 2));
-    EXPECT_EQ(agg_exports, 2u * (2 * 2));
-}
-
 TEST(Topology, ClosFromSizeSpendsTheNodeBudget)
 {
     Topology topo = Topology::closFromSize(16);

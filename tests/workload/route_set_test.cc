@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "net/logging.hh"
@@ -91,28 +92,29 @@ TEST(RouteSet, PathLengthsWithinBounds)
 {
     RouteSetConfig config;
     config.count = 500;
-    config.minPathLength = 2;
-    config.maxPathLength = 5;
+    size_t shortest = size_t(maxPathLength), longest = 0;
     for (const auto &r : generateRouteSet(config)) {
-        EXPECT_GE(r.basePath.size(), 2u);
-        EXPECT_LE(r.basePath.size(), 5u);
+        shortest = std::min(shortest, r.basePath.size());
+        longest = std::max(longest, r.basePath.size());
         for (auto asn : r.basePath)
             EXPECT_NE(asn, 0);
     }
+    // 500 draws reach both ends of the 1..4 range.
+    EXPECT_EQ(shortest, size_t(minPathLength));
+    EXPECT_EQ(longest, size_t(maxPathLength));
 }
 
 TEST(RouteSet, MaskLengthMixMatchesConfig)
 {
     RouteSetConfig config;
     config.count = 4000;
-    config.slash24Fraction = 0.5;
     size_t slash24 = 0;
     for (const auto &r : generateRouteSet(config)) {
         EXPECT_GE(r.prefix.length(), 16);
         EXPECT_LE(r.prefix.length(), 24);
         slash24 += r.prefix.length() == 24;
     }
-    EXPECT_NEAR(double(slash24) / 4000.0, 0.5, 0.05);
+    EXPECT_NEAR(double(slash24) / 4000.0, slash24Fraction, 0.05);
 }
 
 TEST(RouteSet, AvoidsLoopbackSpace)
@@ -130,10 +132,6 @@ TEST(RouteSet, RejectsBadConfig)
 {
     RouteSetConfig config;
     config.count = 0;
-    EXPECT_THROW(generateRouteSet(config), FatalError);
-    config.count = 10;
-    config.minPathLength = 3;
-    config.maxPathLength = 2;
     EXPECT_THROW(generateRouteSet(config), FatalError);
 }
 
