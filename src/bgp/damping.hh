@@ -20,7 +20,8 @@
  * Only the switch and the half-life are settable: the router runs
  * 900 s, the topology stability scenarios 2 s. Penalties and
  * thresholds are FlapDamper constants at common vendor defaults, and
- * an attribute change costs the same as a re-announcement.
+ * an attribute change costs the same as a re-announcement. An
+ * announcement that leaves the stored route as it was costs nothing.
  */
 
 #ifndef BGPBENCH_BGP_DAMPING_HH
@@ -85,8 +86,10 @@ class FlapDamper
                     TimeNs now);
 
     /**
-     * Record an announcement. A route with a flap history is charged
-     * reAnnouncePenalty; a fresh one is not.
+     * Record an announcement that changed the stored route (the
+     * speaker does not report one that left it as it was). A route
+     * with a flap history is charged reAnnouncePenalty; a fresh one
+     * is not.
      *
      * @return True if the route is (still) suppressed and must not
      *         enter the decision process.

@@ -4,23 +4,16 @@ namespace bgpbench::bgp
 {
 
 AdjRibIn::Write
-AdjRibIn::update(const net::Prefix &prefix, PathAttributesPtr received,
-                 PathAttributesPtr effective)
+AdjRibIn::update(const net::Prefix &prefix, PathAttributesPtr attrs)
 {
-    auto [slot, entry, inserted] = store_.obtain(prefix);
-    Write write{slot, true};
-    if (!inserted &&
-        sameAttributeValue(entry->received, received) &&
-        sameAttributeValue(entry->effective, effective)) {
-        write.changed = false;
-        return write;
-    }
-    entry->received = std::move(received);
-    entry->effective = std::move(effective);
-    return write;
+    auto [slot, stored, inserted] = store_.obtain(prefix);
+    if (!inserted && sameAttributeValue(*stored, attrs))
+        return {slot, false};
+    *stored = std::move(attrs);
+    return {slot, true};
 }
 
-const AdjRibIn::Entry *
+const PathAttributesPtr *
 AdjRibIn::find(const net::Prefix &prefix) const
 {
     return store_.find(prefix);

@@ -8,8 +8,10 @@
  * live prefix exactly once; each RIB stores only a slot-indexed value
  * column (dense vector + presence bitset). N peers cost N columns over
  * one key set instead of N+1 copies of it, and the decision sweep
- * reads each peer's entry by direct slot indexing. Standalone RIBs
- * (tests, tools) own a private table.
+ * reads each peer's entry by direct slot indexing. An Adj-RIB-In
+ * value is one PathAttributesPtr (16 bytes): the import result, the
+ * only copy of the route it keeps. Standalone RIBs (tests, tools) own
+ * a private table.
  *
  * forEach visits entries in ascending (address, length) prefix order,
  * the radix tree's natural walk order. Consumers (serve snapshots, the
@@ -220,24 +222,20 @@ class RibStore
 } // namespace detail
 
 /**
- * Adj-RIB-In: the unprocessed routes one peer has advertised to us.
+ * Adj-RIB-In: the routes one peer has advertised to us, as that peer's
+ * import policy returned them.
  *
- * Each entry stores the attributes exactly as received plus the
- * import-policy result cached at receipt time (null when the policy
- * rejected the route), which is what the decision process consumes.
+ * Each slot holds one pointer: the import result, which is what the
+ * decision process reads, or null when the policy rejected the route
+ * (the route stays counted in size()). The attributes as received are
+ * not kept, as on a router without inbound soft-reconfiguration:
+ * import policies are fixed for a speaker's lifetime, and route
+ * refresh (RFC 2918) re-learns a peer's routes.
  */
 class AdjRibIn
 {
   public:
     using Slot = SharedPrefixTable::Slot;
-
-    struct Entry
-    {
-        /** Attributes as received on the wire. */
-        PathAttributesPtr received;
-        /** After import policy; null if the route was rejected. */
-        PathAttributesPtr effective;
-    };
 
     /** What update() did. */
     struct Write
@@ -248,7 +246,7 @@ class AdjRibIn
          * the tree is walked once per NLRI.
          */
         Slot slot = SharedPrefixTable::npos;
-        /** The stored entry changed. */
+        /** The stored route changed. */
         bool changed = false;
     };
 
@@ -257,12 +255,11 @@ class AdjRibIn
     explicit AdjRibIn(SharedPrefixTable &table) : store_(table) {}
 
     /**
-     * Insert or replace the route for @p prefix. The write is a
-     * change unless both @p received and @p effective equal the
-     * stored attributes by value.
+     * Store @p attrs, the import result (null: rejected), as the
+     * route for @p prefix. The write is a change unless the stored
+     * route equals @p attrs by value.
      */
-    Write update(const net::Prefix &prefix, PathAttributesPtr received,
-                 PathAttributesPtr effective);
+    Write update(const net::Prefix &prefix, PathAttributesPtr attrs);
 
     /**
      * Remove the route for @p prefix.
@@ -273,14 +270,21 @@ class AdjRibIn
      */
     Slot withdraw(const net::Prefix &prefix) { return store_.erase(prefix); }
 
-    /** The entry for @p prefix, or nullptr. */
-    const Entry *find(const net::Prefix &prefix) const;
+    /**
+     * The stored route for @p prefix, or nullptr if the peer holds
+     * none. A stored null pointer is a route the policy rejected.
+     */
+    const PathAttributesPtr *find(const net::Prefix &prefix) const;
 
     /**
-     * The entry by pre-resolved shared-table slot (the O(1)
+     * The stored route by pre-resolved shared-table slot (the O(1)
      * decision-sweep read; npos-safe).
      */
-    const Entry *findAt(Slot slot) const { return store_.findAt(slot); }
+    const PathAttributesPtr *
+    findAt(Slot slot) const
+    {
+        return store_.findAt(slot);
+    }
 
     size_t size() const { return store_.size(); }
     bool empty() const { return store_.empty(); }
@@ -289,8 +293,8 @@ class AdjRibIn
     size_t memoryBytes() const { return store_.memoryBytes(); }
 
     /**
-     * Visit every entry in ascending (address, length) prefix order
-     * (see file comment). Inlined visitor.
+     * Visit every route as fn(prefix, attrs) in ascending (address,
+     * length) prefix order (see file comment). Inlined visitor.
      */
     template <typename Fn>
     void
@@ -300,7 +304,7 @@ class AdjRibIn
     }
 
   private:
-    detail::RibStore<Entry> store_;
+    detail::RibStore<PathAttributesPtr> store_;
 };
 
 /**

@@ -518,23 +518,24 @@ BgpSpeaker::processUpdate(Peer &from, const UpdateMessage &msg,
 
             if (!from.config.importPolicy.empty())
                 ++counters_.policyEvals;
-            PathAttributesPtr effective =
+            PathAttributesPtr imported =
                 from.config.importPolicy.apply(prefix, received);
-            if (!effective)
+            if (!imported)
                 ++counters_.policyRejects;
             AdjRibIn::Write write =
-                from.ribIn.update(prefix, received, std::move(effective));
+                from.ribIn.update(prefix, std::move(imported));
+            // An announcement that leaves the stored route as it was
+            // is no flap (RFC 2439) and changes no candidate.
+            if (!write.changed)
+                continue;
 
-            // Flap damping: a re-announcement or attribute change of
-            // a tracked flapper accrues penalty; suppressed routes
-            // are stored but kept out of the decision process.
-            bool suppressed =
-                damper_.onAnnounce(from.config.id, prefix, now);
-            if (suppressed)
+            // Flap damping: a re-announcement after a withdrawal, or
+            // an attribute change, of a tracked flapper accrues
+            // penalty; suppressed routes are stored but kept out of
+            // the decision process.
+            if (damper_.onAnnounce(from.config.id, prefix, now))
                 ++counters_.announcementsSuppressed;
-
-            if (write.changed || suppressed)
-                runDecision(prefix, write.slot, now);
+            runDecision(prefix, write.slot, now);
         }
     }
 
@@ -566,21 +567,18 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
     // route plus any locally originated route.
     std::vector<Candidate> &candidates = candidates_;
     for (Peer *peer : establishedPeers_) {
-        const auto *entry = peer->ribIn.findAt(slot);
-        if (!entry || !entry->effective)
+        const PathAttributesPtr *route = peer->ribIn.findAt(slot);
+        if (!route || !*route)
             continue;
         if (damper_.isSuppressed(peer->config.id, prefix, now))
             continue;
-        candidates.push_back(Candidate{entry->effective,
-                                       peer->config.id,
+        candidates.push_back(Candidate{*route, peer->config.id,
                                        peer->fsm.peerRouterId(),
                                        peer->externalSession});
     }
-    if (const auto *local = localRoutes_.findAt(slot);
-        local && local->effective) {
-        candidates.push_back(Candidate{local->effective, localPeerId,
-                                       config_.routerId, false,
-                                       true});
+    if (const PathAttributesPtr *local = localRoutes_.findAt(slot)) {
+        candidates.push_back(Candidate{*local, localPeerId,
+                                       config_.routerId, false, true});
     }
 
     if (candidates.size() >= candidateRuns_.size())
@@ -869,7 +867,7 @@ BgpSpeaker::invalidatePeerRoutes(Peer &peer, TimeNs now)
     std::vector<net::Prefix> prefixes;
     prefixes.reserve(peer.ribIn.size());
     peer.ribIn.forEach([&](const net::Prefix &prefix,
-                           const AdjRibIn::Entry &) {
+                           const PathAttributesPtr &) {
         prefixes.push_back(prefix);
     });
     peer.ribIn.clear();
@@ -890,7 +888,7 @@ BgpSpeaker::originate(const net::Prefix &prefix,
 {
     if (!attrs)
         fatal("originate() requires attributes");
-    Slot slot = localRoutes_.update(prefix, attrs, attrs).slot;
+    Slot slot = localRoutes_.update(prefix, std::move(attrs)).slot;
     runDecision(prefix, slot, now);
     flushPending(now);
 }

@@ -135,17 +135,6 @@ ConvergenceTracker::addOffer(std::vector<uint64_t> &offers,
 }
 
 void
-ConvergenceTracker::onUpdateProcessed(size_t node,
-                                      const bgp::UpdateStats &stats,
-                                      sim::SimTime now)
-{
-    (void)node;
-    locRibChanges_ += stats.locRibChanges;
-    if (stats.locRibChanges > 0)
-        lastActivity_ = std::max(lastActivity_, now);
-}
-
-void
 ConvergenceTracker::onSessionChange(size_t node, sim::SimTime now)
 {
     (void)node;
@@ -157,7 +146,6 @@ ConvergenceTracker::absorb(ConvergenceTracker &shard)
 {
     updatesDelivered_ += shard.updatesDelivered_;
     transactionsDelivered_ += shard.transactionsDelivered_;
-    locRibChanges_ += shard.locRibChanges_;
     droppedSegments_ += shard.droppedSegments_;
     lastActivity_ = std::max(lastActivity_, shard.lastActivity_);
     // merge() moves every entry whose key is new here; the ones left

@@ -5,12 +5,14 @@
  * Convergence of the simulated network is detected operationally:
  * the speakers are driven purely by message deliveries, so once the
  * event queue is quiescent no further routing state can change — the
- * network has converged. The tracker additionally records when the
- * last Loc-RIB-affecting event happened, which is the convergence
- * *instant* (the queue drains somewhat later, as in-flight messages
- * that change nothing are absorbed). Whether the routes are right is
+ * network has converged. The tracker additionally records the
+ * convergence *instant*: the last UPDATE delivery or session state
+ * change of the phase. An UPDATE that changes no route counts too, so
+ * this is when the network fell silent, not when a Loc-RIB last
+ * changed. Whether the routes are right is
  * TopologySim::locRibsConsistent's check, a link-local fixpoint: each
- * up link's Adj-RIB-In at one end equals the other end's Adj-RIB-Out.
+ * up link's Adj-RIB-In at one end equals the other end's Adj-RIB-Out
+ * after the receiving end's import policy.
  *
  * Metrics follow the path-vector stability literature (Papadimitriou
  * & Cabellos, arXiv:1204.5642): convergence time, total UPDATE
@@ -64,10 +66,6 @@ class ConvergenceTracker
     void onUpdateDelivered(size_t node, const bgp::UpdateMessage &msg,
                            sim::SimTime now);
 
-    /** A speaker finished processing an inbound UPDATE. */
-    void onUpdateProcessed(size_t node, const bgp::UpdateStats &stats,
-                           sim::SimTime now);
-
     /** A session FSM changed state on @p node. */
     void onSessionChange(size_t node, sim::SimTime now);
 
@@ -89,8 +87,8 @@ class ConvergenceTracker
      *  @{
      */
     /**
-     * Time from the phase start to the last routing-state-affecting
-     * event, in seconds (0 if nothing happened).
+     * Time from the phase start to the phase's last UPDATE delivery
+     * or session state change, in seconds (0 if neither happened).
      */
     double convergenceTimeSec() const;
     uint64_t updatesDelivered() const { return updatesDelivered_; }
@@ -98,7 +96,6 @@ class ConvergenceTracker
     {
         return transactionsDelivered_;
     }
-    uint64_t locRibChanges() const { return locRibChanges_; }
     uint64_t droppedSegments() const { return droppedSegments_; }
     /**
      * Distinct AS paths announced to @p node for @p prefix. Two paths
@@ -162,7 +159,6 @@ class ConvergenceTracker
     sim::SimTime lastActivity_ = 0;
     uint64_t updatesDelivered_ = 0;
     uint64_t transactionsDelivered_ = 0;
-    uint64_t locRibChanges_ = 0;
     uint64_t droppedSegments_ = 0;
     /** Lifetime totals at the last markPhaseStart(). */
     uint64_t phaseUpdatesBase_ = 0;

@@ -25,16 +25,19 @@ hostNanosSince(std::chrono::steady_clock::time_point begin)
 
 /**
  * @p receiver's Adj-RIB-In from @p peer equals @p sender's Adj-RIB-Out
- * toward it. Both walk in ascending prefix order.
+ * toward it passed through @p import, the receiver's import policy:
+ * the same prefixes, value-equal attributes, and null where the policy
+ * rejected the route. Both walk in ascending prefix order.
  */
 bool
 adjacencyAgrees(const bgp::BgpSpeaker &sender,
-                const bgp::BgpSpeaker &receiver, bgp::PeerId peer)
+                const bgp::BgpSpeaker &receiver, bgp::PeerId peer,
+                const bgp::Policy &import)
 {
     std::vector<std::pair<net::Prefix, bgp::PathAttributesPtr>> sent;
     sender.adjRibOut(peer).forEach(
         [&](const net::Prefix &prefix, const bgp::PathAttributesPtr &attrs) {
-            sent.emplace_back(prefix, attrs);
+            sent.emplace_back(prefix, import.apply(prefix, attrs));
         });
     const bgp::AdjRibIn &held = receiver.adjRibIn(peer);
     if (held.size() != sent.size())
@@ -42,9 +45,9 @@ adjacencyAgrees(const bgp::BgpSpeaker &sender,
     size_t i = 0;
     bool same = true;
     held.forEach([&](const net::Prefix &prefix,
-                     const bgp::AdjRibIn::Entry &entry) {
+                     const bgp::PathAttributesPtr &attrs) {
         same = same && sent[i].first == prefix &&
-               bgp::sameAttributeValue(sent[i].second, entry.received);
+               bgp::sameAttributeValue(sent[i].second, attrs);
         ++i;
     });
     return same;
@@ -74,15 +77,6 @@ struct TopologySim::NodeEvents : public bgp::SpeakerEvents
     {
         (void)from;
         shard->tracker.onUpdateDelivered(node, msg, shard->sim.now());
-    }
-
-    void
-    onUpdateProcessed(bgp::PeerId from,
-                      const bgp::UpdateStats &stats) override
-    {
-        (void)from;
-        shard->tracker.onUpdateProcessed(node, stats,
-                                         shard->sim.now());
     }
 
     void
@@ -789,7 +783,8 @@ TopologySim::locRibsConsistent() const
         const auto peer = bgp::PeerId(l);
         if (a.sessionState(peer) != bgp::SessionState::Established ||
             b.sessionState(peer) != bgp::SessionState::Established ||
-            !adjacencyAgrees(a, b, peer) || !adjacencyAgrees(b, a, peer))
+            !adjacencyAgrees(a, b, peer, link.b.importPolicy) ||
+            !adjacencyAgrees(b, a, peer, link.a.importPolicy))
             return false;
     }
     return true;

@@ -219,8 +219,10 @@ class TopologySim
      * Semantic convergence check, a link-local BGP fixpoint: every
      * origin's Loc-RIB holds what it originated, and on every up link
      * both sessions are Established and each end's Adj-RIB-In equals
-     * the other's Adj-RIB-Out toward it (same prefixes, value-equal
-     * attributes). It honours loop prevention and policy (DESIGN §8).
+     * the other's Adj-RIB-Out toward it after this end's import
+     * policy (same prefixes, value-equal attributes, null where the
+     * policy rejects). It honours loop prevention and policy
+     * (DESIGN §8).
      */
     bool locRibsConsistent() const;
 

@@ -22,8 +22,10 @@ flapAttributes(const RouteSpec &route, const StreamConfig &stream,
     attrs.nextHop = stream.nextHop;
 
     std::vector<bgp::AsNumber> path;
-    // Alternate between the base path and a once-prepended variant so
-    // every re-announcement is a genuine attribute change.
+    // Alternate between the base path and a once-prepended variant
+    // with each down/up cycle the flapper completes. An announce event
+    // that picks a flapper still announced can therefore re-send the
+    // path it already holds.
     int prepends = 1 + stream.extraPrepends + int(cycle % 2);
     for (int i = 0; i < prepends; ++i)
         path.push_back(stream.speakerAs);

@@ -45,9 +45,10 @@ struct ChurnConfig
 
 /**
  * Build a churn stream over @p routes: a random interleaving of
- * withdrawals and (re-)announcements of a flapping subset, with
- * alternating AS paths so re-announcements are genuine attribute
- * changes. Deterministic in the seed.
+ * withdrawals and (re-)announcements of a flapping subset. A
+ * flapper's AS path alternates with each down/up cycle it completes,
+ * so an announcement of a flapper still announced can re-send the
+ * path it already holds. Deterministic in the seed.
  *
  * The stream assumes the routes are already installed (run a Phase-1
  * injection first); every withdrawn prefix is re-announced before the

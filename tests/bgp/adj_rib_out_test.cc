@@ -389,7 +389,7 @@ TEST_P(AdjRibOutWire, ToldEqualsExportOfLocRib)
             routing_step = true;
             std::vector<net::Prefix> withdrawn;
             speaker->adjRibIn(from->id).forEach(
-                [&](const net::Prefix &prefix, const AdjRibIn::Entry &) {
+                [&](const net::Prefix &prefix, const PathAttributesPtr &) {
                     if (rng.below(3) == 0)
                         withdrawn.push_back(prefix);
                 });
@@ -401,7 +401,7 @@ TEST_P(AdjRibOutWire, ToldEqualsExportOfLocRib)
             routing_step = true;
             std::vector<net::Prefix> held;
             speaker->adjRibIn(from->id).forEach(
-                [&](const net::Prefix &prefix, const AdjRibIn::Entry &) {
+                [&](const net::Prefix &prefix, const PathAttributesPtr &) {
                     held.push_back(prefix);
                 });
             if (held.empty())

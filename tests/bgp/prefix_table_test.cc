@@ -74,18 +74,15 @@ prefixPool(size_t count, uint64_t seed)
 
 struct AdjRibInModel
 {
-    std::map<net::Prefix, bgp::AdjRibIn::Entry> routes;
+    std::map<net::Prefix, bgp::PathAttributesPtr> routes;
 
     bool
-    update(const net::Prefix &p, bgp::PathAttributesPtr received,
-           bgp::PathAttributesPtr effective)
+    update(const net::Prefix &p, bgp::PathAttributesPtr attrs)
     {
         auto [it, inserted] = routes.try_emplace(p);
-        if (!inserted &&
-            bgp::sameAttributeValue(it->second.received, received) &&
-            bgp::sameAttributeValue(it->second.effective, effective))
+        if (!inserted && bgp::sameAttributeValue(it->second, attrs))
             return false;
-        it->second = {std::move(received), std::move(effective)};
+        it->second = std::move(attrs);
         return true;
     }
 
@@ -168,19 +165,19 @@ TEST(SharedPrefixTable, ColumnsShareStructureWithoutInterference)
     bgp::AdjRibIn in_b(table);
 
     const auto p = pfx("10.0.0.0/8");
-    in_a.update(p, attrs(1), attrs(1));
+    in_a.update(p, attrs(1));
     EXPECT_EQ(in_a.size(), 1u);
     // The same prefix, same table, other column: invisible.
     EXPECT_EQ(in_b.find(p), nullptr);
 
-    in_b.update(p, attrs(2), attrs(2));
+    in_b.update(p, attrs(2));
     EXPECT_EQ(table.prefixCount(), 1u); // structure stored once
 
     // Withdrawing from one column must not disturb the other.
     EXPECT_NE(in_a.withdraw(p), bgp::SharedPrefixTable::npos);
     EXPECT_EQ(in_a.find(p), nullptr);
     ASSERT_NE(in_b.find(p), nullptr);
-    EXPECT_EQ(in_b.find(p)->received, attrs(2));
+    EXPECT_EQ(*in_b.find(p), attrs(2));
 
     EXPECT_NE(in_b.withdraw(p), bgp::SharedPrefixTable::npos);
     EXPECT_EQ(table.prefixCount(), 0u); // last ref frees the prefix
@@ -193,19 +190,19 @@ TEST(SharedPrefixTable, RecycledSlotDoesNotLeakStaleColumnEntries)
     bgp::AdjRibIn in_b(table);
 
     const auto old_prefix = pfx("10.0.0.0/8");
-    in_a.update(old_prefix, attrs(1), attrs(1));
-    in_b.update(old_prefix, attrs(2), attrs(2));
+    in_a.update(old_prefix, attrs(1));
+    in_b.update(old_prefix, attrs(2));
     in_a.withdraw(old_prefix);
     in_b.withdraw(old_prefix);
 
     // The slot is recycled for a different prefix; neither column may
     // resurrect the old entry through the reused slot.
     const auto new_prefix = pfx("172.16.0.0/12");
-    in_a.update(new_prefix, attrs(3), attrs(3));
+    in_a.update(new_prefix, attrs(3));
     EXPECT_EQ(in_a.find(old_prefix), nullptr);
     EXPECT_EQ(in_b.find(new_prefix), nullptr);
     ASSERT_NE(in_a.find(new_prefix), nullptr);
-    EXPECT_EQ(in_a.find(new_prefix)->received, attrs(3));
+    EXPECT_EQ(*in_a.find(new_prefix), attrs(3));
 }
 
 TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
@@ -228,11 +225,11 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
         std::vector<std::pair<net::Prefix, const void *>> a, b;
         std::vector<net::Prefix> pa, pb;
         tree_in.forEach(
-            [&](const net::Prefix &p, const bgp::AdjRibIn::Entry &e) {
-                a.emplace_back(p, e.received.get());
+            [&](const net::Prefix &p, const bgp::PathAttributesPtr &e) {
+                a.emplace_back(p, e.get());
             });
         for (const auto &[p, e] : model_in.routes)
-            b.emplace_back(p, e.received.get());
+            b.emplace_back(p, e.get());
         ASSERT_EQ(a, b);
         tree_loc.forEach(
             [&](const net::Prefix &p, const bgp::LocRib::Entry &) {
@@ -247,10 +244,13 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
         const net::Prefix &p = pool[rng.below(pool.size())];
         const uint32_t tag = uint32_t(rng.below(8));
         switch (rng.below(4)) {
-          case 0:
-            EXPECT_EQ(tree_in.update(p, attrs(tag), attrs(tag)).changed,
-                      model_in.update(p, attrs(tag), attrs(tag)));
+          case 0: {
+            // Tag 0 stands for a route the import policy rejected.
+            auto imported = [&] { return tag ? attrs(tag) : nullptr; };
+            EXPECT_EQ(tree_in.update(p, imported()).changed,
+                      model_in.update(p, imported()));
             break;
+          }
           case 1:
             EXPECT_EQ(tree_in.withdraw(p) != bgp::SharedPrefixTable::npos,
                       model_in.withdraw(p));
@@ -277,7 +277,7 @@ TEST(SharedPrefixTable, RandomizedLockstepAgainstHashBackend)
         auto ha = model_in.routes.find(p);
         ASSERT_EQ(ta != nullptr, ha != model_in.routes.end());
         if (ta) {
-            EXPECT_EQ(ta->received, ha->second.received);
+            EXPECT_EQ(*ta, ha->second);
         }
     }
 }

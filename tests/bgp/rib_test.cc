@@ -35,55 +35,61 @@ TEST(AdjRibIn, UpdateInsertsAndReplaces)
     EXPECT_TRUE(rib.empty());
 
     auto a = attrs(100);
-    auto first = rib.update(p1, a, a);
+    auto first = rib.update(p1, a);
     EXPECT_TRUE(first.changed);
     EXPECT_EQ(rib.findAt(first.slot), rib.find(p1));
     EXPECT_EQ(rib.size(), 1u);
 
     // Same content: no change reported.
-    auto same = rib.update(p1, a, a);
+    auto same = rib.update(p1, a);
     EXPECT_FALSE(same.changed);
     EXPECT_EQ(same.slot, first.slot);
 
     // Different content: change reported.
     auto b = attrs(200);
-    auto replaced = rib.update(p1, b, b);
+    auto replaced = rib.update(p1, b);
     EXPECT_TRUE(replaced.changed);
     EXPECT_EQ(replaced.slot, first.slot);
     EXPECT_EQ(rib.size(), 1u);
-    EXPECT_EQ(*rib.find(p1)->received, *b);
+    EXPECT_EQ(**rib.find(p1), *b);
 }
 
 TEST(AdjRibIn, ValueEqualAttributesAreNoChange)
 {
     AdjRibIn rib;
-    rib.update(p1, attrs(100), attrs(100));
+    rib.update(p1, attrs(100));
     // Different pointers, same value.
-    EXPECT_FALSE(rib.update(p1, attrs(100), attrs(100)).changed);
+    EXPECT_FALSE(rib.update(p1, attrs(100)).changed);
 }
 
 TEST(AdjRibIn, PolicyRejectionStoredAsNullEffective)
 {
+    // The RIB stores only the import result: null when the policy
+    // rejected the route.
     AdjRibIn rib;
-    EXPECT_TRUE(rib.update(p1, attrs(100), nullptr).changed);
-    const auto *entry = rib.find(p1);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_TRUE(entry->received);
-    EXPECT_FALSE(entry->effective);
+    EXPECT_TRUE(rib.update(p1, nullptr).changed);
+    const PathAttributesPtr *stored = rib.find(p1);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_FALSE(*stored);
+    EXPECT_EQ(rib.size(), 1u);
 
-    // Accepting the same route later is a change.
-    EXPECT_TRUE(rib.update(p1, attrs(100), attrs(100)).changed);
+    // A re-announcement the policy rejects again leaves the stored
+    // route as it was, whatever its received attributes: no change.
+    EXPECT_FALSE(rib.update(p1, nullptr).changed);
 
-    // So is a new received value that imports to the same result:
-    // the entry stores what was received.
-    EXPECT_TRUE(rib.update(p1, attrs(200), attrs(100)).changed);
-    EXPECT_EQ(*rib.find(p1)->received, *attrs(200));
+    // Accepting the route later is a change.
+    EXPECT_TRUE(rib.update(p1, attrs(100)).changed);
+    EXPECT_EQ(**rib.find(p1), *attrs(100));
+
+    // So is a rejection of an accepted route.
+    EXPECT_TRUE(rib.update(p1, nullptr).changed);
+    EXPECT_FALSE(*rib.find(p1));
 }
 
 TEST(AdjRibIn, WithdrawRemoves)
 {
     AdjRibIn rib;
-    auto slot = rib.update(p1, attrs(100), attrs(100)).slot;
+    auto slot = rib.update(p1, attrs(100)).slot;
     EXPECT_EQ(rib.withdraw(p1), slot);
     EXPECT_EQ(rib.withdraw(p1), SharedPrefixTable::npos);
     EXPECT_EQ(rib.find(p1), nullptr);
@@ -93,10 +99,10 @@ TEST(AdjRibIn, WithdrawRemoves)
 TEST(AdjRibIn, ForEachVisitsAll)
 {
     AdjRibIn rib;
-    rib.update(p1, attrs(100), attrs(100));
-    rib.update(p2, attrs(200), attrs(200));
+    rib.update(p1, attrs(100));
+    rib.update(p2, nullptr);
     size_t seen = 0;
-    rib.forEach([&](const net::Prefix &, const AdjRibIn::Entry &) {
+    rib.forEach([&](const net::Prefix &, const PathAttributesPtr &) {
         ++seen;
     });
     EXPECT_EQ(seen, 2u);
@@ -136,7 +142,7 @@ TEST(LocRib, SlotAccessOverSharedTable)
     SharedPrefixTable table;
     AdjRibIn in(table);
     LocRib loc(table);
-    auto slot = in.update(p1, attrs(100), attrs(100)).slot;
+    auto slot = in.update(p1, attrs(100)).slot;
 
     EXPECT_EQ(loc.findAt(slot), nullptr);
     std::vector<Candidate> candidates{Candidate{attrs(100), 1, 10, true},

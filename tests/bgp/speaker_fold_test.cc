@@ -235,7 +235,7 @@ class SpeakerFold : public ::testing::TestWithParam<uint64_t>
     {
         std::vector<net::Prefix> held;
         speaker->adjRibIn(id).forEach(
-            [&](const net::Prefix &prefix, const AdjRibIn::Entry &) {
+            [&](const net::Prefix &prefix, const PathAttributesPtr &) {
                 held.push_back(prefix);
             });
         return held.empty() ? somePrefixes() : held;

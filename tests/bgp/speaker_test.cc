@@ -634,9 +634,7 @@ TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
     // B's longer path wins.
     ASSERT_NE(h.speaker->adjRibIn(SlotHarness::feedA).find(slotP),
               nullptr);
-    EXPECT_EQ(h.speaker->adjRibIn(SlotHarness::feedA)
-                  .find(slotP)
-                  ->received,
+    EXPECT_EQ(*h.speaker->adjRibIn(SlotHarness::feedA).find(slotP),
               via_a_changed);
     const auto *best = h.speaker->locRib().find(slotP);
     ASSERT_NE(best, nullptr);
@@ -653,6 +651,83 @@ TEST(SpeakerSlots, DampedAttributeChangeChargesAndSuppresses)
         h.speaker->adjRibOut(SlotHarness::downstream).find(slotP);
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->asPath.toString(), "65000 64602 100 200");
+}
+
+TEST(SpeakerSlots, DampedIdenticalResendIsNotCharged)
+{
+    // RFC 2439 charges a re-advertisement after a withdrawal, or an
+    // attribute change. Re-sending the route the peer already holds
+    // leaves the stored route as it was: no penalty, no suppression
+    // and no decision.
+    DampingConfig damping;
+    damping.enabled = true;
+    SlotHarness h(damping);
+    const uint64_t t = 1'000'000'000;
+    auto via_a = attrs({64601});
+
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a, t);  // fresh: free
+    h.send(SlotHarness::feedA, {slotP}, {}, nullptr, t); // +1000
+    h.send(SlotHarness::feedA, {}, {slotP}, via_a, t);  // +500
+    const uint64_t decisions = h.speaker->counters().decisionRuns;
+    for (int resend = 0; resend < 4; ++resend) {
+        h.send(SlotHarness::feedA, {}, {slotP}, attrs({64601}), t);
+        EXPECT_DOUBLE_EQ(
+            h.speaker->damper().penalty(SlotHarness::feedA, slotP, t),
+            1500);
+        EXPECT_EQ(h.speaker->counters().announcementsSuppressed, 0u);
+    }
+    EXPECT_EQ(h.speaker->counters().decisionRuns, decisions);
+    const auto *best = h.speaker->locRib().find(slotP);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->best.peer, SlotHarness::feedA);
+}
+
+TEST(SpeakerSlots, AdjRibInStoresTheImportResult)
+{
+    // A's import map denies 172.16.0.0/16 and sets LOCAL_PREF 300 on
+    // every other route. A's Adj-RIB-In stores the set attributes for
+    // P and a null route for R, and counts both.
+    auto martians = std::make_shared<PrefixList>("martians");
+    martians->add(5, true, net::Prefix::fromString("172.16.0.0/16"),
+                  std::nullopt, 32);
+    auto map = std::make_shared<RouteMap>("import-a");
+    RouteMapEntry deny;
+    deny.seq = 10;
+    deny.permit = false;
+    deny.prefixList = std::move(martians);
+    map->add(std::move(deny));
+    RouteMapEntry prefer;
+    prefer.seq = 20;
+    prefer.set.localPref = 300;
+    map->add(std::move(prefer));
+    SlotHarness h({}, Policy(std::move(map)));
+
+    auto via_a = attrs({64601});
+    h.send(SlotHarness::feedA, {}, {slotP, slotR}, via_a);
+    const AdjRibIn &in = h.speaker->adjRibIn(SlotHarness::feedA);
+    EXPECT_EQ(in.size(), 2u);
+    const PathAttributesPtr *accepted = in.find(slotP);
+    ASSERT_NE(accepted, nullptr);
+    ASSERT_NE(*accepted, nullptr);
+    EXPECT_EQ((*accepted)->localPref, 300u);
+    EXPECT_EQ((*accepted)->asPath.toString(), "64601");
+    const PathAttributesPtr *rejected = in.find(slotR);
+    ASSERT_NE(rejected, nullptr);
+    EXPECT_EQ(*rejected, nullptr);
+
+    // The decision process reads what the RIB stored.
+    const auto *best = h.speaker->locRib().find(slotP);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->best.attributes, *accepted);
+    EXPECT_EQ(h.speaker->locRib().find(slotR), nullptr);
+
+    // R again over another path: the policy rejects it again, so the
+    // stored route is unchanged and no decision runs.
+    const uint64_t decisions = h.speaker->counters().decisionRuns;
+    h.send(SlotHarness::feedA, {}, {slotR}, attrs({64601, 7}));
+    EXPECT_EQ(h.speaker->counters().decisionRuns, decisions);
+    EXPECT_EQ(*in.find(slotR), nullptr);
+    EXPECT_EQ(in.size(), 2u);
 }
 
 // ---------------------------------------------------------------------

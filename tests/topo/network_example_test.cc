@@ -113,3 +113,25 @@ TEST(NetworkExample, MartianNeverLeaksToBackbone)
               nullptr);
     EXPECT_EQ(run.pathAt(net.customer, net.martianPrefix), "300");
 }
+
+TEST(NetworkExample, ConsistencyCheckFailsWhileUpdatesAreInFlight)
+{
+    // locRibsConsistent compares each Adj-RIB-In with the far end's
+    // Adj-RIB-Out after the receiving end's import policy, which here
+    // sets LOCAL_PREF on one link and rejects the martian on two.
+    // Stopped before any UPDATE can cross a link, the origins hold
+    // routes their neighbours have not heard of.
+    FourAsNetwork net = topo::demo::fourAsPolicyTopology();
+    topo::TopologySim network(net.topology);
+    ASSERT_TRUE(network.runToConvergence(kLimit));
+    EXPECT_TRUE(network.locRibsConsistent());
+
+    const sim::SimTime start = network.now();
+    topo::demo::originateDemoRoutes(network, net, start);
+    const sim::SimTime latency = net.topology.link(0).latencyNs;
+    EXPECT_FALSE(network.runToConvergence(start + latency / 2));
+    EXPECT_FALSE(network.locRibsConsistent());
+
+    EXPECT_TRUE(network.runToConvergence(kLimit));
+    EXPECT_TRUE(network.locRibsConsistent());
+}

@@ -125,21 +125,23 @@ TEST(ConvergenceReport, JsonShape)
 
 TEST(ConvergenceTracker, PhaseClockRestarts)
 {
+    // The clock runs to the phase's last UPDATE delivery or session
+    // state change, whatever the UPDATE did to the routes.
     topo::ConvergenceTracker tracker;
-    bgp::UpdateStats stats;
-    stats.locRibChanges = 1;
-    tracker.onUpdateProcessed(0, stats, 500);
+    bgp::UpdateMessage update;
+    tracker.onUpdateDelivered(0, update, 500);
     EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 500e-9);
 
     tracker.markPhaseStart(1000);
     EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 0.0);
-    tracker.onUpdateProcessed(0, stats, 1750);
+    tracker.onUpdateDelivered(0, update, 1750);
     EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 750e-9);
+    tracker.onSessionChange(1, 2500);
+    EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 1500e-9);
 
-    // Updates that change nothing do not extend convergence.
-    bgp::UpdateStats noop;
-    tracker.onUpdateProcessed(0, noop, 9000);
-    EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 750e-9);
+    // An event of another node at an earlier instant keeps the clock.
+    tracker.onUpdateDelivered(2, update, 2000);
+    EXPECT_DOUBLE_EQ(tracker.convergenceTimeSec(), 1500e-9);
 }
 
 TEST(ConvergenceTracker, PathExplorationCounts)
