@@ -11,9 +11,9 @@
  */
 
 #include <iostream>
+#include <optional>
 
-#include "core/test_peer.hh"
-#include "router/router_system.hh"
+#include "core/benchmark_runner.hh"
 #include "stats/report.hh"
 #include "workload/update_stream.hh"
 
@@ -24,34 +24,17 @@ using namespace bgpbench;
 namespace
 {
 
-/** Phase-1 style run: inject a table with a given packing. */
-double
+/** Phase-1 style run: inject a table with a given packing; no value
+ *  on timeout. */
+std::optional<double>
 startupTps(const router::SystemProfile &profile, size_t prefixes,
            size_t per_packet)
 {
-    sim::Simulator sim;
-    router::RouterConfig rc;
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = 65001;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    rc.peers = {p1};
-
-    router::RouterSystem router(&sim, profile, rc);
-    core::TestPeer peer(&sim, core::TestPeerConfig{}, &router, 0);
-    router.start();
-    peer.connect();
-
-    auto wait = [&](auto cond) {
-        while (!cond() && sim::toSeconds(sim.now()) < 7200.0)
-            sim.runUntil(sim.now() + sim::nsFromMs(1));
-        return cond();
-    };
-    if (!wait([&]() {
-            return peer.established() && router.controlDrained();
-        })) {
-        return 0.0;
-    }
+    core::BenchmarkConfig config;
+    config.simTimeLimit = sim::nsFromSec(7200.0);
+    core::Testbed tb(profile, config);
+    if (!tb.establish(tb.speaker1()))
+        return std::nullopt;
 
     workload::RouteSetConfig rsc;
     rsc.count = prefixes;
@@ -61,19 +44,11 @@ startupTps(const router::SystemProfile &profile, size_t prefixes,
     sc.nextHop = net::Ipv4Address(10, 0, 1, 2);
     sc.prefixesPerPacket = per_packet;
 
-    double t0 = sim::toSeconds(sim.now());
-    peer.enqueueStream(
-        workload::buildAnnouncementStream(routes, sc));
-    if (!wait([&]() {
-            return peer.sendComplete() && router.controlDrained() &&
-                   router.speaker()
-                           .counters()
-                           .announcementsProcessed >= prefixes;
-        })) {
-        return 0.0;
-    }
-    double elapsed = sim::toSeconds(sim.now()) - t0;
-    return elapsed > 0 ? double(prefixes) / elapsed : 0.0;
+    core::PhaseResult phase;
+    if (!tb.inject(tb.speaker1(),
+                   workload::buildAnnouncementStream(routes, sc), phase))
+        return std::nullopt;
+    return phase.transactionsPerSecond();
 }
 
 } // namespace
@@ -94,11 +69,12 @@ main()
         std::vector<std::string> row{std::to_string(per_packet)};
         for (const char *name :
              {"PentiumIII", "Xeon", "IXP2400", "Cisco"}) {
-            double tps = startupTps(router::profileByName(name),
-                                    prefixes, per_packet);
-            row.push_back(stats::formatDouble(tps, 1));
-            std::cerr << name << " @" << per_packet << "/pkt: " << tps
-                      << " tps\n";
+            auto tps = startupTps(router::profileByName(name),
+                                  prefixes, per_packet);
+            row.push_back(tps ? stats::formatDouble(*tps, 1)
+                              : "TIMEOUT");
+            std::cerr << name << " @" << per_packet << "/pkt: "
+                      << tps.value_or(0.0) << " tps\n";
         }
         table.addRow(std::move(row));
     }

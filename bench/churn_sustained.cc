@@ -13,8 +13,7 @@
 
 #include <iostream>
 
-#include "core/test_peer.hh"
-#include "router/router_system.hh"
+#include "core/benchmark_runner.hh"
 #include "stats/report.hh"
 #include "workload/churn.hh"
 
@@ -27,6 +26,8 @@ namespace
 
 struct ChurnResult
 {
+    /** False when the run hit the time cap. */
+    bool completed = false;
     double transactionsPerSecond = 0.0;
     double suppressed = 0.0;
 };
@@ -35,31 +36,11 @@ ChurnResult
 measureChurn(const router::SystemProfile &profile, size_t table_size,
              size_t events, size_t per_packet, bool damping)
 {
-    sim::Simulator sim;
-    router::RouterConfig rc;
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = 65001;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    rc.peers = {p1};
-
-    if (damping)
-        rc.damping.enabled = true;
-    router::RouterSystem router(&sim, profile, rc);
-    core::TestPeer peer(&sim, core::TestPeerConfig{}, &router, 0);
-    router.start();
-    peer.connect();
-
-    auto wait = [&](auto cond) {
-        while (!cond() && sim::toSeconds(sim.now()) < 36000.0)
-            sim.runUntil(sim.now() + sim::nsFromMs(1));
-        return cond();
-    };
-    if (!wait([&]() {
-            return peer.established() && router.controlDrained();
-        })) {
+    core::BenchmarkConfig config;
+    config.dampingEnabled = damping;
+    core::Testbed tb(profile, config);
+    if (!tb.establish(tb.speaker1()))
         return {};
-    }
 
     workload::RouteSetConfig rsc;
     rsc.count = table_size;
@@ -71,43 +52,35 @@ measureChurn(const router::SystemProfile &profile, size_t table_size,
     sc.prefixesPerPacket = per_packet;
 
     // Install the table (not measured).
-    peer.enqueueStream(
-        workload::buildAnnouncementStream(routes, sc));
-    if (!wait([&]() {
-            return peer.sendComplete() && router.controlDrained();
-        })) {
+    core::PhaseResult install;
+    if (!tb.inject(tb.speaker1(),
+                   workload::buildAnnouncementStream(routes, sc),
+                   install))
         return {};
-    }
 
     // Measured: sustained churn.
     workload::ChurnConfig cc;
     cc.stream = sc;
     cc.events = events;
     cc.flappingFraction = 0.2;
-    auto stream = buildChurnStream(routes, cc);
-    size_t transactions = workload::streamTransactions(stream);
-
-    double t0 = sim::toSeconds(sim.now());
-    uint64_t processed0 =
-        router.speaker().counters().transactionsProcessed();
-    peer.enqueueStream(std::move(stream));
-    if (!wait([&]() {
-            return peer.sendComplete() && router.controlDrained() &&
-                   router.speaker()
-                           .counters()
-                           .transactionsProcessed() >=
-                       processed0 + transactions;
-        })) {
+    core::PhaseResult churn;
+    if (!tb.inject(tb.speaker1(), buildChurnStream(routes, cc), churn))
         return {};
-    }
-    double elapsed = sim::toSeconds(sim.now()) - t0;
 
     ChurnResult result;
-    result.transactionsPerSecond =
-        elapsed > 0 ? double(transactions) / elapsed : 0.0;
+    result.completed = true;
+    result.transactionsPerSecond = churn.transactionsPerSecond();
     result.suppressed = double(
-        router.speaker().counters().announcementsSuppressed);
+        tb.router().speaker().counters().announcementsSuppressed);
     return result;
+}
+
+/** A table cell: @p value, or TIMEOUT when the run did not finish. */
+std::string
+cell(const ChurnResult &run, double value, int decimals)
+{
+    return run.completed ? stats::formatDouble(value, decimals)
+                         : "TIMEOUT";
 }
 
 } // namespace
@@ -141,10 +114,10 @@ main()
                                large.transactionsPerSecond);
         out.addRow(
             {profile.name,
-             stats::formatDouble(small.transactionsPerSecond, 1),
-             stats::formatDouble(large.transactionsPerSecond, 1),
-             stats::formatDouble(damped.transactionsPerSecond, 1),
-             stats::formatDouble(damped.suppressed, 0),
+             cell(small, small.transactionsPerSecond, 1),
+             cell(large, large.transactionsPerSecond, 1),
+             cell(damped, damped.transactionsPerSecond, 1),
+             cell(damped, damped.suppressed, 0),
              best >= 100.0 ? "yes" : "NO",
              best >= 10000.0 ? "yes" : "NO"});
         std::cerr << profile.name << ": small "

@@ -10,8 +10,7 @@
 
 #include <iostream>
 
-#include "core/test_peer.hh"
-#include "router/router_system.hh"
+#include "core/benchmark_runner.hh"
 #include "stats/report.hh"
 #include "workload/churn.hh"
 
@@ -22,6 +21,8 @@ namespace
 
 struct StormResult
 {
+    /** False when the run hit the time cap. */
+    bool completed = false;
     double durationSec = 0.0;
     uint64_t fibWrites = 0;
     uint64_t suppressed = 0;
@@ -31,27 +32,13 @@ struct StormResult
 StormResult
 runStorm(bool damping)
 {
-    sim::Simulator sim;
-    router::RouterConfig rc;
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = 65001;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    rc.peers = {p1};
-    rc.damping.enabled = damping;
-
-    router::RouterSystem router(&sim, router::pentium3Profile(), rc);
-    core::TestPeer peer(&sim, core::TestPeerConfig{}, &router, 0);
-    router.start();
-    peer.connect();
-
-    auto wait = [&](auto cond) {
-        while (!cond() && sim::toSeconds(sim.now()) < 7200.0)
-            sim.runUntil(sim.now() + sim::nsFromMs(1));
-    };
-    wait([&]() {
-        return peer.established() && router.controlDrained();
-    });
+    core::BenchmarkConfig config;
+    config.dampingEnabled = damping;
+    config.simTimeLimit = sim::nsFromSec(7200.0);
+    core::Testbed tb(router::pentium3Profile(), config);
+    router::RouterSystem &router = tb.router();
+    if (!tb.establish(tb.speaker1()))
+        return {};
 
     // Install a 800-prefix table, then hammer 10% of it with a
     // 3000-transaction flap storm.
@@ -63,11 +50,11 @@ runStorm(bool damping)
     sc.nextHop = net::Ipv4Address(10, 0, 1, 2);
     sc.prefixesPerPacket = 25;
 
-    peer.enqueueStream(
-        workload::buildAnnouncementStream(routes, sc));
-    wait([&]() {
-        return peer.sendComplete() && router.controlDrained();
-    });
+    core::PhaseResult install;
+    if (!tb.inject(tb.speaker1(),
+                   workload::buildAnnouncementStream(routes, sc),
+                   install))
+        return {};
 
     uint64_t fib_before = router.controlPlane().fibChangesApplied;
     workload::ChurnConfig cc;
@@ -75,27 +62,31 @@ runStorm(bool damping)
     cc.events = 3000;
     cc.flappingFraction = 0.1;
     cc.withdrawFraction = 0.45;
-    auto storm = buildChurnStream(routes, cc);
-    size_t transactions = workload::streamTransactions(storm);
-
-    double t0 = sim::toSeconds(sim.now());
-    uint64_t processed0 =
-        router.speaker().counters().transactionsProcessed();
-    peer.enqueueStream(std::move(storm));
-    wait([&]() {
-        return peer.sendComplete() && router.controlDrained() &&
-               router.speaker().counters().transactionsProcessed() >=
-                   processed0 + transactions;
-    });
+    core::PhaseResult storm;
+    if (!tb.inject(tb.speaker1(), buildChurnStream(routes, cc), storm))
+        return {};
 
     StormResult result;
-    result.durationSec = sim::toSeconds(sim.now()) - t0;
+    result.completed = true;
+    result.durationSec = storm.durationSec;
     result.fibWrites =
         router.controlPlane().fibChangesApplied - fib_before;
     result.suppressed =
         router.speaker().counters().announcementsSuppressed;
     result.tableSize = router.speaker().locRib().size();
     return result;
+}
+
+/** The table row for one storm; TIMEOUT cells if it did not finish. */
+std::vector<std::string>
+row(const char *damping, const StormResult &storm)
+{
+    if (!storm.completed)
+        return {damping, "TIMEOUT", "TIMEOUT", "TIMEOUT", "TIMEOUT"};
+    return {damping, stats::formatDouble(storm.durationSec, 1),
+            std::to_string(storm.fibWrites),
+            std::to_string(storm.suppressed),
+            std::to_string(storm.tableSize)};
 }
 
 } // namespace
@@ -112,15 +103,11 @@ main()
 
     stats::TextTable table({"damping", "storm time (s)", "FIB writes",
                             "suppressed", "final table"});
-    table.addRow({"off", stats::formatDouble(off.durationSec, 1),
-                  std::to_string(off.fibWrites),
-                  std::to_string(off.suppressed),
-                  std::to_string(off.tableSize)});
-    table.addRow({"on", stats::formatDouble(on.durationSec, 1),
-                  std::to_string(on.fibWrites),
-                  std::to_string(on.suppressed),
-                  std::to_string(on.tableSize)});
+    table.addRow(row("off", off));
+    table.addRow(row("on", on));
     table.print(std::cout);
+    if (!off.completed || !on.completed)
+        return 1;
 
     std::cout << "\nDamping suppresses the persistent flappers after "
                  "their first few cycles: the router stops churning "

@@ -14,12 +14,102 @@ const net::Prefix crossTrafficPrefix =
     net::Prefix(net::Ipv4Address(198, 18, 0, 0), 15);
 /** Cross-traffic frame size. */
 constexpr uint32_t crossPacketBytes = 1000;
-/** Speaker 1 / Speaker 2 / router-under-test AS numbers. */
-constexpr bgp::AsNumber speaker1As = 65001;
-constexpr bgp::AsNumber speaker2As = 65002;
-constexpr bgp::AsNumber routerAs = 65000;
+/** The two speakers; the router keeps RouterConfig's AS 65000 and
+ *  address 10.0.0.1. */
+constexpr TestPeerConfig speaker1Id{65001, 0x0a000102,
+                                    net::Ipv4Address(10, 0, 1, 2)};
+constexpr TestPeerConfig speaker2Id{65002, 0x0a000202,
+                                    net::Ipv4Address(10, 0, 2, 2)};
+
+router::RouterConfig
+routerConfig(const BenchmarkConfig &config)
+{
+    router::RouterConfig rc;
+    rc.damping.enabled = config.dampingEnabled;
+    for (const TestPeerConfig &speaker : {speaker1Id, speaker2Id}) {
+        bgp::PeerConfig peer;
+        peer.id = bgp::PeerId(rc.peers.size());
+        peer.asn = speaker.asn;
+        peer.address = speaker.address;
+        peer.importPolicy = config.importPolicy;
+        peer.exportPolicy = config.exportPolicy;
+        rc.peers.push_back(std::move(peer));
+    }
+    return rc;
+}
 
 } // namespace
+
+Testbed::Testbed(const router::SystemProfile &profile,
+                 const BenchmarkConfig &config)
+    : simTimeLimit_(config.simTimeLimit),
+      router_(&sim_, profile, routerConfig(config)),
+      speaker1_(&sim_, speaker1Id, &router_, 0),
+      speaker2_(&sim_, speaker2Id, &router_, 1)
+{
+    if (config.crossTrafficMbps > 0) {
+        // Static route for the cross-traffic path: the testbed
+        // forwards measurement traffic independently of BGP
+        // convergence.
+        router_.installStaticRoute(crossTrafficPrefix,
+                                   speaker2Id.address, 2);
+
+        workload::CrossTrafficConfig ct;
+        ct.mbps = config.crossTrafficMbps;
+        ct.packetBytes = crossPacketBytes;
+        ct.source = net::Ipv4Address(10, 0, 3, 2);
+        for (int i = 0; i < 32; ++i) {
+            ct.destinations.push_back(net::Ipv4Address(
+                198, 18, uint8_t(i * 7), uint8_t(1 + i)));
+        }
+        router_.setCrossTraffic(ct);
+    }
+    router_.start();
+}
+
+bool
+Testbed::runUntil(const std::function<bool()> &done)
+{
+    const sim::SimTime step = sim::nsFromMs(1);
+    while (!done()) {
+        if (sim_.now() >= simTimeLimit_)
+            return false;
+        sim_.runUntil(sim_.now() + step);
+    }
+    return true;
+}
+
+bool
+Testbed::establish(TestPeer &peer)
+{
+    peer.connect();
+    return runUntil([&]() {
+        return peer.established() &&
+               router_.speaker().sessionState(bgp::PeerId(
+                   peer.port())) == bgp::SessionState::Established &&
+               router_.controlDrained();
+    });
+}
+
+bool
+Testbed::inject(TestPeer &peer,
+                std::vector<workload::StreamPacket> stream,
+                PhaseResult &phase)
+{
+    const bgp::SpeakerCounters &counters = router_.speaker().counters();
+    phase.startSec = sim::toSeconds(sim_.now());
+    phase.transactions = workload::streamTransactions(stream);
+    const uint64_t target =
+        counters.transactionsProcessed() + phase.transactions;
+    peer.enqueueStream(std::move(stream));
+    bool done = runUntil([&]() {
+        return peer.sendComplete() &&
+               counters.transactionsProcessed() >= target &&
+               router_.controlDrained();
+    });
+    phase.durationSec = sim::toSeconds(sim_.now()) - phase.startSec;
+    return done;
+}
 
 BenchmarkRunner::BenchmarkRunner(router::SystemProfile profile,
                                  BenchmarkConfig config)
@@ -34,131 +124,28 @@ BenchmarkRunner::BenchmarkRunner(router::SystemProfile profile,
     routes_ = workload::generateRouteSet(rc);
 }
 
-BenchmarkRunner::~BenchmarkRunner() = default;
-
-router::RouterSystem &
-BenchmarkRunner::router()
+Testbed &
+BenchmarkRunner::testbed()
 {
-    panicIf(!router_, "no benchmark has run yet");
-    return *router_;
-}
-
-sim::Simulator &
-BenchmarkRunner::simulator()
-{
-    panicIf(!sim_, "no benchmark has run yet");
-    return *sim_;
-}
-
-TestPeer &
-BenchmarkRunner::speaker1()
-{
-    panicIf(!speaker1_, "no benchmark has run yet");
-    return *speaker1_;
-}
-
-TestPeer &
-BenchmarkRunner::speaker2()
-{
-    panicIf(!speaker2_, "no benchmark has run yet");
-    return *speaker2_;
-}
-
-void
-BenchmarkRunner::setUp(const Scenario &scenario)
-{
-    (void)scenario;
-
-    // Tear down the previous run first (peers reference the router).
-    speaker2_.reset();
-    speaker1_.reset();
-    router_.reset();
-    sim_.reset();
-
-    sim_ = std::make_unique<sim::Simulator>();
-
-    router::RouterConfig rc;
-    rc.localAs = routerAs;
-    rc.routerId = 0x0a000001;
-    rc.address = net::Ipv4Address(10, 0, 0, 1);
-    rc.damping.enabled = config_.dampingEnabled;
-
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = speaker1As;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    p1.importPolicy = config_.importPolicy;
-    p1.exportPolicy = config_.exportPolicy;
-    bgp::PeerConfig p2;
-    p2.id = 1;
-    p2.asn = speaker2As;
-    p2.address = net::Ipv4Address(10, 0, 2, 2);
-    p2.importPolicy = config_.importPolicy;
-    p2.exportPolicy = config_.exportPolicy;
-    rc.peers = {p1, p2};
-
-    router_ = std::make_unique<router::RouterSystem>(sim_.get(),
-                                                     profile_, rc);
-
-    if (config_.crossTrafficMbps > 0) {
-        // Static route for the cross-traffic path: the testbed
-        // forwards measurement traffic independently of BGP
-        // convergence.
-        router_->installStaticRoute(crossTrafficPrefix,
-                                    net::Ipv4Address(10, 0, 2, 2), 2);
-
-        workload::CrossTrafficConfig ct;
-        ct.mbps = config_.crossTrafficMbps;
-        ct.packetBytes = crossPacketBytes;
-        ct.source = net::Ipv4Address(10, 0, 3, 2);
-        for (int i = 0; i < 32; ++i) {
-            ct.destinations.push_back(net::Ipv4Address(
-                198, 18, uint8_t(i * 7), uint8_t(1 + i)));
-        }
-        router_->setCrossTraffic(ct);
-    }
-
-    TestPeerConfig s1;
-    s1.asn = speaker1As;
-    s1.routerId = 0x0a000102;
-    s1.address = net::Ipv4Address(10, 0, 1, 2);
-    speaker1_ = std::make_unique<TestPeer>(sim_.get(), s1,
-                                           router_.get(), 0);
-
-    TestPeerConfig s2;
-    s2.asn = speaker2As;
-    s2.routerId = 0x0a000202;
-    s2.address = net::Ipv4Address(10, 0, 2, 2);
-    speaker2_ = std::make_unique<TestPeer>(sim_.get(), s2,
-                                           router_.get(), 1);
-
-    if (config_.obs) {
-        tracer_.attach(&config_.obs->trace);
-        router_->speaker().bindObservability(&config_.obs->metrics,
-                                             &tracer_, 0);
-    } else {
-        tracer_.detach();
-    }
-
-    router_->start();
-}
-
-bool
-BenchmarkRunner::runUntil(const std::function<bool()> &done)
-{
-    const sim::SimTime step = sim::nsFromMs(1);
-    while (!done()) {
-        if (sim_->now() >= config_.simTimeLimit)
-            return false;
-        sim_->runUntil(sim_->now() + step);
-    }
-    return true;
+    panicIf(!testbed_, "no benchmark has run yet");
+    return *testbed_;
 }
 
 BenchmarkResult
 BenchmarkRunner::run(const Scenario &scenario)
 {
-    setUp(scenario);
+    // Tear down the previous run before building the next.
+    testbed_.reset();
+    testbed_ = std::make_unique<Testbed>(profile_, config_);
+    Testbed &tb = *testbed_;
+    sim::Simulator &sim = tb.simulator();
+    auto &speaker = tb.router().speaker();
+    if (config_.obs) {
+        tracer_.attach(&config_.obs->trace);
+        speaker.bindObservability(&config_.obs->metrics, &tracer_, 0);
+    } else {
+        tracer_.detach();
+    }
 
     BenchmarkResult result;
     result.scenario = scenario;
@@ -166,48 +153,33 @@ BenchmarkRunner::run(const Scenario &scenario)
     result.crossTrafficMbps = config_.crossTrafficMbps;
 
     const size_t n = routes_.size();
-    auto &speaker = router_->speaker();
 
     // --- Session establishment (Speaker 1) ---------------------------
-    sim::SimTime establish_begin = sim_->now();
-    speaker1_->connect();
-    bool established = runUntil([&]() {
-        return speaker1_->established() &&
-               speaker.sessionState(0) ==
-                   bgp::SessionState::Established &&
-               router_->controlDrained();
-    });
-    tracer_.complete("establish", "phase", obs::kTrackPhases, 0,
-                     establish_begin, sim_->now());
-    if (!established) {
+    sim::SimTime begin = sim.now();
+    bool ok = tb.establish(tb.speaker1());
+    tracer_.complete("establish", "phase", obs::kTrackPhases, 0, begin,
+                     sim.now());
+    if (!ok) {
         result.timedOut = true;
         return result;
     }
 
     // --- Phase 1: Speaker 1 injects the routing table ----------------
     workload::StreamConfig s1_cfg;
-    s1_cfg.speakerAs = speaker1As;
-    s1_cfg.nextHop = net::Ipv4Address(10, 0, 1, 2);
+    s1_cfg.speakerAs = speaker1Id.asn;
+    s1_cfg.nextHop = speaker1Id.address;
     s1_cfg.prefixesPerPacket = scenario.prefixesPerPacket();
     // In scenarios 7/8 Speaker 1's paths must be longer than Speaker
     // 2's later ones, so that Speaker 2's replace every best path.
     s1_cfg.extraPrepends =
         scenario.operation == BgpOperation::IncrementalChange ? 2 : 0;
 
-    sim::SimTime phase1_begin = sim_->now();
-    double t0 = sim::toSeconds(phase1_begin);
-    speaker1_->enqueueStream(
-        workload::buildAnnouncementStream(routes_, s1_cfg));
-    bool ok = runUntil([&]() {
-        return speaker1_->sendComplete() &&
-               speaker.counters().announcementsProcessed >= n &&
-               router_->controlDrained();
-    });
-    tracer_.complete("phase1", "phase", obs::kTrackPhases, 0,
-                     phase1_begin, sim_->now());
-    result.phase1.startSec = t0;
-    result.phase1.durationSec = sim::toSeconds(sim_->now()) - t0;
-    result.phase1.transactions = n;
+    begin = sim.now();
+    ok = tb.inject(tb.speaker1(),
+                   workload::buildAnnouncementStream(routes_, s1_cfg),
+                   result.phase1);
+    tracer_.complete("phase1", "phase", obs::kTrackPhases, 0, begin,
+                     sim.now());
     if (!ok) {
         result.timedOut = true;
         return result;
@@ -215,22 +187,20 @@ BenchmarkRunner::run(const Scenario &scenario)
 
     // --- Phase 2: route propagation to Speaker 2 ---------------------
     if (scenario.usesSecondSpeaker()) {
-        sim::SimTime phase2_begin = sim_->now();
-        double t2 = sim::toSeconds(phase2_begin);
-        speaker2_->connect();
-        ok = runUntil([&]() {
-            return speaker2_->established() &&
-                   speaker2_->counters().announcementsReceived >= n &&
-                   router_->controlDrained();
+        TestPeer &speaker2 = tb.speaker2();
+        begin = sim.now();
+        // An established session does not fall back, so this stops
+        // at the first step where all three conditions hold.
+        ok = tb.establish(speaker2) && tb.runUntil([&]() {
+            return speaker2.counters().announcementsReceived >= n &&
+                   tb.router().controlDrained();
         });
-        tracer_.complete("phase2", "phase", obs::kTrackPhases, 0,
-                         phase2_begin, sim_->now());
-        PhaseResult phase2;
-        phase2.startSec = t2;
-        phase2.durationSec = sim::toSeconds(sim_->now()) - t2;
-        phase2.transactions =
-            speaker2_->counters().announcementsReceived;
-        result.phase2 = phase2;
+        tracer_.complete("phase2", "phase", obs::kTrackPhases, 0, begin,
+                         sim.now());
+        PhaseResult &phase2 = result.phase2.emplace();
+        phase2.startSec = sim::toSeconds(begin);
+        phase2.durationSec = sim::toSeconds(sim.now()) - phase2.startSec;
+        phase2.transactions = speaker2.counters().announcementsReceived;
         if (!ok) {
             result.timedOut = true;
             return result;
@@ -239,57 +209,29 @@ BenchmarkRunner::run(const Scenario &scenario)
 
     // --- Phase 3 ------------------------------------------------------
     if (scenario.operation != BgpOperation::StartupAnnounce) {
-        sim::SimTime phase3_begin = sim_->now();
-        double t3 = sim::toSeconds(phase3_begin);
-        PhaseResult phase3;
-        phase3.startSec = t3;
-        phase3.transactions = n;
-
-        switch (scenario.operation) {
-          case BgpOperation::EndingWithdraw: {
-            workload::StreamConfig wd = s1_cfg;
-            speaker1_->enqueueStream(
-                workload::buildWithdrawalStream(routes_, wd));
-            ok = runUntil([&]() {
-                return speaker1_->sendComplete() &&
-                       speaker.counters().withdrawalsProcessed >= n &&
-                       router_->controlDrained();
-            });
-            break;
-          }
-
-          case BgpOperation::IncrementalNoChange:
-          case BgpOperation::IncrementalChange: {
-            workload::StreamConfig s2_cfg;
-            s2_cfg.speakerAs = speaker2As;
-            s2_cfg.nextHop = net::Ipv4Address(10, 0, 2, 2);
-            s2_cfg.prefixesPerPacket = scenario.prefixesPerPacket();
+        TestPeer *sender = &tb.speaker1();
+        std::vector<workload::StreamPacket> stream;
+        if (scenario.operation == BgpOperation::EndingWithdraw) {
+            stream = workload::buildWithdrawalStream(routes_, s1_cfg);
+        } else {
+            workload::StreamConfig s2_cfg = s1_cfg;
+            s2_cfg.speakerAs = speaker2Id.asn;
+            s2_cfg.nextHop = speaker2Id.address;
             // Longer paths when the best must not change (5/6);
             // Speaker 1 already has the longer paths in 7/8.
             s2_cfg.extraPrepends =
-                scenario.operation ==
-                        BgpOperation::IncrementalNoChange
+                scenario.operation == BgpOperation::IncrementalNoChange
                     ? 2
                     : 0;
-            speaker2_->enqueueStream(
-                workload::buildAnnouncementStream(routes_, s2_cfg));
-            ok = runUntil([&]() {
-                return speaker2_->sendComplete() &&
-                       speaker.counters().announcementsProcessed >=
-                           2 * n &&
-                       router_->controlDrained();
-            });
-            break;
-          }
-
-          case BgpOperation::StartupAnnounce:
-            break;
+            sender = &tb.speaker2();
+            stream = workload::buildAnnouncementStream(routes_, s2_cfg);
         }
 
-        tracer_.complete("phase3", "phase", obs::kTrackPhases, 0,
-                         phase3_begin, sim_->now());
-        phase3.durationSec = sim::toSeconds(sim_->now()) - t3;
-        result.phase3 = phase3;
+        begin = sim.now();
+        ok = tb.inject(*sender, std::move(stream),
+                       result.phase3.emplace());
+        tracer_.complete("phase3", "phase", obs::kTrackPhases, 0, begin,
+                         sim.now());
         if (!ok) {
             result.timedOut = true;
             return result;
@@ -299,7 +241,7 @@ BenchmarkRunner::run(const Scenario &scenario)
     result.measuredTps = scenario.measuresPhase1()
                              ? result.phase1.transactionsPerSecond()
                              : result.phase3->transactionsPerSecond();
-    result.dataPlane = router_->dataPlane();
+    result.dataPlane = tb.router().dataPlane();
     result.speakerCounters = speaker.counters();
     return result;
 }

@@ -27,7 +27,11 @@
 namespace bgpbench::core
 {
 
-/** Benchmark parameters independent of scenario and platform. */
+/**
+ * Benchmark parameters independent of scenario and platform. A
+ * Testbed reads the router's settings and the time cap; the table
+ * (prefixCount, seed) and the sinks (obs) are the runner's.
+ */
 struct BenchmarkConfig
 {
     /** Size of the injected routing table. */
@@ -94,57 +98,90 @@ struct BenchmarkResult
 };
 
 /**
- * Runs benchmark scenarios against a fresh simulated router per run.
+ * The paper's testbed (Figure 1) in a fresh simulation: the router
+ * under test with Speaker 1 on port 0 and Speaker 2 on port 1. Its
+ * damping, session policies, cross-traffic and time cap come from a
+ * BenchmarkConfig. Every single-router run builds its world here. A
+ * speaker never established stays Idle and costs the router nothing,
+ * so a one-speaker run reads as if Speaker 2 were absent.
+ */
+class Testbed
+{
+  public:
+    Testbed(const router::SystemProfile &profile,
+            const BenchmarkConfig &config);
+
+    /**
+     * Advance simulated time in 1 ms steps until @p done returns true
+     * or the time cap passes.
+     * @return False on timeout.
+     */
+    bool runUntil(const std::function<bool()> &done);
+
+    /**
+     * Connect @p peer, then wait until both ends of its session are
+     * Established and the router has drained.
+     * @return False on timeout.
+     */
+    bool establish(TestPeer &peer);
+
+    /**
+     * Send @p stream from @p peer and wait until it is sent, the
+     * router has processed every one of its transactions, and the
+     * router has drained; fill @p phase's start, transactions and
+     * duration (up to the cap on timeout). A lost message therefore
+     * times out instead of reporting a rate.
+     * @return False on timeout.
+     */
+    bool inject(TestPeer &peer,
+                std::vector<workload::StreamPacket> stream,
+                PhaseResult &phase);
+
+    sim::Simulator &simulator() { return sim_; }
+    router::RouterSystem &router() { return router_; }
+    TestPeer &speaker1() { return speaker1_; }
+    TestPeer &speaker2() { return speaker2_; }
+
+  private:
+    sim::SimTime simTimeLimit_;
+    // In this order, the peers die before the router they point at
+    // and the router before its simulator.
+    sim::Simulator sim_;
+    router::RouterSystem router_;
+    TestPeer speaker1_;
+    TestPeer speaker2_;
+};
+
+/**
+ * Runs benchmark scenarios, each on a fresh Testbed.
  *
- * After run() returns, the simulation, router, and test peers remain
- * alive and inspectable (router(), simulator(), speaker counters,
- * CPU-load series) until the next run() or destruction — this is how
- * the figure benches extract their time series.
+ * After run() returns, its testbed remains alive and inspectable
+ * (router, speakers, CPU-load series) until the next run() or
+ * destruction; this is how the figure benches extract their time
+ * series.
  */
 class BenchmarkRunner
 {
   public:
     BenchmarkRunner(router::SystemProfile profile,
                     BenchmarkConfig config);
-    ~BenchmarkRunner();
 
     /** Execute @p scenario from a cold start; returns the result. */
     BenchmarkResult run(const Scenario &scenario);
 
-    /** The router of the most recent run (valid after run()). */
-    router::RouterSystem &router();
-    /** The simulator of the most recent run. */
-    sim::Simulator &simulator();
-    /** Speaker 1 of the most recent run. */
-    TestPeer &speaker1();
-    /** Speaker 2 of the most recent run (valid if the scenario used
-     *  one). */
-    TestPeer &speaker2();
-
-    const BenchmarkConfig &config() const { return config_; }
-    const router::SystemProfile &profile() const { return profile_; }
+    /** The testbed of the most recent run (valid after run()). */
+    Testbed &testbed();
+    /** The router of the most recent run. */
+    router::RouterSystem &router() { return testbed().router(); }
 
   private:
-    /** Build the simulation world for one run. */
-    void setUp(const Scenario &scenario);
-
-    /**
-     * Advance simulated time until @p done returns true or the time
-     * limit passes.
-     * @return False on timeout.
-     */
-    bool runUntil(const std::function<bool()> &done);
-
     router::SystemProfile profile_;
     BenchmarkConfig config_;
     /** Feeds config_.obs->trace when sinks are attached. */
     obs::Tracer tracer_;
 
     std::vector<workload::RouteSpec> routes_;
-    std::unique_ptr<sim::Simulator> sim_;
-    std::unique_ptr<router::RouterSystem> router_;
-    std::unique_ptr<TestPeer> speaker1_;
-    std::unique_ptr<TestPeer> speaker2_;
+    std::unique_ptr<Testbed> testbed_;
 };
 
 } // namespace bgpbench::core

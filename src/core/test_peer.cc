@@ -131,12 +131,10 @@ TestPeer::receive(net::WireSegmentPtr segment)
           }
 
           case bgp::MessageType::Notification:
-            ++counters_.notificationsReceived;
             established_ = false;
             break;
 
           case bgp::MessageType::RouteRefresh:
-            ++counters_.refreshesReceived;
             break;
         }
     }

@@ -29,12 +29,12 @@
 namespace bgpbench::core
 {
 
-/** Test speaker configuration. */
+/** Test speaker identity. */
 struct TestPeerConfig
 {
-    bgp::AsNumber asn = 65001;
-    bgp::RouterId routerId = 0x0a000101;
-    net::Ipv4Address address = net::Ipv4Address(10, 0, 1, 2);
+    bgp::AsNumber asn = 0;
+    bgp::RouterId routerId = 0;
+    net::Ipv4Address address;
 };
 
 /** What the test peer has received from the router under test. */
@@ -44,8 +44,6 @@ struct TestPeerCounters
     uint64_t announcementsReceived = 0;
     uint64_t withdrawalsReceived = 0;
     uint64_t keepalivesReceived = 0;
-    uint64_t notificationsReceived = 0;
-    uint64_t refreshesReceived = 0;
     uint64_t segmentsSent = 0;
 };
 
@@ -75,6 +73,9 @@ class TestPeer
 
     /** True once the session has reached Established on our side. */
     bool established() const { return established_; }
+
+    /** The router port this peer attaches to. */
+    size_t port() const { return port_; }
 
     /** Queue packets to send (flows once established). */
     void enqueueStream(std::vector<workload::StreamPacket> packets);

@@ -189,7 +189,6 @@ RouterSystem::deliverToPort(size_t port, net::WireSegmentPtr segment)
 {
     panicIf(port >= ports_.size(), "bad port index");
     Port &p = ports_[port];
-    ++controlPlane_.segmentsReceived;
 
     // NIC interrupt for the control-plane segment.
     if (profile_.costs.irqPerPacket > 0 && !profile_.separateDataPlane)
@@ -308,7 +307,6 @@ RouterSystem::maybeDispatch()
             lastLocRibChanges_ = 0;
             speaker_.handleMessage(port.peerId, inbound.msg,
                                    sim_->now());
-            ++controlPlane_.messagesDispatched;
 
             bool defer_gate = false;
             if (!fibBatch_.empty() || lastLocRibChanges_ > 0) {
@@ -363,7 +361,6 @@ RouterSystem::onTransmit(bgp::PeerId to, bgp::MessageType type,
 
     postCounted(bgpProc_, cost,
                 [this, port, wire = std::move(wire)]() mutable {
-                    ++controlPlane_.messagesTransmitted;
                     if (ports_[port].transmitHandler)
                         ports_[port].transmitHandler(std::move(wire));
                 });

@@ -70,9 +70,6 @@ struct DataPlaneCounters
 /** Control-plane accounting beyond the speaker's own counters. */
 struct ControlPlaneCounters
 {
-    uint64_t segmentsReceived = 0;
-    uint64_t messagesDispatched = 0;
-    uint64_t messagesTransmitted = 0;
     uint64_t fibChangesApplied = 0;
 };
 

@@ -7,6 +7,8 @@
 
 #include "core/benchmark_runner.hh"
 #include "net/logging.hh"
+#include "net/wire_segment.hh"
+#include "workload/churn.hh"
 
 using namespace bgpbench;
 using namespace bgpbench::core;
@@ -23,6 +25,25 @@ smallConfig(size_t prefixes = 300)
     return config;
 }
 
+std::vector<workload::RouteSpec>
+routes(size_t count)
+{
+    workload::RouteSetConfig config;
+    config.count = count;
+    return workload::generateRouteSet(config);
+}
+
+/** How Speaker 1 frames its streams. */
+workload::StreamConfig
+speaker1Stream(size_t per_packet)
+{
+    workload::StreamConfig sc;
+    sc.speakerAs = 65001;
+    sc.nextHop = net::Ipv4Address(10, 0, 1, 2);
+    sc.prefixesPerPacket = per_packet;
+    return sc;
+}
+
 } // namespace
 
 TEST(BenchmarkRunner, RejectsEmptyWorkload)
@@ -36,8 +57,8 @@ TEST(BenchmarkRunner, RejectsEmptyWorkload)
 TEST(BenchmarkRunner, AccessorsRequireARun)
 {
     BenchmarkRunner runner(router::xeonProfile(), smallConfig());
+    EXPECT_THROW(runner.testbed(), PanicError);
     EXPECT_THROW(runner.router(), PanicError);
-    EXPECT_THROW(runner.simulator(), PanicError);
 }
 
 TEST(BenchmarkRunner, Scenario1MeasuresPhase1)
@@ -119,7 +140,9 @@ TEST(BenchmarkRunner, Scenario7ReplacesEveryBestPath)
     EXPECT_EQ(from_peer1, 300u);
 
     // Speaker 1 was told about the new (shorter) paths in Phase 3.
-    EXPECT_GT(runner.speaker1().counters().announcementsReceived, 0u);
+    EXPECT_GT(
+        runner.testbed().speaker1().counters().announcementsReceived,
+        0u);
 }
 
 TEST(BenchmarkRunner, Phase2DeliversTableToSpeaker2)
@@ -129,8 +152,9 @@ TEST(BenchmarkRunner, Phase2DeliversTableToSpeaker2)
     ASSERT_FALSE(result.timedOut);
     ASSERT_TRUE(result.phase2.has_value());
     EXPECT_EQ(result.phase2->transactions, 300u);
-    EXPECT_EQ(runner.speaker2().counters().announcementsReceived,
-              300u);
+    EXPECT_EQ(
+        runner.testbed().speaker2().counters().announcementsReceived,
+        300u);
 }
 
 TEST(BenchmarkRunner, LargePacketsFasterThanSmall)
@@ -217,4 +241,100 @@ TEST(BenchmarkRunner, TimeoutReported)
     BenchmarkRunner runner(router::ixp2400Profile(), config);
     auto result = runner.run(scenarioByNumber(1));
     EXPECT_TRUE(result.timedOut);
+}
+
+TEST(Testbed, SecondSpeakerStaysIdleUntilEstablished)
+{
+    // Speaker 2 is never connected, as in the single-speaker benches:
+    // through Speaker 1's whole table phase the router's port-1
+    // session stays Idle and sends it nothing.
+    Testbed tb(router::pentium3Profile(), smallConfig());
+    ASSERT_TRUE(tb.establish(tb.speaker1()));
+    PhaseResult phase;
+    ASSERT_TRUE(tb.inject(
+        tb.speaker1(),
+        workload::buildAnnouncementStream(routes(300),
+                                          speaker1Stream(1)),
+        phase));
+    ASSERT_GT(phase.durationSec, 1.0); // the 1 s session timer ran
+
+    EXPECT_EQ(tb.router().speaker().sessionState(1),
+              bgp::SessionState::Idle);
+    const TestPeerCounters &received = tb.speaker2().counters();
+    EXPECT_EQ(received.keepalivesReceived, 0u);
+    EXPECT_EQ(received.updatesReceived, 0u);
+    EXPECT_EQ(received.segmentsSent, 0u);
+    EXPECT_FALSE(tb.speaker2().established());
+}
+
+TEST(Testbed, InjectReturnsOnceEveryTransactionIsProcessed)
+{
+    Testbed tb(router::pentium3Profile(), smallConfig());
+    ASSERT_TRUE(tb.establish(tb.speaker1()));
+
+    auto table = routes(300);
+    workload::ChurnConfig churn;
+    churn.stream = speaker1Stream(10);
+    churn.events = 600;
+    std::vector<std::vector<workload::StreamPacket>> streams;
+    streams.push_back(
+        workload::buildAnnouncementStream(table, speaker1Stream(10)));
+    streams.push_back(workload::buildChurnStream(table, churn));
+    streams.push_back(
+        workload::buildWithdrawalStream(table, speaker1Stream(10)));
+
+    const auto &counters = tb.router().speaker().counters();
+    for (auto &stream : streams) {
+        const uint64_t before = counters.transactionsProcessed();
+        const size_t transactions = workload::streamTransactions(stream);
+        PhaseResult phase;
+        ASSERT_TRUE(tb.inject(tb.speaker1(), std::move(stream), phase));
+        EXPECT_EQ(counters.transactionsProcessed(),
+                  before + transactions);
+        EXPECT_EQ(phase.transactions, transactions);
+        EXPECT_TRUE(tb.speaker1().sendComplete());
+        EXPECT_TRUE(tb.router().controlDrained());
+    }
+    EXPECT_EQ(tb.router().fib().size(), 0u);
+}
+
+TEST(Testbed, InjectPastTheCapReportsTimeout)
+{
+    BenchmarkConfig config = smallConfig();
+    config.simTimeLimit = sim::nsFromSec(1.0);
+
+    // About 92.5 ms per small UPDATE: 300 of them take half a minute.
+    Testbed slow(router::ciscoProfile(), config);
+    ASSERT_TRUE(slow.establish(slow.speaker1()));
+    PhaseResult phase;
+    EXPECT_FALSE(slow.inject(
+        slow.speaker1(),
+        workload::buildAnnouncementStream(routes(300),
+                                          speaker1Stream(1)),
+        phase));
+    EXPECT_GT(phase.startSec, 0.0);
+    EXPECT_GT(phase.durationSec, 0.0);
+    EXPECT_DOUBLE_EQ(phase.startSec + phase.durationSec, 1.0);
+    EXPECT_EQ(phase.transactions, 300u);
+
+    // Junk ahead of 20 announcements closes the session, so the router
+    // never processes them. The stream is sent in full and the router
+    // drains: only the transaction count tells this from a finished
+    // phase.
+    Testbed lossy(router::xeonProfile(), config);
+    ASSERT_TRUE(lossy.establish(lossy.speaker1()));
+    auto stream = workload::buildAnnouncementStream(routes(20),
+                                                    speaker1Stream(10));
+    stream.insert(stream.begin(),
+                  {net::BufferPool::global().wrap(
+                       std::vector<uint8_t>(64, 0xab)),
+                   0});
+    PhaseResult lost;
+    EXPECT_FALSE(lossy.inject(lossy.speaker1(), std::move(stream), lost));
+    EXPECT_DOUBLE_EQ(lost.startSec + lost.durationSec, 1.0);
+    EXPECT_EQ(lost.transactions, 20u);
+    EXPECT_TRUE(lossy.speaker1().sendComplete());
+    EXPECT_TRUE(lossy.router().controlDrained());
+    EXPECT_EQ(
+        lossy.router().speaker().counters().transactionsProcessed(), 0u);
 }

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/test_peer.hh"
+#include "core/benchmark_runner.hh"
 #include "net/logging.hh"
 #include "router/system_profiles.hh"
 #include "workload/update_stream.hh"
@@ -16,72 +16,40 @@ using namespace bgpbench::core;
 namespace
 {
 
-router::RouterConfig
-oneRouterConfig()
+/** The benchmark testbed's settings with a 120 s cap. */
+BenchmarkConfig
+capped()
 {
-    router::RouterConfig rc;
-    rc.localAs = 65000;
-    rc.routerId = 0x0a000001;
-    rc.address = net::Ipv4Address(10, 0, 0, 1);
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = 65001;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    bgp::PeerConfig p2;
-    p2.id = 1;
-    p2.asn = 65002;
-    p2.address = net::Ipv4Address(10, 0, 2, 2);
-    rc.peers = {p1, p2};
-    return rc;
-}
-
-bool
-runUntil(sim::Simulator &sim, const std::function<bool()> &cond,
-         double limit_sec = 120.0)
-{
-    while (!cond()) {
-        if (sim::toSeconds(sim.now()) > limit_sec)
-            return false;
-        sim.runUntil(sim.now() + sim::nsFromMs(1));
-    }
-    return true;
+    BenchmarkConfig config;
+    config.simTimeLimit = sim::nsFromSec(120.0);
+    return config;
 }
 
 } // namespace
 
 TEST(TestPeer, EstablishesAgainstRouter)
 {
-    sim::Simulator sim;
-    router::RouterSystem router(&sim, router::xeonProfile(),
-                                oneRouterConfig());
-    TestPeer peer(&sim, TestPeerConfig{}, &router, 0);
-    router.start();
+    Testbed tb(router::xeonProfile(), capped());
+    TestPeer &peer = tb.speaker1();
 
     EXPECT_FALSE(peer.established());
     peer.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() { return peer.established(); }));
+    ASSERT_TRUE(tb.runUntil([&]() { return peer.established(); }));
     EXPECT_GE(peer.counters().keepalivesReceived, 1u);
     EXPECT_GT(peer.counters().segmentsSent, 0u);
 }
 
 TEST(TestPeer, DoubleConnectPanics)
 {
-    sim::Simulator sim;
-    router::RouterSystem router(&sim, router::xeonProfile(),
-                                oneRouterConfig());
-    TestPeer peer(&sim, TestPeerConfig{}, &router, 0);
-    router.start();
-    peer.connect();
-    EXPECT_THROW(peer.connect(), PanicError);
+    Testbed tb(router::xeonProfile(), capped());
+    tb.speaker1().connect();
+    EXPECT_THROW(tb.speaker1().connect(), PanicError);
 }
 
 TEST(TestPeer, StreamQueuedBeforeEstablishmentFlowsAfter)
 {
-    sim::Simulator sim;
-    router::RouterSystem router(&sim, router::xeonProfile(),
-                                oneRouterConfig());
-    TestPeer peer(&sim, TestPeerConfig{}, &router, 0);
-    router.start();
+    Testbed tb(router::xeonProfile(), capped());
+    TestPeer &peer = tb.speaker1();
 
     workload::RouteSetConfig rsc;
     rsc.count = 30;
@@ -93,30 +61,22 @@ TEST(TestPeer, StreamQueuedBeforeEstablishmentFlowsAfter)
     EXPECT_FALSE(peer.sendComplete()); // not established yet
 
     peer.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() {
-        return peer.sendComplete() && router.controlDrained();
+    ASSERT_TRUE(tb.runUntil([&]() {
+        return peer.sendComplete() && tb.router().controlDrained();
     }));
-    EXPECT_EQ(router.speaker().counters().announcementsProcessed,
+    EXPECT_EQ(tb.router().speaker().counters().announcementsProcessed,
               30u);
 }
 
 TEST(TestPeer, CountsUpdatesFromRouter)
 {
-    sim::Simulator sim;
-    router::RouterSystem router(&sim, router::xeonProfile(),
-                                oneRouterConfig());
-    TestPeer peer1(&sim,
-                   TestPeerConfig{65001, 0x0a000102,
-                                  net::Ipv4Address(10, 0, 1, 2)},
-                   &router, 0);
-    TestPeer peer2(&sim,
-                   TestPeerConfig{65002, 0x0a000202,
-                                  net::Ipv4Address(10, 0, 2, 2)},
-                   &router, 1);
-    router.start();
+    Testbed tb(router::xeonProfile(), capped());
+    router::RouterSystem &router = tb.router();
+    TestPeer &peer1 = tb.speaker1();
+    TestPeer &peer2 = tb.speaker2();
 
     peer1.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() { return peer1.established(); }));
+    ASSERT_TRUE(tb.runUntil([&]() { return peer1.established(); }));
 
     workload::RouteSetConfig rsc;
     rsc.count = 40;
@@ -127,13 +87,13 @@ TEST(TestPeer, CountsUpdatesFromRouter)
     sc.prefixesPerPacket = 10;
     peer1.enqueueStream(
         workload::buildAnnouncementStream(routes, sc));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return router.controlDrained() &&
                router.fib().size() == 40;
     }));
 
     peer2.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return peer2.established() &&
                peer2.counters().announcementsReceived >= 40;
     }));

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/test_peer.hh"
+#include "core/benchmark_runner.hh"
 #include "router/router_system.hh"
 #include "router/system_profiles.hh"
 #include "workload/churn.hh"
@@ -19,36 +19,14 @@ using namespace bgpbench::router;
 namespace
 {
 
-RouterConfig
+/** The benchmark testbed's settings with a 600 s cap. */
+core::BenchmarkConfig
 config(bool damping = false)
 {
-    RouterConfig rc;
-    rc.localAs = 65000;
-    rc.routerId = 0x0a000001;
-    rc.address = net::Ipv4Address(10, 0, 0, 1);
-    bgp::PeerConfig p1;
-    p1.id = 0;
-    p1.asn = 65001;
-    p1.address = net::Ipv4Address(10, 0, 1, 2);
-    bgp::PeerConfig p2;
-    p2.id = 1;
-    p2.asn = 65002;
-    p2.address = net::Ipv4Address(10, 0, 2, 2);
-    rc.peers = {p1, p2};
-    rc.damping.enabled = damping;
-    return rc;
-}
-
-bool
-runUntil(sim::Simulator &sim, const std::function<bool()> &cond,
-         double limit_sec = 600.0)
-{
-    while (!cond()) {
-        if (sim::toSeconds(sim.now()) > limit_sec)
-            return false;
-        sim.runUntil(sim.now() + sim::nsFromMs(1));
-    }
-    return true;
+    core::BenchmarkConfig c;
+    c.dampingEnabled = damping;
+    c.simTimeLimit = sim::nsFromSec(600.0);
+    return c;
 }
 
 workload::StreamConfig
@@ -65,30 +43,25 @@ streamConfig(size_t per_packet = 10)
 
 TEST(RouterFeatures, RouteRefreshResendsTableThroughPipeline)
 {
-    sim::Simulator sim;
-    RouterSystem router(&sim, xeonProfile(), config());
-    core::TestPeer peer1(&sim, core::TestPeerConfig{}, &router, 0);
-    core::TestPeer peer2(
-        &sim,
-        core::TestPeerConfig{65002, 0x0a000202,
-                             net::Ipv4Address(10, 0, 2, 2)},
-        &router, 1);
-    router.start();
+    core::Testbed tb(xeonProfile(), config());
+    RouterSystem &router = tb.router();
+    core::TestPeer &peer1 = tb.speaker1();
+    core::TestPeer &peer2 = tb.speaker2();
 
     peer1.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() { return peer1.established(); }));
+    ASSERT_TRUE(tb.runUntil([&]() { return peer1.established(); }));
 
     workload::RouteSetConfig rsc;
     rsc.count = 80;
     auto routes = workload::generateRouteSet(rsc);
     peer1.enqueueStream(
         workload::buildAnnouncementStream(routes, streamConfig()));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return router.controlDrained() && router.fib().size() == 80;
     }));
 
     peer2.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return peer2.established() &&
                peer2.counters().announcementsReceived >= 80 &&
                router.controlDrained();
@@ -97,32 +70,31 @@ TEST(RouterFeatures, RouteRefreshResendsTableThroughPipeline)
 
     // Peer 2 loses its table (e.g. an operator clear) and asks for a
     // refresh: the router re-sends all 80 routes, paced by the CPU.
-    double t0 = sim::toSeconds(sim.now());
+    double t0 = sim::toSeconds(tb.simulator().now());
     peer2.sendRouteRefresh();
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return peer2.counters().announcementsReceived >= 160 &&
                router.controlDrained();
     }));
     EXPECT_EQ(peer2.counters().announcementsReceived, 160u);
     // The re-advertisement consumed simulated processing time.
-    EXPECT_GT(sim::toSeconds(sim.now()), t0);
+    EXPECT_GT(sim::toSeconds(tb.simulator().now()), t0);
 }
 
 TEST(RouterFeatures, DampingSuppressesFlappersInRouter)
 {
-    sim::Simulator sim;
-    RouterSystem router(&sim, xeonProfile(), config(true));
-    core::TestPeer peer(&sim, core::TestPeerConfig{}, &router, 0);
-    router.start();
+    core::Testbed tb(xeonProfile(), config(true));
+    RouterSystem &router = tb.router();
+    core::TestPeer &peer = tb.speaker1();
     peer.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() { return peer.established(); }));
+    ASSERT_TRUE(tb.runUntil([&]() { return peer.established(); }));
 
     workload::RouteSetConfig rsc;
     rsc.count = 100;
     auto routes = workload::generateRouteSet(rsc);
     peer.enqueueStream(
         workload::buildAnnouncementStream(routes, streamConfig()));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return router.controlDrained() && router.fib().size() == 100;
     }));
 
@@ -133,7 +105,7 @@ TEST(RouterFeatures, DampingSuppressesFlappersInRouter)
     cc.flappingFraction = 0.1;
     cc.withdrawFraction = 0.5;
     peer.enqueueStream(buildChurnStream(routes, cc));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return peer.sendComplete() && router.controlDrained();
     }));
 
@@ -147,19 +119,18 @@ TEST(RouterFeatures, DampingSuppressesFlappersInRouter)
 
 TEST(RouterFeatures, DampingDisabledKeepsFullTable)
 {
-    sim::Simulator sim;
-    RouterSystem router(&sim, xeonProfile(), config(false));
-    core::TestPeer peer(&sim, core::TestPeerConfig{}, &router, 0);
-    router.start();
+    core::Testbed tb(xeonProfile(), config(false));
+    RouterSystem &router = tb.router();
+    core::TestPeer &peer = tb.speaker1();
     peer.connect();
-    ASSERT_TRUE(runUntil(sim, [&]() { return peer.established(); }));
+    ASSERT_TRUE(tb.runUntil([&]() { return peer.established(); }));
 
     workload::RouteSetConfig rsc;
     rsc.count = 100;
     auto routes = workload::generateRouteSet(rsc);
     peer.enqueueStream(
         workload::buildAnnouncementStream(routes, streamConfig()));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return router.controlDrained() && router.fib().size() == 100;
     }));
 
@@ -169,7 +140,7 @@ TEST(RouterFeatures, DampingDisabledKeepsFullTable)
     cc.flappingFraction = 0.1;
     cc.withdrawFraction = 0.5;
     peer.enqueueStream(buildChurnStream(routes, cc));
-    ASSERT_TRUE(runUntil(sim, [&]() {
+    ASSERT_TRUE(tb.runUntil([&]() {
         return peer.sendComplete() && router.controlDrained();
     }));
 
