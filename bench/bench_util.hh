@@ -5,7 +5,8 @@
  * same binaries.
  *
  *   BGPBENCH_PREFIXES  table size per run (default per bench)
- *   BGPBENCH_SYSTEMS   comma list of systems (default: all four)
+ *   BGPBENCH_SYSTEMS   comma list of systems (default: all four); an
+ *                      unknown name is a usage error (exit status 2)
  *   BGPBENCH_FAST      1 = shrink workloads for a fast smoke run
  *
  * Numbers parse strictly (core::parseNumber): a malformed variable
@@ -20,10 +21,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/runtime_config.hh"
+#include "net/logging.hh"
 #include "router/system_profiles.hh"
 
 namespace bgpbench::benchutil
@@ -53,7 +56,8 @@ prefixCount(size_t normal, size_t fast)
     return envSize("BGPBENCH_PREFIXES", base);
 }
 
-/** Systems to run, honouring BGPBENCH_SYSTEMS. */
+/** Systems to run, honouring BGPBENCH_SYSTEMS: an unknown name prints
+ *  one error line and exits with status 2. */
 inline std::vector<router::SystemProfile>
 selectedSystems()
 {
@@ -69,8 +73,15 @@ selectedSystems()
         if (comma == std::string::npos)
             comma = list.size();
         std::string name = list.substr(pos, comma - pos);
-        if (!name.empty())
-            out.push_back(router::profileByName(name));
+        if (!name.empty()) {
+            try {
+                out.push_back(router::profileByName(name));
+            } catch (const FatalError &error) {
+                std::cerr << "error: BGPBENCH_SYSTEMS: " << error.what()
+                          << "\n";
+                std::exit(2);
+            }
+        }
         pos = comma + 1;
     }
     return out;

@@ -5,23 +5,26 @@
  *
  *   $ ./examples/quickstart [system] [scenario] [prefixes]
  *   $ ./examples/quickstart Xeon 2 4000
+ *
+ * Bad input (an unknown system, a scenario outside 1..8, a malformed
+ * number, no prefixes) prints one error line and exits with status 2.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/benchmark_runner.hh"
+#include "core/runtime_config.hh"
+#include "net/logging.hh"
 #include "stats/report.hh"
 
 using namespace bgpbench;
 
-int
-main(int argc, char **argv)
+namespace
 {
-    std::string system = argc > 1 ? argv[1] : "Xeon";
-    int scenario_number = argc > 2 ? std::atoi(argv[2]) : 1;
-    size_t prefixes = argc > 3 ? size_t(std::atoll(argv[3])) : 2000;
 
+int
+run(const std::string &system, int scenario_number, size_t prefixes)
+{
     // 1. Pick a router platform (PentiumIII, Xeon, IXP2400, Cisco).
     auto profile = router::profileByName(system);
 
@@ -64,4 +67,23 @@ main(int argc, char **argv)
               << " Loc-RIB routes, " << runner.router().fib().size()
               << " FIB entries.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    std::string system = argc > 1 ? argv[1] : "Xeon";
+    int scenario_number =
+        argc > 2 ? core::parseNumberArg<int>("scenario", argv[2]) : 1;
+    size_t prefixes =
+        argc > 3 ? core::parseNumberArg<size_t>("prefixes", argv[3])
+                 : 2000;
+    try {
+        return run(system, scenario_number, prefixes);
+    } catch (const FatalError &error) {
+        std::cerr << "error: " << error.what() << "\n";
+        return 2;
+    }
 }

@@ -111,6 +111,12 @@ decodeNlri(net::ByteReader &reader)
     return prefixes;
 }
 
+namespace
+{
+
+// The forms of the session messages, which reach the public encoders
+// only through Message.
+
 void
 encodeMessageTo(net::ByteWriter &writer, const OpenMessage &msg)
 {
@@ -121,28 +127,6 @@ encodeMessageTo(net::ByteWriter &writer, const OpenMessage &msg)
     writer.writeU32(msg.bgpIdentifier);
     writer.writeU8(uint8_t(msg.optionalParameters.size()));
     writer.writeBytes(msg.optionalParameters);
-    endMessage(writer, len_off);
-}
-
-void
-encodeMessageTo(net::ByteWriter &writer, const UpdateMessage &msg)
-{
-    size_t len_off = beginMessage(writer, MessageType::Update);
-
-    size_t withdrawn_len_off = writer.size();
-    writer.writeU16(0);
-    encodeNlri(writer, msg.withdrawnRoutes);
-    writer.patchU16(withdrawn_len_off,
-                    uint16_t(writer.size() - withdrawn_len_off - 2));
-
-    size_t attrs_len_off = writer.size();
-    writer.writeU16(0);
-    if (msg.attributes)
-        msg.attributes->encode(writer);
-    writer.patchU16(attrs_len_off,
-                    uint16_t(writer.size() - attrs_len_off - 2));
-
-    encodeNlri(writer, msg.nlri);
     endMessage(writer, len_off);
 }
 
@@ -173,15 +157,29 @@ encodeMessageTo(net::ByteWriter &writer, const RouteRefreshMessage &msg)
     endMessage(writer, len_off);
 }
 
-void
-encodeMessageTo(net::ByteWriter &writer, const Message &msg)
+size_t
+encodedSize(const OpenMessage &msg)
 {
-    std::visit([&writer](const auto &m) { encodeMessageTo(writer, m); },
-               msg);
+    return proto::headerBytes + 10 + msg.optionalParameters.size();
 }
 
-namespace
+size_t
+encodedSize(const KeepaliveMessage &)
 {
+    return proto::headerBytes;
+}
+
+size_t
+encodedSize(const NotificationMessage &msg)
+{
+    return proto::headerBytes + 2 + msg.data.size();
+}
+
+size_t
+encodedSize(const RouteRefreshMessage &)
+{
+    return proto::headerBytes + 4;
+}
 
 template <typename MessageT>
 std::vector<uint8_t>
@@ -203,85 +201,33 @@ encodeToSegment(const MessageT &msg, net::BufferPool &pool)
 
 } // namespace
 
-std::vector<uint8_t>
-encodeMessage(const OpenMessage &msg)
+void
+encodeMessageTo(net::ByteWriter &writer, const UpdateMessage &msg)
 {
-    return encodeToVector(msg);
+    size_t len_off = beginMessage(writer, MessageType::Update);
+
+    size_t withdrawn_len_off = writer.size();
+    writer.writeU16(0);
+    encodeNlri(writer, msg.withdrawnRoutes);
+    writer.patchU16(withdrawn_len_off,
+                    uint16_t(writer.size() - withdrawn_len_off - 2));
+
+    size_t attrs_len_off = writer.size();
+    writer.writeU16(0);
+    if (msg.attributes)
+        msg.attributes->encode(writer);
+    writer.patchU16(attrs_len_off,
+                    uint16_t(writer.size() - attrs_len_off - 2));
+
+    encodeNlri(writer, msg.nlri);
+    endMessage(writer, len_off);
 }
 
-std::vector<uint8_t>
-encodeMessage(const UpdateMessage &msg)
+void
+encodeMessageTo(net::ByteWriter &writer, const Message &msg)
 {
-    return encodeToVector(msg);
-}
-
-std::vector<uint8_t>
-encodeMessage(const KeepaliveMessage &msg)
-{
-    return encodeToVector(msg);
-}
-
-std::vector<uint8_t>
-encodeMessage(const NotificationMessage &msg)
-{
-    return encodeToVector(msg);
-}
-
-std::vector<uint8_t>
-encodeMessage(const RouteRefreshMessage &msg)
-{
-    return encodeToVector(msg);
-}
-
-std::vector<uint8_t>
-encodeMessage(const Message &msg)
-{
-    return std::visit(
-        [](const auto &m) { return encodeMessage(m); }, msg);
-}
-
-net::WireSegmentPtr
-encodeSegment(const OpenMessage &msg, net::BufferPool &pool)
-{
-    return encodeToSegment(msg, pool);
-}
-
-net::WireSegmentPtr
-encodeSegment(const UpdateMessage &msg, net::BufferPool &pool)
-{
-    return encodeToSegment(msg, pool);
-}
-
-net::WireSegmentPtr
-encodeSegment(const KeepaliveMessage &msg, net::BufferPool &pool)
-{
-    return encodeToSegment(msg, pool);
-}
-
-net::WireSegmentPtr
-encodeSegment(const NotificationMessage &msg, net::BufferPool &pool)
-{
-    return encodeToSegment(msg, pool);
-}
-
-net::WireSegmentPtr
-encodeSegment(const RouteRefreshMessage &msg, net::BufferPool &pool)
-{
-    return encodeToSegment(msg, pool);
-}
-
-net::WireSegmentPtr
-encodeSegment(const Message &msg, net::BufferPool &pool)
-{
-    return std::visit(
-        [&pool](const auto &m) { return encodeSegment(m, pool); },
-        msg);
-}
-
-size_t
-encodedSize(const OpenMessage &msg)
-{
-    return proto::headerBytes + 10 + msg.optionalParameters.size();
+    std::visit([&writer](const auto &m) { encodeMessageTo(writer, m); },
+               msg);
 }
 
 size_t
@@ -296,28 +242,34 @@ encodedSize(const UpdateMessage &msg)
 }
 
 size_t
-encodedSize(const KeepaliveMessage &)
-{
-    return proto::headerBytes;
-}
-
-size_t
-encodedSize(const NotificationMessage &msg)
-{
-    return proto::headerBytes + 2 + msg.data.size();
-}
-
-size_t
-encodedSize(const RouteRefreshMessage &)
-{
-    return proto::headerBytes + 4;
-}
-
-size_t
 encodedSize(const Message &msg)
 {
     return std::visit(
         [](const auto &m) { return encodedSize(m); }, msg);
+}
+
+std::vector<uint8_t>
+encodeMessage(const UpdateMessage &msg)
+{
+    return encodeToVector(msg);
+}
+
+std::vector<uint8_t>
+encodeMessage(const Message &msg)
+{
+    return encodeToVector(msg);
+}
+
+net::WireSegmentPtr
+encodeSegment(const UpdateMessage &msg, net::BufferPool &pool)
+{
+    return encodeToSegment(msg, pool);
+}
+
+net::WireSegmentPtr
+encodeSegment(const Message &msg, net::BufferPool &pool)
+{
+    return encodeToSegment(msg, pool);
 }
 
 namespace

@@ -87,72 +87,42 @@ using Message =
 /** Type of a decoded Message variant. */
 MessageType messageType(const Message &msg);
 
-/** @name Streaming encoders
- *  Append one complete framed message (marker/length/type + body) to
- *  an existing writer; the writer may carry a pooled buffer.
- *  @{
+/**
+ * @name Encoders
+ * Each message form has two overloads: a typed UPDATE one, the hot
+ * path, and one taking any Message. An OPEN, KEEPALIVE, NOTIFICATION
+ * or ROUTE-REFRESH converts to Message at the call.
+ * @{
  */
-void encodeMessageTo(net::ByteWriter &writer, const OpenMessage &msg);
+
+/** Append one complete framed message (marker/length/type + body) to
+ *  an existing writer; the writer may carry a pooled buffer. */
 void encodeMessageTo(net::ByteWriter &writer, const UpdateMessage &msg);
-void encodeMessageTo(net::ByteWriter &writer,
-                     const KeepaliveMessage &msg);
-void encodeMessageTo(net::ByteWriter &writer,
-                     const NotificationMessage &msg);
-void encodeMessageTo(net::ByteWriter &writer,
-                     const RouteRefreshMessage &msg);
 void encodeMessageTo(net::ByteWriter &writer, const Message &msg);
-/** @} */
 
-/** @name Whole-message encoders
- *  Each returns a complete framed message (marker/length/type + body).
- *  @{
- */
-std::vector<uint8_t> encodeMessage(const OpenMessage &msg);
+/** A complete framed message (marker/length/type + body). */
 std::vector<uint8_t> encodeMessage(const UpdateMessage &msg);
-std::vector<uint8_t> encodeMessage(const KeepaliveMessage &msg);
-std::vector<uint8_t> encodeMessage(const NotificationMessage &msg);
-std::vector<uint8_t> encodeMessage(const RouteRefreshMessage &msg);
 std::vector<uint8_t> encodeMessage(const Message &msg);
-/** @} */
 
-/** @name Segment encoders
- *  Encode one framed message into an immutable shared WireSegment
- *  drawn from @p pool (the calling thread's pool by default). The
- *  segment can then ride every peer queue and link without copies.
- *  @{
+/**
+ * Encode one framed message into an immutable shared WireSegment
+ * drawn from @p pool (the calling thread's pool by default). The
+ * segment can then ride every peer queue and link without copies.
  */
-net::WireSegmentPtr
-encodeSegment(const OpenMessage &msg,
-              net::BufferPool &pool = net::BufferPool::global());
 net::WireSegmentPtr
 encodeSegment(const UpdateMessage &msg,
               net::BufferPool &pool = net::BufferPool::global());
 net::WireSegmentPtr
-encodeSegment(const KeepaliveMessage &msg,
-              net::BufferPool &pool = net::BufferPool::global());
-net::WireSegmentPtr
-encodeSegment(const NotificationMessage &msg,
-              net::BufferPool &pool = net::BufferPool::global());
-net::WireSegmentPtr
-encodeSegment(const RouteRefreshMessage &msg,
-              net::BufferPool &pool = net::BufferPool::global());
-net::WireSegmentPtr
 encodeSegment(const Message &msg,
               net::BufferPool &pool = net::BufferPool::global());
-/** @} */
 
-/** @name Encoded-size predictors
- *  Size in bytes the framed encoding of the message will occupy —
- *  exactly encodeMessage(msg).size(), without encoding. The update
- *  builder uses the UPDATE form to pack prefixes up to the 4096-byte
- *  limit; the segment encoders use them to size pool buffers.
- *  @{
+/**
+ * Size in bytes the framed encoding of the message will occupy —
+ * exactly encodeMessage(msg).size(), without encoding. The update
+ * builder uses the UPDATE form to pack prefixes up to the 4096-byte
+ * limit; the segment encoders use it to size pool buffers.
  */
-size_t encodedSize(const OpenMessage &msg);
 size_t encodedSize(const UpdateMessage &msg);
-size_t encodedSize(const KeepaliveMessage &msg);
-size_t encodedSize(const NotificationMessage &msg);
-size_t encodedSize(const RouteRefreshMessage &msg);
 size_t encodedSize(const Message &msg);
 /** @} */
 

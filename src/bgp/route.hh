@@ -1,6 +1,7 @@
 /**
  * @file
- * Route representation shared by the RIBs and the decision process.
+ * The route types shared by the RIBs, the decision process and the
+ * speaker: decision candidates and forwarding-table changes.
  */
 
 #ifndef BGPBENCH_BGP_ROUTE_HH
@@ -19,13 +20,6 @@ namespace bgpbench::bgp
 
 /** Identifies one configured peer of a speaker. */
 using PeerId = uint32_t;
-
-/** A route: a destination prefix plus its path attributes. */
-struct Route
-{
-    net::Prefix prefix;
-    PathAttributesPtr attributes;
-};
 
 /**
  * A candidate in the decision process: attributes plus the facts about

@@ -1,6 +1,7 @@
 #include "bgp/speaker.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/logging.hh"
 #include "obs/views.hh"
@@ -86,12 +87,21 @@ BgpSpeaker::BgpSpeaker(SpeakerConfig config, SpeakerEvents *events)
         fatal("speaker configured with router-id 0");
 }
 
+namespace
+{
+
+/** The key peers_ is sorted by. */
+constexpr auto peerIdOf = [](const auto &peer) { return peer->config.id; };
+
+} // namespace
+
 void
 BgpSpeaker::addPeer(PeerConfig config)
 {
     if (config.id == localPeerId)
         fatal("peer id collides with the local pseudo peer");
-    if (peers_.count(config.id))
+    auto pos = std::ranges::lower_bound(peers_, config.id, {}, peerIdOf);
+    if (pos != peers_.end() && (*pos)->config.id == config.id)
         fatal("duplicate peer id " + std::to_string(config.id));
     if (config.asn == 0)
         fatal("peer configured with AS 0");
@@ -105,25 +115,22 @@ BgpSpeaker::addPeer(PeerConfig config)
     auto peer = std::make_unique<Peer>(std::move(config), session,
                                        *prefixTable_);
     peer->externalSession = peer->config.asn != config_.localAs;
-    peers_.emplace(peer->config.id, std::move(peer));
+    peers_.insert(pos, std::move(peer));
 }
 
 BgpSpeaker::Peer &
 BgpSpeaker::peerRef(PeerId peer)
 {
-    auto it = peers_.find(peer);
-    if (it == peers_.end())
-        fatal("unknown peer id " + std::to_string(peer));
-    return *it->second;
+    return const_cast<Peer &>(std::as_const(*this).peerRef(peer));
 }
 
 const BgpSpeaker::Peer &
 BgpSpeaker::peerRef(PeerId peer) const
 {
-    auto it = peers_.find(peer);
-    if (it == peers_.end())
+    auto pos = std::ranges::lower_bound(peers_, peer, {}, peerIdOf);
+    if (pos == peers_.end() || (*pos)->config.id != peer)
         fatal("unknown peer id " + std::to_string(peer));
-    return *it->second;
+    return **pos;
 }
 
 std::vector<PeerId>
@@ -131,8 +138,8 @@ BgpSpeaker::peerIds() const
 {
     std::vector<PeerId> ids;
     ids.reserve(peers_.size());
-    for (const auto &[id, peer] : peers_)
-        ids.push_back(id);
+    for (const auto &peer : peers_)
+        ids.push_back(peer->config.id);
     return ids;
 }
 
@@ -163,7 +170,8 @@ BgpSpeaker::AdjRibOutView::find(const net::Prefix &prefix) const
     const LocRib::Entry *entry = speaker_->locRib_.find(prefix);
     if (!peer_ || !entry)
         return nullptr;
-    return speaker_->exportTo(*peer_, prefix, entry->best, nullptr);
+    PathAttributesPtr ebgp;
+    return speaker_->exportTo(*peer_, prefix, entry->best, ebgp, nullptr);
 }
 
 void
@@ -273,35 +281,11 @@ BgpSpeaker::noteStateChange(Peer &peer, SessionState before,
 
     events_->onSessionStateChange(peer.config.id, before, after);
 
-    if (after == SessionState::Established) {
-        markEstablished(peer);
+    if (after == SessionState::Established)
         advertiseFullTable(peer, now);
-    } else if (before == SessionState::Established) {
-        unmarkEstablished(peer);
+    else if (before == SessionState::Established)
         invalidatePeerRoutes(peer, now);
-    }
     foldObservability();
-}
-
-void
-BgpSpeaker::markEstablished(Peer &peer)
-{
-    auto less = [](const Peer *a, const Peer *b) {
-        return a->config.id < b->config.id;
-    };
-    auto pos = std::lower_bound(establishedPeers_.begin(),
-                                establishedPeers_.end(), &peer, less);
-    if (pos == establishedPeers_.end() || *pos != &peer)
-        establishedPeers_.insert(pos, &peer);
-}
-
-void
-BgpSpeaker::unmarkEstablished(Peer &peer)
-{
-    auto pos = std::find(establishedPeers_.begin(),
-                         establishedPeers_.end(), &peer);
-    if (pos != establishedPeers_.end())
-        establishedPeers_.erase(pos);
 }
 
 void
@@ -416,20 +400,14 @@ BgpSpeaker::handleMessage(PeerId peer, const Message &msg, TimeNs now)
 void
 BgpSpeaker::pollTimers(TimeNs now)
 {
-    for (auto &[id, peer] : peers_) {
+    for (auto &peer : peers_) {
         SessionState before = peer->fsm.state();
         std::vector<Message> tx;
         peer->fsm.poll(now, tx);
         transmit(*peer, tx);
         noteStateChange(*peer, before, now);
     }
-
-    // Routes whose damping penalty decayed below the reuse threshold
-    // re-enter the decision process (RFC 2439 reuse lists).
-    if (config_.damping.enabled) {
-        readmitReusable(now);
-        flushPending(now);
-    }
+    serviceWakeup(now);
 }
 
 void
@@ -566,7 +544,9 @@ BgpSpeaker::runDecision(const net::Prefix &prefix, Slot slot, TimeNs now)
     // Collect candidates: every established peer's import-accepted
     // route plus any locally originated route.
     std::vector<Candidate> &candidates = candidates_;
-    for (Peer *peer : establishedPeers_) {
+    for (const auto &peer : peers_) {
+        if (!peer->fsm.established())
+            continue;
         const PathAttributesPtr *route = peer->ribIn.findAt(slot);
         if (!route || !*route)
             continue;
@@ -644,11 +624,17 @@ void
 BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
                          const Candidate *before, const Candidate *after)
 {
-    for (Peer *peer : establishedPeers_) {
+    // The eBGP transform of each side, shared by every peer below.
+    PathAttributesPtr held_ebgp, next_ebgp;
+    for (const auto &peer : peers_) {
+        if (!peer->fsm.established())
+            continue;
         PathAttributesPtr held =
-            before ? exportTo(*peer, prefix, *before, nullptr) : nullptr;
+            before ? exportTo(*peer, prefix, *before, held_ebgp, nullptr)
+                   : nullptr;
         PathAttributesPtr next =
-            after ? exportTo(*peer, prefix, *after, &counters_) : nullptr;
+            after ? exportTo(*peer, prefix, *after, next_ebgp, &counters_)
+                  : nullptr;
         if (next) {
             if (!sameAttributeValue(held, next))
                 peer->pending.announce(prefix, std::move(next),
@@ -661,7 +647,8 @@ BgpSpeaker::updateAdjOut(const net::Prefix &prefix,
 
 PathAttributesPtr
 BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
-                     const Candidate &best, SpeakerCounters *sent) const
+                     const Candidate &best, PathAttributesPtr &ebgp,
+                     SpeakerCounters *sent) const
 {
     // Do not advertise a route back to the peer it was learned from.
     if (best.peer == peer.config.id)
@@ -672,10 +659,7 @@ BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
     bool reflecting = false;
     if (!best.externalSession && !peer.externalSession &&
         best.peer != localPeerId) {
-        auto source = peers_.find(best.peer);
-        bool source_client =
-            source != peers_.end() &&
-            source->second->config.routeReflectorClient;
+        bool source_client = peerRef(best.peer).config.routeReflectorClient;
         if (!source_client && !peer.config.routeReflectorClient)
             return nullptr;
         reflecting = true;
@@ -703,7 +687,13 @@ BgpSpeaker::exportTo(const Peer &peer, const net::Prefix &prefix,
         // containing its own AS (RFC 4271 9.1.2), so don't send one.
         if (attrs->asPath.contains(peer.config.asn))
             return nullptr;
-        return ebgpExport(attrs, sent != nullptr);
+        // A route-map that rewrote the path gets its own transform;
+        // every other eBGP peer shares the one of the best path.
+        if (attrs != best.attributes)
+            return ebgpExport(attrs);
+        if (!ebgp)
+            ebgp = ebgpExport(attrs);
+        return ebgp;
     }
     if (!reflecting)
         return attrs;
@@ -723,7 +713,7 @@ BgpSpeaker::ribMemoryBytes() const
 {
     size_t bytes = prefixTable_->memoryBytes() + locRib_.memoryBytes() +
                    localRoutes_.memoryBytes();
-    for (const auto &[id, peer] : peers_)
+    for (const auto &peer : peers_)
         bytes += peer->ribIn.memoryBytes();
     return bytes;
 }
@@ -741,26 +731,21 @@ BgpSpeaker::reserveRoutes(size_t prefixes)
     // localRoutes_ is deliberately left alone: locally originated
     // routes number in the dozens, not at table scale.
     locRib_.reserve(prefixes);
-    for (auto &[id, peer] : peers_)
+    for (auto &peer : peers_)
         peer->ribIn.reserve(prefixes);
 }
 
 PathAttributesPtr
-BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, bool sent) const
+BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs) const
 {
     // The memo is keyed on pointer identity, which stays hot across
-    // messages, decision runs and peers because the interner
-    // canonicalises attributes: a full-table load runs one transform
-    // per distinct attribute set, not one per prefix and peer.
-    // Every peer of a fan-out derives the same previous best.
-    if (!sent && attrs == lastDerived_.first)
-        return lastDerived_.second;
-    if (sent && exportMemo_.size() >= exportMemoCap)
+    // messages and decision runs because the interner canonicalises
+    // attributes: a full-table load runs one transform per distinct
+    // attribute set, not one per prefix.
+    if (exportMemo_.size() >= exportMemoCap)
         exportMemo_.clear();
-    PathAttributesPtr exported;
-    if (auto memo = exportMemo_.find(attrs); memo != exportMemo_.end()) {
-        exported = memo->second;
-    } else {
+    auto [memo, inserted] = exportMemo_.try_emplace(attrs);
+    if (inserted) {
         PathAttributes out = *attrs;
         out.asPath.prepend(config_.localAs);
         out.nextHop = config_.localAddress;
@@ -769,13 +754,9 @@ BgpSpeaker::ebgpExport(const PathAttributesPtr &attrs, bool sent) const
         out.localPref.reset();
         out.originatorId.reset();
         out.clusterList.clear();
-        exported = makeAttributes(std::move(out));
-        if (sent)
-            exportMemo_.emplace(attrs, exported);
+        memo->second = makeAttributes(std::move(out));
     }
-    if (!sent)
-        lastDerived_ = {attrs, exported};
-    return exported;
+    return memo->second;
 }
 
 void
@@ -784,7 +765,7 @@ BgpSpeaker::flushPending(TimeNs now)
     OBS_SPAN(obs_.tracer, "export", "bgp", obs::kTrackRouters,
              obs_.track, [now] { return now; });
     TimeNs next_deadline = 0;
-    for (auto &[id, peer] : peers_) {
+    for (auto &peer : peers_) {
         if (peer->pending.empty())
             continue;
         if (!peer->fsm.established())
@@ -853,8 +834,9 @@ BgpSpeaker::advertiseFullTable(Peer &peer, TimeNs now)
              obs::kTrackRouters, obs_.track, [now] { return now; });
     locRib_.forEach([&](const net::Prefix &prefix,
                         const LocRib::Entry &entry) {
+        PathAttributesPtr ebgp;
         if (PathAttributesPtr attrs =
-                exportTo(peer, prefix, entry.best, &counters_))
+                exportTo(peer, prefix, entry.best, ebgp, &counters_))
             peer.pending.announce(prefix, std::move(attrs));
     });
     flushPending(now);

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -309,7 +308,7 @@ class BgpSpeaker
     /** Deliver one already-decoded message from @p peer. */
     void handleMessage(PeerId peer, const Message &msg, TimeNs now);
 
-    /** Drive keepalive/hold timers for all sessions. */
+    /** Drive keepalive/hold timers for all sessions, then serviceWakeup(). */
     void pollTimers(TimeNs now);
 
     /**
@@ -432,6 +431,7 @@ class BgpSpeaker
         {}
     };
 
+    /** The peer with id @p peer; fatal when none is configured. */
     Peer &peerRef(PeerId peer);
     const Peer &peerRef(PeerId peer) const;
 
@@ -475,7 +475,9 @@ class BgpSpeaker
      * The best path of @p prefix went from @p before to @p after (null:
      * no route). Each Established peer holds export(peer, before), so
      * it is sent export(peer, after) when that differs in value, or a
-     * withdrawal when the route is no longer exported to it.
+     * withdrawal when the route is no longer exported to it. The eBGP
+     * transform of each side is taken at most once, whatever the
+     * number of peers.
      */
     void updateAdjOut(const net::Prefix &prefix, const Candidate *before,
                       const Candidate *after);
@@ -484,12 +486,16 @@ class BgpSpeaker
      * export(peer, best): the attributes @p peer is told for @p prefix
      * while @p best is its Loc-RIB best path, or null when the route
      * is withheld. A function of its arguments and the configuration.
-     * @p sent is given for an export about to be queued: the
-     * route-map evaluation counts in it and the eBGP memo fills. What
-     * a peer already holds is derived with null, which does neither.
+     * @p ebgp holds ebgpExport(best.attributes) once an eBGP peer whose
+     * route-map left the path as it was has taken it: the caller
+     * passes one null local per best path and reuses it across the
+     * peers it exports that path to. @p sent is given for an export
+     * about to be queued, and the route-map evaluation counts in it;
+     * what a peer already holds is derived with null.
      */
     PathAttributesPtr exportTo(const Peer &peer, const net::Prefix &prefix,
                                const Candidate &best,
+                               PathAttributesPtr &ebgp,
                                SpeakerCounters *sent) const;
 
     /** Flush all pending per-peer builders into UPDATE messages. */
@@ -522,18 +528,14 @@ class BgpSpeaker
     /** Track FSM state transitions and fire callbacks. */
     void noteStateChange(Peer &peer, SessionState before, TimeNs now);
 
-    /** Keep establishedPeers_ in sync with one peer's FSM state. */
-    void markEstablished(Peer &peer);
-    void unmarkEstablished(Peer &peer);
-
     /**
      * The eBGP export of @p attrs: the local AS prepended, next-hop
      * self, LOCAL_PREF and the reflection attributes stripped. The
-     * result depends on nothing of the peer's, so a @p sent export is
-     * memoised speaker-wide in exportMemo_; a derived one only reads it.
+     * result depends on nothing of the peer's, so it is memoised
+     * speaker-wide in exportMemo_, whether it is about to be sent or
+     * only derived.
      */
-    PathAttributesPtr ebgpExport(const PathAttributesPtr &attrs,
-                                 bool sent) const;
+    PathAttributesPtr ebgpExport(const PathAttributesPtr &attrs) const;
 
     /**
      * One encode-once cache entry: the UPDATE exactly as encoded plus
@@ -604,7 +606,12 @@ class BgpSpeaker
      * destruction.
      */
     std::unique_ptr<SharedPrefixTable> prefixTable_;
-    std::map<PeerId, std::unique_ptr<Peer>> peers_;
+    /**
+     * Every configured peer, sorted by peer id, the order of every
+     * walk; the per-prefix ones skip peers whose session is not
+     * Established. Held by pointer so a Peer stays put as it grows.
+     */
+    std::vector<std::unique_ptr<Peer>> peers_;
     /**
      * Per-flush encode cache: the UPDATEs encoded this flushPending()
      * round, indexed by content hash. Lives across the peer loop of
@@ -633,21 +640,12 @@ class BgpSpeaker
      * set can never alias a recycled address. Emptied wholesale at
      * exportMemoCap entries, which bounds how many dead attribute
      * sets long churn can keep alive; a full-feed load stays far
-     * below it. Mutable: a cache of a pure function.
+     * below it. Mutable: a cache of a pure function, which a read of
+     * an AdjRibOutView may fill too.
      */
     mutable std::unordered_map<PathAttributesPtr, PathAttributesPtr>
         exportMemo_;
     static constexpr size_t exportMemoCap = 65536;
-    /** ebgpExport()'s last Derive: input -> export. Holding the input
-     *  keeps its address from being reused by another set. */
-    mutable std::pair<PathAttributesPtr, PathAttributesPtr> lastDerived_;
-    /**
-     * Peers currently in Established state, sorted by peer id (the
-     * iteration order of peers_). The per-prefix decision sweep and
-     * the export fan-out walk this instead of the full peer map, so
-     * idle/configured-but-down peers cost nothing per prefix.
-     */
-    std::vector<Peer *> establishedPeers_;
     /** Locally originated routes (pseudo Adj-RIB-In). */
     AdjRibIn localRoutes_;
     FlapDamper damper_;
@@ -664,8 +662,9 @@ class BgpSpeaker
 /**
  * A peer's Adj-RIB-Out, derived: export(peer, best) of every Loc-RIB
  * route, computed on each read (size() and forEach() walk the
- * Loc-RIB). Reading it neither fills nor clears the export memo and
- * counts no route-map evaluation, so it cannot change a later UPDATE.
+ * Loc-RIB). Reading it counts no route-map evaluation. It may fill
+ * the eBGP export memo, which changes no later UPDATE: the memo only
+ * caches a pure function of interned attributes.
  */
 class BgpSpeaker::AdjRibOutView
 {
@@ -690,8 +689,9 @@ class BgpSpeaker::AdjRibOutView
             return;
         speaker_->locRib_.forEach(
             [&](const net::Prefix &prefix, const LocRib::Entry &entry) {
+                PathAttributesPtr ebgp;
                 if (PathAttributesPtr attrs = speaker_->exportTo(
-                        *peer_, prefix, entry.best, nullptr))
+                        *peer_, prefix, entry.best, ebgp, nullptr))
                     fn(prefix, attrs);
             });
     }

@@ -52,7 +52,6 @@ class SimProcess
     {
         uint64_t cyclesConsumed = 0;
         uint64_t jobsCompleted = 0;
-        uint64_t jobsPosted = 0;
     };
 
     explicit SimProcess(Config config)
@@ -74,7 +73,6 @@ class SimProcess
     post(uint64_t cycles, std::function<void()> apply = {})
     {
         jobs_.push_back(Job{cycles, std::move(apply)});
-        ++counters_.jobsPosted;
     }
 
     /** True if the process has work wanting CPU. */

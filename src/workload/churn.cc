@@ -74,12 +74,7 @@ buildChurnStream(const std::vector<RouteSpec> &routes,
     BatchType batch = BatchType::None;
 
     auto flush = [&]() {
-        for (auto &update : builder.build()) {
-            StreamPacket pkt;
-            pkt.transactions = update.transactionCount();
-            pkt.wire = bgp::encodeSegment(update);
-            packets.push_back(std::move(pkt));
-        }
+        appendPackets(builder, packets);
         pending.clear();
         batch = BatchType::None;
     };

@@ -200,13 +200,7 @@ FullFeedGenerator::nextChunk(std::vector<StreamPacket> &out)
         builder.announce(prefix, pool_[idx]);
     }
     generated_ += count;
-
-    for (auto &update : builder.build()) {
-        StreamPacket pkt;
-        pkt.transactions = update.transactionCount();
-        pkt.wire = bgp::encodeSegment(update);
-        out.push_back(std::move(pkt));
-    }
+    appendPackets(builder, out);
     return count;
 }
 

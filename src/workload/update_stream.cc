@@ -1,6 +1,5 @@
 #include "workload/update_stream.hh"
 
-#include "bgp/update_builder.hh"
 #include "net/logging.hh"
 
 namespace bgpbench::workload
@@ -28,21 +27,15 @@ groupAttributes(const RouteSpec &leader, const StreamConfig &config)
     return bgp::makeAttributes(std::move(attrs));
 }
 
-std::vector<StreamPacket>
-toPackets(std::vector<bgp::UpdateMessage> updates)
-{
-    std::vector<StreamPacket> packets;
-    packets.reserve(updates.size());
-    for (const auto &update : updates) {
-        StreamPacket pkt;
-        pkt.transactions = update.transactionCount();
-        pkt.wire = bgp::encodeSegment(update);
-        packets.push_back(std::move(pkt));
-    }
-    return packets;
-}
-
 } // namespace
+
+void
+appendPackets(bgp::UpdateBuilder &builder, std::vector<StreamPacket> &out)
+{
+    for (const auto &update : builder.build())
+        out.push_back(StreamPacket{bgp::encodeSegment(update),
+                                   update.transactionCount()});
+}
 
 std::vector<StreamPacket>
 buildAnnouncementStream(const std::vector<RouteSpec> &routes,
@@ -63,7 +56,9 @@ buildAnnouncementStream(const std::vector<RouteSpec> &routes,
         builder.announce(routes[i].prefix,
                          groupAttributes(leader, config));
     }
-    return toPackets(builder.build());
+    std::vector<StreamPacket> packets;
+    appendPackets(builder, packets);
+    return packets;
 }
 
 std::vector<StreamPacket>
@@ -76,7 +71,9 @@ buildWithdrawalStream(const std::vector<RouteSpec> &routes,
     bgp::UpdateBuilder builder(config.prefixesPerPacket);
     for (const auto &route : routes)
         builder.withdraw(route.prefix);
-    return toPackets(builder.build());
+    std::vector<StreamPacket> packets;
+    appendPackets(builder, packets);
+    return packets;
 }
 
 size_t

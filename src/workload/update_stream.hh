@@ -17,6 +17,7 @@
 
 #include "bgp/message.hh"
 #include "bgp/types.hh"
+#include "bgp/update_builder.hh"
 #include "net/ipv4_address.hh"
 #include "workload/route_set.hh"
 
@@ -50,6 +51,15 @@ struct StreamPacket
     net::WireSegmentPtr wire;
     size_t transactions = 0;
 };
+
+/**
+ * Build the changes queued in @p builder and append them to @p out,
+ * one packet per UPDATE in build order; the builder is left empty.
+ * Every stream of this module, the churn stream and the full feed
+ * frame their packets here.
+ */
+void appendPackets(bgp::UpdateBuilder &builder,
+                   std::vector<StreamPacket> &out);
 
 /**
  * Build announcement packets for @p routes in order.
